@@ -2,43 +2,36 @@
 
 #include <chrono>
 
-#include "common/json.h"
 #include "common/logging.h"
-#include "fault/injector.h"
-#include "network/flow/flow_network.h"
-#include "trace/analysis/analysis.h"
 #include "workload/engine.h"
 
 namespace astra {
 
-Simulator::Simulator(Topology topo, SimulatorConfig cfg)
-    : topo_(std::move(topo)), cfg_(std::move(cfg))
+std::unique_ptr<MemoryModel>
+makeMemory(const SimulatorConfig &cfg)
 {
-    ASTRA_USER_CHECK(!(cfg_.pooledMem && cfg_.zeroInfinityMem),
+    ASTRA_USER_CHECK(!(cfg.pooledMem && cfg.zeroInfinityMem),
                      "configure at most one remote memory tier");
-    net_ = makeNetwork(cfg_.backend, eq_, topo_);
-    coll_ = std::make_unique<CollectiveEngine>(*net_);
-    if (cfg_.pooledMem) {
-        mem_ = std::make_unique<MemoryModel>(cfg_.localMem,
-                                             *cfg_.pooledMem);
-    } else if (cfg_.zeroInfinityMem) {
-        mem_ = std::make_unique<MemoryModel>(cfg_.localMem,
-                                             *cfg_.zeroInfinityMem);
-    } else {
-        mem_ = std::make_unique<MemoryModel>(cfg_.localMem);
-    }
-    sys_.reserve(static_cast<size_t>(topo_.npus()));
-    for (NpuId n = 0; n < topo_.npus(); ++n)
-        sys_.push_back(
-            std::make_unique<Sys>(n, cfg_.sys, *coll_, *mem_));
+    if (cfg.pooledMem)
+        return std::make_unique<MemoryModel>(cfg.localMem,
+                                             *cfg.pooledMem);
+    if (cfg.zeroInfinityMem)
+        return std::make_unique<MemoryModel>(cfg.localMem,
+                                             *cfg.zeroInfinityMem);
+    return std::make_unique<MemoryModel>(cfg.localMem);
 }
 
-Sys &
-Simulator::sys(NpuId npu)
+// The harness takes the RunConfig base by move; the system and memory
+// fields read below are not part of it.
+Simulator::Simulator(Topology topo, SimulatorConfig cfg)
+    : harness_(std::move(topo), std::move(cfg)),
+      coll_(std::make_unique<CollectiveEngine>(harness_.network())),
+      mem_(makeMemory(cfg))
 {
-    ASTRA_ASSERT(npu >= 0 && npu < topo_.npus(), "NPU %d out of range",
-                 npu);
-    return *sys_[static_cast<size_t>(npu)];
+    int npus = topology().npus();
+    sys_.reserve(static_cast<size_t>(npus));
+    for (NpuId n = 0; n < npus; ++n)
+        sys_.push_back(std::make_unique<Sys>(n, cfg.sys, *coll_, *mem_));
 }
 
 Report
@@ -47,50 +40,27 @@ Simulator::run(const Workload &wl)
     ASTRA_USER_CHECK(!ran_, "a Simulator instance runs one workload; "
                             "create a fresh instance per run");
     ran_ = true;
-    validateWorkload(wl, topo_.npus());
+    int npus = topology().npus();
+    validateWorkload(wl, npus);
+    EventQueue &eq = eventQueue();
 
     auto host_start = std::chrono::steady_clock::now();
     ExecutionEngine engine(sys_, wl);
-    if (cfg_.trace.enabled()) {
-        tracer_ = std::make_unique<trace::Tracer>(cfg_.trace);
-        tracer_->processName(0, "sim " + wl.name);
-        for (NpuId n = 0; n < topo_.npus(); ++n)
-            tracer_->threadName(0, n, detail::formatV("rank %d", n));
-        tracer_->threadName(0, trace::Tracer::kLifecycleTid,
-                            "lifecycle");
-        net_->setTracer(tracer_.get());
-        coll_->setTracer(tracer_.get(), 0);
-        engine.setTracer(tracer_.get(), 0);
-        // Self-profiling piggybacks on the tracer: queue-depth and
-        // bucket-occupancy histograms always, per-callback wall
-        // sampling only at full detail (it is the costlier probe).
-        profile_.timeCallbacks = tracer_->full();
-        eq_.setProfile(&profile_);
+    if (trace::Tracer *tracer = harness_.startTracing("sim " + wl.name)) {
+        for (NpuId n = 0; n < npus; ++n)
+            tracer->threadName(0, n, detail::formatV("rank %d", n));
+        coll_->setTracer(tracer, 0);
+        engine.setTracer(tracer, 0);
     }
-    if (cfg_.telemetry.heartbeatsEnabled()) {
-        // Heartbeat monitor (docs/observability.md): attached to the
-        // event queue, purely observational. Providers read live
-        // subsystem state; the engine reference is only sampled while
-        // run() executes (finish() below detaches the monitor).
-        monitor_ = std::make_unique<telemetry::Monitor>(cfg_.telemetry);
-        monitor_->setProgress([&engine] {
-            return telemetry::Progress{engine.completedNodes(),
-                                       engine.totalNodes()};
-        });
-        monitor_->setActive([this] { return net_->activeCount(); });
-        if (auto *flow = dynamic_cast<FlowNetwork *>(net_.get()))
-            monitor_->setSolves([flow] { return flow->solveCount(); });
-        monitor_->addFootprint("event_queue",
-                               [this] { return eq_.bytesInUse(); });
-        monitor_->addFootprint("network",
-                               [this] { return net_->bytesInUse(); });
-        monitor_->addFootprint("collectives",
-                               [this] { return coll_->bytesInUse(); });
-        if (tracer_)
-            monitor_->addFootprint(
-                "tracer", [this] { return tracer_->bytesInUse(); });
-        eq_.setMonitor(monitor_.get());
-    }
+    // The engine reference is only sampled while run() executes
+    // (stopHeartbeats below detaches the monitor).
+    harness_.observe(
+        {[&engine] {
+             return telemetry::Progress{engine.completedNodes(),
+                                        engine.totalNodes()};
+         },
+         [this] { return coll_->bytesInUse(); },
+         {}});
     // With faults active, the queue can outlive the workload (a fault
     // timeline's tail event may fire after the last node), so the
     // finish time is captured at the last completion rather than read
@@ -98,27 +68,16 @@ Simulator::run(const Workload &wl)
     // setOnFinished is synchronous and schedules nothing, so the event
     // stream is bit-identical.
     TimeNs finish_at = 0.0;
-    engine.setOnFinished([this, &finish_at] { finish_at = eq_.now(); });
-    bool faulted = cfg_.fault && !cfg_.fault->empty();
-    if (faulted) {
-        fault::FaultHooks hooks;
-        hooks.net = net_.get();
-        hooks.computeScale = [this](NpuId n, double s) {
-            sys_[static_cast<size_t>(n)]->setComputeScale(s);
-        };
-        hooks.active = [&engine] { return !engine.finished(); };
-        injector_ = std::make_unique<fault::FaultInjector>(
-            eq_, topo_, *cfg_.fault, std::move(hooks));
-        if (tracer_)
-            injector_->setTracer(tracer_.get(), 0);
-        injector_->start();
-    }
+    engine.setOnFinished([&eq, &finish_at] { finish_at = eq.now(); });
+    fault::FaultHooks hooks;
+    hooks.computeScale = [this](NpuId n, double s) {
+        sys_[static_cast<size_t>(n)]->setComputeScale(s);
+    };
+    hooks.active = [&engine] { return !engine.finished(); };
+    harness_.startFaults(std::move(hooks));
     engine.run();
-    TimeNs finish = faulted ? finish_at : eq_.now();
-    if (monitor_) {
-        monitor_->finish(eq_.now(), eq_.executedEvents(), eq_.pending());
-        eq_.setMonitor(nullptr);
-    }
+    TimeNs finish = harness_.faulted() ? finish_at : eq.now();
+    harness_.stopHeartbeats();
     auto host_end = std::chrono::steady_clock::now();
 
     Report report;
@@ -131,112 +90,10 @@ Simulator::run(const Workload &wl)
         report.average += report.perNpu.back();
     }
     report.average = report.average.scaled(1.0 / double(sys_.size()));
-    report.events = eq_.executedEvents();
-    report.messages = net_->stats().messages;
-    report.bytesPerDim = net_->stats().bytesPerDim;
-    report.busyTimePerDim = net_->stats().busyTimePerDim;
-    report.linksPerDim = net_->stats().linksPerDim;
-    report.maxLinkBusyNs = net_->stats().maxLinkBusyNs;
-    report.numFaults = injector_ ? injector_->firedCount() : 0;
     report.wallSeconds =
         std::chrono::duration<double>(host_end - host_start).count();
-    if (tracer_) {
-        eq_.setProfile(nullptr);
-        trace::Counters &c = tracer_->counters();
-        c.add("trace_events", double(tracer_->eventCount()));
-        trace::addQueueProfile(profile_, c);
-        net_->fillTraceCounters(c);
-        if (cfg_.trace.analysis) {
-            // In-memory analytics: consumes the tracer's event blocks
-            // directly (no JSON round trip) and is purely
-            // observational — the simulated results above are already
-            // final. Runs before writeOutputs so flushed occupancy
-            // spans land in the export too.
-            auto a_start = std::chrono::steady_clock::now();
-            trace::analysis::TraceData data =
-                trace::analysis::TraceData::fromTracer(*tracer_);
-            trace::analysis::AnalysisResult analysis =
-                trace::analysis::analyzeTrace(data);
-            report.criticalPathNs = analysis.path.lengthNs;
-            for (const trace::analysis::DimCommRow &row : analysis.dims) {
-                if (row.dim >= 0) {
-                    if (report.traceExposedCommPerDim.size() <=
-                        size_t(row.dim))
-                        report.traceExposedCommPerDim.resize(
-                            size_t(row.dim) + 1, 0.0);
-                    report.traceExposedCommPerDim[size_t(row.dim)] =
-                        row.exposedNs;
-                }
-            }
-            if (!analysis.links.empty()) {
-                report.bottleneckLink = analysis.links.front().link;
-                report.bottleneckLinkShare =
-                    analysis.links.front().share;
-            }
-            if (!cfg_.trace.analysisFile.empty())
-                json::writeFile(
-                    cfg_.trace.analysisFile,
-                    trace::analysis::analysisToJson(analysis));
-            c.addWall("wall_analysis_seconds",
-                      std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - a_start)
-                          .count());
-        }
-        double write_wall = tracer_->writeOutputs();
-        c.addWall("wall_trace_write_seconds", write_wall);
-        report.traceCounters = c.values;
-        report.traceHistograms = c.histograms;
-        report.traceWallSeconds = c.wallSeconds;
-    }
-    // Footprint rollup (telemetry protocol, docs/observability.md):
-    // always measured — one deterministic capacity-based pass over
-    // the subsystems at run end, when pool high-water marks are
-    // final. Peak RSS is host state (never serialized).
-    report.footprintBySubsystem.emplace_back("event_queue",
-                                             eq_.bytesInUse());
-    report.footprintBySubsystem.emplace_back("network",
-                                             net_->bytesInUse());
-    report.footprintBySubsystem.emplace_back("collectives",
-                                             coll_->bytesInUse());
-    if (tracer_)
-        report.footprintBySubsystem.emplace_back(
-            "tracer", tracer_->bytesInUse());
-    for (const auto &[name, bytes] : report.footprintBySubsystem) {
-        (void)name;
-        report.peakFootprintBytes += bytes;
-    }
-    size_t flow_slots = net_->flowSlots();
-    if (flow_slots > 0)
-        report.bytesPerFlow =
-            double(net_->bytesInUse()) / double(flow_slots);
-    report.bytesPerNpu =
-        double(report.peakFootprintBytes) / double(topo_.npus());
-    // The beat count is only serialized under a deterministic (pure
-    // event-count) cadence; see Report::telemetryHeartbeats.
-    if (monitor_ && monitor_->deterministicCadence())
-        report.telemetryHeartbeats = monitor_->heartbeatCount();
-    report.peakRssBytes = telemetry::peakRssBytes();
-
-    if (!cfg_.telemetry.manifest.empty()) {
-        telemetry::ManifestInfo info;
-        info.kind = "simulator";
-        info.configHash = cfg_.telemetry.configHash;
-        info.backend = backendName(cfg_.backend);
-        info.topology = telemetry::topologyNotation(topo_);
-        info.npus = topo_.npus();
-        info.seed = cfg_.fault ? cfg_.fault->seed : 0;
-        telemetry::fillManifestFromReport(info, report);
-        info.wallBreakdown.emplace_back("run", report.wallSeconds);
-        if (!cfg_.telemetry.file.empty())
-            info.outputs.push_back(cfg_.telemetry.file);
-        if (!cfg_.trace.file.empty())
-            info.outputs.push_back(cfg_.trace.file);
-        if (!cfg_.trace.utilizationFile.empty())
-            info.outputs.push_back(cfg_.trace.utilizationFile);
-        if (!cfg_.trace.analysisFile.empty())
-            info.outputs.push_back(cfg_.trace.analysisFile);
-        telemetry::writeManifest(cfg_.telemetry.manifest, info);
-    }
+    harness_.finishReport(report, /*analysis_pid=*/0);
+    harness_.writeManifest("simulator", report);
     return report;
 }
 

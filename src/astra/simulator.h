@@ -15,53 +15,28 @@
 #include <vector>
 
 #include "astra/report.h"
+#include "astra/run_harness.h"
 #include "collective/engine.h"
-#include "fault/fault.h"
-#include "fault/injector.h"
 #include "memory/memory_model.h"
-#include "network/network_api.h"
 #include "system/sys.h"
-#include "telemetry/telemetry.h"
-#include "topology/topology.h"
-#include "trace/tracer.h"
 #include "workload/et.h"
 
 namespace astra {
 
-/** Full-stack configuration for a simulation. */
-struct SimulatorConfig
+/** Full-stack configuration for a simulation: the run-level fabric
+ *  and services (RunConfig) plus the per-NPU system and memory. */
+struct SimulatorConfig : RunConfig
 {
-    NetworkBackendKind backend = NetworkBackendKind::Analytical;
     SysConfig sys;
     LocalMemoryConfig localMem;
     /** At most one remote tier may be set. */
     std::optional<RemoteMemoryConfig> pooledMem;
     std::optional<ZeroInfinityConfig> zeroInfinityMem;
-    /**
-     * Optional fault scenario (docs/fault.md). A single-workload
-     * simulation supports link faults and stragglers; NPU fail/
-     * recover events need the cluster layer's checkpoint/restart
-     * machinery and are rejected here. Absent or empty scenarios
-     * leave every code path bit-identical to a fault-free build.
-     */
-    std::optional<fault::FaultConfig> fault;
-    /**
-     * Tracing & self-profiling (docs/trace.md). The default
-     * (`detail: off`) records nothing and leaves every code path
-     * bit-identical to a build without tracing; `spans`/`full` record
-     * a simulated-time timeline (exported as Chrome trace-event JSON
-     * when `file` is set) and fill the report's trace counters.
-     */
-    trace::TraceConfig trace;
-    /**
-     * Host-process telemetry (docs/observability.md): heartbeat
-     * monitoring and run-manifest output. The default (all off)
-     * leaves every code path bit-identical to a build without
-     * telemetry; the footprint rollup in the Report is always
-     * measured (it is deterministic and costs one pass at run end).
-     */
-    telemetry::TelemetryConfig telemetry;
 };
+
+/** The memory model `cfg` describes (local tier plus at most one
+ *  remote tier). */
+std::unique_ptr<MemoryModel> makeMemory(const SimulatorConfig &cfg);
 
 /** See file comment. */
 class Simulator
@@ -78,34 +53,24 @@ class Simulator
      */
     Report run(const Workload &wl);
 
-    const Topology &topology() const { return topo_; }
-    EventQueue &eventQueue() { return eq_; }
-    NetworkApi &network() { return *net_; }
-    CollectiveEngine &collectives() { return *coll_; }
-    const MemoryModel &memory() const { return *mem_; }
-    Sys &sys(NpuId npu);
+    const Topology &topology() const { return harness_.topology(); }
+    EventQueue &eventQueue() { return harness_.eventQueue(); }
+    NetworkApi &network() { return harness_.network(); }
 
     /** The run's tracer (null unless cfg.trace enabled it); exposed
      *  so tests can inspect the recorded timeline in memory. */
-    trace::Tracer *tracer() { return tracer_.get(); }
+    trace::Tracer *tracer() { return harness_.tracer(); }
 
     /** The run's heartbeat monitor (null unless cfg.telemetry enabled
      *  heartbeats); exposed so tests can inspect the in-memory
      *  records. Valid after run() returns. */
-    telemetry::Monitor *monitor() { return monitor_.get(); }
+    telemetry::Monitor *monitor() { return harness_.monitor(); }
 
   private:
-    Topology topo_;
-    SimulatorConfig cfg_;
-    EventQueue eq_;
-    std::unique_ptr<NetworkApi> net_;
+    RunHarness harness_;
     std::unique_ptr<CollectiveEngine> coll_;
     std::unique_ptr<MemoryModel> mem_;
     std::vector<std::unique_ptr<Sys>> sys_;
-    std::unique_ptr<fault::FaultInjector> injector_;
-    std::unique_ptr<trace::Tracer> tracer_;
-    std::unique_ptr<telemetry::Monitor> monitor_;
-    QueueProfile profile_; //!< attached to eq_ while tracing.
     bool ran_ = false;
 };
 

@@ -1,36 +1,17 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <numeric>
 #include <utility>
 
+#include "cluster/job_runtime.h"
 #include "common/logging.h"
 #include "common/table.h"
-#include "network/flow/flow_network.h"
 #include "sweep/spec.h"
 
 namespace astra {
 namespace cluster {
-
-namespace {
-
-std::unique_ptr<MemoryModel>
-makeMemory(const SimulatorConfig &cfg)
-{
-    ASTRA_USER_CHECK(!(cfg.pooledMem && cfg.zeroInfinityMem),
-                     "configure at most one remote memory tier per job");
-    if (cfg.pooledMem)
-        return std::make_unique<MemoryModel>(cfg.localMem,
-                                             *cfg.pooledMem);
-    if (cfg.zeroInfinityMem)
-        return std::make_unique<MemoryModel>(cfg.localMem,
-                                             *cfg.zeroInfinityMem);
-    return std::make_unique<MemoryModel>(cfg.localMem);
-}
-
-} // namespace
 
 const char *
 admissionPolicyName(AdmissionPolicy p)
@@ -53,91 +34,10 @@ parseAdmissionPolicy(const std::string &name)
           name.c_str());
 }
 
-/**
- * The per-job execution stack: rank-translation view, collective
- * engine, memory model, per-NPU system layers, execution engine.
- * Built by ClusterSimulator::buildStack for both the co-executed run
- * (on the shared fabric) and the isolated baseline (on a fresh one).
- */
-struct ClusterSimulator::JobStack
-{
-    /** By-value placement copy: each incarnation's rank view
-     *  references its own stack's placement, so ghost traffic of an
-     *  abandoned incarnation stays correctly addressed even after
-     *  the job is re-placed elsewhere (requeue restart). */
-    JobPlacement placement;
-    std::unique_ptr<RankViewNetwork> view;
-    std::unique_ptr<CollectiveEngine> coll;
-    std::unique_ptr<MemoryModel> mem;
-    std::vector<std::unique_ptr<Sys>> sys;
-    std::unique_ptr<ExecutionEngine> engine;
-};
-
-/**
- * One job's full runtime state. Heap-allocated (stable addresses: the
- * network view borrows the job topology, the collective engine
- * borrows the view, the system layers borrow both) and kept alive
- * until the ClusterSimulator dies — trailing fabric events may still
- * reference a finished job's callbacks.
- */
-struct ClusterSimulator::JobRuntime
-{
-    int id = -1;
-    JobSpec spec;
-    Topology jobTopo;
-    Workload wl;
-
-    std::optional<JobPlacement> placement;
-    std::unique_ptr<JobStack> stack;
-    /**
-     * Stacks of abandoned incarnations (NPU failures). Kept alive
-     * until the ClusterSimulator dies: their ghost flows/messages
-     * still reference the cancelled engine's callbacks and the
-     * view's busy accumulators. unique_ptr (not by-value moves)
-     * keeps every borrowed address stable.
-     */
-    std::vector<std::unique_ptr<JobStack>> graveyard;
-
-    bool done = false;
-    bool running = false;
-    TimeNs admitted = 0.0;
-    TimeNs finished = 0.0;
-    TimeNs isolated = 0.0;
-
-    // Failure-resilience state (docs/fault.md).
-    fault::CheckpointPolicy ckpt;
-    int incarnation = 0;          //!< bumped on every NPU failure.
-    int restarts = 0;             //!< incarnations actually launched.
-    uint64_t faults = 0;          //!< NPU failures that hit this job.
-    std::vector<uint8_t> snapshot; //!< last checkpoint (done flags).
-    TimeNs lastSnapshot = 0.0;    //!< checkpoint time (or launch).
-    TimeNs incarnationStart = 0.0; //!< launch time of this incarnation.
-    TimeNs lostWork = 0.0;        //!< rolled-back simulated time.
-    TimeNs recovery = 0.0;        //!< failure-to-restart gaps.
-    TimeNs failedAt = 0.0;        //!< time of the last failure.
-    bool waitingRecovery = false; //!< restart-in-place pending.
-    bool failed = false;          //!< permanent failure (see error).
-    std::string error;
-    /** Open lifecycle span of the running incarnation
-     *  (Tracer::kNoSpan when tracing is off or not running). */
-    uint32_t traceSpan = trace::Tracer::kNoSpan;
-
-    // Fabric snapshots bracketing the residency (per-job report).
-    uint64_t eventsAtAdmit = 0;
-    uint64_t eventsAtFinish = 0;
-    std::vector<double> busyAtAdmit;
-    std::vector<double> busyAtFinish;
-    double maxLinkAtFinish = 0.0;
-
-    JobRuntime(JobSpec s, Topology jt, Workload w)
-        : spec(std::move(s)), jobTopo(std::move(jt)), wl(std::move(w))
-    {
-    }
-};
-
 ClusterSimulator::ClusterSimulator(Topology topo, ClusterConfig cfg)
-    : topo_(std::move(topo)), cfg_(std::move(cfg)),
-      net_(makeNetwork(cfg_.backend, eq_, topo_)), placer_(topo_),
+    : cfg_(std::move(cfg)), harness_(std::move(topo), cfg_),
+      topo_(harness_.topology()), eq_(harness_.eventQueue()),
+      net_(harness_.network()), placer_(topo_),
       npuComputeScale_(static_cast<size_t>(topo_.npus()), 1.0)
 {
 }
@@ -247,12 +147,12 @@ ClusterSimulator::buildStack(JobRuntime &job, NetworkApi &fabric,
     // Only the co-executed stack is traced: the isolated baseline
     // runs on its own throwaway fabric and would pollute the shared
     // timeline with duplicate spans at wrong (restarted) clocks.
-    if (shared && tracer_) {
+    if (shared && tracer()) {
         int32_t pid = job.id + 1;
-        stack.engine->setTracer(tracer_.get(), pid);
-        stack.coll->setTracer(tracer_.get(), pid);
+        stack.engine->setTracer(tracer(), pid);
+        stack.coll->setTracer(tracer(), pid);
         for (NpuId n = 0; n < job.jobTopo.npus(); ++n)
-            tracer_->threadName(
+            tracer()->threadName(
                 pid, n,
                 detail::formatV(
                     "rank %d g%d", n,
@@ -264,7 +164,7 @@ void
 ClusterSimulator::launch(JobRuntime &job)
 {
     job.stack = std::make_unique<JobStack>();
-    buildStack(job, *net_, *job.stack, /*shared=*/true);
+    buildStack(job, net_, *job.stack, /*shared=*/true);
     size_t index = static_cast<size_t>(job.id);
     job.stack->engine->setOnFinished(
         [this, index] { onJobFinished(index); });
@@ -272,7 +172,7 @@ ClusterSimulator::launch(JobRuntime &job)
     if (job.incarnation == 0) {
         job.admitted = eq_.now();
         job.eventsAtAdmit = eq_.executedEvents();
-        job.busyAtAdmit = net_->stats().busyTimePerDim;
+        job.busyAtAdmit = net_.stats().busyTimePerDim;
     } else {
         // Relaunch after an NPU failure: the original admission
         // metrics stand (duration spans all incarnations); account
@@ -289,12 +189,10 @@ ClusterSimulator::launch(JobRuntime &job)
     ++runningJobs_;
     debugT("cluster", "t=%.0f job '%s' starting (incarnation %d)",
            eq_.now(), job.spec.name.c_str(), job.incarnation);
-    if (tracer_) {
-        if (job.incarnation > 0)
-            tracer_->instantStr(job.id + 1, trace::Tracer::kLifecycleTid,
-                                "job", "restart " + job.spec.name,
-                                eq_.now());
-        job.traceSpan = tracer_->beginSpan(
+    if (job.incarnation > 0)
+        traceLifecycle(job, "restart");
+    if (tracer()) {
+        job.traceSpan = tracer()->beginSpan(
             job.id + 1, trace::Tracer::kLifecycleTid, "job",
             job.incarnation == 0
                 ? "run " + job.spec.name
@@ -416,426 +314,14 @@ ClusterSimulator::onJobFinished(size_t index)
     debugT("cluster", "t=%.0f job '%s' finished (%d restarts)",
            job.finished, job.spec.name.c_str(), job.restarts);
     lastFinish_ = std::max(lastFinish_, job.finished);
-    if (tracer_ && job.traceSpan != trace::Tracer::kNoSpan) {
-        tracer_->endSpan(job.traceSpan, job.finished);
-        job.traceSpan = trace::Tracer::kNoSpan;
-        tracer_->instantStr(job.id + 1, trace::Tracer::kLifecycleTid,
-                            "job", "done " + job.spec.name,
-                            job.finished);
-    }
+    endRunSpan(job, "done");
     job.eventsAtFinish = eq_.executedEvents();
-    job.busyAtFinish = net_->stats().busyTimePerDim;
-    job.maxLinkAtFinish = net_->stats().maxLinkBusyNs;
+    job.busyAtFinish = net_.stats().busyTimePerDim;
+    job.maxLinkAtFinish = net_.stats().maxLinkBusyNs;
     for (auto &sys : job.stack->sys)
         sys->tracker().finish(job.finished);
     releasePlacement(job);
     --runningJobs_;
-    tryAdmit();
-}
-
-void
-ClusterSimulator::releasePlacement(JobRuntime &job)
-{
-    if (!spareClaimedAt_.empty())
-        for (NpuId id : job.placement->globalOf) {
-            TimeNs &claimed = spareClaimedAt_[static_cast<size_t>(id)];
-            if (claimed >= 0.0) {
-                spareBusyNs_ += eq_.now() - claimed;
-                claimed = -1.0;
-            }
-        }
-    placer_.release(*job.placement);
-}
-
-void
-ClusterSimulator::scheduleCheckpoint(size_t index)
-{
-    JobRuntime &job = *jobs_[index];
-    if (job.ckpt.intervalNs <= 0.0)
-        return;
-    // Chained timers with an incarnation guard: at most one stale
-    // timer per (in)carnation fires as a no-op after the job ends
-    // (the makespan is read from lastFinish_, not the drained clock).
-    int incarnation = job.incarnation;
-    ++ckptTimersPending_;
-    eq_.schedule(job.ckpt.intervalNs, [this, index, incarnation] {
-        --ckptTimersPending_;
-        JobRuntime &job = *jobs_[index];
-        if (!job.running || job.incarnation != incarnation)
-            return;
-        // Termination guard: if nothing is pending but other
-        // checkpoint timers, the fabric is quiescent — every flow of
-        // this job is stalled on a dead link and no event can ever
-        // unstick it. Re-arming the timer would drive simulated time
-        // to infinity; breaking the chain drains the queue so the
-        // run-loop watchdog reports the job as stranded instead.
-        if (faultActive_ &&
-            eq_.pending() <= static_cast<size_t>(ckptTimersPending_)) {
-            debugT("cluster",
-                   "t=%.0f job '%s' checkpoint timer stopped: queue "
-                   "quiescent (job stalled by faults)",
-                   eq_.now(), job.spec.name.c_str());
-            return;
-        }
-        // A checkpoint is a consistent cut of completed nodes:
-        // in-flight work at the cut re-executes after a rollback.
-        job.snapshot = job.stack->engine->snapshotDone();
-        job.lastSnapshot = eq_.now();
-        if (tracer_)
-            tracer_->instant(job.id + 1, trace::Tracer::kLifecycleTid,
-                             "job", "checkpoint", eq_.now());
-        for (auto &sys : job.stack->sys)
-            sys->stallCompute(job.ckpt.costNs);
-        scheduleCheckpoint(index);
-    });
-}
-
-void
-ClusterSimulator::resolveAutoInterval(JobRuntime &job)
-{
-    // Young/Daly sqrt(2 * C * MTBF) with the job's *effective* MTBF:
-    // independent per-NPU failures arrive at size/npuMtbf, and every
-    // failure domain intersecting the placement adds its own rate.
-    // The sweep-level tuner (sweep/resilience.h) refines this seed
-    // against simulated goodput; see docs/fault.md.
-    double rate = 0.0;
-    if (cfg_.fault && cfg_.fault->npuMtbfNs > 0.0)
-        rate += double(job.placement->size()) / cfg_.fault->npuMtbfNs;
-    std::vector<uint8_t> counted(domains_.size(), 0);
-    for (NpuId id : job.placement->globalOf) {
-        if (domainsOfNpu_.empty())
-            break;
-        for (int d : domainsOfNpu_[static_cast<size_t>(id)]) {
-            if (counted[static_cast<size_t>(d)])
-                continue;
-            counted[static_cast<size_t>(d)] = 1;
-            TimeNs mtbf = domains_[static_cast<size_t>(d)].mtbfNs > 0.0
-                              ? domains_[static_cast<size_t>(d)].mtbfNs
-                              : cfg_.fault->domainMtbfNs;
-            if (mtbf > 0.0)
-                rate += 1.0 / mtbf;
-        }
-    }
-    ASTRA_USER_CHECK(
-        rate > 0.0,
-        "job '%s': checkpoint interval \"auto\" needs MTBF-based "
-        "fault generation (npu_mtbf_ns or failure domains) to derive "
-        "an expected failure rate from",
-        job.spec.name.c_str());
-    job.ckpt.intervalNs =
-        fault::youngDalyInterval(job.ckpt.costNs, 1.0 / rate);
-    debugT("cluster",
-           "t=%.0f job '%s' auto checkpoint interval %.0f ns "
-           "(effective MTBF %.0f ns)",
-           eq_.now(), job.spec.name.c_str(), job.ckpt.intervalNs,
-           1.0 / rate);
-}
-
-ClusterSimulator::JobRuntime *
-ClusterSimulator::residentJob(NpuId global)
-{
-    for (auto &job : jobs_) {
-        if (!job->running || !job->placement)
-            continue;
-        for (NpuId id : job->placement->globalOf)
-            if (id == global)
-                return job.get();
-    }
-    return nullptr;
-}
-
-bool
-ClusterSimulator::allSettled() const
-{
-    for (const auto &job : jobs_)
-        if (!job->done && !job->failed)
-            return false;
-    return true;
-}
-
-std::string
-ClusterSimulator::faultedDomainSummary() const
-{
-    std::string out;
-    char buf[96];
-    for (const fault::FailureDomain &d : domains_) {
-        int down = 0;
-        for (NpuId id : d.npus)
-            if (placer_.isFaulted(id))
-                ++down;
-        if (down == 0)
-            continue;
-        std::snprintf(buf, sizeof(buf), "%s%s (%d/%zu NPUs faulted)",
-                      out.empty() ? "" : ", ", d.name.c_str(), down,
-                      d.npus.size());
-        out += buf;
-    }
-    return out;
-}
-
-PlacementManager::SliceScorer
-ClusterSimulator::sliceScorer(PlacementPolicy policy)
-{
-    if (policy == PlacementPolicy::AntiAffinity) {
-        // Concentration cost: sum of squared per-domain overlaps, so
-        // straddling two domains (2^2+2^2=8 for 4 NPUs) beats sitting
-        // inside one (4^2=16). With no declared domains, level-1
-        // blocks act as implicit domains so anti-affinity still
-        // spreads.
-        return [this](const std::vector<NpuId> &ids) {
-            double score = 0.0;
-            if (!domains_.empty()) {
-                std::vector<int> overlap(domains_.size(), 0);
-                for (NpuId id : ids)
-                    for (int d : domainsOfNpu_[static_cast<size_t>(id)])
-                        ++overlap[static_cast<size_t>(d)];
-                for (int o : overlap)
-                    score += double(o) * double(o);
-            } else {
-                int block = topo_.dim(0).size;
-                std::vector<int> overlap(
-                    static_cast<size_t>(topo_.npus() / block), 0);
-                for (NpuId id : ids)
-                    ++overlap[static_cast<size_t>(id / block)];
-                for (int o : overlap)
-                    score += double(o) * double(o);
-            }
-            return score;
-        };
-    }
-    // AvoidDegraded: live fault state dominates (a domain with any
-    // member currently down is near-unusable), then projected
-    // per-domain failure intensity over the horizon, then known
-    // stragglers.
-    return [this](const std::vector<NpuId> &ids) {
-        double score = 0.0;
-        TimeNs horizon = cfg_.fault ? cfg_.fault->horizonNs : 0.0;
-        if (!domains_.empty()) {
-            std::vector<int> overlap(domains_.size(), 0);
-            for (NpuId id : ids)
-                for (int d : domainsOfNpu_[static_cast<size_t>(id)])
-                    ++overlap[static_cast<size_t>(d)];
-            for (size_t d = 0; d < domains_.size(); ++d) {
-                if (overlap[d] == 0)
-                    continue;
-                const fault::FailureDomain &dom = domains_[d];
-                int down = 0;
-                for (NpuId id : dom.npus)
-                    if (placer_.isFaulted(id))
-                        ++down;
-                TimeNs mtbf = dom.mtbfNs > 0.0
-                                  ? dom.mtbfNs
-                                  : cfg_.fault->domainMtbfNs;
-                double intensity = mtbf > 0.0 && horizon > 0.0
-                                       ? horizon / mtbf
-                                       : 0.0;
-                score += double(overlap[d]) *
-                         ((down > 0 ? 1000.0 : 0.0) + intensity);
-            }
-        }
-        for (NpuId id : ids) {
-            double s = npuComputeScale_[static_cast<size_t>(id)];
-            if (s != 1.0)
-                score += s > 1.0 ? s - 1.0 : 1.0 - s;
-        }
-        return score;
-    };
-}
-
-void
-ClusterSimulator::onStraggler(NpuId global, double scale)
-{
-    npuComputeScale_[static_cast<size_t>(global)] = scale;
-    if (JobRuntime *job = residentJob(global)) {
-        const std::vector<NpuId> &ids = job->stack->placement.globalOf;
-        for (size_t l = 0; l < ids.size(); ++l)
-            if (ids[l] == global)
-                job->stack->sys[l]->setComputeScale(scale);
-    }
-}
-
-void
-ClusterSimulator::onDomainFail(const fault::FaultEvent &ev)
-{
-    // Fired before any of the domain's constituent NpuFail events:
-    // mark the whole blast radius unplaceable atomically, so a
-    // requeue-path tryAdmit triggered by an early member's failure
-    // can never hand a not-yet-failed member to a pending job.
-    const fault::FailureDomain &d =
-        domains_[static_cast<size_t>(ev.domain)];
-    for (NpuId id : d.npus)
-        placer_.markFaulted(id, true);
-    if (ev.incident >= 0) {
-        if (incidentFired_.size() <= static_cast<size_t>(ev.incident))
-            incidentFired_.resize(static_cast<size_t>(ev.incident) + 1,
-                                  0);
-        incidentFired_[static_cast<size_t>(ev.incident)] = 1;
-    }
-    debugT("cluster", "t=%.0f domain '%s' failed (%zu NPUs)", ev.at,
-           d.name.c_str(), d.npus.size());
-}
-
-void
-ClusterSimulator::onNpuFail(const fault::FaultEvent &ev)
-{
-    NpuId global = ev.npu;
-    placer_.markFaulted(global, true);
-    if (ev.incident >= 0) {
-        if (incidentFired_.size() <= static_cast<size_t>(ev.incident))
-            incidentFired_.resize(static_cast<size_t>(ev.incident) + 1,
-                                  0);
-        incidentFired_[static_cast<size_t>(ev.incident)] = 1;
-    }
-    // Fail-stop at the NIC: every egress link of the failed NPU goes
-    // down. Incoming links stay up — traffic already heading to the
-    // dead NPU still occupies the fabric until delivered (and is
-    // harmless: the failed incarnation's engine is cancelled).
-    net_->setLinkUp(global, fault::kAllFaultPeers, fault::kAllFaultDims,
-                    false);
-    if (JobRuntime *job = residentJob(global))
-        failJob(*job, &ev);
-}
-
-void
-ClusterSimulator::failJob(JobRuntime &job, const fault::FaultEvent *ev)
-{
-    if (ev && ev->incident >= 0)
-        ++disruptions_;
-    ++job.faults;
-    ++job.incarnation;
-    // A cold requeue discards the snapshot, so the rollback is the
-    // whole incarnation's progress — not just the tail past the
-    // last checkpoint cut.
-    job.lostWork += job.ckpt.restart == fault::RestartMode::Requeue
-                        ? eq_.now() - job.incarnationStart
-                        : eq_.now() - job.lastSnapshot;
-    job.failedAt = eq_.now();
-    job.running = false;
-    if (tracer_ && job.traceSpan != trace::Tracer::kNoSpan) {
-        tracer_->endSpan(job.traceSpan, eq_.now());
-        job.traceSpan = trace::Tracer::kNoSpan;
-        tracer_->instantStr(job.id + 1, trace::Tracer::kLifecycleTid,
-                            "job", "fail " + job.spec.name, eq_.now());
-    }
-    job.stack->engine->cancel();
-    // Quiesce the collective engine too: messages already in the
-    // fabric drain (and are dropped on delivery), but the ghost
-    // incarnation must not keep pumping chunk pipelines — a large
-    // in-flight collective would otherwise run to completion and
-    // contend with the restarted incarnation for the rest of the run.
-    job.stack->coll->cancelAll();
-    // The abandoned stack moves to the graveyard (see JobRuntime):
-    // ghost traffic of this incarnation still references it.
-    job.graveyard.push_back(std::move(job.stack));
-    --runningJobs_;
-    size_t index = static_cast<size_t>(job.id);
-    fault::RestartMode mode = job.ckpt.restart;
-
-    if (mode == fault::RestartMode::Spare) {
-        // Patch the placement with healthy reserved spares and
-        // relaunch in place — the surviving ranks keep their NPUs and
-        // the snapshot (job-local done flags) stays valid on the
-        // patched id set. Falls back to Migrate when the pool can't
-        // cover the failure.
-        std::optional<JobPlacement> swapped =
-            placer_.trySpareSwap(*job.placement);
-        if (swapped) {
-            for (size_t r = 0; r < swapped->globalOf.size(); ++r)
-                if (swapped->globalOf[r] != job.placement->globalOf[r])
-                    spareClaimedAt_[static_cast<size_t>(
-                        swapped->globalOf[r])] = eq_.now();
-            job.placement = std::move(*swapped);
-            int incarnation = job.incarnation;
-            eq_.schedule(job.ckpt.restartDelayNs,
-                         [this, index, incarnation] {
-                JobRuntime &job = *jobs_[index];
-                if (job.running || job.done ||
-                    job.incarnation != incarnation)
-                    return; // superseded by a newer failure.
-                for (NpuId id : job.placement->globalOf)
-                    if (placer_.isFaulted(id)) {
-                        // A fresh failure hit the patched placement
-                        // during the restart delay; wait for recovery
-                        // like an in-place restart would.
-                        job.waitingRecovery = true;
-                        return;
-                    }
-                launch(job);
-            });
-            tryAdmit(); // the returned faulted NPUs change nothing,
-                        // but a healthy-spare reshuffle might.
-            return;
-        }
-        mode = fault::RestartMode::Migrate;
-    }
-
-    switch (mode) {
-      case fault::RestartMode::Requeue:
-      case fault::RestartMode::Migrate:
-        // Restart on a fresh placement: give the NPUs back and
-        // re-enter the admission queue after the restart delay.
-        // Requeue is a cold start (the snapshot is discarded);
-        // Migrate carries it — the snapshot is a placement-
-        // independent cut of job-local done flags, so it resumes
-        // wherever the job lands next.
-        if (mode == fault::RestartMode::Requeue)
-            job.snapshot.clear();
-        releasePlacement(job);
-        job.placement.reset();
-        eq_.schedule(job.ckpt.restartDelayNs, [this, index] {
-            enqueuePending(index);
-            tryAdmit();
-        });
-        tryAdmit(); // the freed healthy NPUs may fit a pending job.
-        break;
-      case fault::RestartMode::Same:
-      case fault::RestartMode::Spare:
-        // Restart in place once every placement NPU is healthy
-        // again (driven by onNpuRecover). The placement is retained
-        // so no other tenant can take the surviving NPUs.
-        job.waitingRecovery = true;
-        break;
-    }
-}
-
-void
-ClusterSimulator::onNpuRecover(const fault::FaultEvent &ev)
-{
-    NpuId global = ev.npu;
-    placer_.markFaulted(global, false);
-    net_->setLinkUp(global, fault::kAllFaultPeers, fault::kAllFaultDims,
-                    true);
-    for (auto &jp : jobs_) {
-        JobRuntime &job = *jp;
-        if (!job.waitingRecovery)
-            continue;
-        bool healthy = true;
-        for (NpuId id : job.placement->globalOf)
-            if (placer_.isFaulted(id)) {
-                healthy = false;
-                break;
-            }
-        if (!healthy)
-            continue;
-        job.waitingRecovery = false;
-        size_t index = static_cast<size_t>(job.id);
-        int incarnation = job.incarnation;
-        eq_.schedule(job.ckpt.restartDelayNs,
-                     [this, index, incarnation] {
-            JobRuntime &job = *jobs_[index];
-            if (job.running || job.done ||
-                job.incarnation != incarnation)
-                return; // superseded by a newer failure/restart.
-            for (NpuId id : job.placement->globalOf)
-                if (placer_.isFaulted(id)) {
-                    // A fresh failure hit during the restart delay;
-                    // the next recovery re-arms us.
-                    job.waitingRecovery = true;
-                    return;
-                }
-            launch(job);
-        });
-    }
     tryAdmit();
 }
 
@@ -939,7 +425,7 @@ ClusterSimulator::finalizeJob(JobRuntime &job)
     rep.busyTimePerDim = job.busyAtFinish;
     for (size_t d = 0; d < rep.busyTimePerDim.size(); ++d)
         rep.busyTimePerDim[d] -= job.busyAtAdmit[d];
-    rep.linksPerDim = net_->stats().linksPerDim;
+    rep.linksPerDim = net_.stats().linksPerDim;
     rep.maxLinkBusyNs = job.maxLinkAtFinish;
     rep.queueingDelayNs = r.queueingDelay;
     rep.interferenceSlowdown = r.interferenceSlowdown;
@@ -949,12 +435,42 @@ ClusterSimulator::finalizeJob(JobRuntime &job)
 }
 
 void
+ClusterSimulator::traceLifecycle(const JobRuntime &job, const char *what)
+{
+    if (tracer())
+        tracer()->instantStr(job.id + 1, trace::Tracer::kLifecycleTid,
+                             "job", what + (" " + job.spec.name),
+                             eq_.now());
+}
+
+void
+ClusterSimulator::endRunSpan(JobRuntime &job, const char *what)
+{
+    if (!tracer() || job.traceSpan == trace::Tracer::kNoSpan)
+        return;
+    tracer()->endSpan(job.traceSpan, eq_.now());
+    job.traceSpan = trace::Tracer::kNoSpan;
+    traceLifecycle(job, what);
+}
+
+size_t
+ClusterSimulator::collectiveBytes() const
+{
+    size_t bytes = 0;
+    for (const auto &job : jobs_) {
+        if (job->stack && job->stack->coll)
+            bytes += job->stack->coll->bytesInUse();
+        for (const auto &ghost : job->graveyard)
+            if (ghost->coll)
+                bytes += ghost->coll->bytesInUse();
+    }
+    return bytes;
+}
+
+void
 ClusterSimulator::enqueuePending(size_t id)
 {
-    if (tracer_)
-        tracer_->instantStr(jobs_[id]->id + 1,
-                            trace::Tracer::kLifecycleTid, "job",
-                            "queued " + jobs_[id]->spec.name, eq_.now());
+    traceLifecycle(*jobs_[id], "queued");
     auto pos = std::find_if(
         pending_.begin(), pending_.end(), [&](size_t other) {
             const JobSpec &a = jobs_[id]->spec;
@@ -976,145 +492,52 @@ ClusterSimulator::run()
     ASTRA_USER_CHECK(!jobs_.empty(), "cluster has no jobs");
     ran_ = true;
 
-    if (cfg_.trace.enabled()) {
-        tracer_ = std::make_unique<trace::Tracer>(cfg_.trace);
-        tracer_->processName(0, "fabric");
-        tracer_->threadName(0, trace::Tracer::kLifecycleTid,
-                            "lifecycle");
+    if (trace::Tracer *tracer = harness_.startTracing("fabric")) {
         for (const auto &job : jobs_) {
-            tracer_->processName(job->id + 1, job->spec.name);
-            tracer_->threadName(job->id + 1,
-                                trace::Tracer::kLifecycleTid,
-                                "lifecycle");
+            tracer->processName(job->id + 1, job->spec.name);
+            tracer->threadName(job->id + 1, trace::Tracer::kLifecycleTid,
+                               "lifecycle");
         }
-        net_->setTracer(tracer_.get());
-        profile_.timeCallbacks = tracer_->full();
-        eq_.setProfile(&profile_);
     }
 
     double host_start = telemetry::wallNow();
-    if (cfg_.telemetry.heartbeatsEnabled()) {
-        // Cluster heartbeats (docs/observability.md): progress
-        // aggregates workload nodes across every registered job, and
-        // each beat additionally carries per-job entries. Note the
-        // aggregate can regress — admissions are known up front here,
-        // but a failure rolls a job's completed count back to its
-        // checkpoint snapshot.
-        monitor_ = std::make_unique<telemetry::Monitor>(cfg_.telemetry);
-        auto job_done = [](const JobRuntime &job) -> size_t {
-            if (job.done)
-                return job.wl.totalNodes();
-            if (job.stack && job.stack->engine)
-                return job.stack->engine->completedNodes();
-            return 0;
-        };
-        monitor_->setProgress([this, job_done] {
-            telemetry::Progress p;
-            for (const auto &job : jobs_) {
-                p.done += job_done(*job);
-                p.total += job->wl.totalNodes();
-            }
-            return p;
-        });
-        monitor_->setJobs([this, job_done] {
-            std::vector<telemetry::JobProgress> out;
-            out.reserve(jobs_.size());
-            for (const auto &job : jobs_)
-                out.push_back({job->spec.name, job_done(*job),
-                               job->wl.totalNodes()});
-            return out;
-        });
-        monitor_->setActive([this] { return net_->activeCount(); });
-        if (auto *flow = dynamic_cast<FlowNetwork *>(net_.get()))
-            monitor_->setSolves([flow] { return flow->solveCount(); });
-        monitor_->addFootprint("event_queue",
-                               [this] { return eq_.bytesInUse(); });
-        monitor_->addFootprint("network",
-                               [this] { return net_->bytesInUse(); });
-        monitor_->addFootprint("collectives", [this] {
-            size_t bytes = 0;
-            for (const auto &job : jobs_) {
-                if (job->stack && job->stack->coll)
-                    bytes += job->stack->coll->bytesInUse();
-                for (const auto &ghost : job->graveyard)
-                    if (ghost->coll)
-                        bytes += ghost->coll->bytesInUse();
-            }
-            return bytes;
-        });
-        if (tracer_)
-            monitor_->addFootprint(
-                "tracer", [this] { return tracer_->bytesInUse(); });
-        eq_.setMonitor(monitor_.get());
-    }
+    // Cluster heartbeats (docs/observability.md): progress aggregates
+    // workload nodes across every registered job, and each beat
+    // additionally carries per-job entries. Note the aggregate can
+    // regress — admissions are known up front here, but a failure
+    // rolls a job's completed count back to its checkpoint snapshot.
+    auto job_done = [](const JobRuntime &job) -> size_t {
+        if (job.done)
+            return job.wl.totalNodes();
+        if (job.stack && job.stack->engine)
+            return job.stack->engine->completedNodes();
+        return 0;
+    };
+    harness_.observe(
+        {[this, job_done] {
+             telemetry::Progress p;
+             for (const auto &job : jobs_) {
+                 p.done += job_done(*job);
+                 p.total += job->wl.totalNodes();
+             }
+             return p;
+         },
+         [this] { return collectiveBytes(); },
+         [this, job_done] {
+             std::vector<telemetry::JobProgress> out;
+             out.reserve(jobs_.size());
+             for (const auto &job : jobs_)
+                 out.push_back({job->spec.name, job_done(*job),
+                                job->wl.totalNodes()});
+             return out;
+         }});
 
-    faultActive_ = cfg_.fault && !cfg_.fault->empty();
-    bool timed_tail = faultActive_;
+    bool timed_tail = harness_.faulted();
     for (const auto &job : jobs_)
         timed_tail = timed_tail ||
                      job->ckpt.intervalNs > 0.0 ||
                      job->ckpt.autoInterval;
-    if (cfg_.fault && !cfg_.fault->domains.empty()) {
-        domains_ = fault::resolveDomains(*cfg_.fault, topo_);
-        domainsOfNpu_.assign(static_cast<size_t>(topo_.npus()), {});
-        for (size_t d = 0; d < domains_.size(); ++d)
-            for (NpuId id : domains_[d].npus)
-                domainsOfNpu_[static_cast<size_t>(id)].push_back(
-                    static_cast<int>(d));
-    }
-
-    // Spare pool (docs/fault.md "Spare-capacity restart"): reserved
-    // before any admission so placements can never straddle it.
-    ASTRA_USER_CHECK(cfg_.spareCount <= 0 || cfg_.spareDomain.empty(),
-                     "cluster.spares: set a count or a domain name, "
-                     "not both");
-    std::vector<NpuId> spares;
-    if (!cfg_.spareDomain.empty()) {
-        const fault::FailureDomain *dom = nullptr;
-        for (const fault::FailureDomain &d : domains_)
-            if (d.name == cfg_.spareDomain)
-                dom = &d;
-        ASTRA_USER_CHECK(dom != nullptr,
-                         "cluster.spares: unknown failure domain '%s' "
-                         "(declare it under fault.domains)",
-                         cfg_.spareDomain.c_str());
-        spares = dom->npus;
-    } else if (cfg_.spareCount > 0) {
-        ASTRA_USER_CHECK(cfg_.spareCount < topo_.npus(),
-                         "cluster.spares: %d spares leave no NPUs to "
-                         "place on (cluster has %d)",
-                         cfg_.spareCount, topo_.npus());
-        for (int i = 0; i < cfg_.spareCount; ++i)
-            spares.push_back(topo_.npus() - cfg_.spareCount + i);
-    }
-    if (!spares.empty()) {
-        placer_.reserveSpares(spares);
-        initialSpareCount_ = static_cast<int>(spares.size());
-        spareClaimedAt_.assign(static_cast<size_t>(topo_.npus()), -1.0);
-    }
-
-    if (faultActive_) {
-        fault::FaultHooks hooks;
-        hooks.net = net_.get();
-        hooks.computeScale = [this](NpuId g, double s) {
-            onStraggler(g, s);
-        };
-        hooks.npuFail = [this](const fault::FaultEvent &ev) {
-            onNpuFail(ev);
-        };
-        hooks.npuRecover = [this](const fault::FaultEvent &ev) {
-            onNpuRecover(ev);
-        };
-        hooks.domainFail = [this](const fault::FaultEvent &ev) {
-            onDomainFail(ev);
-        };
-        hooks.active = [this] { return !allSettled(); };
-        injector_ = std::make_unique<fault::FaultInjector>(
-            eq_, topo_, *cfg_.fault, std::move(hooks));
-        if (tracer_)
-            injector_->setTracer(tracer_.get(), 0);
-        injector_->start();
-    }
+    startResilience();
 
     // Arrival order (time, then submission order). Admission order
     // within the pending queue is (priority desc, arrival, id).
@@ -1151,7 +574,7 @@ ClusterSimulator::run()
         size_t before = pending_.size();
         tryAdmit();
         if (pending_.size() >= before) {
-            if (!faultActive_) {
+            if (!harness_.faulted()) {
                 ASTRA_USER_CHECK(
                     false,
                     "cluster admission stalled: job '%s' cannot be "
@@ -1174,13 +597,11 @@ ClusterSimulator::run()
                 if (!domains_down.empty())
                     job.error += "; down domains: " + domains_down;
                 if (!job.snapshot.empty()) {
-                    size_t done = 0;
-                    for (uint8_t b : job.snapshot)
-                        done += b;
                     std::snprintf(buf, sizeof(buf),
                                   "; snapshot watermark: %zu of %zu "
                                   "nodes done",
-                                  done, job.wl.totalNodes());
+                                  job.snapshotWatermark(),
+                                  job.wl.totalNodes());
                     job.error += buf;
                 }
             }
@@ -1190,11 +611,7 @@ ClusterSimulator::run()
         eq_.run();
     }
 
-    if (monitor_) {
-        monitor_->finish(eq_.now(), eq_.executedEvents(),
-                         eq_.pending());
-        eq_.setMonitor(nullptr);
-    }
+    harness_.stopHeartbeats();
 
     ClusterReport report;
     // With fault events or checkpoint timers in flight, the drained
@@ -1202,7 +619,7 @@ ClusterSimulator::run()
     // last completion; the makespan is the last job finish then.
     report.makespan = timed_tail ? lastFinish_ : eq_.now();
     report.totalEvents = eq_.executedEvents();
-    report.totalMessages = net_->stats().messages;
+    report.totalMessages = net_.stats().messages;
 
     for (auto &job : jobs_) {
         if (!job->done && !job->failed) {
@@ -1212,18 +629,15 @@ ClusterSimulator::run()
                 job->stack && job->stack->engine
                     ? job->stack->engine->completedNodes()
                     : 0;
-            std::string diag = net_->danglingSummary();
-            if (faultActive_) {
+            std::string diag = net_.danglingSummary();
+            if (harness_.faulted()) {
                 char buf[192];
-                size_t done = 0;
-                for (uint8_t b : job->snapshot)
-                    done += b;
                 std::snprintf(
                     buf, sizeof(buf),
                     "stranded at time %.0f ns: %zu of %zu nodes "
                     "completed (snapshot watermark: %zu of %zu); ",
-                    eq_.now(), completed, job->wl.totalNodes(), done,
-                    job->wl.totalNodes());
+                    eq_.now(), completed, job->wl.totalNodes(),
+                    job->snapshotWatermark(), job->wl.totalNodes());
                 job->failed = true;
                 job->error = buf;
                 std::string domains_down = faultedDomainSummary();
@@ -1267,127 +681,28 @@ ClusterSimulator::run()
     for (const RuntimeBreakdown &b : agg.perNpu)
         agg.average += b;
     agg.average = agg.average.scaled(1.0 / double(topo_.npus()));
-    agg.events = report.totalEvents;
-    agg.messages = report.totalMessages;
-    agg.bytesPerDim = net_->stats().bytesPerDim;
-    agg.busyTimePerDim = net_->stats().busyTimePerDim;
-    agg.linksPerDim = net_->stats().linksPerDim;
-    agg.maxLinkBusyNs = net_->stats().maxLinkBusyNs;
     agg.queueingDelayNs = report.meanQueueingDelay();
     agg.interferenceSlowdown =
         cfg_.isolatedBaselines ? report.meanInterferenceSlowdown() : 0.0;
-    // Failure-resilience aggregates: injected-event count from the
-    // injector (all fault kinds), lost work / recovery summed over
-    // jobs, goodput averaged over the jobs that measured one.
-    agg.numFaults = injector_ ? injector_->firedCount() : 0;
+    // Failure-resilience aggregates: lost work / recovery summed over
+    // jobs, goodput averaged over the jobs that measured one (the
+    // harness counts injected events of all fault kinds).
     for (const JobResult &jr : report.jobs) {
         agg.lostWorkNs += jr.lostWork;
         agg.recoveryTimeNs += jr.recovery;
     }
     agg.goodput = report.meanGoodput();
-
-    // Domain/spare resilience aggregates; all stay 0 (and are elided
-    // from serialized reports) on fault-free runs.
-    uint64_t incidents = 0;
-    for (uint8_t f : incidentFired_)
-        incidents += f;
-    if (incidents > 0)
-        report.blastRadius = double(disruptions_) / double(incidents);
-    if (!recoveryGaps_.empty()) {
-        std::vector<TimeNs> gaps = recoveryGaps_;
-        std::sort(gaps.begin(), gaps.end());
-        auto rank = [&gaps](double p) { // nearest-rank percentile.
-            size_t idx = static_cast<size_t>(
-                std::ceil(p * double(gaps.size())));
-            return gaps[idx > 0 ? idx - 1 : 0];
-        };
-        report.recoveryP50 = rank(0.50);
-        report.recoveryP95 = rank(0.95);
-    }
-    if (initialSpareCount_ > 0 && report.makespan > 0.0) {
-        // Spares still held at the end accrue to the makespan.
-        for (size_t id = 0; id < spareClaimedAt_.size(); ++id)
-            if (spareClaimedAt_[id] >= 0.0) {
-                spareBusyNs_ += std::max(
-                    0.0, report.makespan - spareClaimedAt_[id]);
-                spareClaimedAt_[id] = -1.0;
-            }
-        report.spareUtilization =
-            spareBusyNs_ /
-            (double(initialSpareCount_) * report.makespan);
-    }
     agg.availability = report.meanAvailability();
-    agg.blastRadius = report.blastRadius;
-    agg.spareUtilization = report.spareUtilization;
-    agg.recoveryP50Ns = report.recoveryP50;
-    agg.recoveryP95Ns = report.recoveryP95;
+    finishResilience(report);
 
-    if (tracer_) {
-        eq_.setProfile(nullptr);
-        trace::Counters &c = tracer_->counters();
-        c.add("trace_events", double(tracer_->eventCount()));
-        trace::addQueueProfile(profile_, c);
-        net_->fillTraceCounters(c);
-        double write_wall = tracer_->writeOutputs();
-        c.addWall("wall_trace_write_seconds", write_wall);
-        agg.traceCounters = c.values;
-        agg.traceHistograms = c.histograms;
-        agg.traceWallSeconds = c.wallSeconds;
-    }
-    // Footprint rollup (telemetry protocol, docs/observability.md):
-    // always measured, deterministic, capacity-based. Collective
-    // bytes sum the live stacks and the graveyard — abandoned
-    // incarnations are real held memory until the simulator dies.
-    size_t coll_bytes = 0;
-    for (const auto &job : jobs_) {
-        if (job->stack && job->stack->coll)
-            coll_bytes += job->stack->coll->bytesInUse();
-        for (const auto &ghost : job->graveyard)
-            if (ghost->coll)
-                coll_bytes += ghost->coll->bytesInUse();
-    }
-    agg.footprintBySubsystem.emplace_back("event_queue",
-                                          eq_.bytesInUse());
-    agg.footprintBySubsystem.emplace_back("network", net_->bytesInUse());
-    agg.footprintBySubsystem.emplace_back("collectives", coll_bytes);
-    if (tracer_)
-        agg.footprintBySubsystem.emplace_back("tracer",
-                                              tracer_->bytesInUse());
-    for (const auto &[name, bytes] : agg.footprintBySubsystem) {
-        (void)name;
-        agg.peakFootprintBytes += bytes;
-    }
-    size_t flow_slots = net_->flowSlots();
-    if (flow_slots > 0)
-        agg.bytesPerFlow =
-            double(net_->bytesInUse()) / double(flow_slots);
-    agg.bytesPerNpu =
-        double(agg.peakFootprintBytes) / double(topo_.npus());
-    if (monitor_ && monitor_->deterministicCadence())
-        agg.telemetryHeartbeats = monitor_->heartbeatCount();
-    agg.peakRssBytes = telemetry::peakRssBytes();
+    // Trace analysis follows the job that set the makespan.
+    int32_t analysis_pid = 0;
+    for (const auto &job : jobs_)
+        if (analysis_pid == 0 && job->done && job->finished == lastFinish_)
+            analysis_pid = job->id + 1;
+    harness_.finishReport(agg, analysis_pid);
     agg.wallSeconds = telemetry::wallNow() - host_start;
-
-    if (!cfg_.telemetry.manifest.empty()) {
-        telemetry::ManifestInfo info;
-        info.kind = "cluster";
-        info.configHash = cfg_.telemetry.configHash;
-        info.backend = backendName(cfg_.backend);
-        info.topology = telemetry::topologyNotation(topo_);
-        info.npus = topo_.npus();
-        info.seed = cfg_.fault ? cfg_.fault->seed : 0;
-        telemetry::fillManifestFromReport(info, agg);
-        info.wallBreakdown.emplace_back("run", agg.wallSeconds);
-        if (!cfg_.telemetry.file.empty())
-            info.outputs.push_back(cfg_.telemetry.file);
-        if (!cfg_.trace.file.empty())
-            info.outputs.push_back(cfg_.trace.file);
-        if (!cfg_.trace.utilizationFile.empty())
-            info.outputs.push_back(cfg_.trace.utilizationFile);
-        if (!cfg_.trace.analysisFile.empty())
-            info.outputs.push_back(cfg_.trace.analysisFile);
-        telemetry::writeManifest(cfg_.telemetry.manifest, info);
-    }
+    harness_.writeManifest("cluster", agg);
     return report;
 }
 

@@ -48,10 +48,19 @@ enum class AdmissionPolicy {
 const char *admissionPolicyName(AdmissionPolicy p);
 AdmissionPolicy parseAdmissionPolicy(const std::string &name);
 
-/** Cluster-level configuration. */
-struct ClusterConfig
+/**
+ * Cluster-level configuration. The run-level fields (RunConfig) cover
+ * the whole cluster: the fault scenario supports the full model,
+ * including NPU fail/recover — a failed NPU takes its resident job
+ * down (rollback to the last checkpoint, restart per the job's
+ * CheckpointPolicy) and is excluded from placement until it recovers.
+ * One shared tracer covers every job (pid 0 is the fabric, job `id`
+ * traces under pid id + 1); isolated-baseline re-runs are never
+ * traced. Heartbeats aggregate workload nodes across the jobs and
+ * carry per-job entries.
+ */
+struct ClusterConfig : RunConfig
 {
-    NetworkBackendKind backend = NetworkBackendKind::Analytical;
     AdmissionPolicy admission = AdmissionPolicy::Fifo;
     /**
      * Re-run each job alone (same placement, fresh queue + fabric)
@@ -59,16 +68,6 @@ struct ClusterConfig
      * simulation per job; disable for pure capacity studies.
      */
     bool isolatedBaselines = true;
-    /**
-     * Optional fault scenario injected into the shared fabric
-     * (docs/fault.md). The cluster layer supports the full fault
-     * model including NPU fail/recover: a failed NPU takes its
-     * resident job down (rollback to last checkpoint, restart per
-     * the job's CheckpointPolicy) and is excluded from placement
-     * until it recovers. Absent or empty scenarios leave every code
-     * path bit-identical to a fault-free build.
-     */
-    std::optional<fault::FaultConfig> fault;
     /** Checkpoint policy for jobs that don't set their own. The
      *  default (zeroed) policy means "no checkpointing": a failed
      *  job re-executes from the beginning. */
@@ -84,21 +83,6 @@ struct ClusterConfig
      */
     int spareCount = 0;
     std::string spareDomain;
-    /**
-     * Tracing & self-profiling (docs/trace.md). One shared tracer
-     * covers the whole cluster: pid 0 is the fabric (link tracks,
-     * fault instants), each job traces under pid = job id + 1 (rank
-     * tracks, collective spans, lifecycle queued/admitted/checkpoint/
-     * fail/restart/done). Isolated-baseline re-runs are never traced.
-     */
-    trace::TraceConfig trace;
-    /**
-     * Host-process telemetry (docs/observability.md): cluster
-     * heartbeats additionally carry per-job progress entries, and
-     * cluster-level progress aggregates workload nodes across every
-     * registered job. Defaults all off (bit-identical).
-     */
-    telemetry::TelemetryConfig telemetry;
 };
 
 /** One job to run on the cluster. */
@@ -257,16 +241,16 @@ class ClusterSimulator
 
     const Topology &topology() const { return topo_; }
     EventQueue &eventQueue() { return eq_; }
-    NetworkApi &network() { return *net_; }
+    NetworkApi &network() { return net_; }
     int jobCount() const { return static_cast<int>(jobs_.size()); }
 
     /** The run's shared tracer (null unless cfg.trace enabled it);
      *  exposed so tests can inspect the timeline in memory. */
-    trace::Tracer *tracer() { return tracer_.get(); }
+    trace::Tracer *tracer() { return harness_.tracer(); }
 
     /** The run's heartbeat monitor (null unless cfg.telemetry enabled
      *  heartbeats); valid after run() returns. */
-    telemetry::Monitor *monitor() { return monitor_.get(); }
+    telemetry::Monitor *monitor() { return harness_.monitor(); }
 
   private:
     struct JobRuntime;
@@ -294,8 +278,22 @@ class ClusterSimulator
     void onJobFinished(size_t index);
     TimeNs runIsolated(JobRuntime &job);
     JobResult finalizeJob(JobRuntime &job);
+    /** Lifecycle instant "<what> <job name>" on the job's track. */
+    void traceLifecycle(const JobRuntime &job, const char *what);
+    /** Close the running incarnation's lifecycle span, marking why. */
+    void endRunSpan(JobRuntime &job, const char *what);
+    /** Bytes held by every job's collective engines, abandoned
+     *  incarnations included (they stay alive until the simulator
+     *  dies). */
+    size_t collectiveBytes() const;
 
-    // Failure-resilience machinery (docs/fault.md).
+    // Failure-resilience machinery (docs/fault.md), in resilience.cc.
+    /** Resolve failure domains, reserve the spare pool and start the
+     *  fault injector; runs before the first admission. */
+    void startResilience();
+    /** Fill the domain/spare aggregates (blast radius, recovery
+     *  percentiles, spare utilization) once the makespan is known. */
+    void finishResilience(ClusterReport &report);
     void scheduleCheckpoint(size_t index);
     void resolveAutoInterval(JobRuntime &job);
     void onStraggler(NpuId global, double compute_scale);
@@ -303,6 +301,12 @@ class ClusterSimulator
     void onNpuRecover(const fault::FaultEvent &ev);
     void onDomainFail(const fault::FaultEvent &ev);
     void failJob(JobRuntime &job, const fault::FaultEvent *ev);
+    /** Relaunch a failed job in place after its restart delay, unless
+     *  a newer failure supersedes it or its placement is down again. */
+    void scheduleRelaunch(JobRuntime &job);
+    bool placementHealthy(const JobRuntime &job) const;
+    /** Blast-radius accounting: record fail incident `incident`. */
+    void markIncident(int incident);
     JobRuntime *residentJob(NpuId global);
     bool allSettled() const;
     /** Release a job's placement, accruing consumed-spare busy time. */
@@ -314,19 +318,17 @@ class ClusterSimulator
      *  failure domains; empty when none are. */
     std::string faultedDomainSummary() const;
 
-    Topology topo_;
     ClusterConfig cfg_;
-    EventQueue eq_;
-    std::unique_ptr<NetworkApi> net_;
+    RunHarness harness_;
+    // Shorthands into harness_ (stable for the simulator's lifetime).
+    const Topology &topo_;
+    EventQueue &eq_;
+    NetworkApi &net_;
     PlacementManager placer_;
     std::vector<std::unique_ptr<JobRuntime>> jobs_;
     /** Ids of jobs submitted but not yet admitted, kept sorted by
      *  (priority desc, arrival, id) — the admission order. */
     std::vector<size_t> pending_;
-    std::unique_ptr<fault::FaultInjector> injector_;
-    std::unique_ptr<trace::Tracer> tracer_;
-    std::unique_ptr<telemetry::Monitor> monitor_;
-    QueueProfile profile_; //!< attached to eq_ while tracing.
     /** Last compute-scale fault applied per cluster NPU (stragglers
      *  outlive job turnover: new tenants inherit the slow NPU). */
     std::vector<double> npuComputeScale_;
@@ -336,7 +338,6 @@ class ClusterSimulator
      *  is taken here instead of from eq_.now(). */
     TimeNs lastFinish_ = 0.0;
     int runningJobs_ = 0;
-    bool faultActive_ = false;
     bool ran_ = false;
     /** Outstanding checkpoint timer events. When the event queue holds
      *  nothing else, the fabric is quiescent and re-arming a timer
