@@ -43,29 +43,6 @@
 using namespace astra;
 using namespace astra::sweep;
 
-namespace {
-
-Metric
-metricByName(const std::string &name)
-{
-    for (Metric m : {Metric::TotalTime, Metric::Compute,
-                     Metric::ExposedComm, Metric::ExposedLocalMem,
-                     Metric::ExposedRemoteMem, Metric::Idle,
-                     Metric::Events, Metric::Messages,
-                     Metric::MaxLinkUtil, Metric::QueueingDelay,
-                     Metric::InterferenceSlowdown, Metric::LostWork,
-                     Metric::RecoveryTime, Metric::NumFaults,
-                     Metric::Goodput, Metric::CriticalPath,
-                     Metric::Availability, Metric::BlastRadius,
-                     Metric::SpareUtilization}) {
-        if (name == metricName(m))
-            return m;
-    }
-    fatal("unknown metric '%s' (see sweep/result_store.h)", name.c_str());
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -124,6 +101,7 @@ main(int argc, char **argv)
         opts.cache = &cache;
     }
 
+    Metric metric = metricByName(cli.getString("metric", "total_ns"));
     BatchOutcome outcome = runBatch(spec, opts);
     std::printf("ran %zu configs on %d threads in %.2fs "
                 "(%zu cache hits, %zu failures)\n\n",
@@ -166,8 +144,6 @@ main(int argc, char **argv)
     table.print();
 
     if (failures < store.rows()) {
-        Metric metric =
-            metricByName(cli.getString("metric", "total_ns"));
         size_t best = store.argmin(metric);
         std::printf("\nbest %s: config #%zu (%s) = %.3f\n",
                     metricName(metric), best,

@@ -38,6 +38,9 @@ Compares a freshly produced bench JSON against the committed one:
    regenerating the committed file is an error, not a skip.
  - Derived rates (`events_per_sec`, `speedup`, `accuracy_gap`, ...)
    are ignored; they follow from the metrics above.
+ - Every numeric leaf must belong to one of these classes: a number
+   under any other key is an error naming the key and the file, so a
+   new bench metric cannot slip through ungated.
 
 Exit code 0 = clean, 1 = any violation (all violations are listed).
 """
@@ -56,14 +59,16 @@ EXACT_KEYS = {"sim_time_ns", "events", "solves", "flows_touched_total",
               # (docs/observability.md); heartbeat counts are
               # deterministic under the event cadence the benches use.
               "peak_footprint_bytes", "bytes_per_flow",
-              "bytes_per_npu", "telemetry_heartbeats"}
+              "bytes_per_npu", "telemetry_heartbeats", "configs"}
 # peak_rss_bytes is allocator/OS truth, not simulation truth: gate it
 # like a wall time (growth beyond tolerance = leak-shaped regression).
 WALL_KEYS = {"wall_seconds", "seconds", "trace_write_seconds",
              "peak_rss_bytes"}
-IGNORED_KEYS = {"events_per_sec", "configs_per_sec", "speedup",
-                "speedup_8_over_1", "accuracy_gap", "bucket_width_ns",
-                "hardware_threads", "overhead_frac"}
+# Derived rates; bench_min.py re-pairs them with their wall sample.
+RATE_KEYS = {"events_per_sec", "configs_per_sec", "speedup",
+             "speedup_8_over_1", "overhead_frac"}
+IGNORED_KEYS = RATE_KEYS | {"accuracy_gap", "bucket_width_ns",
+                            "hardware_threads"}
 WALL_TOLERANCE = 1.25  # fresh wall time may be up to 25% above reference.
 WALL_SLACK_S = 0.005   # plus this absolute slack (sub-ms noise floor).
 
@@ -107,6 +112,10 @@ def compare(committed, fresh, baseline, path, errors):
                         f"{sub}: wall-time regression {now:.6f}s vs "
                         f"reference {base:.6f}s "
                         f"(> {WALL_TOLERANCE:.2f}x + {WALL_SLACK_S}s)")
+            elif is_number(committed[key]) or is_number(fresh[key]):
+                errors.append(
+                    f"{sub}: unclassified numeric key {key!r} (add it "
+                    "to EXACT_KEYS, WALL_KEYS or IGNORED_KEYS)")
             else:
                 child = baseline
                 if isinstance(baseline, dict):
@@ -114,19 +123,16 @@ def compare(committed, fresh, baseline, path, errors):
                 elif baseline is ABSENT:
                     child = ABSENT
                 compare(committed[key], fresh[key], child, sub, errors)
-    elif committed != fresh and not (
-            is_machine_dependent_number(committed) and
-            is_machine_dependent_number(fresh)):
+    elif committed != fresh:
         # Non-numeric leaves (names, booleans like
-        # identical_across_thread_counts) must agree; free-standing
-        # numeric leaves outside the key sets are machine-dependent.
+        # identical_across_thread_counts) must agree.
         errors.append(f"{path}: changed from {committed!r} to {fresh!r}")
 
 
-def is_machine_dependent_number(value):
+def is_number(value):
     # bool is a subclass of int in Python: True/False are semantic
-    # leaves (e.g. identical_across_thread_counts) and must compare,
-    # not be waved through as numbers.
+    # leaves (e.g. identical_across_thread_counts) that compare
+    # exactly, not numbers that need a key class.
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
@@ -141,7 +147,7 @@ def extract_wall(doc):
         return None
     out = {}
     for key, value in doc.items():
-        if key in WALL_KEYS and is_machine_dependent_number(value):
+        if key in WALL_KEYS and is_number(value):
             out[key] = value
         elif isinstance(value, dict):
             sub = extract_wall(value)
@@ -186,9 +192,10 @@ def main(argv):
             baseline = ledger.get(name, ABSENT)
         else:
             baseline = None  # wall gate uses the committed numbers.
-        before = len(errors)
-        compare(committed, fresh, baseline, "", errors)
-        status = "OK" if len(errors) == before else "FAIL"
+        file_errors = []
+        compare(committed, fresh, baseline, "", file_errors)
+        errors += [f"{committed_path}: {e}" for e in file_errors]
+        status = "FAIL" if file_errors else "OK"
         print(f"{committed_path}: {status}")
         if args.record:
             recorded[name] = extract_wall(fresh) or {}

@@ -26,12 +26,11 @@ means the simulation itself is nondeterministic.
 import json
 import sys
 
-# peak_rss_bytes rides along: it is process/allocator truth, varies
-# across repeat invocations, and min-merging keeps the leanest run.
-WALL_KEYS = {"wall_seconds", "seconds", "trace_write_seconds",
-             "peak_rss_bytes"}
-RATE_KEYS = {"events_per_sec", "configs_per_sec", "speedup",
-             "speedup_8_over_1", "overhead_frac"}
+# peak_rss_bytes is a wall key too: it is process/allocator truth,
+# varies across repeat invocations, and min-merging keeps the leanest
+# run. The other ignored keys of bench_check.py (accuracy_gap, ...)
+# are deterministic here and must agree across repeats.
+from bench_check import RATE_KEYS, WALL_KEYS
 
 
 def total_wall(node):

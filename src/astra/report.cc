@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 
 namespace astra {
 
@@ -131,79 +132,116 @@ breakdownFromJson(const json::Value &v)
     return b;
 }
 
+template <class T>
+json::Value
+numberArray(const std::vector<T> &values)
+{
+    json::Array arr;
+    arr.reserve(values.size());
+    for (T v : values)
+        arr.push_back(json::Value(v));
+    return json::Value(std::move(arr));
+}
+
+template <class T>
+std::vector<T>
+numbersFrom(const json::Value &arr)
+{
+    std::vector<T> values;
+    for (const json::Value &v : arr.asArray())
+        values.push_back(static_cast<T>(v.asNumber()));
+    return values;
+}
+
+// Vocabulary of the ASTRA_REPORT_METRICS columns.
+using Info = ReportMetricInfo;
+constexpr struct SameName {} Csv;
+constexpr struct NoColumn {} NoCsv;
+constexpr const char *csvColumn(const char *name, SameName) { return name; }
+constexpr const char *csvColumn(const char *, NoColumn) { return nullptr; }
+constexpr const char *csvColumn(const char *, const char *alias)
+{
+    return alias;
+}
+
+struct JsonRule
+{
+    Info::When when;
+    std::optional<ReportMetric> gate; //!< unset: the metric itself.
+};
+constexpr JsonRule Always{Info::Always, {}};
+constexpr JsonRule NoJson{Info::NoJson, {}};
+constexpr JsonRule Positive{Info::Positive, {}};
+constexpr JsonRule With(ReportMetric gate) { return {Info::Positive, gate}; }
+
+// reportFromJson target: a Report field, or nothing for a derived
+// metric (a method result, never read back from JSON).
+template <class T>
+void
+assign(T &field, double v)
+{
+    field = static_cast<T>(v);
+}
+void assign(double &&, double) {}
+
+std::vector<Info>
+buildMetricTable()
+{
+    using enum ReportMetric;
+#define ASTRA_REPORT_METRIC_INFO(id, name, csv, format, policy, expr)   \
+    Info{name, csvColumn(name, csv), Info::format, policy.when,         \
+         policy.gate.value_or(id),                                      \
+         [](const Report &r) { return double(expr); },                  \
+         [](Report &r, double v) { assign(expr, v); }},
+    return {ASTRA_REPORT_METRICS(ASTRA_REPORT_METRIC_INFO)};
+#undef ASTRA_REPORT_METRIC_INFO
+}
+
 } // namespace
+
+const std::vector<ReportMetricInfo> &
+reportMetrics()
+{
+    static const std::vector<ReportMetricInfo> table = buildMetricTable();
+    return table;
+}
+
+const ReportMetricInfo &
+reportMetric(ReportMetric m)
+{
+    return reportMetrics()[static_cast<size_t>(m)];
+}
 
 json::Value
 reportToJson(const Report &report)
 {
     json::Object doc;
     doc["workload"] = json::Value(report.workload);
-    doc["total_time_ns"] = json::Value(report.totalTime);
+    for (const ReportMetricInfo &m : reportMetrics()) {
+        if (m.json == ReportMetricInfo::Always ||
+            (m.json == ReportMetricInfo::Positive &&
+             reportMetric(m.gate).get(report) > 0.0))
+            doc[m.name] = json::Value(m.get(report));
+    }
     doc["average"] = breakdownToJson(report.average);
     json::Array per_npu;
     per_npu.reserve(report.perNpu.size());
     for (const RuntimeBreakdown &b : report.perNpu)
         per_npu.push_back(breakdownToJson(b));
     doc["per_npu"] = json::Value(std::move(per_npu));
-    doc["events"] = json::Value(report.events);
-    doc["messages"] = json::Value(report.messages);
-    json::Array bytes;
-    bytes.reserve(report.bytesPerDim.size());
-    for (double b : report.bytesPerDim)
-        bytes.push_back(json::Value(b));
-    doc["bytes_per_dim"] = json::Value(std::move(bytes));
-    json::Array busy;
-    busy.reserve(report.busyTimePerDim.size());
-    for (double b : report.busyTimePerDim)
-        busy.push_back(json::Value(b));
-    doc["busy_time_per_dim_ns"] = json::Value(std::move(busy));
-    json::Array links;
-    links.reserve(report.linksPerDim.size());
-    for (int n : report.linksPerDim)
-        links.push_back(json::Value(n));
-    doc["links_per_dim"] = json::Value(std::move(links));
-    doc["max_link_busy_ns"] = json::Value(report.maxLinkBusyNs);
-    doc["queueing_delay_ns"] = json::Value(report.queueingDelayNs);
-    doc["interference_slowdown"] =
-        json::Value(report.interferenceSlowdown);
-    doc["lost_work_ns"] = json::Value(report.lostWorkNs);
-    doc["recovery_time_ns"] = json::Value(report.recoveryTimeNs);
-    doc["num_faults"] = json::Value(report.numFaults);
-    doc["goodput"] = json::Value(report.goodput);
-    // Failure-domain metrics are serialized only when measured so
-    // fault-free report JSON — and the sweep cache fingerprint — is
-    // unchanged (same contract as the trace fields below).
-    if (report.availability > 0.0)
-        doc["availability"] = json::Value(report.availability);
-    if (report.blastRadius > 0.0)
-        doc["blast_radius"] = json::Value(report.blastRadius);
-    if (report.recoveryP50Ns > 0.0 || report.recoveryP95Ns > 0.0) {
-        doc["recovery_p50_ns"] = json::Value(report.recoveryP50Ns);
-        doc["recovery_p95_ns"] = json::Value(report.recoveryP95Ns);
-    }
-    if (report.spareUtilization > 0.0)
-        doc["spare_utilization"] = json::Value(report.spareUtilization);
-    // Footprint rollup (telemetry protocol): capacity-based, hence a
-    // deterministic function of the configuration, and serialized
-    // unconditionally — bytes/flow and bytes/NPU are first-class
-    // metrics. Adding these keys intentionally orphans pre-telemetry
-    // sweep caches via the automatic fingerprint. Peak RSS is
-    // process-wide host state and is excluded like wallSeconds.
-    doc["peak_footprint_bytes"] =
-        json::Value(static_cast<uint64_t>(report.peakFootprintBytes));
+    doc["bytes_per_dim"] = numberArray(report.bytesPerDim);
+    doc["busy_time_per_dim_ns"] = numberArray(report.busyTimePerDim);
+    doc["links_per_dim"] = numberArray(report.linksPerDim);
+    // Conditional scalars (failure-domain metrics, heartbeats, trace
+    // analysis) follow the table's JSON policy: serialized only when
+    // measured, so fault-free, untraced report JSON — and the sweep
+    // cache fingerprint — is unchanged. The footprint rollup is
+    // capacity-based, hence deterministic, and always serialized;
+    // peak RSS is host state and excluded like wallSeconds.
     json::Object footprint;
     for (const auto &[name, bytes] : report.footprintBySubsystem)
         footprint[name] = json::Value(static_cast<uint64_t>(bytes));
     doc["footprint"] = json::Value(std::move(footprint));
-    doc["bytes_per_flow"] = json::Value(report.bytesPerFlow);
-    doc["bytes_per_npu"] = json::Value(report.bytesPerNpu);
-    // Heartbeat count is deterministic only under a pure event-count
-    // cadence (the Monitor leaves it 0 otherwise), so nonzero values
-    // are safe to serialize and wall-cadence runs stay bit-identical
-    // to telemetry-off runs.
-    if (report.telemetryHeartbeats > 0)
-        doc["telemetry_heartbeats"] =
-            json::Value(report.telemetryHeartbeats);
     // Trace self-profiling is serialized only when present so the
     // default (untraced) report JSON — and with it the sweep cache
     // fingerprint — is unchanged. Wall-clock attribution is excluded
@@ -216,26 +254,14 @@ reportToJson(const Report &report)
     }
     if (!report.traceHistograms.empty()) {
         json::Object hists;
-        for (const auto &[key, buckets] : report.traceHistograms) {
-            json::Array arr;
-            arr.reserve(buckets.size());
-            for (uint64_t b : buckets)
-                arr.push_back(json::Value(b));
-            hists[key] = json::Value(std::move(arr));
-        }
+        for (const auto &[key, buckets] : report.traceHistograms)
+            hists[key] = numberArray(buckets);
         doc["trace_histograms"] = json::Value(std::move(hists));
     }
     if (report.criticalPathNs > 0.0) {
-        doc["critical_path_ns"] = json::Value(report.criticalPathNs);
-        json::Array exposed;
-        exposed.reserve(report.traceExposedCommPerDim.size());
-        for (double ns : report.traceExposedCommPerDim)
-            exposed.push_back(json::Value(ns));
         doc["trace_exposed_comm_per_dim_ns"] =
-            json::Value(std::move(exposed));
+            numberArray(report.traceExposedCommPerDim);
         doc["bottleneck_link"] = json::Value(report.bottleneckLink);
-        doc["bottleneck_link_share"] =
-            json::Value(report.bottleneckLinkShare);
     }
     return json::Value(std::move(doc));
 }
@@ -245,79 +271,41 @@ reportFromJson(const json::Value &doc)
 {
     Report report;
     report.workload = doc.getString("workload", "");
-    report.totalTime = doc.getNumber("total_time_ns", 0.0);
+    for (const ReportMetricInfo &m : reportMetrics()) {
+        if (m.json != ReportMetricInfo::NoJson)
+            m.set(report, doc.getNumber(m.name, 0.0));
+    }
     if (doc.has("average"))
         report.average = breakdownFromJson(doc.at("average"));
     if (doc.has("per_npu")) {
         for (const json::Value &v : doc.at("per_npu").asArray())
             report.perNpu.push_back(breakdownFromJson(v));
     }
-    report.events =
-        static_cast<uint64_t>(doc.getInt("events", 0));
-    report.messages =
-        static_cast<uint64_t>(doc.getInt("messages", 0));
-    if (doc.has("bytes_per_dim")) {
-        for (const json::Value &v : doc.at("bytes_per_dim").asArray())
-            report.bytesPerDim.push_back(v.asNumber());
-    }
-    if (doc.has("busy_time_per_dim_ns")) {
-        for (const json::Value &v :
-             doc.at("busy_time_per_dim_ns").asArray())
-            report.busyTimePerDim.push_back(v.asNumber());
-    }
-    if (doc.has("links_per_dim")) {
-        for (const json::Value &v : doc.at("links_per_dim").asArray())
-            report.linksPerDim.push_back(
-                static_cast<int>(v.asNumber()));
-    }
-    report.maxLinkBusyNs = doc.getNumber("max_link_busy_ns", 0.0);
-    report.queueingDelayNs = doc.getNumber("queueing_delay_ns", 0.0);
-    report.interferenceSlowdown =
-        doc.getNumber("interference_slowdown", 0.0);
-    report.lostWorkNs = doc.getNumber("lost_work_ns", 0.0);
-    report.recoveryTimeNs = doc.getNumber("recovery_time_ns", 0.0);
-    report.numFaults =
-        static_cast<uint64_t>(doc.getInt("num_faults", 0));
-    report.goodput = doc.getNumber("goodput", 0.0);
-    report.availability = doc.getNumber("availability", 0.0);
-    report.blastRadius = doc.getNumber("blast_radius", 0.0);
-    report.recoveryP50Ns = doc.getNumber("recovery_p50_ns", 0.0);
-    report.recoveryP95Ns = doc.getNumber("recovery_p95_ns", 0.0);
-    report.spareUtilization = doc.getNumber("spare_utilization", 0.0);
-    report.peakFootprintBytes = static_cast<size_t>(
-        doc.getNumber("peak_footprint_bytes", 0.0));
+    if (doc.has("bytes_per_dim"))
+        report.bytesPerDim = numbersFrom<double>(doc.at("bytes_per_dim"));
+    if (doc.has("busy_time_per_dim_ns"))
+        report.busyTimePerDim =
+            numbersFrom<double>(doc.at("busy_time_per_dim_ns"));
+    if (doc.has("links_per_dim"))
+        report.linksPerDim = numbersFrom<int>(doc.at("links_per_dim"));
     if (doc.has("footprint")) {
         for (const auto &[name, v] : doc.at("footprint").asObject())
             report.footprintBySubsystem.emplace_back(
                 name, static_cast<size_t>(v.asNumber()));
     }
-    report.bytesPerFlow = doc.getNumber("bytes_per_flow", 0.0);
-    report.bytesPerNpu = doc.getNumber("bytes_per_npu", 0.0);
-    report.telemetryHeartbeats =
-        static_cast<uint64_t>(doc.getInt("telemetry_heartbeats", 0));
     if (doc.has("trace_counters")) {
         for (const auto &[key, v] :
              doc.at("trace_counters").asObject())
             report.traceCounters[key] = v.asNumber();
     }
-    report.criticalPathNs = doc.getNumber("critical_path_ns", 0.0);
-    if (doc.has("trace_exposed_comm_per_dim_ns")) {
-        for (const json::Value &v :
-             doc.at("trace_exposed_comm_per_dim_ns").asArray())
-            report.traceExposedCommPerDim.push_back(v.asNumber());
-    }
+    if (doc.has("trace_exposed_comm_per_dim_ns"))
+        report.traceExposedCommPerDim =
+            numbersFrom<double>(doc.at("trace_exposed_comm_per_dim_ns"));
     report.bottleneckLink = doc.getString("bottleneck_link", "");
-    report.bottleneckLinkShare =
-        doc.getNumber("bottleneck_link_share", 0.0);
     if (doc.has("trace_histograms")) {
         for (const auto &[key, v] :
-             doc.at("trace_histograms").asObject()) {
-            std::vector<uint64_t> buckets;
-            for (const json::Value &b : v.asArray())
-                buckets.push_back(
-                    static_cast<uint64_t>(b.asNumber()));
-            report.traceHistograms[key] = std::move(buckets);
-        }
+             doc.at("trace_histograms").asObject())
+            report.traceHistograms[key] = numbersFrom<uint64_t>(v);
     }
     return report;
 }

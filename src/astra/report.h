@@ -163,6 +163,91 @@ struct Report
 };
 
 /**
+ * The scalar Report metrics, one line each. This list drives the
+ * scalar keys of reportToJson/reportFromJson, the sweep CSV metric
+ * columns (in list order), the ReportMetric enum (sweep::Metric) and
+ * metric lookup by name: adding a scalar metric is one line here.
+ * Columns: enumerator, name (the JSON key), CSV column (Csv = the
+ * name, NoCsv, or an alias), CSV number format (Fixed3 = %.3f,
+ * Count = %llu, Fixed6 = %.6f), JSON policy (Always, NoJson,
+ * Positive = only when > 0, or With(M) = only when metric M > 0, so a
+ * group of keys appears together; recovery p50 rides with p95, which
+ * as a nearest-rank percentile is never below it), and the value as an
+ * expression of `r` (a Report) that reportFromJson assigns back.
+ */
+#define ASTRA_REPORT_METRICS(X)                                         \
+    X(TotalTime, "total_time_ns", "total_ns", Fixed3, Always, r.totalTime) \
+    X(Compute, "compute_ns", Csv, Fixed3, NoJson, r.average.compute)   \
+    X(ExposedComm, "exposed_comm_ns", Csv, Fixed3, NoJson,              \
+      r.average.exposedComm)                                            \
+    X(ExposedLocalMem, "exposed_local_mem_ns", Csv, Fixed3, NoJson,     \
+      r.average.exposedLocalMem)                                        \
+    X(ExposedRemoteMem, "exposed_remote_mem_ns", Csv, Fixed3, NoJson,   \
+      r.average.exposedRemoteMem)                                       \
+    X(Idle, "idle_ns", Csv, Fixed3, NoJson, r.average.idle)             \
+    X(Events, "events", Csv, Count, Always, r.events)                   \
+    X(Messages, "messages", Csv, Count, Always, r.messages)             \
+    X(MaxLinkBusy, "max_link_busy_ns", NoCsv, Fixed3, Always,           \
+      r.maxLinkBusyNs)                                                  \
+    X(MaxLinkUtil, "max_link_util", Csv, Fixed6, NoJson,                \
+      r.maxLinkUtilization())                                           \
+    X(QueueingDelay, "queueing_delay_ns", Csv, Fixed3, Always,          \
+      r.queueingDelayNs)                                                \
+    X(InterferenceSlowdown, "interference_slowdown", Csv, Fixed6, Always, \
+      r.interferenceSlowdown)                                           \
+    X(LostWork, "lost_work_ns", Csv, Fixed3, Always, r.lostWorkNs)      \
+    X(RecoveryTime, "recovery_time_ns", Csv, Fixed3, Always,            \
+      r.recoveryTimeNs)                                                 \
+    X(NumFaults, "num_faults", Csv, Count, Always, r.numFaults)         \
+    X(Goodput, "goodput", Csv, Fixed6, Always, r.goodput)               \
+    X(CriticalPath, "critical_path_ns", Csv, Fixed3, Positive,          \
+      r.criticalPathNs)                                                 \
+    X(BottleneckLinkShare, "bottleneck_link_share", NoCsv, Fixed6,      \
+      With(CriticalPath), r.bottleneckLinkShare)                        \
+    X(Availability, "availability", Csv, Fixed6, Positive, r.availability) \
+    X(BlastRadius, "blast_radius", Csv, Fixed6, Positive, r.blastRadius) \
+    X(SpareUtilization, "spare_utilization", Csv, Fixed6, Positive,     \
+      r.spareUtilization)                                               \
+    X(RecoveryP50, "recovery_p50_ns", NoCsv, Fixed3, With(RecoveryP95), \
+      r.recoveryP50Ns)                                                  \
+    X(RecoveryP95, "recovery_p95_ns", NoCsv, Fixed3, Positive,          \
+      r.recoveryP95Ns)                                                  \
+    X(PeakFootprint, "peak_footprint_bytes", Csv, Count, Always,        \
+      r.peakFootprintBytes)                                             \
+    X(BytesPerFlow, "bytes_per_flow", Csv, Fixed3, Always, r.bytesPerFlow) \
+    X(BytesPerNpu, "bytes_per_npu", NoCsv, Fixed3, Always, r.bytesPerNpu) \
+    X(TelemetryHeartbeats, "telemetry_heartbeats", NoCsv, Count, Positive, \
+      r.telemetryHeartbeats)
+
+/** Scalar report metrics (see ASTRA_REPORT_METRICS). */
+enum class ReportMetric {
+#define ASTRA_REPORT_METRIC_ID(id, ...) id,
+    ASTRA_REPORT_METRICS(ASTRA_REPORT_METRIC_ID)
+#undef ASTRA_REPORT_METRIC_ID
+};
+
+/** One resolved line of ASTRA_REPORT_METRICS. */
+struct ReportMetricInfo
+{
+    enum Format { Fixed3, Count, Fixed6 };
+    enum When { NoJson, Always, Positive };
+
+    const char *name;
+    const char *csv;      //!< CSV column; nullptr = not in the CSV.
+    Format format;
+    When json;
+    ReportMetric gate;    //!< Positive: the metric that must be > 0.
+    double (*get)(const Report &);
+    void (*set)(Report &, double);
+};
+
+/** The metric table, in list order (indexable by ReportMetric). */
+const std::vector<ReportMetricInfo> &reportMetrics();
+
+/** Table line of one metric. */
+const ReportMetricInfo &reportMetric(ReportMetric m);
+
+/**
  * Serialize a Report's *simulated* results to JSON. Host wall-clock
  * (`wallSeconds`) is deliberately excluded: it is nondeterministic,
  * and the sweep engine's determinism guarantee (identical stores for

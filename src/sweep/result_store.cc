@@ -11,44 +11,24 @@
 namespace astra {
 namespace sweep {
 
-namespace {
-
-std::string
-formatNs(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.3f", v);
-    return buf;
-}
-
-} // namespace
-
 const char *
 metricName(Metric m)
 {
-    switch (m) {
-      case Metric::TotalTime:        return "total_ns";
-      case Metric::Compute:          return "compute_ns";
-      case Metric::ExposedComm:      return "exposed_comm_ns";
-      case Metric::ExposedLocalMem:  return "exposed_local_mem_ns";
-      case Metric::ExposedRemoteMem: return "exposed_remote_mem_ns";
-      case Metric::Idle:             return "idle_ns";
-      case Metric::Events:           return "events";
-      case Metric::Messages:         return "messages";
-      case Metric::MaxLinkUtil:      return "max_link_util";
-      case Metric::QueueingDelay:    return "queueing_delay_ns";
-      case Metric::InterferenceSlowdown:
-        return "interference_slowdown";
-      case Metric::LostWork:         return "lost_work_ns";
-      case Metric::RecoveryTime:     return "recovery_time_ns";
-      case Metric::NumFaults:        return "num_faults";
-      case Metric::Goodput:          return "goodput";
-      case Metric::CriticalPath:     return "critical_path_ns";
-      case Metric::Availability:     return "availability";
-      case Metric::BlastRadius:      return "blast_radius";
-      case Metric::SpareUtilization: return "spare_utilization";
+    const ReportMetricInfo &info = reportMetric(m);
+    return info.csv ? info.csv : info.name;
+}
+
+Metric
+metricByName(const std::string &name)
+{
+    std::string valid;
+    for (size_t i = 0; i < reportMetrics().size(); ++i) {
+        Metric m = static_cast<Metric>(i);
+        if (name == metricName(m) || name == reportMetric(m).name)
+            return m;
+        valid += (i ? ", " : "") + std::string(metricName(m));
     }
-    return "?";
+    fatal("unknown metric '%s' (valid: %s)", name.c_str(), valid.c_str());
 }
 
 ResultStore::ResultStore(std::string sweep_name,
@@ -97,33 +77,7 @@ ResultStore::value(size_t i, Metric m) const
     const SweepResult &r = row(i);
     ASTRA_USER_CHECK(!r.failed, "result row %zu failed: %s", i,
                      r.error.c_str());
-    switch (m) {
-      case Metric::TotalTime:        return r.report.totalTime;
-      case Metric::Compute:          return r.report.average.compute;
-      case Metric::ExposedComm:      return r.report.average.exposedComm;
-      case Metric::ExposedLocalMem:
-        return r.report.average.exposedLocalMem;
-      case Metric::ExposedRemoteMem:
-        return r.report.average.exposedRemoteMem;
-      case Metric::Idle:             return r.report.average.idle;
-      case Metric::Events:           return double(r.report.events);
-      case Metric::Messages:         return double(r.report.messages);
-      case Metric::MaxLinkUtil:
-        return r.report.maxLinkUtilization();
-      case Metric::QueueingDelay:    return r.report.queueingDelayNs;
-      case Metric::InterferenceSlowdown:
-        return r.report.interferenceSlowdown;
-      case Metric::LostWork:         return r.report.lostWorkNs;
-      case Metric::RecoveryTime:     return r.report.recoveryTimeNs;
-      case Metric::NumFaults:        return double(r.report.numFaults);
-      case Metric::Goodput:          return r.report.goodput;
-      case Metric::CriticalPath:     return r.report.criticalPathNs;
-      case Metric::Availability:     return r.report.availability;
-      case Metric::BlastRadius:      return r.report.blastRadius;
-      case Metric::SpareUtilization:
-        return r.report.spareUtilization;
-    }
-    return 0.0;
+    return reportMetric(m).get(r.report);
 }
 
 size_t
@@ -197,13 +151,10 @@ ResultStore::toCsv() const
     std::string out = "index,label,config";
     for (const std::string &name : axisNames_)
         out += ',' + csvField(name);
-    out += ",total_ns,compute_ns,exposed_comm_ns,exposed_local_mem_ns,"
-           "exposed_remote_mem_ns,idle_ns,events,messages,"
-           "max_link_util,queueing_delay_ns,interference_slowdown,"
-           "lost_work_ns,recovery_time_ns,num_faults,goodput,"
-           "critical_path_ns,availability,blast_radius,"
-           "spare_utilization,peak_footprint_bytes,bytes_per_flow,"
-           "manifest,status\n";
+    for (const ReportMetricInfo &m : reportMetrics())
+        if (m.csv)
+            out += ',' + std::string(m.csv);
+    out += ",manifest,status\n";
 
     char buf[64];
     for (const SweepResult &r : rows_) {
@@ -213,49 +164,28 @@ ResultStore::toCsv() const
         out += ',' + configHashString(r.config.hash);
         for (const std::string &v : r.config.axisValues)
             out += ',' + csvField(v);
-        if (r.failed) {
-            // Twenty-two empty metric fields, then the status field —
-            // same arity as the ok branch so header-keyed parsers
-            // align.
-            out += ",,,,,,,,,,,,,,,,,,,,,,,";
-            out += csvField("failed: " + r.error);
-        } else {
-            const RuntimeBreakdown &b = r.report.average;
-            out += ',' + formatNs(r.report.totalTime);
-            out += ',' + formatNs(b.compute);
-            out += ',' + formatNs(b.exposedComm);
-            out += ',' + formatNs(b.exposedLocalMem);
-            out += ',' + formatNs(b.exposedRemoteMem);
-            out += ',' + formatNs(b.idle);
-            std::snprintf(buf, sizeof(buf), ",%llu,%llu,%.6f",
-                          static_cast<unsigned long long>(r.report.events),
-                          static_cast<unsigned long long>(
-                              r.report.messages),
-                          r.report.maxLinkUtilization());
+        // Failed rows leave every metric and the manifest empty, with
+        // the same arity as ok rows so header-keyed parsers align.
+        for (const ReportMetricInfo &m : reportMetrics()) {
+            if (!m.csv)
+                continue;
+            out += ',';
+            if (r.failed)
+                continue;
+            double v = m.get(r.report);
+            if (m.format == ReportMetricInfo::Count)
+                std::snprintf(buf, sizeof(buf), "%llu",
+                              static_cast<unsigned long long>(v));
+            else
+                std::snprintf(buf, sizeof(buf),
+                              m.format == ReportMetricInfo::Fixed3
+                                  ? "%.3f"
+                                  : "%.6f",
+                              v);
             out += buf;
-            out += ',' + formatNs(r.report.queueingDelayNs);
-            std::snprintf(buf, sizeof(buf), ",%.6f",
-                          r.report.interferenceSlowdown);
-            out += buf;
-            out += ',' + formatNs(r.report.lostWorkNs);
-            out += ',' + formatNs(r.report.recoveryTimeNs);
-            std::snprintf(buf, sizeof(buf), ",%llu,%.6f",
-                          static_cast<unsigned long long>(
-                              r.report.numFaults),
-                          r.report.goodput);
-            out += buf;
-            out += ',' + formatNs(r.report.criticalPathNs);
-            std::snprintf(buf, sizeof(buf), ",%.6f,%.6f,%.6f",
-                          r.report.availability, r.report.blastRadius,
-                          r.report.spareUtilization);
-            out += buf;
-            std::snprintf(buf, sizeof(buf), ",%zu,%.3f",
-                          r.report.peakFootprintBytes,
-                          r.report.bytesPerFlow);
-            out += buf;
-            out += ',' + csvField(r.manifest);
-            out += ",ok";
         }
+        out += ',' + (r.failed ? "" : csvField(r.manifest));
+        out += ',' + (r.failed ? csvField("failed: " + r.error) : "ok");
         out += '\n';
     }
     return out;

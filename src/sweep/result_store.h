@@ -28,35 +28,17 @@
 namespace astra {
 namespace sweep {
 
-/** Metric columns exposed to queries. */
-enum class Metric {
-    TotalTime,        //!< simulated end-to-end time (ns).
-    Compute,          //!< mean compute time (ns).
-    ExposedComm,      //!< mean exposed communication time (ns).
-    ExposedLocalMem,  //!< mean exposed local-memory time (ns).
-    ExposedRemoteMem, //!< mean exposed remote-memory time (ns).
-    Idle,             //!< mean idle time (ns).
-    Events,           //!< DES events executed.
-    Messages,         //!< network messages simulated.
-    MaxLinkUtil,      //!< busiest-link busy fraction [0, 1].
-    QueueingDelay,    //!< mean admission-queue wait (ns; cluster runs).
-    InterferenceSlowdown, //!< mean co-tenancy slowdown (cluster runs).
-    LostWork,         //!< re-executed work after failures (ns).
-    RecoveryTime,     //!< failure-to-restart downtime (ns).
-    NumFaults,        //!< fault events fired during the run.
-    Goodput,          //!< useful-work fraction under faults [0, 1].
-    /** Trace-analysis critical-path length (ns); 0 unless the sweep
-     *  ran with `trace.analysis` enabled (docs/trace.md). */
-    CriticalPath,
-    /** Failure-domain resilience metrics (docs/fault.md "Failure
-     *  domains & placement policies"); 0 on fault-free rows. */
-    Availability,     //!< 1 - recovery/duration, mean over jobs.
-    BlastRadius,      //!< mean jobs disrupted per fail incident.
-    SpareUtilization, //!< busy fraction of the reserved spare pool.
-};
+/** Metric columns exposed to queries: the scalar report metrics
+ *  (astra/report.h ASTRA_REPORT_METRICS). */
+using Metric = ReportMetric;
 
-/** Column name of a metric (matches the CSV/JSON headers). */
+/** Column name of a metric (the CSV header; the JSON key for metrics
+ *  without a CSV column). */
 const char *metricName(Metric m);
+
+/** Metric named `name` (a metricName or JSON key); fatal() listing the
+ *  valid names otherwise. */
+Metric metricByName(const std::string &name);
 
 /** See file comment. */
 class ResultStore
