@@ -7,16 +7,11 @@
  *
  * Scenarios map to the queue's internal paths:
  *  - fifo_chain:      zero-delay event chains (now-FIFO fast path).
- *  - near_window:     uniform spread inside the bucket window
- *                     (bucketed inserts + per-bucket sorting).
- *  - same_timestamp:  massive tie batches (equal-time run promotion).
- *  - far_future:      events beyond the window (overflow heap +
- *                     window re-basing).
- *  - adaptive_rerun:  reuse a queue via reset(): the second run uses
- *                     the bucket width adapted from the first run's
- *                     observed event spacing (the recorded
- *                     bucket_width_ns is the chosen width; 64 ns is
- *                     the cold-start fallback).
+ *  - near_window:     uniform spread over ~60 us (level-0 and
+ *                     level-1 inserts + per-tick sorting).
+ *  - same_timestamp:  massive tie batches (equal-time runs).
+ *  - far_future:      uniform spread over 60 s (level-2 inserts and
+ *                     moves down through every wheel level).
  *  - collective_4096: 1 MB All-Reduce on a 4096-NPU 3-D torus over
  *                     the analytical backend (bench_speedup's anchor).
  */
@@ -43,7 +38,6 @@ struct BenchResult
     uint64_t events = 0;
     double seconds = 0.0;
     double simTimeNs = 0.0; //!< only for the collective anchor.
-    double bucketWidthNs = 0.0; //!< only for the adaptive scenario.
 
     double
     eventsPerSec() const
@@ -131,27 +125,6 @@ benchFarFuture(uint64_t n)
 }
 
 BenchResult
-benchAdaptiveRerun(uint64_t n)
-{
-    return timed("adaptive_rerun", [n](BenchResult &r) -> uint64_t {
-        EventQueue eq; // default-constructed => adaptive on reset().
-        Rng rng(3);
-        // Event spacing ~700 ns (typical multi-hop latency scale):
-        // the 64 ns cold-start width is ~11x too fine for it.
-        const TimeNs span = 700.0 * double(n);
-        for (uint64_t i = 0; i < n; ++i)
-            eq.schedule(rng.uniform(0.0, span), [] {});
-        eq.run();
-        eq.reset(); // samples the observed spacing, picks a width.
-        r.bucketWidthNs = eq.bucketWidth();
-        for (uint64_t i = 0; i < n; ++i)
-            eq.schedule(rng.uniform(0.0, span), [] {});
-        eq.run();
-        return 2 * n;
-    });
-}
-
-BenchResult
 benchCollective4096()
 {
     return timed("collective_4096", [](BenchResult &r) -> uint64_t {
@@ -181,11 +154,10 @@ writeJson(const char *path, const std::vector<BenchResult> &results)
         const BenchResult &r = results[i];
         std::fprintf(f,
                      "    \"%s\": {\"events\": %llu, \"seconds\": %.6f, "
-                     "\"events_per_sec\": %.0f, \"sim_time_ns\": %.3f, "
-                     "\"bucket_width_ns\": %.3f}%s\n",
+                     "\"events_per_sec\": %.0f, \"sim_time_ns\": %.3f}%s\n",
                      r.name.c_str(),
                      static_cast<unsigned long long>(r.events), r.seconds,
-                     r.eventsPerSec(), r.simTimeNs, r.bucketWidthNs,
+                     r.eventsPerSec(), r.simTimeNs,
                      i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  }\n}\n");
@@ -211,7 +183,6 @@ main(int argc, char **argv)
     results.push_back(benchNearWindow(2000000));
     results.push_back(benchSameTimestamp(2000000));
     results.push_back(benchFarFuture(1000000));
-    results.push_back(benchAdaptiveRerun(1000000));
     results.push_back(benchCollective4096());
 
     for (const BenchResult &r : results) {
@@ -221,9 +192,6 @@ main(int argc, char **argv)
                     r.eventsPerSec() / 1e6);
         if (r.simTimeNs > 0.0)
             std::printf("  (sim time %.3f us)", r.simTimeNs / 1e3);
-        if (r.bucketWidthNs > 0.0)
-            std::printf("  (adapted bucket width %.1f ns)",
-                        r.bucketWidthNs);
         std::printf("\n");
     }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Build the Release bench targets and record the perf trajectory:
-#  - bench_eventcore (micro, incl. the adaptive bucket-width pick) +
+#  - bench_eventcore (schedule/dispatch micro-benchmarks) +
 #    the bench_speedup one-shot section (§IV-C anchor)
 #    -> BENCH_eventcore.json
 #  - bench_sweep_throughput (64-config hierarchical-memory sweep at

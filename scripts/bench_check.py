@@ -67,8 +67,7 @@ WALL_KEYS = {"wall_seconds", "seconds", "trace_write_seconds",
 # Derived rates; bench_min.py re-pairs them with their wall sample.
 RATE_KEYS = {"events_per_sec", "configs_per_sec", "speedup",
              "speedup_8_over_1", "overhead_frac"}
-IGNORED_KEYS = RATE_KEYS | {"accuracy_gap", "bucket_width_ns",
-                            "hardware_threads"}
+IGNORED_KEYS = RATE_KEYS | {"accuracy_gap", "hardware_threads"}
 WALL_TOLERANCE = 1.25  # fresh wall time may be up to 25% above reference.
 WALL_SLACK_S = 0.005   # plus this absolute slack (sub-ms noise floor).
 

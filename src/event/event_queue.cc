@@ -20,23 +20,31 @@ log2Slot(size_t n)
     return w < 31 ? w : 31;
 }
 
-} // namespace
-
-EventQueue::EventQueue(TimeNs bucket_width, bool adaptive)
-    : bucketWidth_(bucket_width), invWidth_(1.0 / bucket_width),
-      adaptive_(adaptive)
+/** Circular distance from bit `start` to the first set bit of a
+ *  bitmap; the bitmap must have a bit set. */
+template <size_t W>
+size_t
+firstSetFrom(const std::array<uint64_t, W> &bits, size_t start)
 {
-    ASTRA_ASSERT(bucket_width > 0.0, "bucket width must be positive");
+    size_t w = start >> 6;
+    uint64_t word = bits[w] & (~uint64_t{0} << (start & 63));
+    while (word == 0) {
+        w = (w + 1) & (W - 1);
+        word = bits[w];
+    }
+    size_t pos = (w << 6) + static_cast<size_t>(std::countr_zero(word));
+    return (pos - start) & (W * 64 - 1);
 }
 
-void
-EventQueue::setBucketWidth(TimeNs width)
+} // namespace
+
+EventQueue::EventQueue(TimeNs bucket_width)
+    : level0_(std::make_unique<Level<kLevel0Slots>>()),
+      level1_(std::make_unique<Level<kLevelSlots>>()),
+      level2_(std::make_unique<Level<kLevelSlots>>()),
+      bucketWidth_(bucket_width), invWidth_(1.0 / bucket_width)
 {
-    ASTRA_ASSERT(pending_ == 0,
-                 "bucket width can only change on an empty queue");
-    ASTRA_ASSERT(width > 0.0, "bucket width must be positive");
-    bucketWidth_ = width;
-    invWidth_ = 1.0 / width;
+    ASTRA_ASSERT(bucket_width > 0.0, "bucket width must be positive");
 }
 
 bool
@@ -51,6 +59,234 @@ bool
 EventQueue::entryAfter(const Entry &a, const Entry &b)
 {
     return entryBefore(b, a);
+}
+
+void
+EventQueue::addSlabBlock()
+{
+    slabBlocks_.push_back(std::make_unique<Chunk[]>(kSlabBlockChunks));
+    Chunk *block = slabBlocks_.back().get();
+    for (size_t i = 0; i < kSlabBlockChunks; ++i) {
+        block[i].next = freeChunks_;
+        freeChunks_ = &block[i];
+    }
+}
+
+EventQueue::Chunk *
+EventQueue::takeChunk()
+{
+    if (freeChunks_ == nullptr)
+        addSlabBlock();
+    Chunk *chunk = freeChunks_;
+    freeChunks_ = chunk->next;
+    chunk->next = nullptr;
+    return chunk;
+}
+
+template <size_t N>
+void
+EventQueue::append(Level<N> &level, size_t slot, Entry &&e)
+{
+    Bucket &b = level.buckets[slot];
+    if (b.tail == nullptr) {
+        b.head = b.tail = takeChunk();
+        b.tailFill = 0;
+        level.occupied[slot >> 6] |= uint64_t{1} << (slot & 63);
+    } else if (b.tailFill == kChunkEntries) {
+        Chunk *chunk = takeChunk();
+        b.tail->next = chunk;
+        b.tail = chunk;
+        b.tailFill = 0;
+    }
+    b.tail->entries[b.tailFill++] = std::move(e);
+    ++level.count;
+}
+
+template <size_t N, typename Sink>
+void
+EventQueue::takeBucket(Level<N> &level, size_t slot, Sink &&sink)
+{
+    Bucket b = level.buckets[slot];
+    level.buckets[slot] = Bucket{};
+    level.occupied[slot >> 6] &= ~(uint64_t{1} << (slot & 63));
+    for (Chunk *chunk = b.head; chunk != nullptr;) {
+        size_t fill = chunk == b.tail ? b.tailFill : kChunkEntries;
+        for (size_t i = 0; i < fill; ++i)
+            sink(std::move(chunk->entries[i]));
+        level.count -= fill;
+        // The sink may take chunks (moveDown appends elsewhere); this
+        // one is read out, so it can go back to the slab first.
+        Chunk *next = chunk->next;
+        chunk->next = freeChunks_;
+        freeChunks_ = chunk;
+        chunk = next;
+    }
+}
+
+template <size_t N, typename Sink>
+void
+EventQueue::takeLevel(Level<N> &level, Sink &&sink)
+{
+    for (size_t w = 0; w < level.occupied.size(); ++w) {
+        while (level.occupied[w] != 0) {
+            size_t slot = (w << 6) + static_cast<size_t>(
+                                         std::countr_zero(level.occupied[w]));
+            takeBucket(level, slot, sink);
+        }
+    }
+}
+
+int
+EventQueue::place(Entry &&e, int64_t tick)
+{
+    const int64_t horizon = horizonBlock();
+    const int64_t block = tick >> kLevelBits;
+    if (block <= horizon) {
+        append(*level0_, static_cast<size_t>(tick) & (kLevel0Slots - 1),
+               std::move(e));
+        return 0;
+    }
+    const int64_t super = block >> kLevelBits;
+    const int64_t horizonSuper = horizon >> kLevelBits;
+    if (super == horizonSuper) {
+        append(*level1_, static_cast<size_t>(block) & kSlotMask,
+               std::move(e));
+        return 1;
+    }
+    if (super - horizonSuper < static_cast<int64_t>(kLevelSlots)) {
+        append(*level2_, static_cast<size_t>(super) & kSlotMask,
+               std::move(e));
+        return 2;
+    }
+    heap_.push_back(std::move(e));
+    std::push_heap(heap_.begin(), heap_.end(), entryAfter);
+    return 3;
+}
+
+template <size_t N>
+void
+EventQueue::moveDown(Level<N> &level, size_t slot)
+{
+    uint64_t moved = 0;
+    takeBucket(level, slot, [this, &moved](Entry &&e) {
+        int64_t tick = tickOf(e.when);
+        place(std::move(e), tick);
+        ++moved;
+    });
+    if (prof_)
+        prof_->movedDown += moved;
+}
+
+void
+EventQueue::drainHeap()
+{
+    const int64_t limit = (horizonBlock() >> kLevelBits) +
+                          static_cast<int64_t>(kLevelSlots);
+    uint64_t moved = 0;
+    while (!heap_.empty() &&
+           (tickOf(heap_.front().when) >> kSuperBits) < limit) {
+        std::pop_heap(heap_.begin(), heap_.end(), entryAfter);
+        Entry e = std::move(heap_.back());
+        heap_.pop_back();
+        int64_t tick = tickOf(e.when);
+        place(std::move(e), tick);
+        ++moved;
+    }
+    if (prof_)
+        prof_->movedDown += moved;
+}
+
+void
+EventQueue::moveBase(int64_t tick)
+{
+    const int64_t oldBlock = baseTick_ >> kLevelBits;
+    const int64_t oldSuper = (oldBlock + 1) >> kLevelBits;
+    baseTick_ = tick;
+    const int64_t block = tick >> kLevelBits;
+    if (block == oldBlock)
+        return;
+    // Level 0 now covers `block` and `block + 1`. Whichever of them
+    // was not covered before sat in level 1 if it shares the old
+    // horizon's superblock (blocks in between are empty: the base
+    // only ever moves to the earliest pending position).
+    if (level1_->count > 0) {
+        for (int64_t b = std::max(block, oldBlock + 2); b <= block + 1; ++b)
+            if ((b >> kLevelBits) == oldSuper)
+                moveDown(*level1_, static_cast<size_t>(b) & kSlotMask);
+    }
+    const int64_t super = (block + 1) >> kLevelBits;
+    if (super == oldSuper)
+        return;
+    // The horizon entered a new superblock: level 1 is empty now, the
+    // superblock's level-2 bucket spreads over levels 0 and 1, and the
+    // heap feeds level 2's new far end.
+    ASTRA_ASSERT(level1_->count == 0, "level 1 not drained");
+    if (level2_->count > 0 &&
+        super - oldSuper < static_cast<int64_t>(kLevelSlots))
+        moveDown(*level2_, static_cast<size_t>(super) & kSlotMask);
+    drainHeap();
+}
+
+int64_t
+EventQueue::nextTick()
+{
+    for (;;) {
+        if (level0_->count > 0) {
+            size_t start = static_cast<size_t>(baseTick_) &
+                           (kLevel0Slots - 1);
+            int64_t tick = baseTick_ + static_cast<int64_t>(
+                                           firstSetFrom(level0_->occupied,
+                                                        start));
+            moveBase(tick);
+            return tick;
+        }
+        // Nothing in the two level-0 blocks: jump the base to the start
+        // of the earliest occupied block or superblock (or the heap's
+        // first superblock), which moves it down, and look again.
+        const int64_t horizonSuper = horizonBlock() >> kLevelBits;
+        if (level1_->count > 0) {
+            int64_t block = (horizonSuper << kLevelBits) +
+                            static_cast<int64_t>(
+                                firstSetFrom(level1_->occupied, 0));
+            moveBase(block << kLevelBits);
+        } else if (level2_->count > 0) {
+            size_t start =
+                static_cast<size_t>(horizonSuper + 1) & kSlotMask;
+            int64_t super = horizonSuper + 1 +
+                            static_cast<int64_t>(
+                                firstSetFrom(level2_->occupied, start));
+            moveBase(super << kSuperBits);
+        } else {
+            ASTRA_ASSERT(!heap_.empty(), "pending events lost");
+            int64_t super = tickOf(heap_.front().when) >> kSuperBits;
+            moveBase(super << kSuperBits);
+        }
+    }
+}
+
+void
+EventQueue::activate(int64_t tick)
+{
+    takeBucket(*level0_, static_cast<size_t>(tick) & (kLevel0Slots - 1),
+               [this](Entry &&e) { active_.push_back(std::move(e)); });
+    // Appends carry monotonically increasing seq, so a bucket filled
+    // in nondecreasing time order — the common case: synchronized
+    // completion waves put hundreds of equal-timestamp events in one
+    // bucket — is already in (when, seq) order. Detect that in one
+    // early-exit pass instead of paying the full sort; a genuinely
+    // shuffled bucket fails the check within a few elements.
+    bool sorted = std::is_sorted(active_.begin(), active_.end(),
+                                 entryBefore);
+    if (!sorted)
+        std::sort(active_.begin(), active_.end(), entryBefore);
+    activeHead_ = 0;
+    activeOpen_ = true;
+    if (prof_) {
+        ++prof_->bucketActivations;
+        ++prof_->bucketHist[log2Slot(active_.size())];
+        if (!sorted)
+            ++prof_->bucketSorts;
+    }
 }
 
 void
@@ -73,164 +309,108 @@ EventQueue::scheduleAt(TimeNs when, EventCallback cb)
         nowFifo_.push_back(std::move(cb));
         return;
     }
-    if (timedScheduled_ == 0 || when < firstTimedWhen_)
-        firstTimedWhen_ = when;
-    if (timedScheduled_ == 0 || when > lastTimedWhen_)
-        lastTimedWhen_ = when;
-    ++timedScheduled_;
-    int64_t tick = tickOf(when);
-    if (tick < baseTick_)
-        rebaseWindow(tick);
+    const int64_t tick = tickOf(when);
     Entry e{when, seq_++, std::move(cb)};
-    if (tick >= baseTick_ + static_cast<int64_t>(kNumBuckets)) {
-        overflow_.push_back(std::move(e));
-        std::push_heap(overflow_.begin(), overflow_.end(), entryAfter);
-        return;
-    }
-    std::vector<Entry> &bucket = bucketAt(tick);
-    if (tick == baseTick_ && activeSorted_) {
-        // Insert into the live (sorted) bucket at its ordered slot.
-        auto pos = std::upper_bound(bucket.begin() +
-                                        static_cast<ptrdiff_t>(activeHead_),
-                                    bucket.end(), e, entryBefore);
-        bucket.insert(pos, std::move(e));
+    int level = 0;
+    if (tick > baseTick_) {
+        level = place(std::move(e), tick);
     } else {
-        bucket.push_back(std::move(e));
-    }
-    ++windowCount_;
-}
-
-void
-EventQueue::rebaseWindow(int64_t tick)
-{
-    // A new event lands below the window base. This can only happen
-    // when runUntil() stopped inside a gap: ensureNext() had already
-    // advanced the window to the next pending event's tick (beyond
-    // `until`), and the caller then scheduled between `until` and that
-    // event. No event of the current base bucket has executed in that
-    // state (executing one would have pulled now_ — and so every later
-    // schedule — up to baseTick_), so the window holds no moved-out
-    // entries and can be spilled wholesale.
-    ASTRA_ASSERT(activeHead_ == 0, "rebase with a part-drained bucket");
-    if (windowCount_ > 0) {
-        for (std::vector<Entry> &bucket : buckets_) {
-            for (Entry &e : bucket) {
-                overflow_.push_back(std::move(e));
-                std::push_heap(overflow_.begin(), overflow_.end(),
-                               entryAfter);
-            }
-            bucket.clear();
+        if (tick < baseTick_)
+            rebase(tick);
+        if (activeOpen_) {
+            // Insert into the live (sorted) bucket at its ordered slot.
+            auto pos = std::upper_bound(
+                active_.begin() + static_cast<ptrdiff_t>(activeHead_),
+                active_.end(), e, entryBefore);
+            active_.insert(pos, std::move(e));
+        } else {
+            append(*level0_, static_cast<size_t>(tick) & (kLevel0Slots - 1),
+                   std::move(e));
         }
-        windowCount_ = 0;
     }
-    baseTick_ = tick;
-    activeSorted_ = false;
+    if (prof_)
+        ++prof_->timedByLevel[static_cast<size_t>(level)];
 }
 
 void
-EventQueue::activate(int64_t tick)
+EventQueue::rebase(int64_t tick)
 {
+    // A new event lands below the base tick. This can only happen
+    // when runUntil() stopped inside a gap: ensureNext() had already
+    // advanced the wheel to the next pending event's tick (beyond
+    // `until`), and the caller then scheduled between `until` and that
+    // event. No event of the active tick has executed in that state
+    // (executing one would have pulled now_ — and so every later
+    // schedule — up to baseTick_), so every timed entry can be spilled
+    // into the heap and re-placed around the lower base. Rare (once
+    // per cluster job arrival at most), so simplicity wins.
+    ASTRA_ASSERT(activeHead_ == 0, "rebase with a part-drained bucket");
+    auto spill = [this](Entry &&e) {
+        heap_.push_back(std::move(e));
+        std::push_heap(heap_.begin(), heap_.end(), entryAfter);
+    };
+    for (Entry &e : active_)
+        spill(std::move(e));
+    active_.clear();
+    takeLevel(*level0_, spill);
+    takeLevel(*level1_, spill);
+    takeLevel(*level2_, spill);
     baseTick_ = tick;
-    // Overflow entries that fall inside the re-based window migrate to
-    // their buckets now, so the window invariant (overflow holds only
-    // ticks >= baseTick_ + kNumBuckets) is restored before any pop.
-    const int64_t limit = tick + static_cast<int64_t>(kNumBuckets);
-    while (!overflow_.empty() && tickOf(overflow_.front().when) < limit) {
-        std::pop_heap(overflow_.begin(), overflow_.end(), entryAfter);
-        Entry e = std::move(overflow_.back());
-        overflow_.pop_back();
-        bucketAt(tickOf(e.when)).push_back(std::move(e));
-        ++windowCount_;
-    }
-    std::vector<Entry> &bucket = bucketAt(tick);
-    // Appends carry monotonically increasing seq, so a bucket filled
-    // in nondecreasing time order — the common case: synchronized
-    // completion waves put hundreds of equal-timestamp events in one
-    // bucket — is already in (when, seq) order. Detect that in one
-    // early-exit pass instead of paying the full sort; a genuinely
-    // shuffled bucket fails the check within a few elements.
-    if (!std::is_sorted(bucket.begin(), bucket.end(), entryBefore))
-        std::sort(bucket.begin(), bucket.end(), entryBefore);
-    activeHead_ = 0;
-    activeSorted_ = true;
-    if (prof_) {
-        ++prof_->bucketActivations;
-        ++prof_->bucketHist[log2Slot(bucket.size())];
-    }
+    activeOpen_ = false;
+    drainHeap();
 }
 
 bool
 EventQueue::ensureNext()
 {
-    if (nowHead_ < nowFifo_.size())
+    if (nowHead_ < nowFifo_.size() || activeHead_ < active_.size())
         return true;
-    if (nowHead_ != 0) {
-        nowFifo_.clear();
-        nowHead_ = 0;
-    }
     if (pending_ == 0)
         return false;
-
-    std::vector<Entry> &active = bucketAt(baseTick_);
-    if (activeHead_ < active.size()) {
-        if (!activeSorted_)
-            activate(baseTick_);
-        return true;
-    }
-    if (!active.empty()) {
-        active.clear();
-        activeHead_ = 0;
-        activeSorted_ = false;
-    }
-
-    // Advance the window to the next live tick. Window entries always
-    // precede overflow entries (overflow ticks lie beyond the window),
-    // so scan the ring first and fall back to the overflow heap.
-    int64_t next;
-    if (windowCount_ > 0) {
-        int64_t tick = baseTick_ + 1;
-        while (bucketAt(tick).empty())
-            ++tick;
-        next = tick;
-    } else {
-        ASTRA_ASSERT(!overflow_.empty(), "pending events lost");
-        next = tickOf(overflow_.front().when);
-    }
-    activate(next);
+    activate(nextTick());
     return true;
 }
 
 TimeNs
-EventQueue::nextTime()
+EventQueue::nextTime() const
 {
     if (nowHead_ < nowFifo_.size())
         return now_;
-    return bucketAt(baseTick_)[activeHead_].when;
+    return active_[activeHead_].when;
 }
 
 InlineEvent
 EventQueue::popNext()
 {
-    if (nowHead_ < nowFifo_.size())
-        return std::move(nowFifo_[nowHead_++]);
-
-    std::vector<Entry> &active = bucketAt(baseTick_);
-    TimeNs t = active[activeHead_].when;
-    now_ = t;
-    // Move the whole equal-time run into the FIFO: entries scheduled
-    // *during* its execution at time t (strictly higher seq) then
-    // naturally queue behind it, preserving (time, seq) order.
-    while (activeHead_ < active.size() && active[activeHead_].when == t) {
-        nowFifo_.push_back(std::move(active[activeHead_].cb));
-        ++activeHead_;
-        --windowCount_;
+    const bool fifo = nowHead_ < nowFifo_.size();
+    // Active entries at now_ were scheduled before the clock reached
+    // now_, so they precede everything in the FIFO (scheduled at
+    // now_); later active entries wait for the FIFO to drain.
+    if (activeHead_ < active_.size() &&
+        (!fifo || active_[activeHead_].when == now_)) {
+        Entry &e = active_[activeHead_];
+        if (e.when != now_) {
+            now_ = e.when;
+            // When this time's run reaches the end of the bucket, the
+            // bucket counts as drained: later schedules into this tick
+            // go to level 0 and re-activate it once the run and the
+            // FIFO are done, rather than into the drained bucket.
+            if (active_.back().when == now_)
+                activeOpen_ = false;
+        }
+        InlineEvent cb = std::move(e.cb);
+        if (++activeHead_ == active_.size()) {
+            active_.clear();
+            activeHead_ = 0;
+        }
+        return cb;
     }
-    if (activeHead_ == active.size()) {
-        active.clear();
-        activeHead_ = 0;
-        activeSorted_ = false;
+    InlineEvent cb = std::move(nowFifo_[nowHead_++]);
+    if (nowHead_ == nowFifo_.size()) {
+        nowFifo_.clear();
+        nowHead_ = 0;
     }
-    return std::move(nowFifo_[nowHead_++]);
+    return cb;
 }
 
 TimeNs
@@ -303,64 +483,38 @@ EventQueue::setMonitor(telemetry::Monitor *monitor)
 size_t
 EventQueue::bytesInUse() const
 {
-    size_t bytes = nowFifo_.capacity() * sizeof(InlineEvent) +
-                   overflow_.capacity() * sizeof(Entry);
-    for (const std::vector<Entry> &bucket : buckets_)
-        bytes += bucket.capacity() * sizeof(Entry);
-    return bytes;
+    return nowFifo_.capacity() * sizeof(InlineEvent) +
+           (active_.capacity() + heap_.capacity()) * sizeof(Entry) +
+           slabBlocks_.size() * kSlabBlockChunks * sizeof(Chunk) +
+           sizeof(*level0_) + sizeof(*level1_) + sizeof(*level2_);
 }
 
 void
 EventQueue::reset()
 {
-    // Plain container clears: no per-event ordering work (the old
-    // binary heap popped every entry at O(log n) apiece). Capacities
-    // are retained for reuse.
     nowFifo_.clear();
     nowHead_ = 0;
-    if (windowCount_ > 0) {
-        for (std::vector<Entry> &bucket : buckets_)
-            bucket.clear();
-    }
-    windowCount_ = 0;
-    overflow_.clear();
-    baseTick_ = 0;
+    active_.clear();
     activeHead_ = 0;
-    activeSorted_ = false;
+    activeOpen_ = false;
+    auto drop = [](Entry &&e) { e.cb = nullptr; };
+    takeLevel(*level0_, drop);
+    takeLevel(*level1_, drop);
+    takeLevel(*level2_, drop);
+    heap_.clear();
+    baseTick_ = 0;
     now_ = 0.0;
     seq_ = 0;
     executed_ = 0;
     pending_ = 0;
-
-    // Adapt the bucket width to the spacing the finished run actually
-    // observed (see the header comment): mean timed-event spacing / 4
-    // keeps dependent events a few buckets ahead of the cursor. The
-    // spacing is the first-to-last timed span over the count, so a
-    // run whose timed events cluster late (long zero-delay warm-up)
-    // is not mistaken for a coarse-grained one.
-    if (adaptive_ && timedScheduled_ >= kAdaptSampleMin &&
-        lastTimedWhen_ > firstTimedWhen_) {
-        TimeNs spacing = (lastTimedWhen_ - firstTimedWhen_) /
-                         double(timedScheduled_ - 1);
-        setBucketWidth(std::clamp(spacing / 4.0, kMinBucketWidthNs,
-                                  kMaxBucketWidthNs));
-    }
-    timedScheduled_ = 0;
-    firstTimedWhen_ = 0.0;
-    lastTimedWhen_ = 0.0;
 }
 
 void
-EventQueue::reserve(size_t events, TimeNs expected_span)
+EventQueue::reserve(size_t events)
 {
-    nowFifo_.reserve(events);
-    overflow_.reserve(events);
-    if (adaptive_ && pending_ == 0 && expected_span > 0.0 &&
-        events > 0) {
-        TimeNs spacing = expected_span / double(events);
-        setBucketWidth(std::clamp(spacing / 4.0, kMinBucketWidthNs,
-                                  kMaxBucketWidthNs));
-    }
+    size_t chunks = (events + kChunkEntries - 1) / kChunkEntries;
+    while (slabBlocks_.size() * kSlabBlockChunks < chunks)
+        addSlabBlock();
 }
 
 } // namespace astra

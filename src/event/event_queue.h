@@ -10,32 +10,51 @@
  * original ASTRA-sim system layer (Fig. 1(c)).
  *
  * Implementation (see docs/eventcore.md for the design note): a
- * two-level calendar queue instead of a binary heap.
+ * three-level hashed timing wheel instead of a binary heap. Time is
+ * cut into integer ticks (tick = floor(time / bucket width), 64 ns by
+ * default), ticks into 1024-tick blocks, blocks into 1024-block
+ * superblocks (2^20 ticks, ~67 ms at 64 ns).
  *
  *  - A "now FIFO" holds events scheduled at exactly the current time.
  *    Zero-delay scheduling (deferred completions, loopback sends, the
  *    simRecv eager path) is the hottest pattern in the simulator and
  *    costs O(1) push/pop with no ordering work at all, because FIFO
  *    order *is* (time, insertion-order) order for equal timestamps.
- *  - A ring of kNumBuckets buckets covers the near future in
- *    fixed-width integer ticks (tick = floor(time / bucket width)).
- *    Scheduling into a future bucket is an O(1) push; a bucket is
- *    sorted once when the clock reaches it.
- *  - Events beyond the bucket window land in an overflow min-heap and
- *    migrate into the window lazily as it advances.
+ *  - Level 0 is a 2048-slot ring of one-tick buckets covering the
+ *    current block and the next one, so no two live ticks share a
+ *    slot. Level 1 has one bucket per block for the rest of the
+ *    superblock that holds the next block; level 2 one bucket per
+ *    superblock for the following 1023 superblocks (~68.7 s ahead at
+ *    64 ns). Only events beyond that go to a min-heap.
+ *  - A new event goes to the lowest level whose range covers it.
+ *    When the clock enters a block, that block's level-1 bucket
+ *    moves down to level 0; when it enters a superblock, that
+ *    superblock's level-2 bucket moves down, and heap entries that
+ *    now fall within level 2's range move into it. A move between
+ *    wheel levels is O(1) per entry; levels 1 and 2 never compare
+ *    entries.
+ *  - Every bucket is an unrolled list of fixed-size chunks taken from
+ *    one shared slab with a free list, so the queue's memory follows
+ *    the number of pending events rather than each bucket's history.
+ *  - The bucket whose tick the clock reaches is gathered into one
+ *    sorted vector (one sort per non-empty tick; a bucket already in
+ *    order skips it) that events fire from.
  *
  * Determinism guarantee: events fire in strictly nondecreasing time,
  * and events with equal timestamps fire in insertion order, exactly as
- * the old binary-heap implementation documented. The bucket width is a
- * pure performance knob — it can never reorder events, because the
- * queue always drains the lowest-tick bucket fully ordered before
- * touching later ticks, and tick order is consistent with time order.
+ * the old binary-heap implementation documented. The wheel cannot
+ * reorder events: tick order is consistent with time order, every
+ * entry sits in the bucket of its own tick, block or superblock, all
+ * entries of a lower level precede all entries of a higher one, and
+ * the active tick is drained fully ordered by (time, insertion)
+ * before any later tick. The bucket width is a pure performance knob.
  */
 #ifndef ASTRA_EVENT_EVENT_QUEUE_H_
 #define ASTRA_EVENT_EVENT_QUEUE_H_
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/units.h"
@@ -57,17 +76,21 @@ using EventCallback = InlineEvent;
  *    executed events) whose pending-event count had bit-width b —
  *    i.e. a log2 histogram of queue depth over the run.
  *  - `bucketHist[b]` is a log2 histogram of active-bucket sizes at
- *    sort time (one entry per bucket activation), which is the
- *    quantity the adaptive bucket width tries to keep small.
+ *    activation (one entry per bucket activation).
+ *  - The queue-regime counters: `timedByLevel[l]` counts timed
+ *    schedules (not the now-FIFO) by where they landed — wheel level
+ *    0, 1, 2, or the heap (l = 3); `movedDown` counts entries moved
+ *    to a lower level as the clock advanced; `bucketSorts` counts the
+ *    activations whose bucket was out of order and had to be sorted.
  *  - When `timeCallbacks` is set, every kCallbackSampleEvery-th
  *    callback is wall-clocked and the total is extrapolated into
  *    `callbackWallSeconds` (sampled attribution: dispatch overhead
  *    stays bounded whatever the event rate).
  *
- * Both histograms are pure functions of the simulated event sequence
- * (deterministic); the wall figures are host measurements. Profiling
- * never alters scheduling order, so results are bit-identical with or
- * without a profile attached.
+ * The histograms and counters are pure functions of the simulated
+ * event sequence (deterministic); the wall figures are host
+ * measurements. Profiling never alters scheduling order, so results
+ * are bit-identical with or without a profile attached.
  */
 struct QueueProfile
 {
@@ -78,13 +101,16 @@ struct QueueProfile
     std::array<uint64_t, 32> bucketHist{};
     uint64_t depthSamples = 0;
     uint64_t bucketActivations = 0;
+    std::array<uint64_t, 4> timedByLevel{};
+    uint64_t movedDown = 0;
+    uint64_t bucketSorts = 0;
     bool timeCallbacks = false;
     double callbackWallSeconds = 0.0;
     uint64_t callbackSamples = 0;
 };
 
 /**
- * Two-level bucketed (calendar) discrete-event scheduler.
+ * Hierarchical timing-wheel discrete-event scheduler.
  *
  * Events at equal timestamps fire in insertion order (stable), which
  * keeps simulations deterministic.
@@ -92,37 +118,17 @@ struct QueueProfile
 class EventQueue
 {
   public:
-    /** Near-future window granularity. One tick should be comfortably
-     *  below the typical event spacing created by link latencies
-     *  (hundreds of ns), so that dependent events land in later
-     *  buckets and the active bucket rarely takes sorted inserts. */
+    /** Tick granularity. One tick should be comfortably below the
+     *  typical event spacing created by link latencies (hundreds of
+     *  ns), so that dependent events land in later ticks and the
+     *  active bucket rarely takes ordered inserts. */
     static constexpr TimeNs kDefaultBucketWidthNs = 64.0;
 
-    /** Buckets in the near-future ring (power of two). With the
-     *  default width the window spans ~65 us of simulated time. */
-    static constexpr size_t kNumBuckets = 1024;
+    EventQueue() : EventQueue(kDefaultBucketWidthNs) {}
 
-    /** Bounds for the adaptive bucket width (see reset()). */
-    static constexpr TimeNs kMinBucketWidthNs = 4.0;
-    static constexpr TimeNs kMaxBucketWidthNs = 4096.0;
-
-    /** Timed events a finished run must have executed before its
-     *  spacing sample is trusted for adaptation. */
-    static constexpr uint64_t kAdaptSampleMin = 1024;
-
-    /**
-     * Default-constructed queues start at kDefaultBucketWidthNs and
-     * *adapt*: each reset() re-derives the width from the event
-     * spacing the previous run actually exhibited (see reset()).
-     * Constructing with an explicit width pins it — the width is a
-     * pure performance knob either way and can never reorder events.
-     */
-    EventQueue() : EventQueue(kDefaultBucketWidthNs, true) {}
-
-    explicit EventQueue(TimeNs bucket_width)
-        : EventQueue(bucket_width, false)
-    {
-    }
+    /** A queue with an explicit tick width. The width is a pure
+     *  performance knob and can never reorder events. */
+    explicit EventQueue(TimeNs bucket_width);
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -159,42 +165,17 @@ class EventQueue
     uint64_t executedEvents() const { return executed_; }
 
     /**
-     * Drop all pending events and reset the clock. Container
-     * capacities are kept, so a reused queue schedules without
+     * Drop all pending events and reset the clock. The slab and the
+     * vectors keep their capacity, so a reused queue schedules without
      * reallocating.
-     *
-     * Adaptive queues (default constructor) additionally re-derive
-     * the bucket width here from the run that just finished: the mean
-     * inter-event spacing of *timed* events — the span from the first
-     * to the last timed timestamp divided by their count (zero-delay
-     * FIFO traffic never touches the buckets and is excluded) —
-     * divided by 4, clamped to [kMinBucketWidthNs,
-     * kMaxBucketWidthNs], so dependent events keep landing a few
-     * buckets ahead whatever the workload's natural time scale. Runs
-     * below kAdaptSampleMin timed events keep the current width
-     * (kDefaultBucketWidthNs fallback). The queue is empty at this
-     * point, so changing the width cannot reorder anything — it
-     * remains a pure performance knob.
      */
     void reset();
 
-    /**
-     * Pre-size the internal containers for ~`events` events. When
-     * `expected_span` is given (> 0), also seed the adaptive bucket
-     * width from the anticipated mean spacing `expected_span /
-     * events` before any event is scheduled (only meaningful on an
-     * empty adaptive queue; ignored otherwise) — for the seed to be
-     * accurate, pass the *total* timed-event count you expect over
-     * the span, not just the concurrently-pending high-water mark
-     * (the container reserve tolerates the larger figure).
-     */
-    void reserve(size_t events, TimeNs expected_span = 0.0);
+    /** Pre-size the slab for ~`events` concurrently pending events. */
+    void reserve(size_t events);
 
-    /** The current near-future window granularity. */
+    /** The tick granularity. */
     TimeNs bucketWidth() const { return bucketWidth_; }
-
-    /** True when reset()/reserve() re-derive the bucket width. */
-    bool adaptiveBucketWidth() const { return adaptive_; }
 
     /** Attach (or detach, with nullptr) a self-profiling sink; the
      *  caller keeps ownership and the profile must outlive the runs
@@ -220,7 +201,21 @@ class EventQueue
     size_t bytesInUse() const;
 
   private:
-    EventQueue(TimeNs bucket_width, bool adaptive);
+    /** Ticks per block and blocks per superblock (log2). */
+    static constexpr int kLevelBits = 10;
+    static constexpr int kSuperBits = 2 * kLevelBits;
+
+    /** Slots of the level-0 ring: the current block and the next. */
+    static constexpr size_t kLevel0Slots = size_t{2} << kLevelBits;
+
+    /** Slots of levels 1 (blocks) and 2 (superblocks). */
+    static constexpr size_t kLevelSlots = size_t{1} << kLevelBits;
+    static constexpr size_t kSlotMask = kLevelSlots - 1;
+
+    /** Entries per slab chunk; a bucket is a list of chunks. */
+    static constexpr size_t kChunkEntries = 32;
+    /** Chunks per slab allocation. */
+    static constexpr size_t kSlabBlockChunks = 16;
 
     struct Entry
     {
@@ -229,8 +224,29 @@ class EventQueue
         InlineEvent cb;
     };
 
-    /** Install a new bucket width (queue must be empty). */
-    void setBucketWidth(TimeNs width);
+    /** A slab chunk. Free slots hold empty callbacks. */
+    struct Chunk
+    {
+        std::array<Entry, kChunkEntries> entries;
+        Chunk *next = nullptr;
+    };
+
+    /** An unrolled list of chunks; entries in append order. */
+    struct Bucket
+    {
+        Chunk *head = nullptr;
+        Chunk *tail = nullptr;
+        size_t tailFill = 0;
+    };
+
+    /** One wheel level: its buckets, an occupancy bitmap over them,
+     *  and the number of entries it holds. */
+    template <size_t N> struct Level
+    {
+        std::array<Bucket, N> buckets;
+        std::array<uint64_t, N / 64> occupied{};
+        size_t count = 0;
+    };
 
     int64_t
     tickOf(TimeNs when) const
@@ -238,28 +254,56 @@ class EventQueue
         return static_cast<int64_t>(when * invWidth_);
     }
 
-    std::vector<Entry> &
-    bucketAt(int64_t tick)
-    {
-        return buckets_[static_cast<size_t>(tick) & (kNumBuckets - 1)];
-    }
+    /** Block of the clock's horizon (the second level-0 block). */
+    int64_t horizonBlock() const { return (baseTick_ >> kLevelBits) + 1; }
+
+    /** Put an entry with tick >= baseTick_ into the level that covers
+     *  it; returns the level (3 = heap). */
+    int place(Entry &&e, int64_t tick);
+
+    template <size_t N>
+    void append(Level<N> &level, size_t slot, Entry &&e);
+
+    /** Move every entry of `level`'s bucket `slot` to the level that
+     *  covers it now (always a lower one). */
+    template <size_t N> void moveDown(Level<N> &level, size_t slot);
+
+    /** Detach `level`'s bucket `slot` and hand each of its entries,
+     *  in append order, to `sink` (which must move the callback out
+     *  or clear it); the chunks go back to the slab. */
+    template <size_t N, typename Sink>
+    void takeBucket(Level<N> &level, size_t slot, Sink &&sink);
+
+    /** takeBucket() on every occupied bucket of `level`. */
+    template <size_t N, typename Sink>
+    void takeLevel(Level<N> &level, Sink &&sink);
+
+    /** Move heap entries that fall within level 2's range. */
+    void drainHeap();
+
+    /** Advance baseTick_ to `tick` (> baseTick_ or provisional),
+     *  moving down whatever the new position brings into range. */
+    void moveBase(int64_t tick);
+
+    /** The earliest pending tick outside the active bucket; moves
+     *  the base there. Requires pending timed events. */
+    int64_t nextTick();
+
+    /** Make `tick` (== baseTick_) the active tick: gather its level-0
+     *  bucket into active_ and sort it. */
+    void activate(int64_t tick);
+
+    /** Re-base the wheel backwards to `tick` (< baseTick_). Only
+     *  possible after runUntil() stopped in a gap with the wheel
+     *  already advanced to a later event; see the .cc comment. */
+    void rebase(int64_t tick);
 
     /** Establish the next event source: returns false when empty,
-     *  otherwise either the now-FIFO is non-empty or the active bucket
-     *  is sorted with its head at the globally earliest entry. */
+     *  otherwise the active bucket or the now-FIFO has an event. */
     bool ensureNext();
 
     /** Time of the next event; call only after ensureNext() == true. */
-    TimeNs nextTime();
-
-    /** Make `tick` the active bucket: migrate overflow entries that
-     *  fall inside the new window, then sort the bucket. */
-    void activate(int64_t tick);
-
-    /** Re-base the window backwards to `tick` (< baseTick_). Only
-     *  possible after runUntil() stopped in a gap with the window
-     *  already advanced to a later event; see the .cc comment. */
-    void rebaseWindow(int64_t tick);
+    TimeNs nextTime() const;
 
     /** Pop the next callback in (time, seq) order, advancing now_. */
     InlineEvent popNext();
@@ -268,6 +312,9 @@ class EventQueue
      *  unprofiled dispatch loop tight). */
     void profiledDispatch(InlineEvent cb);
 
+    Chunk *takeChunk();
+    void addSlabBlock();
+
     static bool entryBefore(const Entry &a, const Entry &b);
     static bool entryAfter(const Entry &a, const Entry &b);
 
@@ -275,33 +322,32 @@ class EventQueue
     std::vector<InlineEvent> nowFifo_;
     size_t nowHead_ = 0;
 
-    // Near-future ring. baseTick_ is the active (lowest live) tick;
-    // the window covers [baseTick_, baseTick_ + kNumBuckets). The
-    // active bucket is kept sorted ascending by (when, seq) with
-    // activeHead_ as its pop cursor; other buckets are unsorted.
-    std::array<std::vector<Entry>, kNumBuckets> buckets_;
-    size_t windowCount_ = 0;
-    int64_t baseTick_ = 0;
+    // The active tick's events, sorted ascending by (when, seq), with
+    // activeHead_ as the pop cursor. While activeOpen_, a schedule
+    // into baseTick_ is inserted here in order; otherwise it goes to
+    // the level-0 bucket of baseTick_ and re-activates it later.
+    std::vector<Entry> active_;
     size_t activeHead_ = 0;
-    bool activeSorted_ = false;
+    bool activeOpen_ = false;
+    int64_t baseTick_ = 0;
 
-    // Far-future events (tick beyond the window): min-heap by
-    // (when, seq), migrated into the ring as the window advances.
-    std::vector<Entry> overflow_;
+    std::unique_ptr<Level<kLevel0Slots>> level0_;
+    std::unique_ptr<Level<kLevelSlots>> level1_;
+    std::unique_ptr<Level<kLevelSlots>> level2_;
+    // Beyond level 2: min-heap by (when, seq).
+    std::vector<Entry> heap_;
+
+    // Chunk slab: blocks of kSlabBlockChunks chunks that never move,
+    // and a free list through Chunk::next.
+    std::vector<std::unique_ptr<Chunk[]>> slabBlocks_;
+    Chunk *freeChunks_ = nullptr;
 
     TimeNs bucketWidth_;
     double invWidth_;
-    bool adaptive_;
     TimeNs now_ = 0.0;
     uint64_t seq_ = 0;
     uint64_t executed_ = 0;
     size_t pending_ = 0;
-    /** Events that went through the buckets/overflow (not the
-     *  now-FIFO): the spacing sample for adaptation is the
-     *  [first, last] timed-timestamp span over their count. */
-    uint64_t timedScheduled_ = 0;
-    TimeNs firstTimedWhen_ = 0.0;
-    TimeNs lastTimedWhen_ = 0.0;
 
     QueueProfile *prof_ = nullptr;
 

@@ -30,6 +30,15 @@ addQueueProfile(const QueueProfile &prof, Counters &counters)
             trimmed(prof.bucketHist);
         counters.add("queue_bucket_activations",
                      double(prof.bucketActivations));
+        counters.add("queue_bucket_sorts", double(prof.bucketSorts));
+    }
+    const std::array<uint64_t, 4> &placed = prof.timedByLevel;
+    if (placed[0] + placed[1] + placed[2] + placed[3] > 0) {
+        counters.add("queue_timed_level0", double(placed[0]));
+        counters.add("queue_timed_level1", double(placed[1]));
+        counters.add("queue_timed_level2", double(placed[2]));
+        counters.add("queue_timed_heap", double(placed[3]));
+        counters.add("queue_moved_down", double(prof.movedDown));
     }
     if (prof.callbackSamples > 0) {
         counters.add("queue_callback_samples",

@@ -137,106 +137,28 @@ TEST(EventQueue, ResetClearsState)
     EXPECT_EQ(eq.executedEvents(), 0u);
 }
 
-TEST(EventQueue, AdaptiveWidthSamplesObservedSpacingOnReset)
+TEST(EventQueue, WidthNeverChangesFiringOrder)
 {
-    EventQueue eq; // default constructor => adaptive.
-    EXPECT_TRUE(eq.adaptiveBucketWidth());
-    EXPECT_DOUBLE_EQ(eq.bucketWidth(),
-                     EventQueue::kDefaultBucketWidthNs);
-
-    // 2048 timed events spaced 800 ns apart -> mean spacing ~800 ns,
-    // so reset() should pick ~200 ns (spacing / 4).
-    for (int i = 0; i < 2048; ++i)
-        eq.scheduleAt(800.0 * (i + 1), [] {});
-    eq.run();
-    eq.reset();
-    EXPECT_NEAR(eq.bucketWidth(), 200.0, 1.0);
-}
-
-TEST(EventQueue, AdaptiveWidthUsesInterEventSpacingNotAbsoluteTime)
-{
-    // Timed events clustered late (after a long quiet lead-in) must
-    // be sampled by their first-to-last span, not their absolute
-    // times: 2048 events 8 ns apart starting at t = 1e9 ns mean
-    // ~2 ns width, not the 4096 ns cap that 1e9/2048 would suggest.
-    EventQueue eq;
-    for (int i = 0; i < 2048; ++i)
-        eq.scheduleAt(1e9 + 8.0 * i, [] {});
-    eq.run();
-    eq.reset();
-    EXPECT_DOUBLE_EQ(eq.bucketWidth(), EventQueue::kMinBucketWidthNs);
-}
-
-TEST(EventQueue, AdaptiveWidthKeepsFallbackOnSmallSamples)
-{
-    EventQueue eq;
-    // Below kAdaptSampleMin timed events: keep the current width.
-    for (int i = 0; i < 64; ++i)
-        eq.scheduleAt(50000.0 * (i + 1), [] {});
-    eq.run();
-    eq.reset();
-    EXPECT_DOUBLE_EQ(eq.bucketWidth(),
-                     EventQueue::kDefaultBucketWidthNs);
-}
-
-TEST(EventQueue, AdaptiveWidthIsClamped)
-{
-    EventQueue coarse;
-    for (int i = 0; i < 2048; ++i)
-        coarse.scheduleAt(1.0 * kSec * (i + 1), [] {});
-    coarse.run();
-    coarse.reset();
-    EXPECT_DOUBLE_EQ(coarse.bucketWidth(),
-                     EventQueue::kMaxBucketWidthNs);
-
-    EventQueue fine;
-    for (int i = 0; i < 4096; ++i)
-        fine.scheduleAt(0.5 * (i + 1), [] {});
-    fine.run();
-    fine.reset();
-    EXPECT_DOUBLE_EQ(fine.bucketWidth(),
-                     EventQueue::kMinBucketWidthNs);
-}
-
-TEST(EventQueue, ExplicitWidthIsPinned)
-{
-    EventQueue eq(64.0); // explicit width => fixed.
-    EXPECT_FALSE(eq.adaptiveBucketWidth());
-    for (int i = 0; i < 4096; ++i)
-        eq.scheduleAt(800.0 * (i + 1), [] {});
-    eq.run();
-    eq.reset();
-    EXPECT_DOUBLE_EQ(eq.bucketWidth(), 64.0);
-}
-
-TEST(EventQueue, ReserveSeedsWidthFromExpectedSpan)
-{
-    EventQueue eq;
-    eq.reserve(1000, 800000.0); // 800 ns spacing -> 200 ns width.
-    EXPECT_NEAR(eq.bucketWidth(), 200.0, 1.0);
-}
-
-TEST(EventQueue, AdaptedWidthPreservesExecutionOrder)
-{
-    // The width is a pure performance knob: the same workload replayed
-    // after adaptation must execute in the identical order.
-    auto trace = [](bool adapt_first) {
-        EventQueue eq;
-        if (adapt_first) {
-            for (int i = 0; i < 2048; ++i)
-                eq.scheduleAt(700.0 * (i + 1), [] {});
-            eq.run();
-            eq.reset(); // now runs with an adapted width.
-        }
+    // The tick width is a pure performance knob: a shuffled workload
+    // with ties, same-tick neighbours and far-apart events fires in the
+    // identical order at 4, 64 and 4096 ns ticks.
+    auto trace = [](TimeNs width) {
+        EventQueue eq(width);
+        EXPECT_DOUBLE_EQ(eq.bucketWidth(), width);
         std::vector<int> order;
         for (int i = 0; i < 512; ++i) {
             TimeNs when = double((i * 7919) % 500) * 13.0;
+            if (i % 7 == 0)
+                when += 1e9 * double(i % 5);
             eq.scheduleAt(when, [&order, i] { order.push_back(i); });
         }
         eq.run();
         return order;
     };
-    EXPECT_EQ(trace(false), trace(true));
+    std::vector<int> base = trace(64.0);
+    ASSERT_EQ(base.size(), 512u);
+    EXPECT_EQ(trace(4.0), base);
+    EXPECT_EQ(trace(4096.0), base);
 }
 
 } // namespace
