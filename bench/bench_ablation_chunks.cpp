@@ -24,7 +24,7 @@ using namespace astra::literals;
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Warn);
     std::printf("E9 / chunking ablation: 1 GB All-Reduce on Conv-4D "
                 "(2_8_8_4)\n\n");
 

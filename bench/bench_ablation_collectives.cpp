@@ -23,7 +23,7 @@ using namespace astra::literals;
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Warn);
     std::printf("E8 / Table I ablation: Ring vs Direct vs "
                 "Halving-Doubling (k=16, 100 GB/s, 1 us hops)\n\n");
 

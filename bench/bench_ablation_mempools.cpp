@@ -22,7 +22,7 @@ using namespace astra::literals;
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Warn);
     std::printf("E10 / Fig. 5 ablation: pool architectures, "
                 "synchronized per-GPU load (256 GPUs)\n\n");
 

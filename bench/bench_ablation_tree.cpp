@@ -23,7 +23,7 @@ using namespace astra::literals;
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Warn);
     std::printf("Tree vs RS+AG (Halving-Doubling) All-Reduce on a "
                 "switch, 150 GB/s, 2 us hops\n\n");
 

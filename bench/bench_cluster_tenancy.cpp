@@ -19,10 +19,10 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "astra/simulator.h"
 #include "cluster/cluster.h"
 #include "common/logging.h"
@@ -45,14 +45,6 @@ struct Scenario
     bool identical = true;         //!< single_vs_plain contract.
     double wallSeconds = 0.0;
 };
-
-double
-wallSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
 
 JobSpec
 allReduceJob(const std::string &name, int size, Bytes bytes,
@@ -103,7 +95,7 @@ benchSingleVsPlain()
     s.identical = report.makespan == plain_report.totalTime &&
                   report.totalEvents == plain_report.events &&
                   report.totalMessages == plain_report.messages;
-    s.wallSeconds = wallSince(start);
+    s.wallSeconds = bench::wallSince(start);
     return s;
 }
 
@@ -123,7 +115,7 @@ benchPlacementPair(const char *name, PlacementPolicy placement)
     s.simTimeNs = report.makespan;
     s.events = report.totalEvents;
     s.interferenceSlowdown = report.meanInterferenceSlowdown();
-    s.wallSeconds = wallSince(start);
+    s.wallSeconds = bench::wallSince(start);
     return s;
 }
 
@@ -155,18 +147,13 @@ benchQueuedMix(const char *name, AdmissionPolicy admission)
     s.simTimeNs = report.makespan;
     s.events = report.totalEvents;
     s.queueingDelayNs = report.meanQueueingDelay();
-    s.wallSeconds = wallSince(start);
+    s.wallSeconds = bench::wallSince(start);
     return s;
 }
 
-bool
-writeJson(const char *path, const std::vector<Scenario> &scenarios)
+void
+writeJson(std::FILE *f, const std::vector<Scenario> &scenarios)
 {
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        warn("cannot write %s", path);
-        return false;
-    }
     std::fprintf(f, "{\n  \"bench\": \"cluster_tenancy\",\n"
                     "  \"scenarios\": {\n");
     for (size_t i = 0; i < scenarios.size(); ++i) {
@@ -184,21 +171,11 @@ writeJson(const char *path, const std::vector<Scenario> &scenarios)
             i + 1 < scenarios.size() ? "," : "");
     }
     std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-    return true;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runBench(const CommandLine &cl)
 {
-    setVerbose(false);
-    const char *json_path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-    }
 
     std::printf("multi-tenant cluster tenancy benchmarks "
                 "(flow backend)\n\n");
@@ -247,10 +224,14 @@ main(int argc, char **argv)
         return 1;
     }
 
-    if (json_path != nullptr) {
-        if (!writeJson(json_path, scenarios))
-            return 1;
-        std::printf("wrote %s\n", json_path);
-    }
-    return 0;
+    auto write = [&](std::FILE *f) { writeJson(f, scenarios); };
+    return bench::writeJsonFile(cl, write) ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCli(argc, argv, {.groups = {{bench::kJsonFlag}}}, runBench);
 }

@@ -17,7 +17,6 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -141,14 +140,9 @@ benchCollective4096()
     });
 }
 
-bool
-writeJson(const char *path, const std::vector<BenchResult> &results)
+void
+writeJson(std::FILE *f, const std::vector<BenchResult> &results)
 {
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        warn("cannot write %s", path);
-        return false;
-    }
     std::fprintf(f, "{\n  \"bench\": \"eventcore\",\n  \"results\": {\n");
     for (size_t i = 0; i < results.size(); ++i) {
         const BenchResult &r = results[i];
@@ -161,21 +155,11 @@ writeJson(const char *path, const std::vector<BenchResult> &results)
                      i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-    return true;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runBench(const CommandLine &cl)
 {
-    setVerbose(false);
-    const char *json_path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-    }
 
     std::printf("event-core schedule/dispatch throughput\n\n");
     std::vector<BenchResult> results;
@@ -195,10 +179,14 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    if (json_path != nullptr) {
-        if (!writeJson(json_path, results))
-            return 1;
-        std::printf("\nwrote %s\n", json_path);
-    }
-    return 0;
+    auto write = [&](std::FILE *f) { writeJson(f, results); };
+    return writeJsonFile(cl, write) ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCli(argc, argv, {.groups = {{bench::kJsonFlag}}}, runBench);
 }

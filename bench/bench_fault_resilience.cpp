@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "cluster/cluster.h"
 #include "common/logging.h"
 #include "common/units.h"
@@ -53,14 +54,6 @@ struct Scenario
     bool identical = true;       //!< zero_fault_identity contract.
     double wallSeconds = 0.0;
 };
-
-double
-wallSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
 
 JobSpec
 allReduceJob(const std::string &name, int size, Bytes bytes)
@@ -116,7 +109,7 @@ benchZeroFaultIdentity()
                   with.totalEvents == base.totalEvents &&
                   with.totalMessages == base.totalMessages &&
                   with.jobsCsv() == base.jobsCsv();
-    s.wallSeconds = wallSince(start);
+    s.wallSeconds = bench::wallSince(start);
     return s;
 }
 
@@ -161,7 +154,7 @@ benchDegradedIncast(const char *name)
     s.simTimeNs = last;
     s.events = eq.executedEvents();
     s.numFaults = injector.firedCount();
-    s.wallSeconds = wallSince(start);
+    s.wallSeconds = bench::wallSince(start);
     return s;
 }
 
@@ -199,18 +192,13 @@ benchGoodputPoint(const std::string &name, TimeNs npu_mtbf,
     s.recoveryNs = job.recovery;
     s.goodput = job.goodput;
     s.identical = !job.failed;
-    s.wallSeconds = wallSince(start);
+    s.wallSeconds = bench::wallSince(start);
     return s;
 }
 
-bool
-writeJson(const char *path, const std::vector<Scenario> &scenarios)
+void
+writeJson(std::FILE *f, const std::vector<Scenario> &scenarios)
 {
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        warn("cannot write %s", path);
-        return false;
-    }
     std::fprintf(f, "{\n  \"bench\": \"fault_resilience\",\n"
                     "  \"scenarios\": {\n");
     for (size_t i = 0; i < scenarios.size(); ++i) {
@@ -229,30 +217,18 @@ writeJson(const char *path, const std::vector<Scenario> &scenarios)
             i + 1 < scenarios.size() ? "," : "");
     }
     std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-    return true;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runBench(const CommandLine &cl)
 {
-    setVerbose(false);
-    const char *json_path = nullptr;
-    const char *only = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-        else if (std::strcmp(argv[i], "--only") == 0 && i + 1 < argc)
-            only = argv[++i];
-    }
+    std::string only = cl.getString("only", "");
 
     std::printf("failure-resilience benchmarks (flow backend)\n\n");
     std::vector<Scenario> scenarios;
-    auto wanted = [only](const char *name) {
-        return only == nullptr ||
-               std::strstr(name, only) != nullptr;
+    auto wanted = [&only](const char *name) {
+        return only.empty() ||
+               std::strstr(name, only.c_str()) != nullptr;
     };
     if (wanted("zero_fault_identity"))
         scenarios.push_back(benchZeroFaultIdentity());
@@ -289,7 +265,7 @@ main(int argc, char **argv)
                     s.lostWorkNs / kUs, s.goodput, s.wallSeconds);
     }
 
-    if (only != nullptr) // debugging subset: no table, no contracts.
+    if (!only.empty()) // debugging subset: no table, no contracts.
         return 0;
 
     // Goodput table: MTBF rows x checkpoint-interval columns.
@@ -331,10 +307,16 @@ main(int argc, char **argv)
         }
     }
 
-    if (json_path != nullptr) {
-        if (!writeJson(json_path, scenarios))
-            return 1;
-        std::printf("wrote %s\n", json_path);
-    }
-    return 0;
+    auto write = [&](std::FILE *f) { writeJson(f, scenarios); };
+    return bench::writeJsonFile(cl, write) ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    CliSpec spec{.groups = {{bench::kJsonFlag,
+                             {"only", FlagKind::Value, "name filter"}}}};
+    return runCli(argc, argv, spec, runBench);
 }

@@ -69,7 +69,7 @@ constexpr const char *kSpec = R"json({
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Warn);
     std::printf("E6 / Fig. 11: disaggregated memory systems, MoE-1T "
                 "training breakdown (sweep engine)\n\n");
 

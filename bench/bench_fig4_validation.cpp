@@ -27,7 +27,7 @@ using namespace astra::literals;
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Warn);
     std::printf("E1 / Fig. 4: analytical backend vs packet-level "
                 "reference\n");
     std::printf("Ring topology at 150 GB/s (V100+NVLink proxy), "

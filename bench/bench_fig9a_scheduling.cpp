@@ -25,7 +25,7 @@ using namespace astra::bench;
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Warn);
     std::printf("E3 / Fig. 9(a): baseline vs greedy (Themis) "
                 "collective scheduling, 512 NPUs\n\n");
 

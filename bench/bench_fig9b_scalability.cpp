@@ -45,7 +45,7 @@ scalePoints()
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Warn);
     std::printf("E5 / Fig. 9(b): scale-out (Conv-k) vs wafer scale-up "
                 "(W-k)\n\n");
 

@@ -31,9 +31,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
+#include "bench_util.h"
 #include "collective/engine.h"
 #include "common/logging.h"
 #include "common/units.h"
@@ -218,14 +218,9 @@ benchAllToAll64()
     return runScenario("alltoall_64", topo, transfers);
 }
 
-bool
-writeJson(const char *path, const std::vector<Scenario> &scenarios)
+void
+writeJson(std::FILE *f, const std::vector<Scenario> &scenarios)
 {
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        warn("cannot write %s", path);
-        return false;
-    }
     std::fprintf(f, "{\n  \"bench\": \"flow_vs_packet\",\n"
                     "  \"scenarios\": {\n");
     for (size_t i = 0; i < scenarios.size(); ++i) {
@@ -253,21 +248,11 @@ writeJson(const char *path, const std::vector<Scenario> &scenarios)
             i + 1 < scenarios.size() ? "," : "");
     }
     std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-    return true;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runBench(const CommandLine &cl)
 {
-    setVerbose(false);
-    const char *json_path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-    }
 
     std::printf("flow-level vs packet-level backend "
                 "(accuracy / simulation speed)\n\n");
@@ -293,10 +278,14 @@ main(int argc, char **argv)
                     100.0 * s.solver.avgComponentFrac());
     }
 
-    if (json_path != nullptr) {
-        if (!writeJson(json_path, scenarios))
-            return 1;
-        std::printf("wrote %s\n", json_path);
-    }
-    return 0;
+    auto write = [&](std::FILE *f) { writeJson(f, scenarios); };
+    return bench::writeJsonFile(cl, write) ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCli(argc, argv, {.groups = {{bench::kJsonFlag}}}, runBench);
 }

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/logging.h"
 #include "common/units.h"
 #include "sweep/resilience.h"
@@ -54,14 +55,6 @@ struct Scenario
     TimeNs youngDalyNs = 0.0;      //!< closed-form seed (tuner row).
     double wallSeconds = 0.0;
 };
-
-double
-wallSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
 
 /** Uncorrelated baseline: independent per-NPU failures, one long
  *  multi-checkpoint training job, in-place restart. The workload
@@ -144,18 +137,13 @@ placementVariant(const std::string &name, const json::Value &base,
     s.availability = store.mean(Metric::Availability);
     s.blastRadius = store.mean(Metric::BlastRadius);
     s.spareUtilization = store.mean(Metric::SpareUtilization);
-    s.wallSeconds = wallSince(start);
+    s.wallSeconds = bench::wallSince(start);
     return s;
 }
 
-bool
-writeJson(const char *path, const std::vector<Scenario> &scenarios)
+void
+writeJson(std::FILE *f, const std::vector<Scenario> &scenarios)
 {
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        warn("cannot write %s", path);
-        return false;
-    }
     std::fprintf(f, "{\n  \"bench\": \"resilience_study\",\n"
                     "  \"scenarios\": {\n");
     for (size_t i = 0; i < scenarios.size(); ++i) {
@@ -172,30 +160,18 @@ writeJson(const char *path, const std::vector<Scenario> &scenarios)
             i + 1 < scenarios.size() ? "," : "");
     }
     std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-    return true;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runBench(const CommandLine &cl)
 {
-    setVerbose(false);
-    const char *json_path = nullptr;
-    const char *only = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-        else if (std::strcmp(argv[i], "--only") == 0 && i + 1 < argc)
-            only = argv[++i];
-    }
+    std::string only = cl.getString("only", "");
 
     std::printf("resilience-study benchmarks (tuner + placement "
                 "policies)\n\n");
     std::vector<Scenario> scenarios;
-    auto wanted = [only](const char *name) {
-        return only == nullptr || std::strstr(name, only) != nullptr;
+    auto wanted = [&only](const char *name) {
+        return only.empty() || std::strstr(name, only.c_str()) != nullptr;
     };
 
     // -- Checkpoint auto-tuning on the uncorrelated baseline.
@@ -204,7 +180,7 @@ main(int argc, char **argv)
     if (wanted("tuner") || wanted("grid")) {
         auto start = std::chrono::steady_clock::now();
         tuning = tuneCheckpointInterval(tuner_doc);
-        double wall = wallSince(start);
+        double wall = bench::wallSince(start);
 
         Scenario t;
         t.name = "tuner_uncorrelated";
@@ -268,10 +244,11 @@ main(int argc, char **argv)
                     s.wallSeconds);
     }
 
-    if (json_path != nullptr && !writeJson(json_path, scenarios))
+    auto write = [&](std::FILE *f) { writeJson(f, scenarios); };
+    if (!bench::writeJsonFile(cl, write))
         return 1;
 
-    if (only != nullptr) // debugging subset: no contracts.
+    if (!only.empty()) // debugging subset: no contracts.
         return 0;
 
     // Contracts, enforced here so a drift fails bench.sh --check
@@ -313,4 +290,14 @@ main(int argc, char **argv)
                 "tuned within 2x Young/Daly, fault-aware > "
                 "oblivious)\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    CliSpec spec{.groups = {{bench::kJsonFlag,
+                             {"only", FlagKind::Value, "name filter"}}}};
+    return runCli(argc, argv, spec, runBench);
 }

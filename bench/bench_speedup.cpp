@@ -84,7 +84,7 @@ BENCHMARK(BM_Analytical4096)->Unit(benchmark::kMillisecond);
 int
 main(int argc, char **argv)
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Warn);
     std::printf("E2 / SIV-C speedup: analytical vs packet-level "
                 "backend, 1 MB All-Reduce\n\n");
 

@@ -22,11 +22,11 @@
  * number can be judged.
  */
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/logging.h"
 #include "sweep/result_store.h"
 
@@ -103,17 +103,9 @@ storeBytes(const SweepSpec &spec, const BatchOutcome &outcome)
     return store.toCsv() + store.toJson().dump(2);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runBench(const CommandLine &cl)
 {
-    setVerbose(false);
-    const char *json_path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-    }
 
     SweepSpec spec = SweepSpec::fromJson(specDoc());
     size_t n = spec.configCount();
@@ -157,12 +149,7 @@ main(int argc, char **argv)
     for (const Sample &s : samples)
         all_identical = all_identical && s.identical;
 
-    if (json_path != nullptr) {
-        std::FILE *f = std::fopen(json_path, "w");
-        if (f == nullptr) {
-            warn("cannot write %s", json_path);
-            return 1;
-        }
+    auto write = [&](std::FILE *f) {
         std::fprintf(f,
                      "{\n  \"bench\": \"sweep\",\n"
                      "  \"configs\": %zu,\n"
@@ -182,8 +169,16 @@ main(int argc, char **argv)
         }
         std::fprintf(f, "  },\n  \"speedup_8_over_1\": %.2f\n}\n",
                      speedup8);
-        std::fclose(f);
-        std::printf("wrote %s\n", json_path);
-    }
+    };
+    if (!bench::writeJsonFile(cl, write))
+        return 1;
     return all_identical ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCli(argc, argv, {.groups = {{bench::kJsonFlag}}}, runBench);
 }

@@ -41,7 +41,7 @@ const Row kRows[] = {
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Warn);
     std::printf("E4 / Table IV: message size per dimension and "
                 "collective time\n");
     std::printf("1 GB All-Gather sizes (in+out MB per NPU) + 1 GB "

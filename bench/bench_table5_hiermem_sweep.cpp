@@ -95,7 +95,7 @@ specDoc()
 int
 main()
 {
-    setVerbose(false);
+    setLogLevel(LogLevel::Warn);
     std::printf("E7 / Table V sweep: HierMem in-node fabric BW x "
                 "remote memory group BW (sweep engine)\n");
     std::printf("(fused in-switch collectives; times in ms; baseline "

@@ -28,10 +28,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 
+#include "bench_util.h"
 #include "astra/simulator.h"
 #include "collective/engine.h"
 #include "common/logging.h"
@@ -189,15 +189,10 @@ runScalePoint()
     return s;
 }
 
-bool
-writeJson(const char *path, const RunResult &off, const RunResult &on,
+void
+writeJson(std::FILE *f, const RunResult &off, const RunResult &on,
           double overhead, const ScaleResult &scale)
 {
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        warn("cannot write %s", path);
-        return false;
-    }
     std::fprintf(f, "{\n  \"bench\": \"telemetry_overhead\",\n"
                     "  \"scenarios\": {\n");
     std::fprintf(f,
@@ -230,21 +225,11 @@ writeJson(const char *path, const RunResult &off, const RunResult &on,
         static_cast<unsigned long long>(scale.heartbeats),
         scale.peakRssBytes, scale.wallSeconds);
     std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-    return true;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runBench(const CommandLine &cl)
 {
-    setVerbose(false);
-    const char *json_path = nullptr;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-    }
 
     std::printf("telemetry overhead on hier_allreduce_256 "
                 "(flow backend, min of %d runs)\n\n",
@@ -304,10 +289,14 @@ main(int argc, char **argv)
         return 1;
     }
 
-    if (json_path != nullptr) {
-        if (!writeJson(json_path, off, on, overhead, scale))
-            return 1;
-        std::printf("wrote %s\n", json_path);
-    }
-    return 0;
+    auto write = [&](std::FILE *f) { writeJson(f, off, on, overhead, scale); };
+    return bench::writeJsonFile(cl, write) ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runCli(argc, argv, {.groups = {{bench::kJsonFlag}}}, runBench);
 }

@@ -25,11 +25,11 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "collective/engine.h"
 #include "common/logging.h"
 #include "common/units.h"
@@ -158,15 +158,10 @@ runInterleaved(RunResult &off, RunResult &spans, RunResult &full,
     }
 }
 
-bool
-writeJson(const char *path, const RunResult &off, const RunResult &spans,
+void
+writeJson(std::FILE *f, const RunResult &off, const RunResult &spans,
           const RunResult &full, double spans_over, double full_over)
 {
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        warn("cannot write %s", path);
-        return false;
-    }
     std::fprintf(f, "{\n  \"bench\": \"trace_overhead\",\n"
                     "  \"scenarios\": {\n");
     std::fprintf(f,
@@ -199,27 +194,15 @@ writeJson(const char *path, const RunResult &off, const RunResult &spans,
             : "false",
         full.wallSeconds, full_over, full.writeSeconds);
     std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-    return true;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+runBench(const CommandLine &cl)
 {
-    setVerbose(false);
-    const char *json_path = nullptr;
-    std::string trace_path = "bench_trace_timeline.json";
-    bool keep_trace = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-            json_path = argv[++i];
-        else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-            trace_path = argv[++i]; // keep the timeline for inspection.
-            keep_trace = true;
-        }
-    }
+    // --trace-out keeps the timeline for inspection.
+    std::string trace_path =
+        cl.getString("trace-out", "bench_trace_timeline.json");
+    bool keep_trace = cl.has("trace-out");
 
     std::printf("tracing overhead on hier_allreduce_256 "
                 "(flow backend, min of %d runs)\n\n",
@@ -277,11 +260,18 @@ main(int argc, char **argv)
         return 1;
     }
 
-    if (json_path != nullptr) {
-        if (!writeJson(json_path, off, spans, full, spans_over,
-                       full_over))
-            return 1;
-        std::printf("wrote %s\n", json_path);
-    }
-    return 0;
+    auto write = [&](std::FILE *f) {
+        writeJson(f, off, spans, full, spans_over, full_over);
+    };
+    return bench::writeJsonFile(cl, write) ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    CliSpec spec{.groups = {{bench::kJsonFlag,
+                             {"trace-out", FlagKind::Value, "keep trace"}}}};
+    return runCli(argc, argv, spec, runBench);
 }

@@ -122,5 +122,31 @@ runFig9Cell(const Topology &topo, Fig9Workload w, SchedPolicy policy,
     return sim.run(buildFig9Workload(topo, w));
 }
 
+double
+wallSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+bool
+writeJsonFile(const CommandLine &cl,
+              const std::function<void(std::FILE *)> &write)
+{
+    std::string path = cl.getString(kJsonFlag.name, "");
+    if (path.empty())
+        return true;
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+        warn("cannot write %s", path.c_str());
+        return false;
+    }
+    write(f);
+    std::fclose(f);
+    std::printf("wrote %s\n", path.c_str());
+    return true;
+}
+
 } // namespace bench
 } // namespace astra

@@ -7,11 +7,15 @@
 #ifndef ASTRA_BENCH_BENCH_UTIL_H_
 #define ASTRA_BENCH_BENCH_UTIL_H_
 
+#include <chrono>
+#include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "astra/simulator.h"
 #include "collective/engine.h"
+#include "common/cli.h"
 #include "common/units.h"
 #include "topology/presets.h"
 #include "workload/builders.h"
@@ -61,6 +65,20 @@ int mpOf(Fig9Workload w);
 
 /** Build the workload trace for a system (handles MP/DP mapping). */
 Workload buildFig9Workload(const Topology &topo, Fig9Workload w);
+
+/** Wall seconds elapsed since `start`. */
+double wallSince(std::chrono::steady_clock::time_point start);
+
+/** `--json FILE`: where a bench writes its machine-readable results
+ *  (scripts/bench.sh reads them). */
+inline const Flag kJsonFlag = {"json", FlagKind::Value,
+                               "write the results as JSON"};
+
+/** Write the kJsonFlag file: nothing when the flag is absent;
+ *  otherwise open it, let `write` fill it, and print "wrote PATH".
+ *  False, after a warning, if the file cannot be opened. */
+bool writeJsonFile(const CommandLine &cl,
+                   const std::function<void(std::FILE *)> &write);
 
 /** Run a Fig. 9 cell and return the report. */
 Report runFig9Cell(const Topology &topo, Fig9Workload w,

@@ -3,12 +3,6 @@
  * The full config-driven simulator front end, mirroring the real
  * ASTRA-sim command line: a network config, a system config, and an
  * execution-trace file define a complete simulation.
- *
- * Usage:
- *   astra_sim --network net.json --system sys.json --trace et.json
- *   astra_sim --emit-samples DIR    # write sample config files
- *   astra_sim --network net.json --system sys.json \
- *             --synth all_reduce --bytes 1e9     # synthetic workload
  */
 #include "common/logging.h"
 #include <cstdio>
@@ -21,21 +15,11 @@
 
 using namespace astra;
 
-int
-main(int argc, char **argv)
-{
-    setVerbose(false);
-    CommandLine cl(argc, argv, {"network", "system", "trace", "synth",
-                                "bytes", "emit-samples", "trace-out",
-                                "trace-detail", "trace-util",
-                                "trace-util-bucket", "trace-rate-eps",
-                                "trace-analysis", "trace-analysis-out",
-                                "heartbeat", "heartbeat-interval-ms",
-                                "heartbeat-events", "manifest",
-                                "log-level"});
-    if (cl.has("log-level"))
-        setLogLevel(logLevelFromString(cl.getString("log-level", "")));
+namespace {
 
+int
+run(const CommandLine &cl)
+{
     if (cl.has("emit-samples")) {
         std::string dir = cl.getString("emit-samples", ".");
         writeSampleConfigs(dir + "/network.json", dir + "/system.json");
@@ -75,13 +59,28 @@ main(int argc, char **argv)
     Simulator sim(std::move(topo), cfg);
     Report report = sim.run(wl);
     std::printf("%s", report.summary().c_str());
-    if (!cfg.trace.file.empty())
-        std::printf("wrote %s\n", cfg.trace.file.c_str());
-    if (!cfg.trace.utilizationFile.empty())
-        std::printf("wrote %s\n", cfg.trace.utilizationFile.c_str());
-    if (!cfg.telemetry.file.empty())
-        std::printf("wrote %s\n", cfg.telemetry.file.c_str());
+    for (const std::string &out : cfg.outputFiles())
+        std::printf("wrote %s\n", out.c_str());
     if (!cfg.telemetry.manifest.empty())
         std::printf("wrote %s\n", cfg.telemetry.manifest.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    FlagGroup flags = {
+        {"network", FlagKind::Value, "network config JSON"},
+        {"system", FlagKind::Value, "system config JSON"},
+        {"trace", FlagKind::Value, "execution-trace JSON to run"},
+        {"synth", FlagKind::Value, "collective without --trace (all_reduce)"},
+        {"bytes", FlagKind::Value, "its size in bytes (default 1e9)"},
+        {"emit-samples", FlagKind::Value, "write sample configs to this dir"}};
+    CliSpec spec{.usage = {"astra_sim --network F --system F [flags]",
+                           "astra_sim --emit-samples DIR"},
+                 .groups = {flags, trace::cliFlags("trace-out"),
+                            telemetry::cliFlags(), logFlags()}};
+    return runCli(argc, argv, spec, run);
 }

@@ -4,13 +4,6 @@
  * (docs/cluster.md): place N jobs on one shared fabric, co-execute
  * them, and report per-job queueing delay and interference slowdown.
  *
- * Usage:
- *   cluster_runner <scenario.json> [--csv jobs.csv] [--json out.json]
- *                  [--no-baselines] [--verbose | --log-level L]
- *                  [--trace timeline.json [--trace-detail full]]
- *   cluster_runner --sample scenario.json   # write an example
- *   cluster_runner --demo [--backend flow]  # built-in tenancy demo
- *
  * The --demo mode runs the contiguous-vs-spread placement experiment
  * from the docs on a Ring(16) cluster: two 8-NPU all-reduce jobs
  * placed on disjoint contiguous slices share no links (slowdown
@@ -93,11 +86,8 @@ runDemo(const std::string &backend, const CommandLine &cli)
         ClusterReport report = sim.run();
         std::printf("placement: %s\n%s\n", placement,
                     report.summary().c_str());
-        if (!scenario.cfg.trace.file.empty())
-            std::printf("wrote %s\n", scenario.cfg.trace.file.c_str());
-        if (!scenario.cfg.trace.utilizationFile.empty())
-            std::printf("wrote %s\n",
-                        scenario.cfg.trace.utilizationFile.c_str());
+        for (const std::string &out : scenario.cfg.outputFiles())
+            std::printf("wrote %s\n", out.c_str());
     }
     std::printf("contiguous slices share no ring links (slowdown "
                 "1.0x); striped slices route every hop through the "
@@ -107,41 +97,14 @@ runDemo(const std::string &backend, const CommandLine &cli)
     return 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(const CommandLine &cli)
 {
-    CommandLine cli(argc, argv,
-                    {"csv", "json", "sample", "demo", "backend",
-                     "no-baselines", "verbose", "trace",
-                     "trace-detail", "trace-util",
-                     "trace-util-bucket", "trace-rate-eps",
-                     "heartbeat", "heartbeat-interval-ms",
-                     "heartbeat-events", "manifest", "log-level"});
-    setVerbose(cli.getBool("verbose"));
-    if (cli.has("log-level"))
-        setLogLevel(logLevelFromString(cli.getString("log-level", "")));
-
-    if (cli.has("sample")) {
-        std::string path = cli.getString("sample", "cluster.json");
-        writeSampleClusterConfig(path);
-        std::printf("wrote sample cluster scenario to %s\n",
-                    path.c_str());
-        return 0;
-    }
     if (cli.getBool("demo"))
         return runDemo(cli.getString("backend", "flow"), cli);
 
-    if (cli.positional().size() != 1) {
-        std::fprintf(
-            stderr,
-            "usage: cluster_runner <scenario.json> [--csv FILE] "
-            "[--json FILE] [--no-baselines]\n"
-            "       cluster_runner --sample <scenario.json>\n"
-            "       cluster_runner --demo [--backend flow]\n");
-        return 2;
-    }
+    ASTRA_USER_CHECK(cli.positional().size() == 1,
+                     "expected one scenario file (see --help)");
 
     json::Value doc = json::parseFile(cli.positional()[0]);
     ClusterScenario scenario = scenarioFromJson(doc);
@@ -154,11 +117,7 @@ main(int argc, char **argv)
 
     std::printf("cluster: %s, backend %s, %zu jobs, admission %s\n\n",
                 scenario.topo.notation().c_str(),
-                scenario.cfg.backend == NetworkBackendKind::Flow
-                    ? "flow"
-                    : scenario.cfg.backend == NetworkBackendKind::Packet
-                          ? "packet"
-                          : "analytical",
+                backendName(scenario.cfg.backend),
                 scenario.jobs.size(),
                 admissionPolicyName(scenario.cfg.admission));
 
@@ -183,15 +142,31 @@ main(int argc, char **argv)
         json::writeFile(json_path, report.toJson());
         std::printf("wrote %s\n", json_path.c_str());
     }
-    if (!scenario.cfg.trace.file.empty())
-        std::printf("wrote %s\n", scenario.cfg.trace.file.c_str());
-    if (!scenario.cfg.trace.utilizationFile.empty())
-        std::printf("wrote %s\n",
-                    scenario.cfg.trace.utilizationFile.c_str());
-    if (!scenario.cfg.telemetry.file.empty())
-        std::printf("wrote %s\n", scenario.cfg.telemetry.file.c_str());
+    for (const std::string &out : scenario.cfg.outputFiles())
+        std::printf("wrote %s\n", out.c_str());
     if (!scenario.cfg.telemetry.manifest.empty())
         std::printf("wrote %s\n",
                     scenario.cfg.telemetry.manifest.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    FlagGroup flags = {
+        {"csv", FlagKind::Value, "write the per-job table as CSV"},
+        {"json", FlagKind::Value, "write the cluster report as JSON"},
+        {"demo", FlagKind::Switch, "run the contiguous-vs-spread demo"},
+        {"backend", FlagKind::Value, "backend of --demo (default flow)"},
+        {"no-baselines", FlagKind::Switch, "skip isolated per-job runs"}};
+    CliSpec spec{.usage = {"cluster_runner <scenario.json> [flags]",
+                           "cluster_runner --sample FILE",
+                           "cluster_runner --demo [--backend B] [flags]"},
+                 .groups = {flags, trace::cliFlags("trace"),
+                            telemetry::cliFlags(), logFlags()},
+                 .maxPositional = 1,
+                 .sample = writeSampleClusterConfig};
+    return runCli(argc, argv, spec, run);
 }

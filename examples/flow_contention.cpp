@@ -7,8 +7,6 @@
  * completion times, per-dimension busy time, and hot-link
  * utilization (docs/network.md).
  *
- *   ./flow_contention [--npus N] [--mb MB]
- *
  * The analytical backend only serializes per-source transmit ports,
  * so it reports the incast as fast as a single message; the flow and
  * packet backends both resolve the shared down-link and agree — the
@@ -83,12 +81,9 @@ report(const char *name, const Outcome &out, const Topology &topo)
                     : 0.0);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(const CommandLine &args)
 {
-    CommandLine args(argc, argv, {"npus", "mb"});
     int npus = static_cast<int>(args.getInt("npus", 64));
     double mb = args.getDouble("mb", 1.0);
 
@@ -115,4 +110,15 @@ main(int argc, char **argv)
         report("packet", runScenario(net, eq, npus, bytes), topo);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    FlagGroup flags = {
+        {"npus", FlagKind::Value, "switch size; npus-1 senders (default 64)"},
+        {"mb", FlagKind::Value, "message size in MB (default 1)"}};
+    return runCli(argc, argv, {.groups = {flags}}, run);
 }

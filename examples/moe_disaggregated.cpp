@@ -4,10 +4,6 @@
  * setting): compare ZeRO-Infinity-style per-node tiers against the
  * hierarchical memory pool, with and without in-switch collective
  * fusion, on one command line.
- *
- * Usage:
- *   moe_disaggregated [--system zero|hiermem|hiermem-opt]
- *                     [--layers 12] [--iterations 1]
  */
 #include "common/logging.h"
 #include <cstdio>
@@ -28,13 +24,9 @@ clusterTopology()
                      {BlockType::Switch, 16, 25.0, 700.0}});
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(const CommandLine &cl)
 {
-    setVerbose(false);
-    CommandLine cl(argc, argv, {"system", "layers", "iterations"});
     std::string system = cl.getString("system", "hiermem");
 
     SimulatorConfig cfg;
@@ -74,4 +66,16 @@ main(int argc, char **argv)
     Report report = sim.run(wl);
     std::printf("%s", report.summary().c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    FlagGroup flags = {
+        {"system", FlagKind::Value, "zero | hiermem | hiermem-opt"},
+        {"layers", FlagKind::Value, "simulated layers (0 = the model's)"},
+        {"iterations", FlagKind::Value, "training iterations (default 1)"}};
+    return runCli(argc, argv, {.groups = {flags}}, run);
 }

@@ -5,11 +5,7 @@
  * parallelism capability the graph-based execution engine adds
  * (§III-A / §IV-A): different NPUs execute different graphs, and
  * pipeline bubbles surface as idle time in the breakdown.
- *
- * Usage:
- *   pipeline_parallel [--stages 8] [--microbatches 1,2,4,8,16]
  */
-#include "common/logging.h"
 #include <cstdio>
 #include <sstream>
 
@@ -20,11 +16,11 @@
 
 using namespace astra;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(const CommandLine &cl)
 {
-    setVerbose(false);
-    CommandLine cl(argc, argv, {"stages", "microbatches"});
     int stages = static_cast<int>(cl.getInt("stages", 8));
 
     std::vector<int> micro_list;
@@ -32,7 +28,8 @@ main(int argc, char **argv)
         std::stringstream ss(cl.getString("microbatches", "1,2,4,8,16"));
         std::string tok;
         while (std::getline(ss, tok, ','))
-            micro_list.push_back(std::stoi(tok));
+            micro_list.push_back(
+                static_cast<int>(parseInt(tok, "--microbatches")));
     }
 
     ModelDesc model = gpt3();
@@ -64,4 +61,15 @@ main(int argc, char **argv)
     std::printf("\nMore micro-batches amortize the pipeline fill/drain "
                 "bubble, approaching the GPipe ideal.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    FlagGroup flags = {
+        {"stages", FlagKind::Value, "pipeline stages (default 8)"},
+        {"microbatches", FlagKind::Value, "list (default 1,2,4,8,16)"}};
+    return runCli(argc, argv, {.groups = {flags}}, run);
 }

@@ -8,10 +8,10 @@
  *   cmake -B build -G Ninja && cmake --build build
  *   ./build/examples/quickstart
  */
-#include "common/logging.h"
 #include <cstdio>
 
 #include "astra/simulator.h"
+#include "common/cli.h"
 #include "common/units.h"
 #include "topology/presets.h"
 #include "workload/builders.h"
@@ -43,11 +43,12 @@ runOn(const char *label, Topology topo)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    setVerbose(false);
-    runOn("DGX-A100 x4 nodes", presets::dgxA100(4));
-    runOn("TPUv4-like 3-D torus", presets::tpuV4(4, 4, 4));
-    runOn("Wafer-scale W-1D-500", presets::wafer1D(500.0));
-    return 0;
+    return runCli(argc, argv, {}, [](const CommandLine &) {
+        runOn("DGX-A100 x4 nodes", presets::dgxA100(4));
+        runOn("TPUv4-like 3-D torus", presets::tpuV4(4, 4, 4));
+        runOn("Wafer-scale W-1D-500", presets::wafer1D(500.0));
+        return 0;
+    });
 }

@@ -4,11 +4,6 @@
  * plus seeded failure-realization replication over a cluster config
  * (sweep/resilience.h, docs/fault.md "Checkpoint auto-tuning").
  *
- * Usage:
- *   resilience_study <study.json> [--threads N] [--json out.json]
- *                    [--verbose | --log-level L]
- *   resilience_study --sample study.json   # write an example study
- *
  * The study document names a cluster config, a number of fault seeds,
  * optional placement-policy variants, and whether to tune the
  * checkpoint interval first; the tool prints a per-variant summary
@@ -27,30 +22,13 @@
 using namespace astra;
 using namespace astra::sweep;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(const CommandLine &cli)
 {
-    CommandLine cli(argc, argv,
-                    {"threads", "json", "sample", "verbose",
-                     "log-level"});
-    setVerbose(cli.getBool("verbose"));
-    if (cli.has("log-level"))
-        setLogLevel(logLevelFromString(cli.getString("log-level", "")));
-
-    if (cli.has("sample")) {
-        std::string path = cli.getString("sample", "study.json");
-        writeSampleResilienceStudy(path);
-        std::printf("wrote sample study to %s\n", path.c_str());
-        return 0;
-    }
-
-    if (cli.positional().size() != 1) {
-        std::fprintf(stderr,
-                     "usage: resilience_study <study.json> "
-                     "[--threads N] [--json FILE]\n"
-                     "       resilience_study --sample <study.json>\n");
-        return 2;
-    }
+    ASTRA_USER_CHECK(cli.positional().size() == 1,
+                     "expected one study file (see --help)");
 
     json::Value study = json::parseFile(cli.positional()[0]);
     int threads = static_cast<int>(cli.getInt("threads", 0));
@@ -91,4 +69,20 @@ main(int argc, char **argv)
         std::printf("wrote %s\n", json_path.c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    FlagGroup flags = {
+        {"threads", FlagKind::Value, "worker threads (0 = all)"},
+        {"json", FlagKind::Value, "write the full report as JSON"}};
+    CliSpec spec{.usage = {"resilience_study <study.json> [flags]",
+                           "resilience_study --sample FILE"},
+                 .groups = {flags, logFlags()},
+                 .maxPositional = 1,
+                 .sample = writeSampleResilienceStudy};
+    return runCli(argc, argv, spec, run);
 }

@@ -3,33 +3,18 @@
  * Command-line design-space exploration: run a declarative sweep spec
  * (src/sweep/spec.h) across worker threads and tabulate the results.
  *
- * Usage:
- *   sweep_runner <spec.json> [--threads N] [--cache cache.json]
- *                [--csv out.csv] [--json out.json]
- *                [--metric total_ns] [--verbose | --log-level L]
- *                [--auto-diff [diff.json]] [--diff-rows I J]
- *                [--heartbeat beats.ndjson]
- *                [--heartbeat-interval-ms N]
- *                [--manifest manifest.json] [--manifest-dir DIR]
- *   sweep_runner --sample spec.json     # write an example spec
- *
- * --threads 0 uses all hardware threads. --cache enables incremental
- * re-runs: results keyed by config hash are loaded before and saved
- * after the batch, so editing one axis value re-simulates only the
- * changed grid points. --auto-diff re-runs the metric's argmin and
- * argmax configurations with full tracing and prints the span-level
- * explanation of their difference (optionally written as JSON);
- * --diff-rows does the same for an arbitrary row pair ("I J" or
- * "I,J"). --heartbeat streams batch-progress NDJSON (rows done/total,
- * cache hits, per-worker occupancy; docs/observability.md);
- * --manifest writes a sweep-level run manifest and --manifest-dir one
- * provenance manifest per row, keyed by config hash.
+ * --cache enables incremental re-runs: results keyed by config hash
+ * are loaded before and saved after the batch, so editing one axis
+ * value re-simulates only the changed grid points. --auto-diff re-runs
+ * the metric's argmin and argmax configurations with full tracing and
+ * prints the span-level explanation of their difference; --diff-rows
+ * does the same for any row pair (docs/trace.md). The telemetry flags
+ * stream batch progress and write manifests (docs/observability.md).
  */
 #include <sys/stat.h>
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -43,39 +28,17 @@
 using namespace astra;
 using namespace astra::sweep;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(const CommandLine &cli)
 {
-    CommandLine cli(argc, argv,
-                    {"threads", "cache", "csv", "json", "metric",
-                     "sample", "auto-diff", "diff-rows", "verbose",
-                     "log-level", "heartbeat", "heartbeat-interval-ms",
-                     "heartbeat-events", "manifest", "manifest-dir"});
-    setVerbose(cli.getBool("verbose"));
-    if (cli.has("log-level"))
-        setLogLevel(logLevelFromString(cli.getString("log-level", "")));
-
-    if (cli.has("sample")) {
-        std::string path = cli.getString("sample", "sweep_spec.json");
-        writeSampleSpec(path);
-        std::printf("wrote sample spec to %s\n", path.c_str());
-        return 0;
-    }
-
     // `--diff-rows I J` leaves J as a stray positional; accept that
     // form as well as `--diff-rows I,J`.
-    if (cli.positional().size() != 1 &&
-        !(cli.has("diff-rows") && cli.positional().size() == 2)) {
-        std::fprintf(stderr,
-                     "usage: sweep_runner <spec.json> [--threads N] "
-                     "[--cache FILE] [--csv FILE] [--json FILE] "
-                     "[--metric NAME] [--auto-diff [FILE]] "
-                     "[--diff-rows I J] [--heartbeat FILE] "
-                     "[--heartbeat-interval-ms N] [--manifest FILE] "
-                     "[--manifest-dir DIR]\n"
-                     "       sweep_runner --sample <spec.json>\n");
-        return 2;
-    }
+    ASTRA_USER_CHECK(cli.positional().size() == 1 ||
+                         (cli.has("diff-rows") &&
+                          cli.positional().size() == 2),
+                     "expected one spec file (see --help)");
 
     SweepSpec spec = SweepSpec::fromFile(cli.positional()[0]);
     std::printf("sweep '%s': %zu configurations, %zu axes\n",
@@ -159,7 +122,7 @@ main(int argc, char **argv)
             std::fputs(
                 trace::analysis::diffSummary(ad.diff).c_str(), stdout);
             std::string diff_path = cli.getString("auto-diff", "");
-            if (!diff_path.empty() && diff_path != "true") {
+            if (!diff_path.empty()) {
                 json::writeFile(diff_path,
                                 trace::analysis::diffToJson(ad.diff));
                 std::printf("wrote %s\n", diff_path.c_str());
@@ -180,16 +143,10 @@ main(int argc, char **argv)
             ASTRA_USER_CHECK(!first.empty() && !second.empty(),
                              "--diff-rows: expected two row indices "
                              "(\"I J\" or \"I,J\")");
-            char *end = nullptr;
-            size_t row_a = std::strtoull(first.c_str(), &end, 10);
-            ASTRA_USER_CHECK(end != nullptr && *end == '\0',
-                             "--diff-rows: '%s' is not a row index",
-                             first.c_str());
-            size_t row_b = std::strtoull(second.c_str(), &end, 10);
-            ASTRA_USER_CHECK(end != nullptr && *end == '\0',
-                             "--diff-rows: '%s' is not a row index",
-                             second.c_str());
-            AutoDiffResult ad = autoDiffRows(spec, store, row_a, row_b);
+            AutoDiffResult ad = autoDiffRows(
+                spec, store,
+                static_cast<size_t>(parseInt(first, "--diff-rows")),
+                static_cast<size_t>(parseInt(second, "--diff-rows")));
             std::printf("\nrow diff: #%zu (%s) vs #%zu (%s)\n",
                         ad.indexMin, ad.labelMin.c_str(), ad.indexMax,
                         ad.labelMax.c_str());
@@ -238,4 +195,26 @@ main(int argc, char **argv)
         std::printf("wrote %s\n", manifest_path.c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    FlagGroup flags = {
+        {"threads", FlagKind::Value, "worker threads (0 = all)"},
+        {"cache", FlagKind::Value, "result cache, loaded and saved"},
+        {"csv", FlagKind::Value, "write the results as CSV"},
+        {"json", FlagKind::Value, "write the results as JSON"},
+        {"metric", FlagKind::Value, "metric to rank by (default total_ns)"},
+        {"auto-diff", FlagKind::Optional, "explain argmin vs argmax [JSON]"},
+        {"diff-rows", FlagKind::Value, "explain two rows: I,J (or I J)"},
+        {"manifest-dir", FlagKind::Value, "write one manifest per row here"}};
+    CliSpec spec{.usage = {"sweep_runner <spec.json> [flags]",
+                           "sweep_runner --sample FILE"},
+                 .groups = {flags, telemetry::cliFlags(), logFlags()},
+                 .maxPositional = 2,
+                 .sample = writeSampleSpec};
+    return runCli(argc, argv, spec, run);
 }

@@ -4,13 +4,7 @@
  * takes any multi-dimensional topology string and sweeps collective
  * sizes, printing simulated time, the closed-form estimate, and the
  * achieved effective bandwidth.
- *
- * Usage:
- *   topology_explorer [--topo R(4,250)_SW(4,50)]
- *                     [--coll all_reduce] [--chunks 16]
- *                     [--policy baseline|themis]
  */
-#include "common/logging.h"
 #include <cstdio>
 
 #include "collective/engine.h"
@@ -24,11 +18,11 @@
 using namespace astra;
 using namespace astra::literals;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(const CommandLine &cl)
 {
-    setVerbose(false);
-    CommandLine cl(argc, argv, {"topo", "coll", "chunks", "policy"});
     Topology topo =
         parseTopology(cl.getString("topo", "R(4,250)_SW(4,50)"));
     CollectiveType coll =
@@ -66,4 +60,17 @@ main(int argc, char **argv)
     }
     table.print();
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    FlagGroup flags = {
+        {"topo", FlagKind::Value, "topology (default R(4,250)_SW(4,50))"},
+        {"coll", FlagKind::Value, "collective (default all_reduce)"},
+        {"chunks", FlagKind::Value, "chunks per collective (default 16)"},
+        {"policy", FlagKind::Value, "baseline | themis"}};
+    return runCli(argc, argv, {.groups = {flags}}, run);
 }

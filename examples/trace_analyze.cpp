@@ -4,12 +4,6 @@
  * (docs/trace.md, "Analysis"): critical-path extraction, bottleneck
  * attribution, and cross-run diffing — the same analyzers Simulator
  * runs in-memory when `trace.analysis` is on.
- *
- * Usage:
- *   trace_analyze timeline.json                # full analysis block
- *   trace_analyze timeline.json --critical-path --top-links 8
- *   trace_analyze --diff a.json b.json         # cross-run diff
- *   trace_analyze timeline.json --json out.json --csv out.csv
  */
 #include <cstdio>
 
@@ -21,67 +15,73 @@
 using namespace astra;
 using namespace astra::trace::analysis;
 
-int
-main(int argc, char **argv)
-{
-    CommandLine cl(argc, argv,
-                   {"diff", "critical-path", "top-links", "stretch",
-                    "json", "csv", "pid", "log-level"});
-    if (cl.has("log-level"))
-        setLogLevel(logLevelFromString(cl.getString("log-level", "")));
-    std::vector<std::string> files = cl.positional();
+namespace {
 
-    if (cl.has("diff")) {
-        // `--diff a.json b.json`: the parser reads the token after a
-        // bare flag as its value, so the first file arrives as the
-        // flag value and the second as a positional.
-        std::string v = cl.getString("diff", "");
-        if (v != "true" && v != "1" && v != "yes")
-            files.insert(files.begin(), v);
+int
+run(const CommandLine &cl)
+{
+    const std::vector<std::string> &files = cl.positional();
+    json::Value report;
+    std::string csv;
+    if (cl.getBool("diff")) {
         ASTRA_USER_CHECK(files.size() == 2,
                          "--diff needs exactly two trace files");
         TraceData a = TraceData::fromChromeFile(files[0]);
         TraceData b = TraceData::fromChromeFile(files[1]);
         TraceDiff diff = diffTraces(a, b);
         std::fputs(diffSummary(diff).c_str(), stdout);
-        if (cl.has("json"))
-            json::writeFile(cl.getString("json", ""), diffToJson(diff));
-        if (cl.has("csv")) {
-            FILE *f = std::fopen(cl.getString("csv", "").c_str(), "w");
-            ASTRA_USER_CHECK(f != nullptr, "--csv: cannot open '%s'",
-                             cl.getString("csv", "").c_str());
-            std::fputs(diffToCsv(diff).c_str(), f);
-            std::fclose(f);
+        report = diffToJson(diff);
+        csv = diffToCsv(diff);
+    } else {
+        ASTRA_USER_CHECK(files.size() == 1,
+                         "expected one trace file (or --diff with two)");
+        TraceData data = TraceData::fromChromeFile(files[0]);
+        AnalysisOptions opts;
+        opts.pid = static_cast<int32_t>(cl.getInt("pid", 0));
+        opts.topLinks = static_cast<size_t>(cl.getInt("top-links", 5));
+        opts.topStretch = static_cast<size_t>(cl.getInt("stretch", 10));
+        AnalysisResult result = analyzeTrace(data, opts);
+        std::fputs(analysisSummary(result).c_str(), stdout);
+        if (cl.getBool("critical-path")) {
+            // Per-segment dump: the gap-free tiling of [0, path end].
+            std::printf("critical path segments:\n");
+            for (const PathSegment &seg : result.path.segments)
+                std::printf("  [%14.3f, %14.3f) ns  rank %-4d %s\n",
+                            seg.startNs, seg.endNs, seg.tid,
+                            seg.kind.c_str());
         }
-        return 0;
-    }
-
-    ASTRA_USER_CHECK(files.size() == 1,
-                     "expected one trace file (or --diff with two)");
-    TraceData data = TraceData::fromChromeFile(files[0]);
-    AnalysisOptions opts;
-    opts.pid = static_cast<int32_t>(cl.getInt("pid", 0));
-    opts.topLinks = static_cast<size_t>(cl.getInt("top-links", 5));
-    opts.topStretch = static_cast<size_t>(cl.getInt("stretch", 10));
-    AnalysisResult result = analyzeTrace(data, opts);
-    std::fputs(analysisSummary(result).c_str(), stdout);
-    if (cl.getBool("critical-path")) {
-        // Per-segment dump: the gap-free tiling of [0, path end].
-        std::printf("critical path segments:\n");
-        for (const PathSegment &seg : result.path.segments)
-            std::printf("  [%14.3f, %14.3f) ns  rank %-4d %s\n",
-                        seg.startNs, seg.endNs, seg.tid,
-                        seg.kind.c_str());
+        report = analysisToJson(result);
+        csv = analysisToCsv(result);
     }
     if (cl.has("json"))
-        json::writeFile(cl.getString("json", ""),
-                        analysisToJson(result));
+        json::writeFile(cl.getString("json", ""), report);
     if (cl.has("csv")) {
-        FILE *f = std::fopen(cl.getString("csv", "").c_str(), "w");
+        std::string path = cl.getString("csv", "");
+        FILE *f = std::fopen(path.c_str(), "w");
         ASTRA_USER_CHECK(f != nullptr, "--csv: cannot open '%s'",
-                         cl.getString("csv", "").c_str());
-        std::fputs(analysisToCsv(result).c_str(), f);
+                         path.c_str());
+        std::fputs(csv.c_str(), f);
         std::fclose(f);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    FlagGroup flags = {
+        {"diff", FlagKind::Switch, "diff two traces"},
+        {"critical-path", FlagKind::Switch, "print every path segment"},
+        {"top-links", FlagKind::Value, "bottleneck links listed (default 5)"},
+        {"stretch", FlagKind::Value, "stretch rows listed (default 10)"},
+        {"json", FlagKind::Value, "write the report as JSON"},
+        {"csv", FlagKind::Value, "write the report as CSV"},
+        {"pid", FlagKind::Value, "trace process to analyze (default 0)"}};
+    CliSpec spec{.usage = {"trace_analyze <timeline.json> [flags]",
+                           "trace_analyze --diff <a.json> <b.json> [flags]"},
+                 .groups = {flags, logFlags()},
+                 .maxPositional = 2};
+    return runCli(argc, argv, spec, run);
 }

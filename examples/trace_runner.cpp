@@ -2,41 +2,22 @@
  * @file
  * Execution-trace workflow (§IV-A): generate an ASTRA-sim ET, save it
  * to JSON, reload, and simulate — or run a user-supplied trace file.
- * Also demonstrates the external-format converter: pass a
- * "pytorch-et" per-rank directory via --convert.
- *
- * Usage:
- *   trace_runner                          # self-demo (generate+run)
- *   trace_runner --trace my_et.json --topo R(4,150)_SW(2,25)
- *   trace_runner --emit out.json          # write a sample trace
- *   trace_runner --trace-out tl.json --trace-detail full
- *                                         # Chrome/Perfetto timeline
  */
-#include "common/logging.h"
 #include <cstdio>
 
 #include "astra/simulator.h"
 #include "common/cli.h"
 #include "topology/notation.h"
 #include "workload/builders.h"
-#include "workload/converter.h"
 #include "workload/et_json.h"
 
 using namespace astra;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(const CommandLine &cl)
 {
-    setVerbose(false);
-    CommandLine cl(argc, argv, {"trace", "topo", "emit", "trace-out",
-                                "trace-detail", "trace-util",
-                                "trace-util-bucket", "trace-rate-eps",
-                                "trace-analysis", "trace-analysis-out",
-                                "heartbeat", "heartbeat-interval-ms",
-                                "heartbeat-events", "manifest",
-                                "log-level"});
-    if (cl.has("log-level"))
-        setLogLevel(logLevelFromString(cl.getString("log-level", "")));
     Topology topo =
         parseTopology(cl.getString("topo", "R(4,150)_SW(2,25)"));
 
@@ -71,13 +52,23 @@ main(int argc, char **argv)
     Simulator sim(std::move(topo), cfg);
     Report report = sim.run(wl);
     std::printf("%s", report.summary().c_str());
-    if (!cfg.trace.file.empty())
-        std::printf("wrote %s\n", cfg.trace.file.c_str());
-    if (!cfg.trace.utilizationFile.empty())
-        std::printf("wrote %s\n", cfg.trace.utilizationFile.c_str());
-    if (!cfg.telemetry.file.empty())
-        std::printf("wrote %s\n", cfg.telemetry.file.c_str());
+    for (const std::string &out : cfg.outputFiles())
+        std::printf("wrote %s\n", out.c_str());
     if (!cfg.telemetry.manifest.empty())
         std::printf("wrote %s\n", cfg.telemetry.manifest.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    FlagGroup flags = {
+        {"trace", FlagKind::Value, "execution trace to run (default: build)"},
+        {"topo", FlagKind::Value, "topology (default R(4,150)_SW(2,25))"},
+        {"emit", FlagKind::Value, "write the built trace and exit"}};
+    CliSpec spec{.groups = {flags, trace::cliFlags("trace-out"),
+                            telemetry::cliFlags(), logFlags()}};
+    return runCli(argc, argv, spec, run);
 }

@@ -2,13 +2,7 @@
  * @file
  * Hybrid-parallel GPT-3 training on a configurable topology
  * (the paper's Fig. 9(a) setting for one system).
- *
- * Usage:
- *   train_gpt3 [--topo R(2,250)_FC(8,200)_R(8,100)_SW(4,50)]
- *              [--mp 16] [--policy baseline|themis] [--chunks 8]
- *              [--layers 12]
  */
-#include "common/logging.h"
 #include <cstdio>
 
 #include "astra/simulator.h"
@@ -18,12 +12,11 @@
 
 using namespace astra;
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(const CommandLine &cl)
 {
-    setVerbose(false);
-    CommandLine cl(argc, argv,
-                   {"topo", "mp", "policy", "chunks", "layers"});
 
     Topology topo = parseTopology(cl.getString(
         "topo", "R(2,250)_FC(8,200)_R(8,100)_SW(4,50)"));
@@ -59,4 +52,18 @@ main(int argc, char **argv)
         std::printf("%.2f ", b / 1e9);
     std::printf("\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    FlagGroup flags = {
+        {"topo", FlagKind::Value, "topology notation"},
+        {"mp", FlagKind::Value, "model-parallel degree (default 16)"},
+        {"policy", FlagKind::Value, "baseline | themis"},
+        {"chunks", FlagKind::Value, "chunks per collective (default 8)"},
+        {"layers", FlagKind::Value, "simulated layers (0 = the model's)"}};
+    return runCli(argc, argv, {.groups = {flags}}, run);
 }

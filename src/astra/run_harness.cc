@@ -8,6 +8,17 @@
 
 namespace astra {
 
+std::vector<std::string>
+RunConfig::outputFiles() const
+{
+    std::vector<std::string> files;
+    for (const std::string *f : {&telemetry.file, &trace.file,
+                                 &trace.utilizationFile, &trace.analysisFile})
+        if (!f->empty())
+            files.push_back(*f);
+    return files;
+}
+
 RunHarness::RunHarness(Topology topo, RunConfig cfg)
     : topo_(std::move(topo)), cfg_(std::move(cfg)),
       net_(makeNetwork(cfg_.backend, eq_, topo_))
@@ -184,11 +195,7 @@ RunHarness::writeManifest(const char *kind, const Report &report) const
     info.seed = cfg_.fault ? cfg_.fault->seed : 0;
     telemetry::fillManifestFromReport(info, report);
     info.wallBreakdown.emplace_back("run", report.wallSeconds);
-    for (const std::string *out :
-         {&cfg_.telemetry.file, &cfg_.trace.file,
-          &cfg_.trace.utilizationFile, &cfg_.trace.analysisFile})
-        if (!out->empty())
-            info.outputs.push_back(*out);
+    info.outputs = cfg_.outputFiles();
     telemetry::writeManifest(cfg_.telemetry.manifest, info);
 }
 

@@ -47,6 +47,11 @@ struct RunConfig
     /** Heartbeats and run manifest (docs/observability.md); off by
      *  default. The Report's footprint rollup is always measured. */
     telemetry::TelemetryConfig telemetry;
+
+    /** Files the run writes besides the manifest, in manifest order:
+     *  heartbeat stream, trace, utilization series, analysis report
+     *  (unset ones omitted). */
+    std::vector<std::string> outputFiles() const;
 };
 
 /** Live-state providers the owner hands to observe(). */

@@ -11,33 +11,15 @@ namespace cluster {
 
 namespace {
 
-/** Reject unknown keys with a path-qualified error ("cluster.jobs.2:
- *  unknown key 'placment'"). */
-void
-checkKeys(const json::Value &v, const std::string &path,
-          std::initializer_list<const char *> allowed)
-{
-    if (!v.isObject())
-        return;
-    for (const auto &[key, value] : v.asObject()) {
-        (void)value;
-        bool known = false;
-        for (const char *a : allowed)
-            known = known || key == a;
-        ASTRA_USER_CHECK(known, "%s: unknown key '%s'", path.c_str(),
-                         key.c_str());
-    }
-}
-
 JobSpec
 jobFromJson(const json::Value &j, const Topology &topo,
             NetworkBackendKind backend, PlacementPolicy default_policy,
             const json::Value *default_system, const std::string &path)
 {
-    checkKeys(j, path,
-              {"name", "arrival_ns", "priority", "placement", "npus",
-               "job_topology", "size", "system", "workload", "count",
-               "checkpoint", "estimated_duration_ns"});
+    json::checkKeys(j, path,
+                    {"name", "arrival_ns", "priority", "placement", "npus",
+                     "job_topology", "size", "system", "workload", "count",
+                     "checkpoint", "estimated_duration_ns"});
     JobSpec spec;
     spec.name = j.getString("name", "");
     spec.arrival = j.getNumber("arrival_ns", 0.0);
@@ -118,16 +100,16 @@ scenarioFromJson(const json::Value &doc)
 {
     ASTRA_USER_CHECK(isClusterDoc(doc),
                      "not a cluster configuration (missing 'cluster')");
-    checkKeys(doc, "config",
-              {"topology", "backend", "system", "cluster", "fault",
-               "trace", "telemetry"});
+    json::checkKeys(doc, "config",
+                    {"topology", "backend", "system", "cluster", "fault",
+                     "trace", "telemetry"});
     ASTRA_USER_CHECK(doc.has("topology"),
                      "cluster config: missing 'topology'");
 
     const json::Value &c = doc.at("cluster");
-    checkKeys(c, "cluster",
-              {"admission", "baselines", "placement", "jobs",
-               "checkpoint", "spares"});
+    json::checkKeys(c, "cluster",
+                    {"admission", "baselines", "placement", "jobs",
+                     "checkpoint", "spares"});
     ClusterScenario scenario{sweep::topologyFromSpec(doc.at("topology")),
                              ClusterConfig{},
                              {}};

@@ -1,42 +1,67 @@
 #include "common/cli.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
+#include <cstdlib>
 
 #include "common/logging.h"
 
 namespace astra {
 
+FlagGroup
+logFlags()
+{
+    return {{"log-level", FlagKind::Value, "error | warn | info | debug"},
+            {"verbose", FlagKind::Switch, "same as --log-level info"}};
+}
+
+int64_t
+parseInt(const std::string &text, const std::string &what)
+{
+    char *end = nullptr;
+    errno = 0;
+    long long v = std::strtoll(text.c_str(), &end, 10);
+    ASTRA_USER_CHECK(!text.empty() && *end == '\0' && errno == 0,
+                     "%s expects an integer, got '%s'", what.c_str(),
+                     text.c_str());
+    return v;
+}
+
 CommandLine::CommandLine(int argc, const char *const *argv,
-                         std::vector<std::string> known)
+                         const std::vector<Flag> &flags)
 {
     for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0) {
-            positional_.push_back(arg);
+        std::string name = argv[i];
+        if (name.rfind("--", 0) != 0) {
+            positional_.push_back(name);
             continue;
         }
-        std::string body = arg.substr(2);
-        std::string name = body;
-        std::string value;
-        bool has_value = false;
-        size_t eq = body.find('=');
-        if (eq != std::string::npos) {
-            name = body.substr(0, eq);
-            value = body.substr(eq + 1);
-            has_value = true;
-        }
-        ASTRA_USER_CHECK(
-            std::find(known.begin(), known.end(), name) != known.end(),
-            "unknown flag --%s", name.c_str());
-        if (!has_value) {
-            // `--flag value` form when the next token is not a flag;
-            // otherwise a boolean switch.
-            if (i + 1 < argc &&
-                std::string(argv[i + 1]).rfind("--", 0) != 0) {
-                value = argv[++i];
-            } else {
+        name.erase(0, 2);
+        size_t eq = name.find('=');
+        bool inline_value = eq != std::string::npos;
+        std::string value = inline_value ? name.substr(eq + 1) : "";
+        name = name.substr(0, eq);
+        auto flag = std::find_if(flags.begin(), flags.end(),
+                                 [&](const Flag &f) { return name == f.name; });
+        ASTRA_USER_CHECK(flag != flags.end(), "unknown flag --%s (see --help)",
+                         name.c_str());
+        bool next_is_value =
+            i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0;
+        if (flag->kind == FlagKind::Switch) {
+            if (!inline_value || value == "true" || value == "1" ||
+                value == "yes")
                 value = "true";
-            }
+            else if (value == "false" || value == "0" || value == "no")
+                value = "false";
+            else
+                fatal("flag --%s is a switch: expected true or false, "
+                      "got '%s'", name.c_str(), value.c_str());
+        } else if (!inline_value && next_is_value) {
+            value = argv[++i];
+        } else {
+            ASTRA_USER_CHECK(inline_value || flag->kind == FlagKind::Optional,
+                             "flag --%s expects a value", name.c_str());
         }
         flags_[name] = value;
     }
@@ -58,38 +83,86 @@ CommandLine::getString(const std::string &name, const std::string &dflt) const
 double
 CommandLine::getDouble(const std::string &name, double dflt) const
 {
-    auto it = flags_.find(name);
-    if (it == flags_.end())
+    if (!has(name))
         return dflt;
-    try {
-        return std::stod(it->second);
-    } catch (const std::exception &) {
-        fatal("flag --%s expects a number, got '%s'", name.c_str(),
-              it->second.c_str());
-    }
+    const std::string &text = flags_.at(name);
+    char *end = nullptr;
+    errno = 0;
+    double v = std::strtod(text.c_str(), &end);
+    ASTRA_USER_CHECK(!text.empty() && *end == '\0' && errno == 0,
+                     "flag --%s expects a number, got '%s'", name.c_str(),
+                     text.c_str());
+    return v;
 }
 
 int64_t
 CommandLine::getInt(const std::string &name, int64_t dflt) const
 {
-    auto it = flags_.find(name);
-    if (it == flags_.end())
-        return dflt;
-    try {
-        return std::stoll(it->second);
-    } catch (const std::exception &) {
-        fatal("flag --%s expects an integer, got '%s'", name.c_str(),
-              it->second.c_str());
-    }
+    return has(name) ? parseInt(flags_.at(name), "flag --" + name) : dflt;
 }
 
 bool
 CommandLine::getBool(const std::string &name, bool dflt) const
 {
-    auto it = flags_.find(name);
-    if (it == flags_.end())
-        return dflt;
-    return it->second == "true" || it->second == "1" || it->second == "yes";
+    return has(name) ? flags_.at(name) == "true" : dflt;
+}
+
+int
+runCli(int argc, const char *const *argv, const CliSpec &spec,
+       const std::function<int(const CommandLine &)> &body)
+{
+    std::vector<Flag> flags;
+    for (const FlagGroup &group : spec.groups)
+        flags.insert(flags.end(), group.begin(), group.end());
+    if (spec.sample)
+        flags.push_back(
+            {"sample", FlagKind::Value, "write an example input and exit"});
+    flags.push_back({"help", FlagKind::Switch, "print this help and exit"});
+    try {
+        CommandLine cl(argc, argv, flags);
+        if (cl.getBool("help")) {
+            std::vector<std::string> usage = spec.usage;
+            if (usage.empty()) {
+                std::string prog = argv[0];
+                usage.push_back(prog.substr(prog.rfind('/') + 1) +
+                                " [flags]");
+            }
+            for (size_t i = 0; i < usage.size(); ++i)
+                std::printf("%s%s\n", i == 0 ? "usage: " : "       ",
+                            usage[i].c_str());
+            std::printf("\nflags:\n");
+            for (const Flag &f : flags) {
+                const char *arg = f.kind == FlagKind::Value      ? " VALUE"
+                                  : f.kind == FlagKind::Optional ? " [VALUE]"
+                                                                 : "";
+                std::string synopsis = std::string("--") + f.name + arg;
+                std::printf("  %-30s %s\n", synopsis.c_str(), f.help);
+            }
+            return 0;
+        }
+        if (cl.has("sample")) {
+            spec.sample(cl.getString("sample", ""));
+            std::printf("wrote %s\n", cl.getString("sample", "").c_str());
+            return 0;
+        }
+        ASTRA_USER_CHECK(cl.positional().size() <= spec.maxPositional,
+                         "unexpected argument '%s' (see --help)",
+                         cl.positional()[spec.maxPositional].c_str());
+        LogLevel level =
+            cl.getBool("verbose") ? LogLevel::Info : LogLevel::Warn;
+        if (cl.has("log-level"))
+            level = logLevelFromString(cl.getString("log-level", ""));
+        setLogLevel(level);
+        return body(cl);
+    } catch (const FatalError &e) {
+        // Messages quote user input (flags, JSON keys); keep the
+        // report to one line whatever they contain.
+        std::string msg = e.what();
+        std::replace(msg.begin(), msg.end(), '\n', ' ');
+        std::fflush(stdout);
+        std::fprintf(stderr, "error: %s\n", msg.c_str());
+        return 2;
+    }
 }
 
 } // namespace astra

@@ -1,5 +1,6 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -548,6 +549,27 @@ writeFile(const std::string &path, const Value &v, int indent)
     std::ofstream out(path);
     ASTRA_USER_CHECK(out.good(), "json: cannot write '%s'", path.c_str());
     out << v.dump(indent) << "\n";
+}
+
+void
+checkKeys(const Value &doc, const std::string &path,
+          std::initializer_list<const char *> allowed)
+{
+    ASTRA_USER_CHECK(doc.isObject(), "%s: expected an object",
+                     path.c_str());
+    auto expected = [&allowed] {
+        std::string out;
+        for (const char *a : allowed)
+            out += (out.empty() ? "" : " | ") + std::string(a);
+        return out;
+    };
+    for (const auto &kv : doc.asObject())
+        ASTRA_USER_CHECK(
+            std::find(allowed.begin(), allowed.end(), kv.first) !=
+                allowed.end(),
+            "%s: unknown key '%s' (%s.%s; expected %s)", path.c_str(),
+            kv.first.c_str(), path.c_str(), kv.first.c_str(),
+            expected().c_str());
 }
 
 } // namespace json

@@ -10,6 +10,7 @@
 #define ASTRA_COMMON_JSON_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -114,6 +115,12 @@ Value parseFile(const std::string &path);
 
 /** Write a JSON document to a file; fatal() if unwritable. */
 void writeFile(const std::string &path, const Value &v, int indent = 2);
+
+/** fatal() unless `doc` is an object whose keys are all `allowed`. The
+ *  message reads "<path>: unknown key '<k>'", then the key's full path
+ *  and the allowed keys, so a typo names its own fix. */
+void checkKeys(const Value &doc, const std::string &path,
+               std::initializer_list<const char *> allowed);
 
 } // namespace json
 } // namespace astra

@@ -81,18 +81,6 @@ logLevelFromString(const std::string &name)
 }
 
 void
-setVerbose(bool verbose)
-{
-    g_level = verbose ? LogLevel::Info : LogLevel::Warn;
-}
-
-bool
-verbose()
-{
-    return logEnabled(LogLevel::Info);
-}
-
-void
 logStr(LogLevel level, const char *tag, const std::string &msg)
 {
     if (!logEnabled(level))

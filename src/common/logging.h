@@ -59,14 +59,6 @@ const char *logLevelName(LogLevel level);
  *  on anything else. */
 LogLevel logLevelFromString(const std::string &name);
 
-/**
- * Legacy verbosity switch, now a shim over the level threshold:
- * setVerbose(true) = Info, setVerbose(false) = Warn; verbose() is
- * "Info messages currently print". Prefer setLogLevel().
- */
-void setVerbose(bool verbose);
-bool verbose();
-
 /** Core sink: print `msg` at `level` with an optional subsystem tag
  *  (nullptr = untagged), honoring the global threshold. */
 void logStr(LogLevel level, const char *tag, const std::string &msg);

@@ -80,21 +80,6 @@ parseKind(const std::string &name, const std::string &path)
           path.c_str(), name.c_str());
 }
 
-void
-checkKeys(const json::Value &doc, const std::string &path,
-          std::initializer_list<const char *> allowed)
-{
-    for (const auto &[key, v] : doc.asObject()) {
-        (void)v;
-        bool ok = false;
-        for (const char *a : allowed)
-            if (key == a)
-                ok = true;
-        ASTRA_USER_CHECK(ok, "%s: unknown key '%s'", path.c_str(),
-                         key.c_str());
-    }
-}
-
 double
 requireFinite(double v, const std::string &path, const char *what)
 {
@@ -115,11 +100,9 @@ requireNonNegative(double v, const std::string &path, const char *what)
 FaultEvent
 eventFromJson(const json::Value &doc, const std::string &path)
 {
-    ASTRA_USER_CHECK(doc.isObject(), "%s: fault event must be an object",
-                     path.c_str());
-    checkKeys(doc, path,
-              {"at_ns", "kind", "src", "dst", "dim", "npu", "scale",
-               "compute_scale", "injection_scale", "domain"});
+    json::checkKeys(doc, path,
+                    {"at_ns", "kind", "src", "dst", "dim", "npu", "scale",
+                     "compute_scale", "injection_scale", "domain"});
     ASTRA_USER_CHECK(doc.has("kind"), "%s: missing 'kind'", path.c_str());
     ASTRA_USER_CHECK(doc.has("at_ns"), "%s: missing 'at_ns'",
                      path.c_str());
@@ -224,10 +207,9 @@ eventToJson(const FaultEvent &ev)
 FailureDomain
 domainFromJson(const json::Value &doc, const std::string &path)
 {
-    ASTRA_USER_CHECK(doc.isObject(), "%s: domain must be an object",
-                     path.c_str());
-    checkKeys(doc, path,
-              {"name", "level", "index", "npus", "mtbf_ns", "mttr_ns"});
+    json::checkKeys(doc, path,
+                    {"name", "level", "index", "npus", "mtbf_ns",
+                     "mttr_ns"});
     FailureDomain d;
     ASTRA_USER_CHECK(doc.has("name"), "%s: missing 'name'",
                      path.c_str());
@@ -329,13 +311,11 @@ FaultConfig::empty() const
 FaultConfig
 faultConfigFromJson(const json::Value &doc, const std::string &path)
 {
-    ASTRA_USER_CHECK(doc.isObject(), "%s: must be an object",
-                     path.c_str());
-    checkKeys(doc, path,
-              {"seed", "horizon_ns", "schedule", "npu_mtbf_ns",
-               "npu_mttr_ns", "link_mtbf_ns", "link_mttr_ns",
-               "link_degrade_scale", "domains", "domain_mtbf_ns",
-               "domain_mttr_ns"});
+    json::checkKeys(doc, path,
+                    {"seed", "horizon_ns", "schedule", "npu_mtbf_ns",
+                     "npu_mttr_ns", "link_mtbf_ns", "link_mttr_ns",
+                     "link_degrade_scale", "domains", "domain_mtbf_ns",
+                     "domain_mttr_ns"});
 
     FaultConfig cfg;
     cfg.seed = static_cast<uint64_t>(doc.getInt("seed", 1));
@@ -428,10 +408,9 @@ faultConfigToJson(const FaultConfig &cfg)
 CheckpointPolicy
 checkpointFromJson(const json::Value &doc, const std::string &path)
 {
-    ASTRA_USER_CHECK(doc.isObject(), "%s: must be an object",
-                     path.c_str());
-    checkKeys(doc, path,
-              {"interval_ns", "cost_ns", "restart_delay_ns", "restart"});
+    json::checkKeys(doc, path,
+                    {"interval_ns", "cost_ns", "restart_delay_ns",
+                     "restart"});
     CheckpointPolicy p;
     if (doc.has("interval_ns") && doc.at("interval_ns").isString()) {
         const std::string &s = doc.at("interval_ns").asString();

@@ -164,18 +164,9 @@ tuneCheckpointInterval(const json::Value &clusterDoc, int refineEvals)
 json::Value
 runResilienceStudy(const json::Value &studyDoc, int threads)
 {
-    if (studyDoc.isObject()) {
-        for (const auto &[key, value] : studyDoc.asObject()) {
-            (void)value;
-            bool known = false;
-            for (const char *a : {"name", "config", "seeds",
-                                  "tune_checkpoint", "placements"})
-                known = known || key == a;
-            ASTRA_USER_CHECK(known,
-                             "resilience study: unknown key '%s'",
-                             key.c_str());
-        }
-    }
+    json::checkKeys(studyDoc, "resilience study",
+                    {"name", "config", "seeds", "tune_checkpoint",
+                     "placements"});
     std::string name = studyDoc.getString("name", "resilience_study");
     ASTRA_USER_CHECK(studyDoc.has("config"),
                      "resilience study: missing 'config'");

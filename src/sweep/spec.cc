@@ -433,21 +433,9 @@ materializeConfig(const json::Value &doc)
     // Reject unknown top-level keys with a path-qualified error: a
     // typoed key ("falut", "backund") would otherwise be silently
     // ignored and the run would report healthy default behavior.
-    static const char *const kKnownKeys[] = {"topology", "backend",
-                                             "system", "workload",
-                                             "fault", "trace",
-                                             "telemetry"};
-    for (const auto &[key, value] : doc.asObject()) {
-        (void)value;
-        bool known = false;
-        for (const char *k : kKnownKeys)
-            known = known || key == k;
-        ASTRA_USER_CHECK(known,
-                         "config: unknown top-level key '%s' "
-                         "(topology | backend | system | workload | "
-                         "fault | trace | telemetry)",
-                         key.c_str());
-    }
+    json::checkKeys(doc, "config",
+                    {"topology", "backend", "system", "workload", "fault",
+                     "trace", "telemetry"});
     ASTRA_USER_CHECK(doc.has("topology"),
                      "sweep config: missing 'topology'");
     Topology topo = topologyFromSpec(doc.at("topology"));

@@ -17,17 +17,8 @@ namespace telemetry {
 TelemetryConfig
 telemetryConfigFromJson(const json::Value &doc, const std::string &path)
 {
-    ASTRA_USER_CHECK(doc.isObject(), "%s: expected an object",
-                     path.c_str());
-    static const char *known[] = {"file", "interval_ms", "interval_events",
-                                  "manifest"};
-    for (const auto &kv : doc.asObject()) {
-        bool ok = false;
-        for (const char *k : known)
-            ok = ok || kv.first == k;
-        ASTRA_USER_CHECK(ok, "%s.%s: unknown telemetry config key",
-                         path.c_str(), kv.first.c_str());
-    }
+    json::checkKeys(doc, path,
+                    {"file", "interval_ms", "interval_events", "manifest"});
     TelemetryConfig cfg;
     cfg.file = doc.getString("file", "");
     cfg.intervalMs = doc.getNumber("interval_ms", 0.0);
@@ -52,20 +43,24 @@ telemetryConfigToJson(const TelemetryConfig &cfg)
     return json::Value(std::move(doc));
 }
 
+FlagGroup
+cliFlags()
+{
+    return {{"heartbeat", FlagKind::Value, "stream NDJSON heartbeats"},
+            {"heartbeat-interval-ms", FlagKind::Value, "wall-clock cadence"},
+            {"heartbeat-events", FlagKind::Value, "event-count cadence"},
+            {"manifest", FlagKind::Value, "write a run manifest"}};
+}
+
 TelemetryConfig
 telemetryConfigFromCli(const CommandLine &cl, TelemetryConfig base)
 {
     TelemetryConfig cfg = std::move(base);
-    if (cl.has("heartbeat"))
-        cfg.file = cl.getString("heartbeat", cfg.file);
-    if (cl.has("heartbeat-interval-ms"))
-        cfg.intervalMs =
-            cl.getDouble("heartbeat-interval-ms", cfg.intervalMs);
-    if (cl.has("heartbeat-events"))
-        cfg.intervalEvents = static_cast<uint64_t>(
-            cl.getInt("heartbeat-events", int64_t(cfg.intervalEvents)));
-    if (cl.has("manifest"))
-        cfg.manifest = cl.getString("manifest", cfg.manifest);
+    cfg.file = cl.getString("heartbeat", cfg.file);
+    cfg.intervalMs = cl.getDouble("heartbeat-interval-ms", cfg.intervalMs);
+    cfg.intervalEvents = static_cast<uint64_t>(
+        cl.getInt("heartbeat-events", int64_t(cfg.intervalEvents)));
+    cfg.manifest = cl.getString("manifest", cfg.manifest);
     ASTRA_USER_CHECK(cfg.intervalMs >= 0.0,
                      "--heartbeat-interval-ms: must be >= 0");
     // A sink without a cadence implies the deterministic default.

@@ -43,12 +43,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/json.h"
 #include "common/units.h"
 
 namespace astra {
 
-class CommandLine;
 class Topology;
 struct Report;
 
@@ -97,12 +97,14 @@ TelemetryConfig telemetryConfigFromJson(const json::Value &doc,
                                         const std::string &path);
 json::Value telemetryConfigToJson(const TelemetryConfig &cfg);
 
+/** The shared telemetry CLI flags (docs/cli.md). */
+FlagGroup cliFlags();
+
 /**
- * Layer the shared CLI flags over `base`: --heartbeat FILE,
- * --heartbeat-interval-ms N, --heartbeat-events N, --manifest FILE.
- * Asking for a heartbeat file without a cadence implies the default
- * event cadence (kDefaultIntervalEvents) so the beats stay
- * deterministic unless wall cadence is explicitly requested.
+ * Layer the cliFlags() values over `base`. Asking for a heartbeat
+ * file without a cadence implies the default event cadence
+ * (kDefaultIntervalEvents) so the beats stay deterministic unless
+ * wall cadence is explicitly requested.
  */
 TelemetryConfig telemetryConfigFromCli(const CommandLine &cl,
                                        TelemetryConfig base = {});

@@ -75,18 +75,10 @@ detailFromString(const std::string &name, const std::string &path)
 TraceConfig
 traceConfigFromJson(const json::Value &doc, const std::string &path)
 {
-    ASTRA_USER_CHECK(doc.isObject(), "%s: expected an object",
-                     path.c_str());
-    static const char *known[] = {"file", "detail", "utilization_bucket_ns",
-                                  "utilization_file", "rate_epsilon",
-                                  "analysis", "analysis_file"};
-    for (const auto &kv : doc.asObject()) {
-        bool ok = false;
-        for (const char *k : known)
-            ok = ok || kv.first == k;
-        ASTRA_USER_CHECK(ok, "%s.%s: unknown trace config key",
-                         path.c_str(), kv.first.c_str());
-    }
+    json::checkKeys(doc, path,
+                    {"file", "detail", "utilization_bucket_ns",
+                     "utilization_file", "rate_epsilon", "analysis",
+                     "analysis_file"});
     TraceConfig cfg;
     cfg.file = doc.getString("file", "");
     cfg.detail = detailFromString(doc.getString("detail", "off"),
@@ -123,24 +115,29 @@ traceConfigToJson(const TraceConfig &cfg)
     return json::Value(std::move(doc));
 }
 
+FlagGroup
+cliFlags(const char *file_flag)
+{
+    return {{file_flag, FlagKind::Value, "write the Chrome trace timeline"},
+            {"trace-detail", FlagKind::Value, "off | spans | full"},
+            {"trace-util", FlagKind::Value, "write link utilization"},
+            {"trace-util-bucket", FlagKind::Value, "its bucket in ns"},
+            {"trace-rate-eps", FlagKind::Value, "flow rate coalescing"},
+            {"trace-analysis", FlagKind::Switch, "critical path, hot links"},
+            {"trace-analysis-out", FlagKind::Value, "write the analysis"}};
+}
+
 TraceConfig
 traceConfigFromCli(const CommandLine &cl, const char *file_flag,
                    TraceConfig base)
 {
     TraceConfig cfg = std::move(base);
-    if (cl.has(file_flag))
-        cfg.file = cl.getString(file_flag, cfg.file);
-    if (cl.has("trace-util"))
-        cfg.utilizationFile = cl.getString("trace-util",
-                                           cfg.utilizationFile);
-    if (cl.has("trace-util-bucket"))
-        cfg.utilizationBucketNs =
-            cl.getDouble("trace-util-bucket", cfg.utilizationBucketNs);
-    if (cl.has("trace-rate-eps"))
-        cfg.rateEpsilon = cl.getDouble("trace-rate-eps", cfg.rateEpsilon);
-    if (cl.has("trace-analysis-out"))
-        cfg.analysisFile =
-            cl.getString("trace-analysis-out", cfg.analysisFile);
+    cfg.file = cl.getString(file_flag, cfg.file);
+    cfg.utilizationFile = cl.getString("trace-util", cfg.utilizationFile);
+    cfg.utilizationBucketNs =
+        cl.getDouble("trace-util-bucket", cfg.utilizationBucketNs);
+    cfg.rateEpsilon = cl.getDouble("trace-rate-eps", cfg.rateEpsilon);
+    cfg.analysisFile = cl.getString("trace-analysis-out", cfg.analysisFile);
     if (cl.getBool("trace-analysis") || !cfg.analysisFile.empty())
         cfg.analysis = true;
     if (cl.has("trace-detail"))

@@ -36,13 +36,13 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/json.h"
 #include "common/units.h"
 
 namespace astra {
 
 struct QueueProfile;
-class CommandLine;
 
 namespace trace {
 
@@ -100,20 +100,15 @@ TraceConfig traceConfigFromJson(const json::Value &doc,
                                 const std::string &path);
 json::Value traceConfigToJson(const TraceConfig &cfg);
 
-/**
- * Layer the shared tracing CLI flags over `base` (a config parsed
- * from JSON, or the default): `--<file_flag> FILE` sets the Chrome
- * trace path (and implies detail `spans` if still off),
- * `--trace-detail off|spans|full`, `--trace-util FILE` the
- * utilization series path (implying a 1000 ns bucket if none set),
- * `--trace-util-bucket NS` the bucket width, `--trace-rate-eps F` the
- * flow rate-segment coalescing threshold, and `--trace-analysis` /
- * `--trace-analysis-out FILE` the post-run analytics pass (implying
- * detail `full` if still off — the analyzers want message and
- * chunk-phase spans). `file_flag` is "trace-out" where `--trace`
- * already means an input ET file (astra_sim, trace_runner) and
- * "trace" in cluster_runner.
- */
+/** The shared tracing CLI flags (docs/cli.md). `--<file_flag>` names
+ *  the Chrome trace: "trace-out" where `--trace` already names an
+ *  input ET file (astra_sim, trace_runner), "trace" in cluster_runner. */
+FlagGroup cliFlags(const char *file_flag);
+
+/** Layer the cliFlags(`file_flag`) values over `base` (a config parsed
+ *  from JSON, or the default). An output file while detail is off
+ *  implies `spans`, analysis implies `full` (the analyzers want message
+ *  and chunk-phase spans), and a utilization file a 1000 ns bucket. */
 TraceConfig traceConfigFromCli(const CommandLine &cl,
                                const char *file_flag,
                                TraceConfig base = {});

@@ -31,17 +31,6 @@ TEST(Logging, UserCheckMacro)
     EXPECT_THROW(ASTRA_USER_CHECK(false, "bad input %s", "x"), FatalError);
 }
 
-TEST(Logging, VerboseToggle)
-{
-    bool before = verbose();
-    setVerbose(false);
-    EXPECT_FALSE(verbose());
-    inform("this should be swallowed");
-    setVerbose(true);
-    EXPECT_TRUE(verbose());
-    setVerbose(before);
-}
-
 TEST(Logging, LevelThresholdOrdering)
 {
     LogLevel before = logLevel();
@@ -52,11 +41,6 @@ TEST(Logging, LevelThresholdOrdering)
     EXPECT_FALSE(logEnabled(LogLevel::Debug));
     setLogLevel(LogLevel::Debug);
     EXPECT_TRUE(logEnabled(LogLevel::Debug));
-    // The legacy verbose shim maps onto the threshold.
-    setVerbose(true);
-    EXPECT_EQ(logLevel(), LogLevel::Info);
-    setVerbose(false);
-    EXPECT_EQ(logLevel(), LogLevel::Warn);
     setLogLevel(before);
 }
 

@@ -319,7 +319,7 @@ TEST(TimingWheel, SweepRowKeepsHeapShareBelowOnePercent)
     // One Table V HierMem row (MoE-1T, 4 simulated layers, pooled
     // remote memory) spans seconds of simulated time; the wheel's
     // levels cover ~68.7 s, so almost nothing reaches the heap.
-    setVerbose(false);
+    setLogLevel(LogLevel::Warn);
     json::Value doc = json::parse(R"json({
       "topology": "Switch(16,300,300)_Switch(16,25,700)",
       "backend": "analytical",

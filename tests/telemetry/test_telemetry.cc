@@ -48,8 +48,7 @@ makeCli(std::vector<const char *> argv)
 {
     argv.insert(argv.begin(), "prog");
     return CommandLine(static_cast<int>(argv.size()), argv.data(),
-                       {"heartbeat", "heartbeat-interval-ms",
-                        "heartbeat-events", "manifest"});
+                       cliFlags());
 }
 
 /** Mixed compute + collective workload, cheap on every backend. */
