@@ -31,16 +31,16 @@ run(const CommandLine &cl)
     ASTRA_USER_CHECK(cl.has("network") && cl.has("system"),
                      "astra_sim needs --network and --system configs "
                      "(use --emit-samples DIR to generate examples)");
-    json::Value net_doc = json::parseFile(cl.getString("network", ""));
-    json::Value sys_doc = json::parseFile(cl.getString("system", ""));
-
-    Topology topo = topologyFromJson(net_doc);
-    SimulatorConfig cfg =
-        simulatorConfigFromJson(sys_doc, backendFromJson(net_doc));
+    json::Value doc =
+        astraSimDoc(json::parseFile(cl.getString("network", "")),
+                    json::parseFile(cl.getString("system", "")));
     // --trace already names the input ET file, so the timeline output
     // uses --trace-out (docs/trace.md).
-    cfg.trace = trace::traceConfigFromCli(cl, "trace-out", cfg.trace);
-    cfg.telemetry = telemetry::telemetryConfigFromCli(cl, cfg.telemetry);
+    RunBlocks run = runBlocksFromJson(doc, cliOverrides(cl, "trace-out"));
+    Topology topo = std::move(run.topo);
+    SimulatorConfig cfg =
+        simulatorConfigFromJson(doc.at("system"), run.cfg.backend);
+    static_cast<RunConfig &>(cfg) = std::move(run.cfg);
 
     Workload wl;
     if (cl.has("trace")) {
@@ -55,7 +55,7 @@ run(const CommandLine &cl)
 
     std::printf("topology: %s (%d NPUs), backend: %s\n",
                 topo.notation().c_str(), topo.npus(),
-                net_doc.getString("backend", "analytical").c_str());
+                backendName(cfg.backend));
     Simulator sim(std::move(topo), cfg);
     Report report = sim.run(wl);
     std::printf("%s", report.summary().c_str());

@@ -15,6 +15,7 @@
 #include <string>
 #include <utility>
 
+#include "astra/config.h"
 #include "cluster/config.h"
 #include "common/cli.h"
 #include "common/logging.h"
@@ -72,10 +73,8 @@ runDemo(const std::string &backend, const CommandLine &cli)
                 "backend '%s'\n\n",
                 backend.c_str());
     for (const char *placement : {"contiguous", "spread"}) {
-        ClusterScenario scenario =
-            scenarioFromJson(demoDoc(backend, placement));
-        scenario.cfg.trace = trace::traceConfigFromCli(
-            cli, "trace", scenario.cfg.trace);
+        ClusterScenario scenario = scenarioFromJson(
+            demoDoc(backend, placement), cliOverrides(cli, "trace"));
         scenario.cfg.trace.file =
             tagPath(scenario.cfg.trace.file, placement);
         scenario.cfg.trace.utilizationFile =
@@ -106,14 +105,13 @@ run(const CommandLine &cli)
     ASTRA_USER_CHECK(cli.positional().size() == 1,
                      "expected one scenario file (see --help)");
 
-    json::Value doc = json::parseFile(cli.positional()[0]);
-    ClusterScenario scenario = scenarioFromJson(doc);
+    // The flags write over the file's trace and telemetry blocks; the
+    // manifest's config hash stays the file's.
+    ClusterScenario scenario =
+        scenarioFromJson(json::parseFile(cli.positional()[0]),
+                         cliOverrides(cli, "trace"));
     if (cli.getBool("no-baselines"))
         scenario.cfg.isolatedBaselines = false;
-    scenario.cfg.trace =
-        trace::traceConfigFromCli(cli, "trace", scenario.cfg.trace);
-    scenario.cfg.telemetry =
-        telemetry::telemetryConfigFromCli(cli, scenario.cfg.telemetry);
 
     std::printf("cluster: %s, backend %s, %zu jobs, admission %s\n\n",
                 scenario.topo.notation().c_str(),

@@ -10,6 +10,7 @@
  * prints the span-level explanation of their difference; --diff-rows
  * does the same for any row pair (docs/trace.md). The telemetry flags
  * stream batch progress and write manifests (docs/observability.md).
+ * A batch with any failed row exits 2 after writing its outputs.
  */
 #include <sys/stat.h>
 
@@ -193,6 +194,15 @@ run(const CommandLine &cli)
             info.outputs.push_back(cache_path);
         telemetry::writeManifest(manifest_path, info);
         std::printf("wrote %s\n", manifest_path.c_str());
+    }
+    // The outputs above still record every row; a failed row makes
+    // the batch a user error all the same.
+    for (size_t i = 0; i < store.rows(); ++i) {
+        const SweepResult &r = store.row(i);
+        if (r.failed)
+            fatal("%zu of %zu configurations failed (first: #%zu %s: %s)",
+                  failures, store.rows(), r.config.index,
+                  r.config.label.c_str(), r.error.c_str());
     }
     return 0;
 }

@@ -1,85 +1,50 @@
 #include "astra/config.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/logging.h"
-#include "topology/notation.h"
+#include "sweep/spec.h"
 
 namespace astra {
-
-Topology
-topologyFromJson(const json::Value &doc)
-{
-    if (doc.has("topology"))
-        return parseTopology(doc.at("topology").asString());
-
-    ASTRA_USER_CHECK(doc.has("dims"),
-                     "network config needs either \"topology\" "
-                     "(notation string) or \"dims\" (explicit array)");
-    std::vector<Dimension> dims;
-    for (const json::Value &d : doc.at("dims").asArray()) {
-        Dimension dim;
-        dim.type = parseBlockType(d.at("type").asString());
-        dim.size = static_cast<int>(d.at("size").asInt());
-        dim.bandwidth = d.getNumber("bandwidth_gbps", 100.0);
-        dim.latency = d.getNumber("latency_ns", 500.0);
-        dims.push_back(dim);
-    }
-    return Topology(std::move(dims));
-}
-
-json::Value
-topologyToJson(const Topology &topo)
-{
-    json::Object doc;
-    json::Array dims;
-    for (int d = 0; d < topo.numDims(); ++d) {
-        json::Object o;
-        o["type"] = json::Value(blockLongName(topo.dim(d).type));
-        o["size"] = json::Value(topo.dim(d).size);
-        o["bandwidth_gbps"] = json::Value(topo.dim(d).bandwidth);
-        o["latency_ns"] = json::Value(topo.dim(d).latency);
-        dims.push_back(json::Value(std::move(o)));
-    }
-    doc["dims"] = json::Value(std::move(dims));
-    return json::Value(std::move(doc));
-}
 
 NetworkBackendKind
 backendFromJson(const json::Value &doc)
 {
-    std::string name = doc.getString("backend", "analytical");
-    if (name == "analytical")
-        return NetworkBackendKind::Analytical;
-    if (name == "analytical-pure")
-        return NetworkBackendKind::AnalyticalPure;
-    if (name == "flow")
-        return NetworkBackendKind::Flow;
-    if (name == "packet")
-        return NetworkBackendKind::Packet;
-    fatal("network config: unknown backend '%s' (analytical | "
-          "analytical-pure | flow | packet)",
-          name.c_str());
+    std::string name = doc.getString("backend", kBackendNames[0]);
+    std::string expected;
+    for (size_t i = 0; i < std::size(kBackendNames); ++i) {
+        if (name == kBackendNames[i])
+            return static_cast<NetworkBackendKind>(i);
+        expected += (i == 0 ? "" : " | ") + std::string(kBackendNames[i]);
+    }
+    fatal("network config: unknown backend '%s' (%s)", name.c_str(),
+          expected.c_str());
 }
 
 namespace {
 
 RemoteMemoryConfig
-pooledFromJson(const json::Value &m)
+pooledFromJson(const json::Value &m, const std::string &path)
 {
+    json::checkKeys(m, path,
+                    {"kind", "architecture", "nodes", "gpus_per_node",
+                     "out_node_switches", "remote_memory_groups",
+                     "chunk_bytes", "remote_group_bw_gbps",
+                     "gpu_side_bw_gbps", "in_node_fabric_bw_gbps",
+                     "latency_ns"});
     RemoteMemoryConfig pool;
-    std::string arch = m.getString("architecture", "hierarchical");
-    if (arch == "hierarchical")
-        pool.arch = PoolArch::Hierarchical;
-    else if (arch == "multi_level_switch")
-        pool.arch = PoolArch::MultiLevelSwitch;
-    else if (arch == "ring")
-        pool.arch = PoolArch::Ring;
-    else if (arch == "mesh")
-        pool.arch = PoolArch::Mesh;
-    else
-        fatal("system config: unknown pool architecture '%s'",
-              arch.c_str());
+    std::string arch = m.getString("architecture", poolArchName(pool.arch));
+    auto archs = {PoolArch::Hierarchical, PoolArch::MultiLevelSwitch,
+                  PoolArch::Ring, PoolArch::Mesh};
+    auto it = std::find_if(archs.begin(), archs.end(), [&](PoolArch a) {
+        return arch == poolArchName(a);
+    });
+    ASTRA_USER_CHECK(it != archs.end(),
+                     "system config: unknown pool architecture '%s'",
+                     arch.c_str());
+    pool.arch = *it;
     pool.numNodes = static_cast<int>(m.getInt("nodes", pool.numNodes));
     pool.gpusPerNode =
         static_cast<int>(m.getInt("gpus_per_node", pool.gpusPerNode));
@@ -98,22 +63,41 @@ pooledFromJson(const json::Value &m)
     return pool;
 }
 
+/** `doc[name]` with the keys of `flags[name]` written over it. */
+json::Value
+layeredBlock(const json::Value &doc, const json::Value &flags,
+             const char *name)
+{
+    json::Value block =
+        doc.has(name) ? doc.at(name).clone() : json::Value(json::Object{});
+    if (flags.has(name) && block.isObject())
+        for (const auto &[key, value] : flags.at(name).asObject())
+            block.mutableObject()[key] = value;
+    return block;
+}
+
 } // namespace
 
 SimulatorConfig
 simulatorConfigFromJson(const json::Value &system_doc,
-                        NetworkBackendKind backend)
+                        NetworkBackendKind backend, const std::string &path)
 {
+    json::checkKeys(system_doc, path,
+                    {"peak_tflops", "compute_mem_bw_gbps",
+                     "kernel_overhead_ns", "collective_chunks",
+                     "scheduling_policy", "serialize_chunks", "local_memory",
+                     "remote_memory"});
     SimulatorConfig cfg;
     cfg.backend = backend;
-    cfg.sys.compute.peakTflops =
-        system_doc.getNumber("peak_tflops", 234.0);
-    cfg.sys.compute.memBandwidth =
-        system_doc.getNumber("compute_mem_bw_gbps", 2039.0);
-    cfg.sys.compute.kernelOverhead =
-        system_doc.getNumber("kernel_overhead_ns", 0.0);
-    cfg.sys.collectiveChunks =
-        static_cast<int>(system_doc.getInt("collective_chunks", 8));
+    ComputeConfig &compute = cfg.sys.compute;
+    compute.peakTflops =
+        system_doc.getNumber("peak_tflops", compute.peakTflops);
+    compute.memBandwidth =
+        system_doc.getNumber("compute_mem_bw_gbps", compute.memBandwidth);
+    compute.kernelOverhead =
+        system_doc.getNumber("kernel_overhead_ns", compute.kernelOverhead);
+    cfg.sys.collectiveChunks = static_cast<int>(
+        system_doc.getInt("collective_chunks", cfg.sys.collectiveChunks));
     std::string policy =
         system_doc.getString("scheduling_policy", "baseline");
     if (policy == "themis")
@@ -124,7 +108,7 @@ simulatorConfigFromJson(const json::Value &system_doc,
         fatal("system config: unknown scheduling_policy '%s'",
               policy.c_str());
     cfg.sys.serializeChunks =
-        system_doc.getBool("serialize_chunks", false);
+        system_doc.getBool("serialize_chunks", cfg.sys.serializeChunks);
 
     // Numeric sanity: NaN or non-positive rates would otherwise be
     // silently accepted and surface as nonsense times (or infinite
@@ -141,14 +125,14 @@ simulatorConfigFromJson(const json::Value &system_doc,
                          "finite number, got %g",
                          key, v);
     };
-    require_positive(cfg.sys.compute.peakTflops, "peak_tflops");
-    require_positive(cfg.sys.compute.memBandwidth,
-                     "compute_mem_bw_gbps");
-    require_non_negative(cfg.sys.compute.kernelOverhead,
-                         "kernel_overhead_ns");
+    require_positive(compute.peakTflops, "peak_tflops");
+    require_positive(compute.memBandwidth, "compute_mem_bw_gbps");
+    require_non_negative(compute.kernelOverhead, "kernel_overhead_ns");
 
     if (system_doc.has("local_memory")) {
         const json::Value &m = system_doc.at("local_memory");
+        json::checkKeys(m, path + ".local_memory",
+                        {"bandwidth_gbps", "latency_ns"});
         cfg.localMem.bandwidth =
             m.getNumber("bandwidth_gbps", cfg.localMem.bandwidth);
         cfg.localMem.latency =
@@ -161,10 +145,13 @@ simulatorConfigFromJson(const json::Value &system_doc,
 
     if (system_doc.has("remote_memory")) {
         const json::Value &m = system_doc.at("remote_memory");
+        std::string remote_path = path + ".remote_memory";
         std::string kind = m.getString("kind", "pooled");
         if (kind == "pooled") {
-            cfg.pooledMem = pooledFromJson(m);
+            cfg.pooledMem = pooledFromJson(m, remote_path);
         } else if (kind == "zero-infinity") {
+            json::checkKeys(m, remote_path,
+                            {"kind", "tier_bw_gbps", "latency_ns"});
             ZeroInfinityConfig zero;
             zero.tierBandwidth =
                 m.getNumber("tier_bw_gbps", zero.tierBandwidth);
@@ -179,48 +166,49 @@ simulatorConfigFromJson(const json::Value &system_doc,
     return cfg;
 }
 
-json::Value
-simulatorConfigToJson(const SimulatorConfig &cfg)
+RunBlocks
+runBlocksFromJson(const json::Value &doc, const json::Value &flags)
 {
+    ASTRA_USER_CHECK(doc.has("topology"), "config: missing 'topology'");
+    RunBlocks run{sweep::topologyFromSpec(doc.at("topology")), {}};
+    run.cfg.backend = backendFromJson(doc);
+    if (doc.has("fault"))
+        run.cfg.fault = fault::faultConfigFromJson(doc.at("fault"), "fault");
+    run.cfg.trace = trace::traceConfigFromJson(
+        layeredBlock(doc, flags, "trace"), "trace");
+    run.cfg.telemetry = telemetry::telemetryConfigFromJson(
+        layeredBlock(doc, flags, "telemetry"), "telemetry");
+    // Provenance for the run's manifest: the hash of the document
+    // itself (the sweep cache identity), not of the flags.
+    run.cfg.telemetry.configHash = sweep::configHash(doc);
+    return run;
+}
+
+json::Value
+cliOverrides(const CommandLine &cl, const char *trace_file_flag)
+{
+    json::Value flags;
+    json::Object &blocks = flags.mutableObject();
+    cl.writeKeys(trace::cliFlags(trace_file_flag), blocks["trace"]);
+    cl.writeKeys(telemetry::cliFlags(), blocks["telemetry"]);
+    return flags;
+}
+
+json::Value
+astraSimDoc(const json::Value &network, const json::Value &system)
+{
+    json::checkKeys(network, "network", {"topology", "dims", "backend"});
+    ASTRA_USER_CHECK(network.has("topology") || network.has("dims"),
+                     "network config needs either \"topology\" "
+                     "(notation string) or \"dims\" (explicit array)");
     json::Object doc;
-    doc["peak_tflops"] = json::Value(cfg.sys.compute.peakTflops);
-    doc["compute_mem_bw_gbps"] =
-        json::Value(cfg.sys.compute.memBandwidth);
-    doc["kernel_overhead_ns"] =
-        json::Value(cfg.sys.compute.kernelOverhead);
-    doc["collective_chunks"] = json::Value(cfg.sys.collectiveChunks);
-    doc["scheduling_policy"] = json::Value(policyName(cfg.sys.policy));
-    doc["serialize_chunks"] = json::Value(cfg.sys.serializeChunks);
-
-    json::Object local;
-    local["bandwidth_gbps"] = json::Value(cfg.localMem.bandwidth);
-    local["latency_ns"] = json::Value(cfg.localMem.latency);
-    doc["local_memory"] = json::Value(std::move(local));
-
-    if (cfg.pooledMem) {
-        const RemoteMemoryConfig &pool = *cfg.pooledMem;
-        json::Object m;
-        m["kind"] = json::Value("pooled");
-        m["architecture"] = json::Value(poolArchName(pool.arch));
-        m["nodes"] = json::Value(pool.numNodes);
-        m["gpus_per_node"] = json::Value(pool.gpusPerNode);
-        m["out_node_switches"] = json::Value(pool.numOutNodeSwitches);
-        m["remote_memory_groups"] =
-            json::Value(pool.numRemoteMemoryGroups);
-        m["chunk_bytes"] = json::Value(pool.chunkBytes);
-        m["remote_group_bw_gbps"] = json::Value(pool.remoteMemGroupBw);
-        m["gpu_side_bw_gbps"] = json::Value(pool.gpuSideOutNodeBw);
-        m["in_node_fabric_bw_gbps"] = json::Value(pool.inNodeFabricBw);
-        m["latency_ns"] = json::Value(pool.baseLatency);
-        doc["remote_memory"] = json::Value(std::move(m));
-    } else if (cfg.zeroInfinityMem) {
-        json::Object m;
-        m["kind"] = json::Value("zero-infinity");
-        m["tier_bw_gbps"] =
-            json::Value(cfg.zeroInfinityMem->tierBandwidth);
-        m["latency_ns"] = json::Value(cfg.zeroInfinityMem->baseLatency);
-        doc["remote_memory"] = json::Value(std::move(m));
-    }
+    doc["topology"] = network.has("topology")
+                          ? network.at("topology")
+                          : json::Value(json::Object{
+                                {"dims", network.at("dims")}});
+    if (network.has("backend"))
+        doc["backend"] = network.at("backend");
+    doc["system"] = system;
     return json::Value(std::move(doc));
 }
 
@@ -228,14 +216,20 @@ void
 writeSampleConfigs(const std::string &network_path,
                    const std::string &system_path)
 {
-    json::Object net;
-    net["topology"] =
-        json::Value("Ring(2,250)_FC(8,200)_Ring(8,100)_Switch(4,50)");
-    net["backend"] = json::Value("analytical");
-    json::writeFile(network_path, json::Value(std::move(net)));
-
-    SimulatorConfig cfg; // library defaults = the paper's A100 system.
-    json::writeFile(system_path, simulatorConfigToJson(cfg));
+    json::writeFile(network_path, json::parse(R"json({
+      "topology": "Ring(2,250)_FC(8,200)_Ring(8,100)_Switch(4,50)",
+      "backend": "analytical"
+    })json"));
+    // The library defaults (SimulatorConfig{}): the paper's A100 system.
+    json::writeFile(system_path, json::parse(R"json({
+      "peak_tflops": 234,
+      "compute_mem_bw_gbps": 2039,
+      "kernel_overhead_ns": 0,
+      "collective_chunks": 8,
+      "scheduling_policy": "baseline",
+      "serialize_chunks": false,
+      "local_memory": {"bandwidth_gbps": 4096, "latency_ns": 100}
+    })json"));
 }
 
 } // namespace astra

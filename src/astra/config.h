@@ -14,8 +14,7 @@
  *   // or explicit:
  *   "dims": [{"type": "Ring", "size": 2,
  *             "bandwidth_gbps": 250, "latency_ns": 500}, ...],
- *   "backend": "analytical" | "analytical-pure" | "flow" | "packet",
- *   "packet_bytes": 4096
+ *   "backend": "analytical" | "analytical-pure" | "flow" | "packet"
  * }
  * ```
  *
@@ -43,6 +42,9 @@
  *   }
  * }
  * ```
+ *
+ * Every block rejects keys outside its schema with a path-qualified
+ * error, so a typo never silently runs the default.
  */
 #ifndef ASTRA_ASTRA_CONFIG_H_
 #define ASTRA_ASTRA_CONFIG_H_
@@ -50,29 +52,48 @@
 #include <string>
 
 #include "astra/simulator.h"
+#include "common/cli.h"
 #include "common/json.h"
 #include "topology/topology.h"
 
 namespace astra {
 
-/** Parse a network config document; fatal() on schema errors. */
-Topology topologyFromJson(const json::Value &doc);
-
-/** Serialize a topology into the explicit-dims network schema. */
-json::Value topologyToJson(const Topology &topo);
-
-/** Backend selection from a network config ("backend" key). */
+/** Backend selection from a config document ("backend" key). */
 NetworkBackendKind backendFromJson(const json::Value &doc);
 
-/** Parse a system config document into a SimulatorConfig (backend is
- *  taken from the network document; pass it in). */
+/** Parse a system config block (`path` names it in errors) into a
+ *  SimulatorConfig; the backend comes from the enclosing document. */
 SimulatorConfig simulatorConfigFromJson(const json::Value &system_doc,
-                                        NetworkBackendKind backend);
+                                        NetworkBackendKind backend,
+                                        const std::string &path = "system");
 
-/** Serialize a SimulatorConfig into the system schema. */
-json::Value simulatorConfigToJson(const SimulatorConfig &cfg);
+/** The run-level blocks of a config document. */
+struct RunBlocks
+{
+    Topology topo;
+    RunConfig cfg;
+};
 
-/** Write commented sample config files (quickstart scaffolding). */
+/**
+ * Parse what RunConfig holds, and the topology, from a config
+ * document: `topology`, `backend`, `fault`, `trace` and `telemetry`,
+ * and stamp the telemetry config hash with sweep::configHash(doc).
+ * `flags` (cliOverrides()) holds `trace` / `telemetry` blocks written
+ * from the command line; their keys replace the document's.
+ */
+RunBlocks runBlocksFromJson(const json::Value &doc,
+                            const json::Value &flags = json::Value());
+
+/** The trace (its file flag named `trace_file_flag`) and telemetry
+ *  flags given on `cl`, as `{"trace": {..}, "telemetry": {..}}`. */
+json::Value cliOverrides(const CommandLine &cl, const char *trace_file_flag);
+
+/** One config document from astra_sim's network and system files:
+ *  {"topology", "backend", "system"}. */
+json::Value astraSimDoc(const json::Value &network, const json::Value &system);
+
+/** Write sample network and system config files (quickstart
+ *  scaffolding): the paper's Conv-4D and A100 system. */
 void writeSampleConfigs(const std::string &network_path,
                         const std::string &system_path);
 

@@ -50,8 +50,8 @@ jobFromJson(const json::Value &j, const Topology &topo,
             spec.explicitNpus.push_back(id);
         }
         if (j.has("job_topology"))
-            spec.explicitTopo =
-                sweep::topologyFromSpec(j.at("job_topology"));
+            spec.explicitTopo = sweep::topologyFromSpec(
+                j.at("job_topology"), path + ".job_topology");
     } else {
         ASTRA_USER_CHECK(j.has("size"), "%s: missing 'size'",
                          path.c_str());
@@ -65,7 +65,9 @@ jobFromJson(const json::Value &j, const Topology &topo,
     const json::Value *system =
         j.has("system") ? &j.at("system") : default_system;
     if (system != nullptr)
-        spec.cfg = simulatorConfigFromJson(*system, backend);
+        spec.cfg = simulatorConfigFromJson(
+            *system, backend,
+            j.has("system") ? path + ".system" : "system");
     else
         spec.cfg.backend = backend;
 
@@ -96,39 +98,23 @@ isClusterDoc(const json::Value &doc)
 }
 
 ClusterScenario
-scenarioFromJson(const json::Value &doc)
+scenarioFromJson(const json::Value &doc, const json::Value &flags)
 {
     ASTRA_USER_CHECK(isClusterDoc(doc),
                      "not a cluster configuration (missing 'cluster')");
     json::checkKeys(doc, "config",
                     {"topology", "backend", "system", "cluster", "fault",
                      "trace", "telemetry"});
-    ASTRA_USER_CHECK(doc.has("topology"),
-                     "cluster config: missing 'topology'");
-
     const json::Value &c = doc.at("cluster");
     json::checkKeys(c, "cluster",
                     {"admission", "baselines", "placement", "jobs",
                      "checkpoint", "spares"});
-    ClusterScenario scenario{sweep::topologyFromSpec(doc.at("topology")),
-                             ClusterConfig{},
-                             {}};
-    scenario.cfg.backend = backendFromJson(doc);
+    RunBlocks run = runBlocksFromJson(doc, flags);
+    ClusterScenario scenario{std::move(run.topo), ClusterConfig{}, {}};
+    static_cast<RunConfig &>(scenario.cfg) = std::move(run.cfg);
     scenario.cfg.admission =
         parseAdmissionPolicy(c.getString("admission", "fifo"));
     scenario.cfg.isolatedBaselines = c.getBool("baselines", true);
-    if (doc.has("fault"))
-        scenario.cfg.fault =
-            fault::faultConfigFromJson(doc.at("fault"), "fault");
-    if (doc.has("trace"))
-        scenario.cfg.trace =
-            trace::traceConfigFromJson(doc.at("trace"), "trace");
-    if (doc.has("telemetry"))
-        scenario.cfg.telemetry = telemetry::telemetryConfigFromJson(
-            doc.at("telemetry"), "telemetry");
-    // Stamped even when the block is absent: CLI-layered telemetry
-    // (--manifest on cluster_runner) still gets run provenance.
-    scenario.cfg.telemetry.configHash = sweep::configHash(doc);
     if (c.has("checkpoint"))
         scenario.cfg.defaultCheckpoint = fault::checkpointFromJson(
             c.at("checkpoint"), "cluster.checkpoint");

@@ -56,8 +56,10 @@ struct ClusterScenario
 /** True when `doc` is a cluster configuration (has a `cluster` key). */
 bool isClusterDoc(const json::Value &doc);
 
-/** Parse a cluster configuration; fatal() on schema errors. */
-ClusterScenario scenarioFromJson(const json::Value &doc);
+/** Parse a cluster configuration; fatal() on schema errors. `flags`
+ *  (cliOverrides()) writes over its trace and telemetry blocks. */
+ClusterScenario scenarioFromJson(const json::Value &doc,
+                                 const json::Value &flags = json::Value());
 
 /** Build + run a scenario document to a full ClusterReport. */
 ClusterReport runClusterScenario(const json::Value &doc);

@@ -37,14 +37,4 @@ parseCollectiveType(const std::string &name)
     fatal("unknown collective type '%s'", name.c_str());
 }
 
-const char *
-policyName(SchedPolicy p)
-{
-    switch (p) {
-      case SchedPolicy::Baseline: return "baseline";
-      case SchedPolicy::Themis: return "themis";
-    }
-    return "?";
-}
-
 } // namespace astra

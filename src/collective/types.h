@@ -32,8 +32,6 @@ enum class SchedPolicy {
     Themis,   //!< greedy bandwidth-aware per-chunk ordering [9].
 };
 
-const char *policyName(SchedPolicy p);
-
 /**
  * A collective operation request.
  *

@@ -107,6 +107,22 @@ CommandLine::getBool(const std::string &name, bool dflt) const
     return has(name) ? flags_.at(name) == "true" : dflt;
 }
 
+void
+CommandLine::writeKeys(const FlagGroup &flags, json::Value &block) const
+{
+    json::Object &out = block.mutableObject();
+    for (const Flag &f : flags) {
+        if (f.key == nullptr || !has(f.name))
+            continue;
+        if (f.kind == FlagKind::Switch)
+            out[f.key] = json::Value(getBool(f.name));
+        else if (f.kind == FlagKind::Number)
+            out[f.key] = json::Value(getDouble(f.name, 0.0));
+        else
+            out[f.key] = json::Value(getString(f.name, ""));
+    }
+}
+
 int
 runCli(int argc, const char *const *argv, const CliSpec &spec,
        const std::function<int(const CommandLine &)> &body)
@@ -132,9 +148,9 @@ runCli(int argc, const char *const *argv, const CliSpec &spec,
                             usage[i].c_str());
             std::printf("\nflags:\n");
             for (const Flag &f : flags) {
-                const char *arg = f.kind == FlagKind::Value      ? " VALUE"
+                const char *arg = f.kind == FlagKind::Switch     ? ""
                                   : f.kind == FlagKind::Optional ? " [VALUE]"
-                                                                 : "";
+                                                                 : " VALUE";
                 std::string synopsis = std::string("--") + f.name + arg;
                 std::printf("  %-30s %s\n", synopsis.c_str(), f.help);
             }

@@ -18,21 +18,26 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
+
 namespace astra {
 
 /** Whether a flag takes a value. */
 enum class FlagKind {
     Switch,   //!< `--x` or `--x=true|false`; never takes the next token.
     Value,    //!< `--x V` or `--x=V`.
+    Number,   //!< a Value that writeKeys() writes as a number.
     Optional, //!< `--x [V]`: takes the next token unless it is a flag.
 };
 
-/** One declared flag: name (without `--`), kind, one-line help. */
+/** One declared flag: name (without `--`), kind, one-line help, and
+ *  the config-block key it sets, if any (CommandLine::writeKeys). */
 struct Flag
 {
     const char *name;
     FlagKind kind;
     const char *help;
+    const char *key = nullptr;
 };
 
 using FlagGroup = std::vector<Flag>;
@@ -68,6 +73,13 @@ class CommandLine
     {
         return positional_;
     }
+
+    /** Write each keyed flag of `flags` given here over `block[key]`
+     *  (a null `block` becomes an object), so that the block's one
+     *  JSON parser reads flags and files alike: a switch as a bool, a
+     *  Number (which must use the whole token) as a number, any other
+     *  value as a string. */
+    void writeKeys(const FlagGroup &flags, json::Value &block) const;
 
   private:
     std::map<std::string, std::string> flags_;

@@ -25,18 +25,6 @@ faultKindName(FaultKind kind)
     panic("unknown fault kind");
 }
 
-const char *
-restartModeName(RestartMode m)
-{
-    switch (m) {
-      case RestartMode::Same: return "same";
-      case RestartMode::Requeue: return "requeue";
-      case RestartMode::Migrate: return "migrate";
-      case RestartMode::Spare: return "spare";
-    }
-    panic("unknown restart mode");
-}
-
 RestartMode
 parseRestartMode(const std::string &name, const std::string &path)
 {
@@ -171,39 +159,6 @@ eventFromJson(const json::Value &doc, const std::string &path)
     return ev;
 }
 
-json::Value
-eventToJson(const FaultEvent &ev)
-{
-    json::Object o;
-    o["at_ns"] = ev.at;
-    o["kind"] = faultKindName(ev.kind);
-    switch (ev.kind) {
-      case FaultKind::LinkDegrade:
-        o["scale"] = ev.scale;
-        [[fallthrough]];
-      case FaultKind::LinkDown:
-      case FaultKind::LinkUp:
-        o["src"] = int64_t(ev.src);
-        o["dst"] = int64_t(ev.dst);
-        o["dim"] = int64_t(ev.dim);
-        break;
-      case FaultKind::NpuFail:
-      case FaultKind::NpuRecover:
-        o["npu"] = int64_t(ev.npu);
-        break;
-      case FaultKind::Straggler:
-        o["npu"] = int64_t(ev.npu);
-        o["compute_scale"] = ev.computeScale;
-        o["injection_scale"] = ev.injectionScale;
-        break;
-      case FaultKind::DomainFail:
-      case FaultKind::DomainRecover:
-        o["domain"] = ev.domainName;
-        break;
-    }
-    return json::Value(std::move(o));
-}
-
 FailureDomain
 domainFromJson(const json::Value &doc, const std::string &path)
 {
@@ -245,28 +200,6 @@ domainFromJson(const json::Value &doc, const std::string &path)
     d.mttrNs = requireNonNegative(doc.getNumber("mttr_ns", 0.0),
                                   path + ".mttr_ns", "MTTR");
     return d;
-}
-
-json::Value
-domainToJson(const FailureDomain &d)
-{
-    json::Object o;
-    o["name"] = d.name;
-    if (d.level >= 0) {
-        o["level"] = int64_t(d.level);
-        if (d.index >= 0)
-            o["index"] = int64_t(d.index);
-    } else {
-        json::Array npus;
-        for (NpuId n : d.npus)
-            npus.push_back(json::Value(int64_t(n)));
-        o["npus"] = json::Value(std::move(npus));
-    }
-    if (d.mtbfNs > 0.0)
-        o["mtbf_ns"] = d.mtbfNs;
-    if (d.mttrNs > 0.0)
-        o["mttr_ns"] = d.mttrNs;
-    return json::Value(std::move(o));
 }
 
 /** Exponential variate with the given mean (inverse-CDF sampling). */
@@ -367,42 +300,6 @@ faultConfigFromJson(const json::Value &doc, const std::string &path)
                 arr[i], path + ".schedule." + std::to_string(i)));
     }
     return cfg;
-}
-
-json::Value
-faultConfigToJson(const FaultConfig &cfg)
-{
-    json::Object o;
-    o["seed"] = cfg.seed;
-    if (cfg.horizonNs > 0.0)
-        o["horizon_ns"] = cfg.horizonNs;
-    if (cfg.npuMtbfNs > 0.0) {
-        o["npu_mtbf_ns"] = cfg.npuMtbfNs;
-        o["npu_mttr_ns"] = cfg.npuMttrNs;
-    }
-    if (cfg.linkMtbfNs > 0.0) {
-        o["link_mtbf_ns"] = cfg.linkMtbfNs;
-        o["link_mttr_ns"] = cfg.linkMttrNs;
-        if (cfg.linkDegradeScale > 0.0)
-            o["link_degrade_scale"] = cfg.linkDegradeScale;
-    }
-    if (!cfg.domains.empty()) {
-        json::Array arr;
-        for (const FailureDomain &d : cfg.domains)
-            arr.push_back(domainToJson(d));
-        o["domains"] = json::Value(std::move(arr));
-        if (cfg.domainMtbfNs > 0.0) {
-            o["domain_mtbf_ns"] = cfg.domainMtbfNs;
-            o["domain_mttr_ns"] = cfg.domainMttrNs;
-        }
-    }
-    if (!cfg.schedule.empty()) {
-        json::Array arr;
-        for (const FaultEvent &ev : cfg.schedule)
-            arr.push_back(eventToJson(ev));
-        o["schedule"] = json::Value(std::move(arr));
-    }
-    return json::Value(std::move(o));
 }
 
 CheckpointPolicy

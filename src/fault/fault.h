@@ -126,7 +126,6 @@ enum class RestartMode {
              //!< spare pool can't cover the failure).
 };
 
-const char *restartModeName(RestartMode m);
 RestartMode parseRestartMode(const std::string &name,
                              const std::string &path);
 
@@ -204,9 +203,6 @@ struct FaultConfig
  */
 FaultConfig faultConfigFromJson(const json::Value &doc,
                                 const std::string &path = "fault");
-
-/** Serialize back to the JSON schema faultConfigFromJson accepts. */
-json::Value faultConfigToJson(const FaultConfig &cfg);
 
 /** Parse a checkpoint policy object (interval_ns — a time or "auto" —
  *  / cost_ns / restart_delay_ns /

@@ -222,17 +222,7 @@ NetworkApi::accountBusy(int dim, TimeNs delta, TimeNs link_total)
 const char *
 backendName(NetworkBackendKind kind)
 {
-    switch (kind) {
-      case NetworkBackendKind::Analytical:
-        return "analytical";
-      case NetworkBackendKind::AnalyticalPure:
-        return "analytical-pure";
-      case NetworkBackendKind::Flow:
-        return "flow";
-      case NetworkBackendKind::Packet:
-        return "packet";
-    }
-    panic("unknown network backend kind");
+    return kBackendNames[static_cast<size_t>(kind)];
 }
 
 std::unique_ptr<NetworkApi>

@@ -279,8 +279,12 @@ enum class NetworkBackendKind {
     Packet,           //!< detailed packet-level reference backend.
 };
 
-/** Canonical config-schema name of a backend kind ("analytical",
- *  "flow", ...) — the inverse of backendFromJson. */
+/** Config-schema name of each backend kind, in enum order: the one
+ *  table backendName() and backendFromJson() read. */
+inline constexpr const char *kBackendNames[] = {
+    "analytical", "analytical-pure", "flow", "packet"};
+
+/** Config-schema name of a backend kind ("analytical", "flow", ...). */
 const char *backendName(NetworkBackendKind kind);
 
 /** Factory for the built-in backends. */

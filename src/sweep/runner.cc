@@ -532,25 +532,6 @@ runBatch(const SweepSpec &spec, const BatchOptions &opts)
             ++out.failures;
     }
 
-    // A sweep whose configurations all produced identical results is
-    // almost always a mistyped axis path: applyOverride() happily
-    // creates keys nothing reads, yielding a plausible-looking but
-    // constant grid. Warn rather than fail — a genuinely flat
-    // response surface is legitimate, just rare.
-    if (n > 1 && out.failures == 0) {
-        bool all_equal = true;
-        for (size_t i = 1; i < n && all_equal; ++i)
-            all_equal = out.results[i].report.totalTime ==
-                            out.results[0].report.totalTime &&
-                        out.results[i].report.events ==
-                            out.results[0].report.events;
-        if (all_equal)
-            warnT("sweep",
-                  "sweep '%s': all %zu configurations produced "
-                 "identical results — check the axis paths for typos "
-                 "(overrides at unknown paths are not detected)",
-                 spec.name().c_str(), n);
-    }
     return out;
 }
 

@@ -122,12 +122,14 @@ modelByName(const std::string &name)
 } // namespace
 
 Workload
-workloadFromSpec(const Topology &topo, const json::Value &w)
+workloadFromSpec(const Topology &topo, const json::Value &w,
+                 const std::string &path)
 {
     std::string kind = toLower(w.getString("kind", "hybrid"));
     int iterations = static_cast<int>(w.getInt("iterations", 1));
 
     if (kind == "collective") {
+        json::checkKeys(w, path, {"kind", "collective", "bytes"});
         ASTRA_USER_CHECK(w.has("bytes"),
                          "sweep workload: collective needs 'bytes'");
         CollectiveType type =
@@ -137,6 +139,8 @@ workloadFromSpec(const Topology &topo, const json::Value &w)
     }
 
     if (kind == "hybrid") {
+        json::checkKeys(w, path,
+                        {"kind", "model", "mp", "iterations", "sim_layers"});
         ASTRA_USER_CHECK(w.has("model"),
                          "sweep workload: hybrid needs 'model'");
         HybridOptions opts;
@@ -148,6 +152,7 @@ workloadFromSpec(const Topology &topo, const json::Value &w)
     }
 
     if (kind == "dlrm") {
+        json::checkKeys(w, path, {"kind", "model", "iterations"});
         DlrmOptions opts;
         opts.iterations = iterations;
         ModelDesc model = w.has("model")
@@ -157,6 +162,8 @@ workloadFromSpec(const Topology &topo, const json::Value &w)
     }
 
     if (kind == "pipeline") {
+        json::checkKeys(w, path,
+                        {"kind", "model", "microbatches", "iterations"});
         ASTRA_USER_CHECK(w.has("model"),
                          "sweep workload: pipeline needs 'model'");
         PipelineOptions opts;
@@ -168,18 +175,22 @@ workloadFromSpec(const Topology &topo, const json::Value &w)
     }
 
     if (kind == "moe") {
+        json::checkKeys(w, path,
+                        {"kind", "model", "iterations", "sim_layers",
+                         "param_path"});
         MoEOptions opts;
         opts.iterations = iterations;
         opts.simLayers = static_cast<int>(w.getInt("sim_layers", 0));
-        std::string path = toLower(w.getString("param_path", "network"));
-        if (path == "network")
+        std::string param_path =
+            toLower(w.getString("param_path", "network"));
+        if (param_path == "network")
             opts.path = ParamPath::NetworkCollectives;
-        else if (path == "fused")
+        else if (param_path == "fused")
             opts.path = ParamPath::FusedInSwitch;
         else
             fatal("sweep workload: unknown param_path '%s' (network | "
                   "fused)",
-                  path.c_str());
+                  param_path.c_str());
         ModelDesc model = w.has("model")
                               ? modelByName(w.at("model").asString())
                               : moe1T();
@@ -192,7 +203,7 @@ workloadFromSpec(const Topology &topo, const json::Value &w)
 }
 
 Topology
-topologyFromSpec(const json::Value &v)
+topologyFromSpec(const json::Value &v, const std::string &path)
 {
     if (v.isString()) {
         const std::string &s = v.asString();
@@ -203,9 +214,25 @@ topologyFromSpec(const json::Value &v)
         return presets::byName(s);
     }
     ASTRA_USER_CHECK(v.isObject(),
-                     "sweep config: 'topology' must be a preset name, "
-                     "notation string, or {\"dims\": [...]} object");
-    return topologyFromJson(v);
+                     "%s: must be a preset name, notation string, or "
+                     "{\"dims\": [...]} object",
+                     path.c_str());
+    json::checkKeys(v, path, {"dims"});
+    ASTRA_USER_CHECK(v.has("dims"), "%s: missing 'dims'", path.c_str());
+    std::vector<Dimension> dims;
+    const json::Array &arr = v.at("dims").asArray();
+    for (size_t i = 0; i < arr.size(); ++i) {
+        const json::Value &d = arr[i];
+        json::checkKeys(d, path + ".dims." + std::to_string(i),
+                        {"type", "size", "bandwidth_gbps", "latency_ns"});
+        Dimension dim;
+        dim.type = parseBlockType(d.at("type").asString());
+        dim.size = static_cast<int>(d.at("size").asInt());
+        dim.bandwidth = d.getNumber("bandwidth_gbps", 100.0);
+        dim.latency = d.getNumber("latency_ns", 500.0);
+        dims.push_back(dim);
+    }
+    return Topology(std::move(dims));
 }
 
 std::string
@@ -436,96 +463,44 @@ materializeConfig(const json::Value &doc)
     json::checkKeys(doc, "config",
                     {"topology", "backend", "system", "workload", "fault",
                      "trace", "telemetry"});
-    ASTRA_USER_CHECK(doc.has("topology"),
-                     "sweep config: missing 'topology'");
-    Topology topo = topologyFromSpec(doc.at("topology"));
-
-    NetworkBackendKind backend = backendFromJson(doc);
-    SimulatorConfig cfg =
-        doc.has("system")
-            ? simulatorConfigFromJson(doc.at("system"), backend)
-            : [&] {
-                  SimulatorConfig c;
-                  c.backend = backend;
-                  return c;
-              }();
-    if (doc.has("fault"))
-        cfg.fault = fault::faultConfigFromJson(doc.at("fault"), "fault");
-    if (doc.has("trace"))
-        cfg.trace = trace::traceConfigFromJson(doc.at("trace"), "trace");
-    if (doc.has("telemetry")) {
-        cfg.telemetry = telemetry::telemetryConfigFromJson(
-            doc.at("telemetry"), "telemetry");
-        // Provenance for the run's manifest: the hash of this very
-        // document (the sweep cache identity).
-        cfg.telemetry.configHash = configHash(doc);
-    }
+    RunBlocks run = runBlocksFromJson(doc);
+    SimulatorConfig cfg = simulatorConfigFromJson(
+        doc.has("system") ? doc.at("system") : json::Value(json::Object{}),
+        run.cfg.backend);
+    static_cast<RunConfig &>(cfg) = std::move(run.cfg);
 
     ASTRA_USER_CHECK(doc.has("workload"),
                      "sweep config: missing 'workload'");
-    Workload wl = workloadFromSpec(topo, doc.at("workload"));
-    return MaterializedConfig{std::move(topo), std::move(cfg),
+    Workload wl = workloadFromSpec(run.topo, doc.at("workload"));
+    return MaterializedConfig{std::move(run.topo), std::move(cfg),
                               std::move(wl)};
 }
 
 void
 writeSampleSpec(const std::string &path)
 {
-    json::Object workload;
-    workload["kind"] = json::Value("moe");
-    workload["model"] = json::Value("moe1t");
-    workload["param_path"] = json::Value("fused");
-
-    json::Object remote;
-    remote["kind"] = json::Value("pooled");
-
-    json::Object system;
-    system["peak_tflops"] = json::Value(2048.0);
-    system["local_memory"] = [] {
-        json::Object local;
-        local["bandwidth_gbps"] = json::Value(4096.0);
-        return json::Value(std::move(local));
-    }();
-    system["remote_memory"] = json::Value(std::move(remote));
-
-    json::Object base;
-    base["topology"] =
-        json::Value("Switch(16,300,300)_Switch(16,25,700)");
-    base["backend"] = json::Value("analytical");
-    base["system"] = json::Value(std::move(system));
-    base["workload"] = json::Value(std::move(workload));
-
-    json::Array axes;
-    axes.push_back([] {
-        json::Object axis;
-        axis["path"] = json::Value(
-            "system.remote_memory.in_node_fabric_bw_gbps");
-        axis["name"] = json::Value("fabric_bw");
-        axis["values"] = json::Value(json::Array{
-            json::Value(256.0), json::Value(512.0), json::Value(1024.0)});
-        return json::Value(std::move(axis));
-    }());
-    axes.push_back([] {
-        json::Object axis;
-        axis["path"] = json::Value(
-            "system.remote_memory.remote_group_bw_gbps");
-        axis["name"] = json::Value("group_bw");
-        axis["range"] = [] {
-            json::Object range;
-            range["from"] = json::Value(100.0);
-            range["to"] = json::Value(500.0);
-            range["step"] = json::Value(200.0);
-            return json::Value(std::move(range));
-        }();
-        return json::Value(std::move(axis));
-    }());
-
-    json::Object doc;
-    doc["name"] = json::Value("hiermem-sample");
-    doc["mode"] = json::Value("cartesian");
-    doc["base"] = json::Value(std::move(base));
-    doc["axes"] = json::Value(std::move(axes));
-    json::writeFile(path, json::Value(std::move(doc)));
+    json::writeFile(path, json::parse(R"json({
+      "name": "hiermem-sample",
+      "mode": "cartesian",
+      "base": {
+        "topology": "Switch(16,300,300)_Switch(16,25,700)",
+        "backend": "analytical",
+        "system": {
+          "peak_tflops": 2048,
+          "local_memory": {"bandwidth_gbps": 4096},
+          "remote_memory": {"kind": "pooled"}
+        },
+        "workload": {"kind": "moe", "model": "moe1t",
+                     "param_path": "fused"}
+      },
+      "axes": [
+        {"path": "system.remote_memory.in_node_fabric_bw_gbps",
+         "name": "fabric_bw", "values": [256, 512, 1024]},
+        {"path": "system.remote_memory.remote_group_bw_gbps",
+         "name": "group_bw",
+         "range": {"from": 100, "to": 500, "step": 200}}
+      ]
+    })json"));
 }
 
 } // namespace sweep

@@ -197,13 +197,18 @@ constexpr uint64_t kSpecSchemaVersion = 5; //!< 5: failure domains,
 MaterializedConfig materializeConfig(const json::Value &doc);
 
 /** A topology from a preset name, notation string, or {"dims": [...]}
- *  document (the `topology` value of sweep and cluster configs). */
-Topology topologyFromSpec(const json::Value &v);
+ *  document (the `topology` value of sweep, cluster and astra_sim
+ *  configs; each dims entry takes type, size, bandwidth_gbps and
+ *  latency_ns). `path` names the value in errors. */
+Topology topologyFromSpec(const json::Value &v,
+                          const std::string &path = "topology");
 
 /** Build a workload from the sweep workload schema (see file
- *  comment) against `topo`. Shared with cluster job specs, whose
- *  workloads are built against the job's sliced topology. */
-Workload workloadFromSpec(const Topology &topo, const json::Value &w);
+ *  comment) against `topo`; `path` names the block in errors. Shared
+ *  with cluster job specs, whose workloads are built against the
+ *  job's sliced topology. */
+Workload workloadFromSpec(const Topology &topo, const json::Value &w,
+                          const std::string &path = "workload");
 
 /** Write a commented-by-example sweep spec (CLI scaffolding). */
 void writeSampleSpec(const std::string &path);

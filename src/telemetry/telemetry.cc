@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstring>
 
 #include "astra/report.h"
@@ -22,52 +23,39 @@ telemetryConfigFromJson(const json::Value &doc, const std::string &path)
     TelemetryConfig cfg;
     cfg.file = doc.getString("file", "");
     cfg.intervalMs = doc.getNumber("interval_ms", 0.0);
-    ASTRA_USER_CHECK(cfg.intervalMs >= 0.0,
-                     "%s.interval_ms: must be >= 0", path.c_str());
-    int64_t events = doc.getInt("interval_events", 0);
-    ASTRA_USER_CHECK(events >= 0, "%s.interval_events: must be >= 0",
+    ASTRA_USER_CHECK(std::isfinite(cfg.intervalMs) && cfg.intervalMs >= 0.0,
+                     "%s.interval_ms: must be a finite number >= 0",
                      path.c_str());
+    double events = doc.getNumber("interval_events", 0.0);
+    ASTRA_USER_CHECK(events >= 0.0 && events < 0x1p63 &&
+                         events == std::floor(events),
+                     "%s.interval_events: must be a whole number >= 0, "
+                     "got %g",
+                     path.c_str(), events);
     cfg.intervalEvents = static_cast<uint64_t>(events);
+    if (!cfg.file.empty() && cfg.intervalMs == 0.0 &&
+        cfg.intervalEvents == 0)
+        cfg.intervalEvents = kDefaultIntervalEvents;
     cfg.manifest = doc.getString("manifest", "");
     return cfg;
-}
-
-json::Value
-telemetryConfigToJson(const TelemetryConfig &cfg)
-{
-    json::Object doc;
-    doc["file"] = json::Value(cfg.file);
-    doc["interval_ms"] = json::Value(cfg.intervalMs);
-    doc["interval_events"] = json::Value(cfg.intervalEvents);
-    doc["manifest"] = json::Value(cfg.manifest);
-    return json::Value(std::move(doc));
 }
 
 FlagGroup
 cliFlags()
 {
-    return {{"heartbeat", FlagKind::Value, "stream NDJSON heartbeats"},
-            {"heartbeat-interval-ms", FlagKind::Value, "wall-clock cadence"},
-            {"heartbeat-events", FlagKind::Value, "event-count cadence"},
-            {"manifest", FlagKind::Value, "write a run manifest"}};
+    return {{"heartbeat", FlagKind::Value, "stream NDJSON heartbeats", "file"},
+            {"heartbeat-interval-ms", FlagKind::Number, "wall-clock cadence",
+             "interval_ms"},
+            {"heartbeat-events", FlagKind::Number, "event-count cadence",
+             "interval_events"},
+            {"manifest", FlagKind::Value, "write a run manifest", "manifest"}};
 }
 
 TelemetryConfig
-telemetryConfigFromCli(const CommandLine &cl, TelemetryConfig base)
+telemetryConfigFromCli(const CommandLine &cl, json::Value base)
 {
-    TelemetryConfig cfg = std::move(base);
-    cfg.file = cl.getString("heartbeat", cfg.file);
-    cfg.intervalMs = cl.getDouble("heartbeat-interval-ms", cfg.intervalMs);
-    cfg.intervalEvents = static_cast<uint64_t>(
-        cl.getInt("heartbeat-events", int64_t(cfg.intervalEvents)));
-    cfg.manifest = cl.getString("manifest", cfg.manifest);
-    ASTRA_USER_CHECK(cfg.intervalMs >= 0.0,
-                     "--heartbeat-interval-ms: must be >= 0");
-    // A sink without a cadence implies the deterministic default.
-    if (!cfg.file.empty() && cfg.intervalMs <= 0.0 &&
-        cfg.intervalEvents == 0)
-        cfg.intervalEvents = kDefaultIntervalEvents;
-    return cfg;
+    cl.writeKeys(cliFlags(), base);
+    return telemetryConfigFromJson(base, "telemetry");
 }
 
 double
@@ -102,9 +90,6 @@ peakRssBytes()
 
 Monitor::Monitor(const TelemetryConfig &cfg) : cfg_(cfg)
 {
-    if (cfg_.heartbeatsEnabled() && cfg_.intervalMs <= 0.0 &&
-        cfg_.intervalEvents == 0)
-        cfg_.intervalEvents = kDefaultIntervalEvents;
     if (!cfg_.file.empty()) {
         out_ = std::fopen(cfg_.file.c_str(), "w");
         ASTRA_USER_CHECK(out_ != nullptr,

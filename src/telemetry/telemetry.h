@@ -91,27 +91,25 @@ struct TelemetryConfig
     bool enabled() const { return heartbeatsEnabled() || !manifest.empty(); }
 };
 
-/** Parse a `telemetry:{}` block; unknown keys are rejected with a
- *  path-qualified error. */
-TelemetryConfig telemetryConfigFromJson(const json::Value &doc,
-                                        const std::string &path);
-json::Value telemetryConfigToJson(const TelemetryConfig &cfg);
-
-/** The shared telemetry CLI flags (docs/cli.md). */
-FlagGroup cliFlags();
-
-/**
- * Layer the cliFlags() values over `base`. Asking for a heartbeat
- * file without a cadence implies the default event cadence
- * (kDefaultIntervalEvents) so the beats stay deterministic unless
- * wall cadence is explicitly requested.
- */
-TelemetryConfig telemetryConfigFromCli(const CommandLine &cl,
-                                       TelemetryConfig base = {});
-
-/** Default event cadence when a heartbeat sink is requested without
+/** Default event cadence when a heartbeat file is requested without
  *  an explicit cadence. */
 constexpr uint64_t kDefaultIntervalEvents = 65536;
+
+/** Parse a `telemetry:{}` block; unknown keys are rejected with a
+ *  path-qualified error. A heartbeat file without a cadence implies
+ *  the kDefaultIntervalEvents event cadence, so the beats stay
+ *  deterministic unless wall cadence is explicitly requested. This is
+ *  the only reader of the block: the flags write into it first. */
+TelemetryConfig telemetryConfigFromJson(const json::Value &doc,
+                                        const std::string &path);
+
+/** The shared telemetry CLI flags (docs/cli.md), each keyed to the
+ *  `telemetry` key it sets. */
+FlagGroup cliFlags();
+
+/** telemetryConfigFromJson of `base` with the flags written over it. */
+TelemetryConfig telemetryConfigFromCli(const CommandLine &cl,
+                                       json::Value base = json::Value());
 
 /** One named memory-footprint source ("event_queue", "network", ...).
  *  The getter is sampled at each heartbeat and once at run end; it

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 
 #include "common/cli.h"
@@ -48,30 +49,6 @@ addQueueProfile(const QueueProfile &prof, Counters &counters)
     }
 }
 
-const char *
-detailName(Detail d)
-{
-    switch (d) {
-      case Detail::Off:   return "off";
-      case Detail::Spans: return "spans";
-      case Detail::Full:  return "full";
-    }
-    return "?";
-}
-
-Detail
-detailFromString(const std::string &name, const std::string &path)
-{
-    if (name == "off")
-        return Detail::Off;
-    if (name == "spans")
-        return Detail::Spans;
-    if (name == "full")
-        return Detail::Full;
-    fatal("%s: unknown trace detail \"%s\" (expected off|spans|full)",
-          path.c_str(), name.c_str());
-}
-
 TraceConfig
 traceConfigFromJson(const json::Value &doc, const std::string &path)
 {
@@ -81,92 +58,75 @@ traceConfigFromJson(const json::Value &doc, const std::string &path)
                      "analysis_file"});
     TraceConfig cfg;
     cfg.file = doc.getString("file", "");
-    cfg.detail = detailFromString(doc.getString("detail", "off"),
-                                  path + ".detail");
-    cfg.utilizationBucketNs = doc.getNumber("utilization_bucket_ns", 0.0);
-    ASTRA_USER_CHECK(cfg.utilizationBucketNs >= 0.0,
-                     "%s.utilization_bucket_ns: must be >= 0",
-                     path.c_str());
     cfg.utilizationFile = doc.getString("utilization_file", "");
-    cfg.rateEpsilon = doc.getNumber("rate_epsilon", 0.25);
-    ASTRA_USER_CHECK(cfg.rateEpsilon >= 0.0,
-                     "%s.rate_epsilon: must be >= 0", path.c_str());
     cfg.analysisFile = doc.getString("analysis_file", "");
     cfg.analysis =
         doc.getBool("analysis", false) || !cfg.analysisFile.empty();
+    if (doc.has("detail")) {
+        const std::string &name = doc.at("detail").asString();
+        const char *names[] = {"off", "spans", "full"};
+        auto it = std::find(std::begin(names), std::end(names), name);
+        ASTRA_USER_CHECK(it != std::end(names),
+                         "%s.detail: unknown trace detail \"%s\" "
+                         "(expected off|spans|full)",
+                         path.c_str(), name.c_str());
+        cfg.detail = static_cast<Detail>(it - std::begin(names));
+    } else if (!cfg.file.empty() || !cfg.utilizationFile.empty()) {
+        cfg.detail = Detail::Spans;
+    } else if (cfg.analysis) {
+        cfg.detail = Detail::Full;
+    }
     ASTRA_USER_CHECK(!cfg.analysis || cfg.enabled(),
                      "%s.analysis: requires detail \"spans\" or \"full\" "
                      "(the analyzers consume recorded spans)",
                      path.c_str());
+    cfg.utilizationBucketNs = doc.getNumber("utilization_bucket_ns", 0.0);
+    ASTRA_USER_CHECK(std::isfinite(cfg.utilizationBucketNs) &&
+                         cfg.utilizationBucketNs >= 0.0,
+                     "%s.utilization_bucket_ns: must be a finite number "
+                     ">= 0", path.c_str());
+    cfg.rateEpsilon = doc.getNumber("rate_epsilon", cfg.rateEpsilon);
+    ASTRA_USER_CHECK(std::isfinite(cfg.rateEpsilon) &&
+                         cfg.rateEpsilon >= 0.0,
+                     "%s.rate_epsilon: must be a finite number >= 0",
+                     path.c_str());
     return cfg;
-}
-
-json::Value
-traceConfigToJson(const TraceConfig &cfg)
-{
-    json::Object doc;
-    doc["file"] = json::Value(cfg.file);
-    doc["detail"] = json::Value(detailName(cfg.detail));
-    doc["utilization_bucket_ns"] = json::Value(cfg.utilizationBucketNs);
-    doc["utilization_file"] = json::Value(cfg.utilizationFile);
-    doc["rate_epsilon"] = json::Value(cfg.rateEpsilon);
-    doc["analysis"] = json::Value(cfg.analysis);
-    doc["analysis_file"] = json::Value(cfg.analysisFile);
-    return json::Value(std::move(doc));
 }
 
 FlagGroup
 cliFlags(const char *file_flag)
 {
-    return {{file_flag, FlagKind::Value, "write the Chrome trace timeline"},
-            {"trace-detail", FlagKind::Value, "off | spans | full"},
-            {"trace-util", FlagKind::Value, "write link utilization"},
-            {"trace-util-bucket", FlagKind::Value, "its bucket in ns"},
-            {"trace-rate-eps", FlagKind::Value, "flow rate coalescing"},
-            {"trace-analysis", FlagKind::Switch, "critical path, hot links"},
-            {"trace-analysis-out", FlagKind::Value, "write the analysis"}};
+    return {
+        {file_flag, FlagKind::Value, "write the Chrome trace timeline",
+         "file"},
+        {"trace-detail", FlagKind::Value, "off | spans | full", "detail"},
+        {"trace-util", FlagKind::Value, "write link utilization",
+         "utilization_file"},
+        {"trace-util-bucket", FlagKind::Number, "its bucket in ns",
+         "utilization_bucket_ns"},
+        {"trace-rate-eps", FlagKind::Number, "flow rate coalescing",
+         "rate_epsilon"},
+        {"trace-analysis", FlagKind::Switch, "critical path, hot links",
+         "analysis"},
+        {"trace-analysis-out", FlagKind::Value, "write the analysis",
+         "analysis_file"}};
 }
 
 TraceConfig
 traceConfigFromCli(const CommandLine &cl, const char *file_flag,
-                   TraceConfig base)
+                   json::Value base)
 {
-    TraceConfig cfg = std::move(base);
-    cfg.file = cl.getString(file_flag, cfg.file);
-    cfg.utilizationFile = cl.getString("trace-util", cfg.utilizationFile);
-    cfg.utilizationBucketNs =
-        cl.getDouble("trace-util-bucket", cfg.utilizationBucketNs);
-    cfg.rateEpsilon = cl.getDouble("trace-rate-eps", cfg.rateEpsilon);
-    cfg.analysisFile = cl.getString("trace-analysis-out", cfg.analysisFile);
-    if (cl.getBool("trace-analysis") || !cfg.analysisFile.empty())
-        cfg.analysis = true;
-    if (cl.has("trace-detail"))
-        cfg.detail = detailFromString(cl.getString("trace-detail", ""),
-                                      "--trace-detail");
-    else if (cfg.detail == Detail::Off &&
-             (cl.has(file_flag) || cl.has("trace-util")))
-        cfg.detail = Detail::Spans; // asking for output implies spans.
-    // Analysis wants message + chunk-phase spans: asking for it on the
-    // command line implies full detail rather than erroring like the
-    // JSON path (a config file is durable; a flag is an intent).
-    if (cfg.analysis && cfg.detail == Detail::Off)
-        cfg.detail = Detail::Full;
-    if (!cfg.utilizationFile.empty() && cfg.utilizationBucketNs <= 0.0)
-        cfg.utilizationBucketNs = 1000.0;
-    ASTRA_USER_CHECK(cfg.utilizationBucketNs >= 0.0,
-                     "--trace-util-bucket: must be >= 0");
-    ASTRA_USER_CHECK(cfg.rateEpsilon >= 0.0,
-                     "--trace-rate-eps: must be >= 0");
-    return cfg;
+    cl.writeKeys(cliFlags(file_flag), base);
+    return traceConfigFromJson(base, "trace");
 }
 
 Tracer::Tracer(TraceConfig cfg) : cfg_(std::move(cfg))
 {
-    // Analysis ranks links by busy-share integrals from the sampled
-    // utilization series; the flow backend has no other busy source
-    // (fractional rates never emit occupancy spans). Default a bucket
-    // so analysis sees link data on every backend.
-    if (cfg_.analysis && cfg_.utilizationBucketNs <= 0.0)
+    // A utilization file needs the series. Analysis ranks links by
+    // busy-share integrals from it too: the flow backend has no other
+    // busy source (fractional rates never emit occupancy spans).
+    if ((cfg_.analysis || !cfg_.utilizationFile.empty()) &&
+        cfg_.utilizationBucketNs <= 0.0)
         cfg_.utilizationBucketNs = 1000.0;
 }
 
@@ -529,9 +489,6 @@ Tracer::utilizationJson() const
 void
 Tracer::writeUtilization(const std::string &path)
 {
-    ASTRA_USER_CHECK(utilization(),
-                     "utilization output %s requested but "
-                     "utilization_bucket_ns is 0", path.c_str());
     bool as_json = path.size() >= 5 &&
                    path.compare(path.size() - 5, 5, ".json") == 0;
     if (as_json) {

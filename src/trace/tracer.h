@@ -55,17 +55,15 @@ enum class Detail {
            //!< rate-change segments, link port occupancy.
 };
 
-const char *detailName(Detail d);
-/** Parse "off" | "spans" | "full"; fatal() otherwise (`path` names the
- *  offending config location in the error). */
-Detail detailFromString(const std::string &name, const std::string &path);
 
 /** `trace: {...}` block of Simulator/Cluster configs (sweepable). */
 struct TraceConfig
 {
     std::string file;          //!< Chrome trace JSON path ("" = none).
     Detail detail = Detail::Off;
-    /** Utilization time-series bucket width; 0 disables sampling. */
+    /** Utilization time-series bucket width; 0 disables sampling,
+     *  unless a utilization file or analysis asks for the series: the
+     *  Tracer then samples 1000 ns buckets. */
     double utilizationBucketNs = 0.0;
     /** Utilization series output (".csv" or ".json"; "" = none). */
     std::string utilizationFile;
@@ -94,24 +92,28 @@ struct TraceConfig
     bool enabled() const { return detail != Detail::Off; }
 };
 
-/** Parse a `trace` config object; unknown keys are fatal() with a
- *  path-qualified message (same discipline as fault/cluster configs). */
+/**
+ * Parse a `trace` config object; unknown keys are fatal() with a
+ * path-qualified message (same discipline as fault/cluster configs).
+ * Without a `detail` key, an output file (trace or utilization)
+ * implies `spans`, and otherwise analysis implies `full` (the
+ * analyzers want message and chunk-phase spans); analysis with an
+ * explicit `"detail": "off"` is an error. This is the only reader of
+ * the block: the flags write into it first.
+ */
 TraceConfig traceConfigFromJson(const json::Value &doc,
                                 const std::string &path);
-json::Value traceConfigToJson(const TraceConfig &cfg);
 
-/** The shared tracing CLI flags (docs/cli.md). `--<file_flag>` names
- *  the Chrome trace: "trace-out" where `--trace` already names an
- *  input ET file (astra_sim, trace_runner), "trace" in cluster_runner. */
+/** The shared tracing CLI flags (docs/cli.md), each keyed to the
+ *  `trace` key it sets. `--<file_flag>` names the Chrome trace:
+ *  "trace-out" where `--trace` already names an input ET file
+ *  (astra_sim, trace_runner), "trace" in cluster_runner. */
 FlagGroup cliFlags(const char *file_flag);
 
-/** Layer the cliFlags(`file_flag`) values over `base` (a config parsed
- *  from JSON, or the default). An output file while detail is off
- *  implies `spans`, analysis implies `full` (the analyzers want message
- *  and chunk-phase spans), and a utilization file a 1000 ns bucket. */
+/** traceConfigFromJson of `base` with the flags written over it. */
 TraceConfig traceConfigFromCli(const CommandLine &cl,
                                const char *file_flag,
-                               TraceConfig base = {});
+                               json::Value base = json::Value());
 
 /**
  * Self-profiling counters registry: named scalar counters and

@@ -86,7 +86,7 @@ TEST(FaultConfigJson, ErrorsArePathQualified)
     }
 }
 
-TEST(FaultConfigJson, RoundTrips)
+TEST(FaultConfigJson, Parses)
 {
     FaultConfig cfg = faultConfigFromJson(json::parse(R"({
         "seed": 7, "horizon_ns": 1e6,
@@ -99,14 +99,14 @@ TEST(FaultConfigJson, RoundTrips)
           {"at_ns": 300, "kind": "straggler", "npu": 0,
            "compute_scale": 2.0}
         ]})"));
-    FaultConfig back = faultConfigFromJson(faultConfigToJson(cfg));
-    EXPECT_EQ(back.seed, cfg.seed);
-    EXPECT_EQ(back.linkDegradeScale, cfg.linkDegradeScale);
-    ASSERT_EQ(back.schedule.size(), cfg.schedule.size());
-    for (size_t i = 0; i < cfg.schedule.size(); ++i) {
-        EXPECT_EQ(back.schedule[i].kind, cfg.schedule[i].kind);
-        EXPECT_EQ(back.schedule[i].at, cfg.schedule[i].at);
-    }
+    EXPECT_EQ(cfg.seed, 7u);
+    EXPECT_EQ(cfg.linkDegradeScale, 0.25);
+    ASSERT_EQ(cfg.schedule.size(), 3u);
+    EXPECT_EQ(cfg.schedule[0].kind, FaultKind::LinkDegrade);
+    EXPECT_EQ(cfg.schedule[1].kind, FaultKind::NpuFail);
+    EXPECT_EQ(cfg.schedule[2].kind, FaultKind::Straggler);
+    for (size_t i = 0; i < cfg.schedule.size(); ++i)
+        EXPECT_EQ(cfg.schedule[i].at, 100.0 * double(i + 1));
     EXPECT_FALSE(cfg.empty());
     EXPECT_TRUE(FaultConfig{}.empty());
 }

@@ -101,7 +101,7 @@ runMixed(NetworkBackendKind backend, const TelemetryConfig &telemetry,
 
 // ------------------------------------------------------------ config
 
-TEST(TelemetryConfig, JsonRoundTrip)
+TEST(TelemetryConfig, JsonParses)
 {
     json::Value doc = json::parse(R"json({
       "file": "beats.ndjson",
@@ -116,13 +116,6 @@ TEST(TelemetryConfig, JsonRoundTrip)
     EXPECT_EQ(cfg.manifest, "manifest.json");
     EXPECT_TRUE(cfg.heartbeatsEnabled());
     EXPECT_TRUE(cfg.enabled());
-
-    TelemetryConfig back =
-        telemetryConfigFromJson(telemetryConfigToJson(cfg), "telemetry");
-    EXPECT_EQ(back.file, cfg.file);
-    EXPECT_DOUBLE_EQ(back.intervalMs, cfg.intervalMs);
-    EXPECT_EQ(back.intervalEvents, cfg.intervalEvents);
-    EXPECT_EQ(back.manifest, cfg.manifest);
 
     TelemetryConfig off;
     EXPECT_FALSE(off.heartbeatsEnabled());
@@ -176,14 +169,44 @@ TEST(TelemetryConfig, CliSinkImpliesDeterministicCadence)
     EXPECT_DOUBLE_EQ(wall_cfg.intervalMs, 100.0);
 
     // CLI flags layer over (and override) a config-file block.
-    TelemetryConfig base;
-    base.file = "from_config.ndjson";
-    base.intervalEvents = 512;
+    json::Value base = json::parse(
+        R"({"file": "from_config.ndjson", "interval_events": 512})");
     CommandLine over = makeCli({"--manifest", "m.json"});
     TelemetryConfig merged = telemetryConfigFromCli(over, base);
     EXPECT_EQ(merged.file, "from_config.ndjson");
     EXPECT_EQ(merged.intervalEvents, 512u);
     EXPECT_EQ(merged.manifest, "m.json");
+}
+
+TEST(TelemetryConfig, CliRejectsNegativeOrMalformedNumbers)
+{
+    // One `error:` line and exit 2, naming the flag or the key it sets.
+    CliSpec spec{.groups = {cliFlags()}};
+    for (std::vector<const char *> argv :
+         {std::vector<const char *>{"prog", "--heartbeat-events", "-1"},
+          {"prog", "--heartbeat-events", "1.5"},
+          {"prog", "--heartbeat-events", "12x"},
+          {"prog", "--heartbeat-events", "nan"},
+          {"prog", "--heartbeat-interval-ms", "-5"},
+          {"prog", "--heartbeat-interval-ms", "inf"}}) {
+        testing::internal::CaptureStderr();
+        int rc = runCli(static_cast<int>(argv.size()), argv.data(), spec,
+                        [](const CommandLine &cl) {
+                            telemetryConfigFromCli(cl);
+                            return 0;
+                        });
+        std::string err = testing::internal::GetCapturedStderr();
+        std::string what = std::string(argv[1]) + " " + argv[2];
+        EXPECT_EQ(rc, 2) << what;
+        EXPECT_EQ(err.rfind("error: ", 0), 0u) << what << ": " << err;
+        EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+        std::string key = argv[1] == std::string("--heartbeat-events")
+                              ? "interval_events"
+                              : "interval_ms";
+        EXPECT_TRUE(err.find(key) != std::string::npos ||
+                    err.find(argv[1]) != std::string::npos)
+            << what << ": " << err;
+    }
 }
 
 // ----------------------------------------------- zero-overhead contract

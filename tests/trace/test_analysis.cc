@@ -516,20 +516,17 @@ TEST(RateEpsilon, ConfigParsingAndValidation)
         "trace");
     EXPECT_EQ(cfg.rateEpsilon, 0.1);
     EXPECT_TRUE(cfg.analysis);
-    TraceConfig again =
-        traceConfigFromJson(traceConfigToJson(cfg), "trace");
-    EXPECT_EQ(again.rateEpsilon, cfg.rateEpsilon);
-    EXPECT_EQ(again.analysis, cfg.analysis);
 
     // Negative epsilon rejected.
     EXPECT_THROW(
         traceConfigFromJson(json::parse(R"({"rate_epsilon": -0.5})"),
                             "trace"),
         FatalError);
-    // Analysis needs span recording (JSON form is explicit).
+    // Analysis needs span recording: an explicit "off" is an error.
     EXPECT_THROW(
-        traceConfigFromJson(json::parse(R"({"analysis": true})"),
-                            "trace"),
+        traceConfigFromJson(
+            json::parse(R"({"analysis": true, "detail": "off"})"),
+            "trace"),
         FatalError);
     // An analysis output file implies analysis.
     TraceConfig implied = traceConfigFromJson(

@@ -37,7 +37,7 @@ namespace astra {
 namespace trace {
 namespace {
 
-TEST(TraceConfigJson, ParsesAndRoundTrips)
+TEST(TraceConfigJson, Parses)
 {
     TraceConfig cfg = traceConfigFromJson(
         json::parse(R"({"file": "t.json", "detail": "full",
@@ -49,13 +49,6 @@ TEST(TraceConfigJson, ParsesAndRoundTrips)
     EXPECT_EQ(cfg.utilizationBucketNs, 500.0);
     EXPECT_EQ(cfg.utilizationFile, "u.csv");
     EXPECT_TRUE(cfg.enabled());
-
-    TraceConfig again =
-        traceConfigFromJson(traceConfigToJson(cfg), "trace");
-    EXPECT_EQ(again.file, cfg.file);
-    EXPECT_EQ(again.detail, cfg.detail);
-    EXPECT_EQ(again.utilizationBucketNs, cfg.utilizationBucketNs);
-    EXPECT_EQ(again.utilizationFile, cfg.utilizationFile);
 }
 
 TEST(TraceConfigJson, RejectsBadDocuments)
