@@ -160,11 +160,7 @@ TraceData::fromTracer(Tracer &tracer)
         s.dur = ev.dur;
         parseNameTokens(s);
         data.spans.push_back(std::move(s));
-    });
-    std::stable_sort(data.spans.begin(), data.spans.end(),
-                     [](const Span &a, const Span &b) {
-                         return a.ts < b.ts;
-                     });
+    }); // visited in (ts, recording order): no sort needed.
     for (const Span &s : data.spans)
         data.endNs = std::max(data.endNs, s.end());
     data.bucketNs = tracer.config().utilizationBucketNs;

@@ -4,10 +4,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <unordered_map>
 
 #include "common/cli.h"
 #include "common/logging.h"
 #include "event/event_queue.h"
+#include "trace/writer.h"
 
 namespace astra {
 namespace trace {
@@ -322,23 +324,131 @@ Tracer::flushOpenOccupancy()
     }
 }
 
-std::string
-Tracer::eventName(const Event &ev) const
+std::string_view
+Tracer::eventName(const Event &ev, NameBuffer &buf) const
 {
     if (ev.fmt == nullptr)
         return names_[size_t(ev.a0)];
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), ev.fmt, ev.a0, ev.a1, ev.a2);
-    return buf;
+    int n = std::snprintf(buf, sizeof(buf), ev.fmt, ev.a0, ev.a1, ev.a2);
+    return {buf, std::min(size_t(std::max(n, 0)), sizeof(buf) - 1)};
+}
+
+/**
+ * Yields every event index in (ts, recording index) order: exactly the
+ * order a stable sort by ts gives, without sorting the whole log.
+ * Events are grouped into one run per (pid, tid) track, in recording
+ * order. Most tracks record in time order already (each is one rank,
+ * link or flow source); a run that is not gets a stable sort of its
+ * own. A binary heap then merges the runs on (ts, recording index).
+ * The runs take 4 bytes per event.
+ */
+class Tracer::TimeOrder
+{
+  public:
+    explicit TimeOrder(const Tracer &tracer);
+    /** Store the next index in `index`; false once all are out. */
+    bool next(uint32_t &index);
+
+  private:
+    struct Head
+    {
+        double ts;
+        uint32_t index;
+        uint32_t track;
+    };
+    /** Heap order: the earliest (ts, index) head on top. */
+    static bool after(const Head &a, const Head &b)
+    {
+        return a.ts > b.ts || (a.ts == b.ts && a.index > b.index);
+    }
+    Head headOf(uint32_t track) const
+    {
+        uint32_t index = order_[cursor_[track]];
+        return Head{tracer_.eventAt(index).ts, index, track};
+    }
+
+    const Tracer &tracer_;
+    std::vector<uint32_t> order_;  //!< indices, grouped by track.
+    std::vector<uint32_t> cursor_; //!< per track: next slot in order_.
+    std::vector<uint32_t> end_;    //!< per track: end of its run.
+    std::vector<Head> heap_;       //!< one head per unfinished run.
+};
+
+Tracer::TimeOrder::TimeOrder(const Tracer &tracer) : tracer_(tracer)
+{
+    // Number the tracks and count their events, noting the tracks
+    // recorded out of time order.
+    const uint32_t n = uint32_t(tracer.eventCount());
+    std::unordered_map<uint64_t, uint32_t> ids;
+    auto key = [](const Event &ev) {
+        return uint64_t(uint32_t(ev.pid)) << 32 | uint32_t(ev.tid);
+    };
+    std::vector<double> last_ts;
+    std::vector<bool> sorted;
+    for (uint32_t i = 0; i < n; ++i) {
+        const Event &ev = tracer.eventAt(i);
+        auto [it, added] = ids.try_emplace(key(ev), uint32_t(end_.size()));
+        const uint32_t track = it->second;
+        if (added) {
+            end_.push_back(0);
+            last_ts.push_back(ev.ts);
+            sorted.push_back(true);
+        }
+        ++end_[track];
+        if (ev.ts < last_ts[track])
+            sorted[track] = false;
+        last_ts[track] = ev.ts;
+    }
+    cursor_.resize(end_.size());
+    uint32_t offset = 0;
+    for (size_t t = 0; t < end_.size(); ++t) {
+        cursor_[t] = offset;
+        offset += end_[t];
+        end_[t] = cursor_[t];
+    }
+    order_.resize(n);
+    for (uint32_t i = 0; i < n; ++i)
+        order_[end_[ids.at(key(tracer.eventAt(i)))]++] = i;
+
+    heap_.reserve(end_.size());
+    for (uint32_t t = 0; t < end_.size(); ++t) {
+        if (!sorted[t])
+            std::stable_sort(order_.begin() + cursor_[t],
+                             order_.begin() + end_[t],
+                             [&](uint32_t a, uint32_t b) {
+                                 return tracer.eventAt(a).ts <
+                                        tracer.eventAt(b).ts;
+                             });
+        heap_.push_back(headOf(t));
+    }
+    std::make_heap(heap_.begin(), heap_.end(), after);
+}
+
+bool
+Tracer::TimeOrder::next(uint32_t &index)
+{
+    if (heap_.empty())
+        return false;
+    std::pop_heap(heap_.begin(), heap_.end(), after);
+    Head &top = heap_.back();
+    index = top.index;
+    if (++cursor_[top.track] < end_[top.track]) {
+        top = headOf(top.track);
+        std::push_heap(heap_.begin(), heap_.end(), after);
+    } else {
+        heap_.pop_back();
+    }
+    return true;
 }
 
 void
 Tracer::visitEvents(
     const std::function<void(const ResolvedEvent &)> &fn) const
 {
-    size_t n = eventCount();
     ResolvedEvent out;
-    for (size_t i = 0; i < n; ++i) {
+    NameBuffer buf;
+    TimeOrder order(*this);
+    for (uint32_t i; order.next(i);) {
         const Event &ev = eventAt(i);
         out.ts = ev.ts;
         out.instant = ev.dur == kInstant;
@@ -347,45 +457,10 @@ Tracer::visitEvents(
         out.pid = ev.pid;
         out.tid = ev.tid;
         out.cat = ev.cat;
-        out.name = eventName(ev);
+        out.name = eventName(ev, buf);
         fn(out);
     }
 }
-
-namespace {
-
-/** Minimal JSON string escaping for event/track names. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-struct FileCloser
-{
-    std::FILE *f;
-    ~FileCloser() { if (f) std::fclose(f); }
-};
-
-} // namespace
 
 void
 Tracer::writeChromeTrace(const std::string &path)
@@ -395,71 +470,76 @@ Tracer::writeChromeTrace(const std::string &path)
         if (!links_[i].label.empty())
             threadName(0, kLinkTidBase + int32_t(i), links_[i].label);
 
-    // Stable sort by timestamp: Chrome/Perfetto accept any order, but
-    // sorted output gives monotonic per-track timestamps (checked by
-    // tests and scripts/check_trace.py) and faster ingestion.
-    std::vector<uint32_t> order(eventCount());
-    for (uint32_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](uint32_t a, uint32_t b) {
-                         return eventAt(a).ts < eventAt(b).ts;
-                     });
-
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    ASTRA_USER_CHECK(f, "cannot write trace file %s", path.c_str());
-    FileCloser closer{f};
-
-    std::fputs("{\"displayTimeUnit\":\"ns\",\n\"traceEvents\":[\n", f);
-    bool first = true;
-    auto sep = [&] {
-        if (!first)
-            std::fputs(",\n", f);
-        first = false;
+    // One record's bytes besides its name and category.
+    constexpr size_t kRecordChars =
+        128 + 2 * kMaxIntChars + 2 * kMaxFixedChars;
+    OutputFile out(path, "trace file");
+    out.put("{\"displayTimeUnit\":\"ns\",\n\"traceEvents\":[\n");
+    std::string_view sep;
+    auto metadata = [&](std::string_view kind, int32_t pid, int32_t tid,
+                        const std::string &name) {
+        char *p =
+            out.reserve(kRecordChars + kMaxEscapedPerByte * name.size());
+        p = append(p, sep);
+        sep = ",\n";
+        p = append(p, "{\"ph\":\"M\",\"name\":\"");
+        p = append(p, kind);
+        p = append(p, "\",\"pid\":");
+        p = appendInt(p, pid);
+        p = append(p, ",\"tid\":");
+        p = appendInt(p, tid);
+        p = append(p, ",\"args\":{\"name\":\"");
+        p = appendEscaped(p, name);
+        out.commit(append(p, "\"}}"));
     };
-    for (const auto &pn : processNames_) {
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":%d,"
-                     "\"tid\":0,\"args\":{\"name\":\"%s\"}}",
-                     pn.first, jsonEscape(pn.second).c_str());
-    }
-    for (const auto &tn : threadNames_) {
-        sep();
-        std::fprintf(f,
-                     "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":%d,"
-                     "\"tid\":%d,\"args\":{\"name\":\"%s\"}}",
-                     tn.first.first, tn.first.second,
-                     jsonEscape(tn.second).c_str());
-    }
+    for (const auto &pn : processNames_)
+        metadata("process_name", pn.first, 0, pn.second);
+    for (const auto &tn : threadNames_)
+        metadata("thread_name", tn.first.first, tn.first.second,
+                 tn.second);
 
+    // Time order (Chrome/Perfetto accept any, but sorted output gives
+    // monotonic per-track timestamps, checked by tests and
+    // scripts/check_trace.py, and faster ingestion). Timestamps are
+    // in microseconds; sub-ns precision survives via the fractional
+    // digits.
     uint64_t unclosed = 0;
-    for (uint32_t idx : order) {
-        const Event &ev = eventAt(idx);
+    NameBuffer buf;
+    TimeOrder order(*this);
+    for (uint32_t i; order.next(i);) {
+        const Event &ev = eventAt(i);
         if (ev.dur == kOpen) {
             ++unclosed;
             continue;
         }
-        sep();
-        // Chrome trace timestamps are in microseconds; sub-ns
-        // precision survives via the fractional digits.
+        const std::string_view name = eventName(ev, buf);
+        const std::string_view cat = ev.cat;
+        char *p = out.reserve(kRecordChars + cat.size() +
+                              kMaxEscapedPerByte * name.size());
+        p = append(p, sep);
+        sep = ",\n";
+        p = append(p, ev.dur == kInstant ? "{\"ph\":\"i\",\"name\":\""
+                                         : "{\"ph\":\"X\",\"name\":\"");
+        p = appendEscaped(p, name);
+        p = append(p, "\",\"cat\":\"");
+        p = append(p, cat);
+        p = append(p, "\",\"pid\":");
+        p = appendInt(p, ev.pid);
+        p = append(p, ",\"tid\":");
+        p = appendInt(p, ev.tid);
+        p = append(p, ",\"ts\":");
+        p = appendFixed(p, ev.ts / 1000.0, 6);
         if (ev.dur == kInstant) {
-            std::fprintf(f,
-                         "{\"ph\":\"i\",\"name\":\"%s\",\"cat\":\"%s\","
-                         "\"pid\":%d,\"tid\":%d,\"ts\":%.6f,\"s\":\"t\"}",
-                         jsonEscape(eventName(ev)).c_str(), ev.cat,
-                         ev.pid, ev.tid, ev.ts / 1000.0);
+            p = append(p, ",\"s\":\"t\"}");
         } else {
-            std::fprintf(f,
-                         "{\"ph\":\"X\",\"name\":\"%s\",\"cat\":\"%s\","
-                         "\"pid\":%d,\"tid\":%d,\"ts\":%.6f,"
-                         "\"dur\":%.6f}",
-                         jsonEscape(eventName(ev)).c_str(), ev.cat,
-                         ev.pid, ev.tid, ev.ts / 1000.0,
-                         ev.dur / 1000.0);
+            p = append(p, ",\"dur\":");
+            p = appendFixed(p, ev.dur / 1000.0, 6);
+            *p++ = '}';
         }
+        out.commit(p);
     }
-    std::fputs("\n]}\n", f);
+    out.put("\n]}\n");
+    out.close();
     if (unclosed)
         counters_.add("trace_unclosed_spans", double(unclosed));
 }
@@ -489,26 +569,30 @@ Tracer::utilizationJson() const
 void
 Tracer::writeUtilization(const std::string &path)
 {
-    bool as_json = path.size() >= 5 &&
-                   path.compare(path.size() - 5, 5, ".json") == 0;
-    if (as_json) {
-        json::writeFile(path, utilizationJson());
+    OutputFile out(path, "utilization file");
+    if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0) {
+        out.put(utilizationJson().dump(2));
+        out.put("\n");
+        out.close();
         return;
     }
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    ASTRA_USER_CHECK(f, "cannot write utilization file %s", path.c_str());
-    FileCloser closer{f};
-    std::fputs("link,bucket_start_ns,busy_fraction\n", f);
+    out.put("link,bucket_start_ns,busy_fraction\n");
     for (const LinkState &ls : links_) {
+        const std::string label = jsonEscape(ls.label);
         for (size_t b = 0; b < ls.busyNs.size(); ++b) {
             if (ls.busyNs[b] <= 0.0)
                 continue;
-            std::fprintf(f, "%s,%.3f,%.6f\n",
-                         jsonEscape(ls.label).c_str(),
-                         double(b) * cfg_.utilizationBucketNs,
-                         ls.busyNs[b] / cfg_.utilizationBucketNs);
+            char *p = out.reserve(label.size() + 3 + 2 * kMaxFixedChars);
+            p = append(p, label);
+            *p++ = ',';
+            p = appendFixed(p, double(b) * cfg_.utilizationBucketNs, 3);
+            *p++ = ',';
+            p = appendFixed(p, ls.busyNs[b] / cfg_.utilizationBucketNs, 6);
+            *p++ = '\n';
+            out.commit(p);
         }
     }
+    out.close();
 }
 
 double

@@ -19,12 +19,15 @@
  *    consumes randomness, and never feeds back into simulation
  *    state, so simulated results are bit-identical with tracing on
  *    or off at any detail level (tests/trace/ enforces this).
- *  - Recording is cheap; exporting is not free. The hot-path record
- *    call appends one POD struct (name formatting is deferred to
- *    export time), keeping the recording overhead under the 25%
- *    budget that bench_trace_overhead gates. Writing the JSON file
- *    afterwards costs I/O proportional to the trace size and is
- *    reported separately (docs/trace.md, "overhead contract").
+ *  - Recording is cheap, and exporting runs at simulation speed. The
+ *    hot-path record call appends one POD struct (name formatting is
+ *    deferred to export time), keeping the recording overhead under
+ *    the 25% budget that bench_trace_overhead gates. The export
+ *    merges the per-track runs into time order (ties in recording
+ *    order) and formats straight into a buffered writer, so writing
+ *    the JSON file costs no more than the simulation that recorded
+ *    it; it is reported separately (docs/trace.md, "overhead
+ *    contract").
  */
 #ifndef ASTRA_TRACE_TRACER_H_
 #define ASTRA_TRACE_TRACER_H_
@@ -34,6 +37,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/cli.h"
@@ -277,14 +281,15 @@ class Tracer
         int32_t pid = 0;
         int32_t tid = 0;
         const char *cat = "";
-        std::string name;
+        std::string_view name; //!< valid during the callback only.
         bool instant = false;
         bool open = false;
     };
-    /** Visit every recorded event in recording order with its name
-     *  resolved — the analysis subsystem's no-reparse ingest path.
-     *  Call closeOccupancy() first if pending link occupancy spans
-     *  should be included. */
+    /** Visit every recorded event with its name resolved, in the
+     *  export's order: by timestamp, ties in recording order — the
+     *  analysis subsystem's no-reparse ingest path. Call
+     *  closeOccupancy() first if pending link occupancy spans should
+     *  be included. */
     void visitEvents(
         const std::function<void(const ResolvedEvent &)> &fn) const;
     /** Flush still-open coalesced link occupancy intervals into spans
@@ -308,10 +313,12 @@ class Tracer
 
     // ---- export -------------------------------------------------
     /** Write Chrome trace-event JSON ({"traceEvents": [...]}) sorted
-     *  by timestamp; fatal() if unwritable. */
+     *  by timestamp, ties in recording order; fatal() if the file
+     *  cannot be opened or any write fails. */
     void writeChromeTrace(const std::string &path);
     /** Write the utilization series; ".json" suffix selects JSON,
-     *  anything else CSV (link,bucket_start_ns,busy_fraction). */
+     *  anything else CSV (link,bucket_start_ns,busy_fraction); fatal()
+     *  on any write error. */
     void writeUtilization(const std::string &path);
     /** Honor config().file / config().utilizationFile (no-ops when
      *  empty). Returns wall seconds spent writing. */
@@ -371,7 +378,14 @@ class Tracer
     void accumulateBuckets(LinkState &ls, TimeNs t0, TimeNs t1,
                            double fraction);
     void flushOpenOccupancy();
-    std::string eventName(const Event &ev) const;
+    /** Formatted fmt names are cut at 127 bytes, as snprintf into
+     *  this buffer cuts them. */
+    using NameBuffer = char[128];
+    /** The event's name: names_[a0] itself, or its fmt formatted
+     *  into `buf`. */
+    std::string_view eventName(const Event &ev, NameBuffer &buf) const;
+    /** Merges the per-track runs into export order (tracer.cc). */
+    class TimeOrder;
 
     /** Event storage is a list of fixed-size blocks appended through
      *  a bump pointer (cur_/curEnd_), NOT one growing vector: a

@@ -14,11 +14,23 @@
  *  - Self-profiling counters flowing into the Report; unclosed spans
  *    dropped at export and counted.
  *  - Per-link utilization series semantics (fractions in [0, 1]).
+ *  - Golden export: a hand-built timeline whose Chrome trace and
+ *    utilization files must match literals byte for byte; the
+ *    analysis ingest visits events in the same order; the number
+ *    formatter matches printf; write errors are user errors.
  */
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <limits>
 #include <map>
+#include <random>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,6 +43,7 @@
 #include "sweep/spec.h"
 #include "topology/topology.h"
 #include "trace/tracer.h"
+#include "trace/writer.h"
 #include "workload/builders.h"
 
 namespace astra {
@@ -320,6 +333,265 @@ TEST(TraceUtilization, FractionsAreSane)
     }
     // A chunked all-reduce saturates its bottleneck for whole buckets.
     EXPECT_GT(peak, 0.5);
+}
+
+/** File contents, byte for byte. */
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    return bytes.str();
+}
+
+TraceConfig
+goldenConfig()
+{
+    TraceConfig cfg;
+    cfg.detail = Detail::Full;
+    cfg.utilizationBucketNs = 100.0;
+    return cfg;
+}
+
+/** A hand-built timeline covering every export path: escaped process
+ *  and thread names, fmt and string names with quotes, backslashes,
+ *  control bytes and UTF-8, instants, an unclosed span, equal
+ *  timestamps on different tracks, tracks recorded out of time order,
+ *  %.6f rounding edges, a name past the 127-byte limit, and link
+ *  occupancy plus utilization. */
+void
+recordGolden(Tracer &t)
+{
+    t.processName(1, "job \"a\"\\b\n");
+    t.processName(0, "fabric");
+    t.threadName(1, 0, "rank\t0\x01");
+    t.threadName(0, 2, "caf\xc3\xa9");
+    t.registerLink(1, "sw0 \"up\"\\\x1f");
+    t.registerLink(0, "L0");
+    // Equal timestamps on four tracks: the tie goes to recording order.
+    t.span(0, 0, "net", "msg %lld->%lld d%lld", 100.0, 50.0, 0, 1, 2);
+    t.span(0, 1, "coll", "q\"%lld\\ \n\t\x01 caf\xc3\xa9", 100.0, 25.0, 7);
+    t.spanStr(1, 0, "node", "n\"1\"\\\n\t\x01 caf\xc3\xa9", 100.0, 10.0);
+    t.span(0, 2, "net", "msg %lld->%lld d%d", 100.0, 5.0, 3, 4, 1);
+    t.instant(0, Tracer::kLifecycleTid, "fault", "straggler n%lld x%lld%%",
+              150.0, 3, 2);
+    t.instantStr(1, Tracer::kLifecycleTid, "job", "start \"j\"\x02", 0.0);
+    Tracer::SpanId open =
+        t.beginSpan(1, Tracer::kCollTidBase, "coll", "never \"closed\"", 5.0);
+    (void)open;
+    Tracer::SpanId inst =
+        t.beginSpan(1, Tracer::kCollTidBase + 1, "coll", "inst\\1", 5.0);
+    // One track recorded out of time order (with a tie inside it).
+    t.span(0, 3, "net", "late %lld", 300.0, 1.0, 1);
+    t.span(0, 3, "net", "early %lld", 200.0, 1.0, 2);
+    t.span(0, 3, "net", "tie %lld", 200.0, 2.0, 3);
+    t.span(0, 3, "net", "earliest", 50.0, 1.0);
+    t.endSpan(inst, 400.0);
+    // %.6f rounding edges, as printed microseconds and as raw ns.
+    t.span(0, 4, "edge", "e%lld", 0.5, 0.0005, 1);
+    t.span(0, 4, "edge", "e%lld", 123456789.5, 123456.7895, 2);
+    t.span(0, 4, "edge", "e%lld", 9007199254740992.0 * 1000.0,
+           9007199254740992.0, 3);
+    t.span(0, 4, "edge", "e%lld", 1e18, 1e15, 4);
+    t.instant(0, 4, "edge", "e%lld", 0.0005, 5);
+    t.instant(0, 4, "edge", "e%lld", 123456.7895, 6);
+    t.span(0, 5, "flow", "f%lld->%lld %lldMB/s", 7.0, 3.0, -12, 34,
+           -9223372036854775807LL - 1);
+    // A formatted name longer than the 127-byte name limit.
+    t.span(0, 5, "flow",
+           "0123456789012345678901234567890123456789012345678901234567890"
+           "1234567890123456789012345678901234567890123456789012345678901"
+           "23456789 %lld", 8.0, 1.0, 123456789);
+    // Link occupancy: contiguous busy intervals coalesce into a span.
+    t.linkBusy(0, 10.0, 20.0);
+    t.linkBusy(0, 20.0, 30.0);
+    t.linkBusy(0, 60.0, 70.0);
+    t.linkBusy(1, 40.0, 250.0, 0.5);
+    t.linkBusy(1, 260.0, 290.0);
+}
+
+TEST(ChromeTraceGolden, ExportIsByteIdentical)
+{
+    Tracer t(goldenConfig());
+    recordGolden(t);
+    const std::string path = "test_trace_golden.json";
+    t.writeChromeTrace(path);
+    const std::string bytes = readBytes(path);
+    std::remove(path.c_str());
+    const std::string expected =
+        "{\"displayTimeUnit\":\"ns\",\n"
+        "\"traceEvents\":[\n"
+        "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"fabric\"}},\n"
+        "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"job \\\"a\\\"\\\\b\\n\"}},\n"
+        "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":2,\"args\":{\"name\":\"caf\xc3""\xa9""\"}},\n"
+        "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":1048576,\"args\":{\"name\":\"L0\"}},\n"
+        "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":1048577,\"args\":{\"name\":\"sw0 \\\"up\\\"\\\\\\u001f\"}},\n"
+        "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"rank\\t0\\u0001\"}},\n"
+        "{\"ph\":\"i\",\"name\":\"start \\\"j\\\"\\u0002\",\"cat\":\"job\",\"pid\":1,\"tid\":1048575,\"ts\":0.000000,\"s\":\"t\"},\n"
+        "{\"ph\":\"i\",\"name\":\"e5\",\"cat\":\"edge\",\"pid\":0,\"tid\":4,\"ts\":0.000000,\"s\":\"t\"},\n"
+        "{\"ph\":\"X\",\"name\":\"e1\",\"cat\":\"edge\",\"pid\":0,\"tid\":4,\"ts\":0.000500,\"dur\":0.000000},\n"
+        "{\"ph\":\"X\",\"name\":\"inst\\\\1\",\"cat\":\"coll\",\"pid\":1,\"tid\":4194305,\"ts\":0.005000,\"dur\":0.395000},\n"
+        "{\"ph\":\"X\",\"name\":\"f-12->34 -9223372036854775808MB/s\",\"cat\":\"flow\",\"pid\":0,\"tid\":5,\"ts\":0.007000,\"dur\":0.003000},\n"
+        "{\"ph\":\"X\",\"name\":\"0123456789012345678901234567890123456789012345678901234567890123456789012345678901234567890123456789012345678901234567890123456\",\"cat\":\"flow\",\"pid\":0,\"tid\":5,\"ts\":0.008000,\"dur\":0.001000},\n"
+        "{\"ph\":\"X\",\"name\":\"busy\",\"cat\":\"link\",\"pid\":0,\"tid\":1048576,\"ts\":0.010000,\"dur\":0.020000},\n"
+        "{\"ph\":\"X\",\"name\":\"earliest\",\"cat\":\"net\",\"pid\":0,\"tid\":3,\"ts\":0.050000,\"dur\":0.001000},\n"
+        "{\"ph\":\"X\",\"name\":\"busy\",\"cat\":\"link\",\"pid\":0,\"tid\":1048576,\"ts\":0.060000,\"dur\":0.010000},\n"
+        "{\"ph\":\"X\",\"name\":\"msg 0->1 d2\",\"cat\":\"net\",\"pid\":0,\"tid\":0,\"ts\":0.100000,\"dur\":0.050000},\n"
+        "{\"ph\":\"X\",\"name\":\"q\\\"7\\\\ \\n\\t\\u0001 caf\xc3""\xa9""\",\"cat\":\"coll\",\"pid\":0,\"tid\":1,\"ts\":0.100000,\"dur\":0.025000},\n"
+        "{\"ph\":\"X\",\"name\":\"n\\\"1\\\"\\\\\\n\\t\\u0001 caf\xc3""\xa9""\",\"cat\":\"node\",\"pid\":1,\"tid\":0,\"ts\":0.100000,\"dur\":0.010000},\n"
+        "{\"ph\":\"X\",\"name\":\"msg 3->4 d1\",\"cat\":\"net\",\"pid\":0,\"tid\":2,\"ts\":0.100000,\"dur\":0.005000},\n"
+        "{\"ph\":\"i\",\"name\":\"straggler n3 x2%\",\"cat\":\"fault\",\"pid\":0,\"tid\":1048575,\"ts\":0.150000,\"s\":\"t\"},\n"
+        "{\"ph\":\"X\",\"name\":\"early 2\",\"cat\":\"net\",\"pid\":0,\"tid\":3,\"ts\":0.200000,\"dur\":0.001000},\n"
+        "{\"ph\":\"X\",\"name\":\"tie 3\",\"cat\":\"net\",\"pid\":0,\"tid\":3,\"ts\":0.200000,\"dur\":0.002000},\n"
+        "{\"ph\":\"X\",\"name\":\"busy\",\"cat\":\"link\",\"pid\":0,\"tid\":1048577,\"ts\":0.260000,\"dur\":0.030000},\n"
+        "{\"ph\":\"X\",\"name\":\"late 1\",\"cat\":\"net\",\"pid\":0,\"tid\":3,\"ts\":0.300000,\"dur\":0.001000},\n"
+        "{\"ph\":\"i\",\"name\":\"e6\",\"cat\":\"edge\",\"pid\":0,\"tid\":4,\"ts\":123.456789,\"s\":\"t\"},\n"
+        "{\"ph\":\"X\",\"name\":\"e2\",\"cat\":\"edge\",\"pid\":0,\"tid\":4,\"ts\":123456.789500,\"dur\":123.456789},\n"
+        "{\"ph\":\"X\",\"name\":\"e4\",\"cat\":\"edge\",\"pid\":0,\"tid\":4,\"ts\":1000000000000000.000000,\"dur\":1000000000000.000000},\n"
+        "{\"ph\":\"X\",\"name\":\"e3\",\"cat\":\"edge\",\"pid\":0,\"tid\":4,\"ts\":9007199254740992.000000,\"dur\":9007199254740.992188}\n"
+        "]}\n";
+    EXPECT_EQ(bytes, expected);
+    ASSERT_TRUE(t.counters().values.count("trace_unclosed_spans"));
+    EXPECT_EQ(t.counters().values.at("trace_unclosed_spans"), 1.0);
+}
+
+TEST(ChromeTraceGolden, UtilizationIsByteIdentical)
+{
+    Tracer t(goldenConfig());
+    recordGolden(t);
+    const std::string csv_path = "test_trace_golden_util.csv";
+    const std::string json_path = "test_trace_golden_util.json";
+    t.writeUtilization(csv_path);
+    t.writeUtilization(json_path);
+    const std::string csv_bytes = readBytes(csv_path);
+    const std::string json_bytes = readBytes(json_path);
+    std::remove(csv_path.c_str());
+    std::remove(json_path.c_str());
+    const std::string csv =
+        "link,bucket_start_ns,busy_fraction\n"
+        "L0,0.000,0.300000\n"
+        "sw0 \\\"up\\\"\\\\\\u001f,0.000,0.300000\n"
+        "sw0 \\\"up\\\"\\\\\\u001f,100.000,0.500000\n"
+        "sw0 \\\"up\\\"\\\\\\u001f,200.000,0.550000\n";
+    const std::string json =
+        "{\n"
+        "  \"bucket_ns\": 100,\n"
+        "  \"links\": [\n"
+        "    {\n"
+        "      \"busy_fraction\": [\n"
+        "        0.29999999999999999\n"
+        "      ],\n"
+        "      \"link\": \"L0\"\n"
+        "    },\n"
+        "    {\n"
+        "      \"busy_fraction\": [\n"
+        "        0.29999999999999999,\n"
+        "        0.5,\n"
+        "        0.55000000000000004\n"
+        "      ],\n"
+        "      \"link\": \"sw0 \\\"up\\\"\\\\\\u001f\"\n"
+        "    }\n"
+        "  ]\n"
+        "}\n";
+    EXPECT_EQ(csv_bytes, csv);
+    EXPECT_EQ(json_bytes, json);
+}
+
+TEST(ChromeTraceGolden, VisitEventsFollowsExportOrder)
+{
+    Tracer t(goldenConfig());
+    recordGolden(t);
+    const std::string path = "test_trace_visit_order.json";
+    t.writeChromeTrace(path);
+    json::Value doc = json::parseFile(path);
+    std::remove(path.c_str());
+
+    std::vector<std::string> exported;
+    for (const json::Value &ev : doc.at("traceEvents").asArray())
+        if (ev.at("ph").asString() != "M")
+            exported.push_back(ev.at("name").asString());
+    std::vector<std::string> visited;
+    t.visitEvents([&](const Tracer::ResolvedEvent &ev) {
+        if (!ev.open)
+            visited.emplace_back(ev.name);
+    });
+    EXPECT_EQ(visited, exported);
+}
+
+TEST(TraceNumberFormat, FixedMatchesPrintf)
+{
+    // Rounding edges, exact ties (2^-7 * 10^6 = 7812.5), integers
+    // around 2^53 and 2^64, subnormals, infinities and NaN.
+    std::vector<double> values = {
+        0.0, -0.0, 0.0005, 5e-7, 4.9999999999999998e-7, 0.0000015,
+        0.0078125, 0.0234375, 123456.7895, 123.4567895, -123.4567895,
+        -1e-9, 9007199254740992.0, 9007199254740.992, 1e15, 1e13,
+        18446744073709.551, 18446744073709551615.0, 1e19, 1e300, 0.1,
+        2.5, 1e-300, 4.9e-324, std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()};
+    // Uniform in [0, 1e13], half of them scaled down by up to 1e-19
+    // so small magnitudes get as many draws as large ones.
+    std::mt19937_64 rng(17);
+    std::uniform_real_distribution<double> uniform(0.0, 1e13);
+    for (int i = 0; i < 1000000; ++i) {
+        double v = uniform(rng);
+        values.push_back(i % 2 ? v : v / std::pow(10.0, i % 40 / 2));
+    }
+    // The doubles nearest to halfway between two outputs, where the
+    // rounding of the exact binary value decides the last digit.
+    std::uniform_int_distribution<int64_t> digits(0, int64_t(1) << 40);
+    for (int i = 0; i < 100000; ++i) {
+        double half = (double(digits(rng)) + 0.5) / (i % 2 ? 1e6 : 1e3);
+        values.push_back(half);
+        values.push_back(std::nextafter(half, 0.0));
+        values.push_back(std::nextafter(half, 1e300));
+    }
+
+    // %.6f (the Chrome trace) and %.3f (the utilization CSV).
+    char ours[kMaxFixedChars];
+    char ref[kMaxFixedChars + 1];
+    for (int precision : {6, 3}) {
+        size_t mismatches = 0;
+        for (double v : values) {
+            std::string got(ours, appendFixed(ours, v, precision));
+            std::snprintf(ref, sizeof(ref), "%.*f", precision, v);
+            if (got != ref && mismatches++ == 0)
+                ADD_FAILURE() << "%." << precision << "f of " << v
+                              << ": " << got << " != " << ref;
+        }
+        EXPECT_EQ(mismatches, 0u) << "precision " << precision;
+    }
+}
+
+TEST(TraceWriteErrors, FullDiskIsAUserError)
+{
+    if (access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "/dev/full is absent";
+    const std::string json_path = "test_trace_full_disk.json";
+    std::remove(json_path.c_str());
+    ASSERT_EQ(symlink("/dev/full", json_path.c_str()), 0);
+
+    Tracer t(goldenConfig());
+    recordGolden(t);
+    auto expectUserError = [](const std::string &path, auto write) {
+        try {
+            write();
+            ADD_FAILURE() << "writing " << path << " did not fail";
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(path), std::string::npos) << msg;
+            EXPECT_NE(msg.find(std::strerror(ENOSPC)), std::string::npos)
+                << msg;
+        }
+    };
+    expectUserError("/dev/full",
+                    [&] { t.writeChromeTrace("/dev/full"); });
+    expectUserError("/dev/full",
+                    [&] { t.writeUtilization("/dev/full"); });
+    expectUserError(json_path, [&] { t.writeUtilization(json_path); });
+    std::remove(json_path.c_str());
 }
 
 } // namespace
