@@ -61,11 +61,11 @@ CollectiveEngine::releaseInstance(Instance &inst)
     }
     uint64_t id = inst.id;
     inst.id = 0;
-    // Clears keep the top-level capacities (and the per-member nested
-    // vectors) alive for the next instance in this slot — SlotPool
-    // recycles the object in place.
-    inst.chunkPhases.clear();
-    inst.chunkPhaseMult.clear();
+    // Clears keep the capacities alive for the next instance in this
+    // slot — SlotPool recycles the object in place.
+    inst.phases.clear();
+    inst.phaseStart.clear();
+    inst.phaseMult.clear();
     instances_.release(id);
 }
 
@@ -79,25 +79,18 @@ CollectiveEngine::bytesInUse() const
     bytes += rendezvous_.bucket_count() * sizeof(void *) +
              rendezvous_.size() *
                  (sizeof(RendezvousKey) + sizeof(uint64_t) + kHashNode);
-    // Nested per-instance vectors survive recycling (releaseInstance
-    // clears, never shrinks), so walk every slot — live or free.
+    // Per-instance vectors survive recycling (releaseInstance clears,
+    // never shrinks), so walk every slot — live or free.
     for (uint32_t s = 0; s < instances_.slots(); ++s) {
         const Instance &inst = instances_.at(s);
         bytes += inst.groups.capacity() * sizeof(GroupDim) +
                  inst.npuOfRank.capacity() * sizeof(NpuId) +
-                 inst.chunkPhases.capacity() * sizeof(std::vector<Phase>) +
-                 inst.chunkPhaseMult.capacity() *
-                     sizeof(std::vector<int>) +
-                 inst.members.capacity() * sizeof(MemberState);
-        for (const std::vector<Phase> &phases : inst.chunkPhases)
-            bytes += phases.capacity() * sizeof(Phase);
-        for (const std::vector<int> &mult : inst.chunkPhaseMult)
-            bytes += mult.capacity() * sizeof(int);
-        for (const MemberState &m : inst.members) {
-            bytes += m.chunks.capacity() * sizeof(ChunkState);
-            for (const ChunkState &c : m.chunks)
-                bytes += c.early.capacity() * sizeof(int);
-        }
+                 inst.phases.capacity() * sizeof(Phase) +
+                 inst.phaseStart.capacity() * sizeof(uint32_t) +
+                 inst.phaseMult.capacity() * sizeof(int) +
+                 inst.members.capacity() * sizeof(MemberState) +
+                 inst.chunkStates.capacity() * sizeof(ChunkState) +
+                 inst.early.capacity() * sizeof(int);
     }
     return bytes;
 }
@@ -144,7 +137,6 @@ CollectiveEngine::join(uint64_t key, NpuId npu, const CollectiveRequest &req,
                  npu, static_cast<unsigned long long>(key));
     member.joined = true;
     member.onComplete = std::move(on_complete);
-    member.chunks.assign(static_cast<size_t>(req.chunks), ChunkState{});
     inst.npuOfRank[rank] = npu;
 
     if (++inst.joinedMembers == inst.groupSize) {
@@ -162,47 +154,37 @@ CollectiveEngine::start(Instance &inst)
     // group order (computed once, so all members' state machines stay
     // consistent).
     Bytes chunk_bytes = inst.req.bytes / double(inst.req.chunks);
-    inst.chunkPhases.reserve(static_cast<size_t>(inst.req.chunks));
+    inst.phaseStart.push_back(0);
     for (int c = 0; c < inst.req.chunks; ++c) {
         std::vector<GroupDim> order = scheduler_.nextOrder(
             inst.groups, inst.req.type, chunk_bytes, inst.req.policy);
-        inst.chunkPhases.push_back(
-            buildPhases(topo_, inst.req.type, chunk_bytes, order,
-                        inst.req.treeAllReduce));
+        std::vector<Phase> phases = buildPhases(
+            topo_, inst.req.type, chunk_bytes, order, inst.req.treeAllReduce);
+        inst.phases.insert(inst.phases.end(), phases.begin(), phases.end());
+        inst.phaseStart.push_back(static_cast<uint32_t>(inst.phases.size()));
     }
 
-    // Precompute each phase's rank-space multiplier (the radix weight
-    // of its group factor within `groups`), so the per-message path
-    // turns ranks into phase positions with one div/mod.
-    inst.chunkPhaseMult.resize(inst.chunkPhases.size());
-    for (size_t c = 0; c < inst.chunkPhases.size(); ++c) {
-        const std::vector<Phase> &phases = inst.chunkPhases[c];
-        std::vector<int> &mults = inst.chunkPhaseMult[c];
-        mults.assign(phases.size(), 1);
-        for (size_t p = 0; p < phases.size(); ++p) {
-            const GroupDim &pg = phases[p].group;
-            int mult = 1;
-            bool found = false;
-            for (const GroupDim &g : inst.groups) {
-                if (g.dim == pg.dim && g.size == pg.size &&
-                    g.stride == pg.stride) {
-                    found = true;
-                    break;
-                }
-                mult *= g.size;
+    // Each phase's rank-space multiplier: the radix weight of its group
+    // factor within `groups`.
+    for (const Phase &ph : inst.phases) {
+        int mult = 1;
+        bool found = false;
+        for (const GroupDim &g : inst.groups) {
+            if (g.dim == ph.group.dim && g.size == ph.group.size &&
+                g.stride == ph.group.stride) {
+                found = true;
+                break;
             }
-            ASTRA_ASSERT(found, "phase group is not an instance factor");
-            mults[p] = mult;
+            mult *= g.size;
         }
+        ASTRA_ASSERT(found, "phase group is not an instance factor");
+        inst.phaseMult.push_back(mult);
     }
 
-    // Size the early-arrival buffers now that phase lists exist.
-    for (MemberState &member : inst.members) {
-        for (int c = 0; c < inst.req.chunks; ++c) {
-            member.chunks[static_cast<size_t>(c)].early.assign(
-                inst.chunkPhases[static_cast<size_t>(c)].size(), 0);
-        }
-    }
+    size_t members = static_cast<size_t>(inst.groupSize);
+    inst.chunkStates.assign(members * static_cast<size_t>(inst.req.chunks),
+                            ChunkState{});
+    inst.early.assign(members * inst.phases.size(), 0);
 
     uint64_t ordinal = startedInstances_++;
     if (tracer_) {
@@ -259,7 +241,7 @@ CollectiveEngine::treeChildren(int pos, int k)
 }
 
 int
-CollectiveEngine::expectedRecvs(const Phase &ph, int pos) const
+CollectiveEngine::expectedRecvs(const Phase &ph, int pos)
 {
     int k = ph.group.size;
     switch (ph.algorithm) {
@@ -277,7 +259,7 @@ CollectiveEngine::expectedRecvs(const Phase &ph, int pos) const
 }
 
 int
-CollectiveEngine::totalSends(const Phase &ph, int pos) const
+CollectiveEngine::totalSends(const Phase &ph, int pos)
 {
     switch (ph.algorithm) {
       case PhaseAlgorithm::TreeReduce:
@@ -294,12 +276,12 @@ void
 CollectiveEngine::advance(Instance &inst, int rank, int chunk)
 {
     MemberState &member = inst.members[static_cast<size_t>(rank)];
-    ChunkState &st = member.chunks[static_cast<size_t>(chunk)];
+    ChunkState &st = inst.state(rank, chunk);
     st.started = true;
-    const std::vector<Phase> &phases =
-        inst.chunkPhases[static_cast<size_t>(chunk)];
+    const uint32_t first = inst.phaseStart[static_cast<size_t>(chunk)];
+    const uint32_t end = inst.phaseStart[static_cast<size_t>(chunk) + 1];
 
-    if (st.phase >= phases.size()) {
+    if (st.phase == end - first) {
         ++member.chunksDone;
         if (inst.req.serializeChunks &&
             member.chunksDone < inst.req.chunks) {
@@ -321,8 +303,16 @@ CollectiveEngine::advance(Instance &inst, int rank, int chunk)
         }
         return;
     }
+    // Everything the phase's messages need that depends only on the
+    // member and the phase is fixed here, once per phase entry.
+    const size_t flat = first + st.phase;
+    st.ph = &inst.phases[flat];
+    st.mult = inst.phaseMult[flat];
+    st.pos = (rank / st.mult) % st.ph->group.size;
+    st.sends = totalSends(*st.ph, st.pos);
+    st.expect = expectedRecvs(*st.ph, st.pos);
     st.sent = 0;
-    st.recvd = st.early[st.phase];
+    st.recvd = inst.earlyCount(rank, chunk, st.phase);
     if (tracer_ && tracer_->full())
         st.phaseEnteredAt = net_.now();
     pump(inst, rank, chunk);
@@ -331,45 +321,37 @@ CollectiveEngine::advance(Instance &inst, int rank, int chunk)
 void
 CollectiveEngine::pump(Instance &inst, int rank, int chunk)
 {
-    MemberState &member = inst.members[static_cast<size_t>(rank)];
-    ChunkState &st = member.chunks[static_cast<size_t>(chunk)];
-    const Phase &ph =
-        inst.chunkPhases[static_cast<size_t>(chunk)][st.phase];
-    int mult =
-        inst.chunkPhaseMult[static_cast<size_t>(chunk)][st.phase];
-
-    int pos = (rank / mult) % ph.group.size;
-    int sends = totalSends(ph, pos);
-    switch (ph.algorithm) {
+    ChunkState &st = inst.state(rank, chunk);
+    switch (st.ph->algorithm) {
       case PhaseAlgorithm::Ring:
       case PhaseAlgorithm::HalvingDoubling:
         // Step s may go out once step s-1's message has arrived.
-        while (st.sent < sends && st.sent <= st.recvd) {
-            sendStep(inst, rank, chunk, ph, mult, st.sent);
+        while (st.sent < st.sends && st.sent <= st.recvd) {
+            sendStep(inst, rank, chunk, st, st.sent);
             ++st.sent;
         }
         break;
       case PhaseAlgorithm::Direct:
         // One-shot: fire all peer messages; the transmit port
         // serializes them at the dimension's aggregate bandwidth.
-        while (st.sent < sends) {
-            sendStep(inst, rank, chunk, ph, mult, st.sent);
+        while (st.sent < st.sends) {
+            sendStep(inst, rank, chunk, st, st.sent);
             ++st.sent;
         }
         break;
       case PhaseAlgorithm::TreeReduce:
       case PhaseAlgorithm::TreeBroadcast:
         // Forward only once the whole subtree/parent input arrived.
-        if (st.recvd == expectedRecvs(ph, pos)) {
-            while (st.sent < sends) {
-                sendStep(inst, rank, chunk, ph, mult, st.sent);
+        if (st.recvd == st.expect) {
+            while (st.sent < st.sends) {
+                sendStep(inst, rank, chunk, st, st.sent);
                 ++st.sent;
             }
         }
         break;
     }
 
-    if (st.recvd == expectedRecvs(ph, pos) && st.sent == sends) {
+    if (st.recvd == st.expect && st.sent == st.sends) {
         if (tracer_ && tracer_->full())
             tracer_->span(tracePid_,
                           inst.npuOfRank[static_cast<size_t>(rank)],
@@ -377,7 +359,7 @@ CollectiveEngine::pump(Instance &inst, int rank, int chunk)
                           net_.now() - st.phaseEnteredAt,
                           static_cast<long long>(chunk),
                           static_cast<long long>(st.phase),
-                          static_cast<long long>(ph.group.dim));
+                          static_cast<long long>(st.ph->group.dim));
         ++st.phase;
         advance(inst, rank, chunk);
     }
@@ -385,16 +367,17 @@ CollectiveEngine::pump(Instance &inst, int rank, int chunk)
 
 void
 CollectiveEngine::sendStep(Instance &inst, int rank, int chunk,
-                           const Phase &ph, int mult, int step)
+                           const ChunkState &st, int step)
 {
-    int k = ph.group.size;
-    int pos = (rank / mult) % k;
+    const Phase &ph = *st.ph;
+    const int k = ph.group.size;
+    const int pos = st.pos;
     int peer_pos = pos;
     Bytes bytes = 0.0;
 
     switch (ph.algorithm) {
       case PhaseAlgorithm::Ring:
-        peer_pos = (pos + 1) % k;
+        peer_pos = pos + 1 == k ? 0 : pos + 1;
         bytes = ph.tensorBytes / double(k);
         break;
       case PhaseAlgorithm::Direct:
@@ -425,29 +408,27 @@ CollectiveEngine::sendStep(Instance &inst, int rank, int chunk,
         break;
     }
 
-    int dst_rank = rank + (peer_pos - pos) * mult;
+    int dst_rank = rank + (peer_pos - pos) * st.mult;
     NpuId src = inst.npuOfRank[static_cast<size_t>(rank)];
     NpuId dst = inst.npuOfRank[static_cast<size_t>(dst_rank)];
 
     sent_[static_cast<size_t>(ph.group.dim)] += bytes;
     uint64_t inst_id = inst.id;
-    size_t phase_idx = inst.members[static_cast<size_t>(rank)]
-                           .chunks[static_cast<size_t>(chunk)]
-                           .phase;
-    SendHandlers handlers;
-    // [this, 2 ids, 2 ints]: fits InlineEvent's inline buffer, so the
+    uint32_t phase_idx = st.phase;
+    // [this, id, 3 ints]: fits InlineEvent's inline buffer, so the
     // per-message delivery closure never allocates; capturing the
     // destination *rank* makes delivery a pure array walk.
-    handlers.onDelivered = [this, inst_id, dst_rank, chunk, phase_idx]() {
-        onMessage(inst_id, dst_rank, chunk, phase_idx);
-    };
     net_.simSend(src, dst, bytes, ph.group.dim, kNoTag,
-                 std::move(handlers));
+                 SendHandlers{nullptr,
+                              [this, inst_id, dst_rank, chunk, phase_idx]() {
+                                  onMessage(inst_id, dst_rank, chunk,
+                                            phase_idx);
+                              }});
 }
 
 void
 CollectiveEngine::onMessage(uint64_t inst_id, int rank, int chunk,
-                            size_t phase_idx)
+                            uint32_t phase_idx)
 {
     if (cancelled_)
         return; // abandoned incarnation: drop, don't pump.
@@ -455,8 +436,7 @@ CollectiveEngine::onMessage(uint64_t inst_id, int rank, int chunk,
     ASTRA_ASSERT(found != nullptr,
                  "message for retired collective instance");
     Instance &inst = *found;
-    MemberState &member = inst.members[static_cast<size_t>(rank)];
-    ChunkState &st = member.chunks[static_cast<size_t>(chunk)];
+    ChunkState &st = inst.state(rank, chunk);
     if (!st.started || phase_idx != st.phase) {
         // The sender's rail ran ahead of this member (possibly into a
         // chunk this member has not opened yet under serialized
@@ -464,7 +444,7 @@ CollectiveEngine::onMessage(uint64_t inst_id, int rank, int chunk,
         // phase.
         ASTRA_ASSERT(!st.started || phase_idx > st.phase,
                      "collective message for an already-finished phase");
-        ++st.early[phase_idx];
+        ++inst.earlyCount(rank, chunk, phase_idx);
         return;
     }
     ++st.recvd;

@@ -16,13 +16,14 @@
  * every chunk, which lets the workload layer overlap subsequent
  * compute with stragglers exactly like the real system layer.
  *
- * Hot-path layout (see docs/eventcore.md): member and chunk state live
- * in dense vectors indexed by the member's group-local rank (the mixed
- * radix over the instance's group factors), not in per-NPU maps, so
- * the per-message bookkeeping on delivery is a couple of array
- * indexings. Retired instances are recycled through a free list; ids
- * carry a generation tag so a message addressed to a retired instance
- * is still detected.
+ * Hot-path layout (see docs/eventcore.md): each instance keeps its
+ * chunk state in one flat array indexed by (group-local rank, chunk),
+ * where the rank is the mixed radix over the instance's group factors,
+ * and caches each phase's group position and send/receive counts in
+ * that state when the phase is entered. A delivery is a pool lookup
+ * plus one array indexing. Retired instances are recycled through a
+ * free list; ids carry a generation tag so a message addressed to a
+ * retired instance is still detected.
  */
 #ifndef ASTRA_COLLECTIVE_ENGINE_H_
 #define ASTRA_COLLECTIVE_ENGINE_H_
@@ -90,7 +91,7 @@ class CollectiveEngine
     /**
      * Heap bytes held by the engine's own state (telemetry footprint
      * protocol, docs/observability.md): the instance pool including
-     * the nested per-instance vectors recycled slots keep warm (their
+     * the per-instance vectors recycled slots keep warm (their
      * capacities are a deterministic function of the traffic), the
      * rendezvous table, and the scratch arrays. Excludes the network
      * backend, which reports itself.
@@ -113,21 +114,26 @@ class CollectiveEngine
     }
 
   private:
+    /** One member's progress through one chunk's phase list.
+     *  `mult`, `pos`, `sends`, `expect` and `ph` are fixed at phase
+     *  entry (advance()), so the per-message path reads them instead
+     *  of recomputing them. */
     struct ChunkState
     {
         bool started = false; //!< member entered this chunk (advance()
                               //!< ran); messages arriving earlier are
-                              //!< held in `early`.
-        size_t phase = 0; //!< index into the chunk's phase list.
-        int sent = 0;     //!< algorithm steps sent in current phase.
-        int recvd = 0;    //!< messages received in current phase.
+                              //!< held in Instance::early.
+        uint32_t phase = 0; //!< index into the chunk's phase list.
+        int sent = 0;       //!< algorithm steps sent in current phase.
+        int recvd = 0;      //!< messages received in current phase.
+        int mult = 1;       //!< rank-space multiplier of the phase.
+        int pos = 0;        //!< member's position in the phase group.
+        int sends = 0;      //!< sends the member owes this phase.
+        int expect = 0;     //!< messages the member awaits this phase.
+        const Phase *ph = nullptr; //!< the current phase.
         /** Entry time of the current phase; maintained only at full
          *  trace detail (phase spans). */
         TimeNs phaseEnteredAt = 0.0;
-        /** Messages that arrived for a later phase than the member is
-         *  in (rails of the same dimension progress independently
-         *  under contention); consumed when the phase is entered. */
-        std::vector<int> early;
     };
 
     struct MemberState
@@ -135,7 +141,6 @@ class CollectiveEngine
         EventCallback onComplete;
         bool joined = false;
         int chunksDone = 0;
-        std::vector<ChunkState> chunks;
     };
 
     struct Instance
@@ -149,21 +154,46 @@ class CollectiveEngine
         int groupSize = 1;
         int joinedMembers = 0;
         int completedMembers = 0;
-        std::vector<std::vector<Phase>> chunkPhases;
-        /** chunkPhaseMult[c][p]: rank-space multiplier of chunk c,
-         *  phase p's group factor (product of the sizes of the group
-         *  factors before it in `groups`), so a member's position in
-         *  the phase group is `(rank / mult) % group.size` — no
-         *  coordinate arithmetic on the per-message path. */
-        std::vector<std::vector<int>> chunkPhaseMult;
+        /** Every chunk's phase list, back to back: chunk c owns
+         *  phases[phaseStart[c] .. phaseStart[c + 1]). */
+        std::vector<Phase> phases;
+        std::vector<uint32_t> phaseStart;
+        /** phaseMult[i]: rank-space multiplier of phases[i]'s group
+         *  factor (product of the sizes of the group factors before it
+         *  in `groups`), so a member's position in the phase group is
+         *  `(rank / mult) % group.size`. advance() evaluates it once
+         *  per phase entry and keeps it in the ChunkState. */
+        std::vector<int> phaseMult;
         /** Dense member state, indexed by group-local rank. */
         std::vector<MemberState> members;
+        /** chunkStates[rank * req.chunks + chunk]. */
+        std::vector<ChunkState> chunkStates;
+        /** Messages that arrived for a later phase than the member is
+         *  in (rails of the same dimension progress independently
+         *  under contention), indexed rank * phases.size() +
+         *  phaseStart[chunk] + phase; consumed when the phase is
+         *  entered. */
+        std::vector<int> early;
         /** rank -> NPU id (for sends and the deterministic kick
          *  order). */
         std::vector<NpuId> npuOfRank;
         /** Open trace span of this instance (Tracer::kNoSpan when
          *  tracing is off or the span is closed). */
         uint32_t traceSpan = 0xffffffffu;
+
+        ChunkState &
+        state(int rank, int chunk)
+        {
+            return chunkStates[static_cast<size_t>(rank) *
+                                   static_cast<size_t>(req.chunks) +
+                               static_cast<size_t>(chunk)];
+        }
+        int &
+        earlyCount(int rank, int chunk, uint32_t phase)
+        {
+            return early[static_cast<size_t>(rank) * phases.size() +
+                         phaseStart[static_cast<size_t>(chunk)] + phase];
+        }
     };
 
     /** Rendezvous key: (caller key, canonical group representative). */
@@ -206,13 +236,13 @@ class CollectiveEngine
     void advance(Instance &inst, int rank, int chunk);
     void pump(Instance &inst, int rank, int chunk);
     void onMessage(uint64_t inst_id, int rank, int chunk,
-                   size_t phase_idx);
-    void sendStep(Instance &inst, int rank, int chunk, const Phase &ph,
-                  int mult, int step);
+                   uint32_t phase_idx);
+    void sendStep(Instance &inst, int rank, int chunk,
+                  const ChunkState &st, int step);
     /** Per-member counts; tree algorithms depend on the member's
      *  position in the group (root / internal / leaf). */
-    int expectedRecvs(const Phase &ph, int pos) const;
-    int totalSends(const Phase &ph, int pos) const;
+    static int expectedRecvs(const Phase &ph, int pos);
+    static int totalSends(const Phase &ph, int pos);
     /** Number of binary-tree children of `pos` in a k-wide group. */
     static int treeChildren(int pos, int k);
 

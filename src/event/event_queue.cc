@@ -47,6 +47,20 @@ EventQueue::EventQueue(TimeNs bucket_width)
     ASTRA_ASSERT(bucket_width > 0.0, "bucket width must be positive");
 }
 
+EventQueue::~EventQueue()
+{
+    dropLevels();
+}
+
+void
+EventQueue::dropLevels()
+{
+    auto drop = [](Entry &&) {};
+    takeLevel(*level0_, drop);
+    takeLevel(*level1_, drop);
+    takeLevel(*level2_, drop);
+}
+
 bool
 EventQueue::entryBefore(const Entry &a, const Entry &b)
 {
@@ -85,7 +99,8 @@ EventQueue::takeChunk()
 
 template <size_t N>
 void
-EventQueue::append(Level<N> &level, size_t slot, Entry &&e)
+EventQueue::append(Level<N> &level, size_t slot, TimeNs when,
+                   uint64_t seq, InlineEvent &&cb)
 {
     Bucket &b = level.buckets[slot];
     if (b.tail == nullptr) {
@@ -98,7 +113,7 @@ EventQueue::append(Level<N> &level, size_t slot, Entry &&e)
         b.tail = chunk;
         b.tailFill = 0;
     }
-    b.tail->entries[b.tailFill++] = std::move(e);
+    ::new (b.tail->slot(b.tailFill++)) Entry{when, seq, std::move(cb)};
     ++level.count;
 }
 
@@ -111,8 +126,11 @@ EventQueue::takeBucket(Level<N> &level, size_t slot, Sink &&sink)
     level.occupied[slot >> 6] &= ~(uint64_t{1} << (slot & 63));
     for (Chunk *chunk = b.head; chunk != nullptr;) {
         size_t fill = chunk == b.tail ? b.tailFill : kChunkEntries;
-        for (size_t i = 0; i < fill; ++i)
-            sink(std::move(chunk->entries[i]));
+        for (size_t i = 0; i < fill; ++i) {
+            Entry &e = chunk->at(i);
+            sink(std::move(e));
+            e.~Entry();
+        }
         level.count -= fill;
         // The sink may take chunks (moveDown appends elsewhere); this
         // one is read out, so it can go back to the slab first.
@@ -137,28 +155,29 @@ EventQueue::takeLevel(Level<N> &level, Sink &&sink)
 }
 
 int
-EventQueue::place(Entry &&e, int64_t tick)
+EventQueue::place(TimeNs when, uint64_t seq, InlineEvent &&cb,
+                  int64_t tick)
 {
     const int64_t horizon = horizonBlock();
     const int64_t block = tick >> kLevelBits;
     if (block <= horizon) {
         append(*level0_, static_cast<size_t>(tick) & (kLevel0Slots - 1),
-               std::move(e));
+               when, seq, std::move(cb));
         return 0;
     }
     const int64_t super = block >> kLevelBits;
     const int64_t horizonSuper = horizon >> kLevelBits;
     if (super == horizonSuper) {
-        append(*level1_, static_cast<size_t>(block) & kSlotMask,
-               std::move(e));
+        append(*level1_, static_cast<size_t>(block) & kSlotMask, when, seq,
+               std::move(cb));
         return 1;
     }
     if (super - horizonSuper < static_cast<int64_t>(kLevelSlots)) {
-        append(*level2_, static_cast<size_t>(super) & kSlotMask,
-               std::move(e));
+        append(*level2_, static_cast<size_t>(super) & kSlotMask, when, seq,
+               std::move(cb));
         return 2;
     }
-    heap_.push_back(std::move(e));
+    heap_.push_back(Entry{when, seq, std::move(cb)});
     std::push_heap(heap_.begin(), heap_.end(), entryAfter);
     return 3;
 }
@@ -169,8 +188,7 @@ EventQueue::moveDown(Level<N> &level, size_t slot)
 {
     uint64_t moved = 0;
     takeBucket(level, slot, [this, &moved](Entry &&e) {
-        int64_t tick = tickOf(e.when);
-        place(std::move(e), tick);
+        place(e.when, e.seq, std::move(e.cb), tickOf(e.when));
         ++moved;
     });
     if (prof_)
@@ -188,8 +206,7 @@ EventQueue::drainHeap()
         std::pop_heap(heap_.begin(), heap_.end(), entryAfter);
         Entry e = std::move(heap_.back());
         heap_.pop_back();
-        int64_t tick = tickOf(e.when);
-        place(std::move(e), tick);
+        place(e.when, e.seq, std::move(e.cb), tickOf(e.when));
         ++moved;
     }
     if (prof_)
@@ -290,14 +307,14 @@ EventQueue::activate(int64_t tick)
 }
 
 void
-EventQueue::schedule(TimeNs delay, EventCallback cb)
+EventQueue::schedule(TimeNs delay, EventCallback &&cb)
 {
     ASTRA_ASSERT(delay >= 0.0, "negative event delay %g", delay);
     scheduleAt(now_ + delay, std::move(cb));
 }
 
 void
-EventQueue::scheduleAt(TimeNs when, EventCallback cb)
+EventQueue::scheduleAt(TimeNs when, EventCallback &&cb)
 {
     ASTRA_ASSERT(timeNotBefore(when, now_),
                  "event scheduled in the past (when=%g now=%g)", when, now_);
@@ -310,22 +327,24 @@ EventQueue::scheduleAt(TimeNs when, EventCallback cb)
         return;
     }
     const int64_t tick = tickOf(when);
-    Entry e{when, seq_++, std::move(cb)};
+    const uint64_t seq = seq_++;
     int level = 0;
     if (tick > baseTick_) {
-        level = place(std::move(e), tick);
+        level = place(when, seq, std::move(cb), tick);
     } else {
         if (tick < baseTick_)
             rebase(tick);
         if (activeOpen_) {
-            // Insert into the live (sorted) bucket at its ordered slot.
+            // Insert into the live (sorted) bucket at its ordered slot;
+            // (when, seq) sorts after every entry at `when` already in.
             auto pos = std::upper_bound(
                 active_.begin() + static_cast<ptrdiff_t>(activeHead_),
-                active_.end(), e, entryBefore);
-            active_.insert(pos, std::move(e));
+                active_.end(), when,
+                [](TimeNs t, const Entry &e) { return t < e.when; });
+            active_.insert(pos, Entry{when, seq, std::move(cb)});
         } else {
             append(*level0_, static_cast<size_t>(tick) & (kLevel0Slots - 1),
-                   std::move(e));
+                   when, seq, std::move(cb));
         }
     }
     if (prof_)
@@ -497,10 +516,7 @@ EventQueue::reset()
     active_.clear();
     activeHead_ = 0;
     activeOpen_ = false;
-    auto drop = [](Entry &&e) { e.cb = nullptr; };
-    takeLevel(*level0_, drop);
-    takeLevel(*level1_, drop);
-    takeLevel(*level2_, drop);
+    dropLevels();
     heap_.clear();
     baseTick_ = 0;
     now_ = 0.0;

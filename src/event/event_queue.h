@@ -55,6 +55,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "common/units.h"
@@ -133,15 +134,18 @@ class EventQueue
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
+    /** Destroys every pending callback (the slab is raw storage). */
+    ~EventQueue();
+
     /** Current simulated time in nanoseconds. */
     TimeNs now() const { return now_; }
 
     /** Schedule `cb` to fire `delay` ns after now; delay must be >= 0. */
-    void schedule(TimeNs delay, EventCallback cb);
+    void schedule(TimeNs delay, EventCallback &&cb);
 
     /** Schedule `cb` at absolute time `when` (>= now - kTimeEpsNs;
      *  earlier times within the tolerance clamp to now). */
-    void scheduleAt(TimeNs when, EventCallback cb);
+    void scheduleAt(TimeNs when, EventCallback &&cb);
 
     /** Number of pending events. */
     size_t pending() const { return pending_; }
@@ -224,12 +228,29 @@ class EventQueue
         InlineEvent cb;
     };
 
-    /** A slab chunk. Free slots hold empty callbacks. */
-    struct Chunk
+    /**
+     * A slab chunk: raw storage for kChunkEntries entries. append()
+     * placement-constructs an entry in the first free slot and
+     * takeBucket() destroys it once the entry is taken, so a slot
+     * outside a bucket's fill holds no object and a cold slot is
+     * written, never read, when it is filled. An entry is one 64 B
+     * cache line and chunks are line-aligned, so filling a slot
+     * touches exactly one line.
+     */
+    struct alignas(64) Chunk
     {
-        std::array<Entry, kChunkEntries> entries;
+        unsigned char storage[kChunkEntries * sizeof(Entry)];
         Chunk *next = nullptr;
+
+        void *slot(size_t i) { return storage + i * sizeof(Entry); }
+        Entry &
+        at(size_t i)
+        {
+            return *std::launder(reinterpret_cast<Entry *>(slot(i)));
+        }
     };
+
+    static_assert(sizeof(Entry) == 64, "an entry is one cache line");
 
     /** An unrolled list of chunks; entries in append order. */
     struct Bucket
@@ -259,24 +280,29 @@ class EventQueue
 
     /** Put an entry with tick >= baseTick_ into the level that covers
      *  it; returns the level (3 = heap). */
-    int place(Entry &&e, int64_t tick);
+    int place(TimeNs when, uint64_t seq, InlineEvent &&cb, int64_t tick);
 
     template <size_t N>
-    void append(Level<N> &level, size_t slot, Entry &&e);
+    void append(Level<N> &level, size_t slot, TimeNs when, uint64_t seq,
+                InlineEvent &&cb);
 
     /** Move every entry of `level`'s bucket `slot` to the level that
      *  covers it now (always a lower one). */
     template <size_t N> void moveDown(Level<N> &level, size_t slot);
 
     /** Detach `level`'s bucket `slot` and hand each of its entries,
-     *  in append order, to `sink` (which must move the callback out
-     *  or clear it); the chunks go back to the slab. */
+     *  in append order, to `sink`; each entry is destroyed after the
+     *  sink returns (dropping a callback the sink did not move out),
+     *  and the chunks go back to the slab. */
     template <size_t N, typename Sink>
     void takeBucket(Level<N> &level, size_t slot, Sink &&sink);
 
     /** takeBucket() on every occupied bucket of `level`. */
     template <size_t N, typename Sink>
     void takeLevel(Level<N> &level, Sink &&sink);
+
+    /** Destroy every entry of the three wheel levels. */
+    void dropLevels();
 
     /** Move heap entries that fall within level 2's range. */
     void drainHeap();

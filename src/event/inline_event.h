@@ -9,9 +9,12 @@
  * (implementation-defined, ~16 B) small-buffer dominates the event
  * dispatch profile. InlineEvent fixes the capture budget explicitly:
  *
- *  - Captures up to kInlineBytes (48 B) are stored inline; the common
- *    closures in the network backends and the collective engine
- *    ([this, ids, chunk, phase]) fit with room to spare.
+ *  - Captures up to kInlineBytes (40 B) are stored inline. That is
+ *    exactly the packet backend's per-hop closure, the largest one
+ *    scheduled per message; the collective engine's delivery closure
+ *    ([this, id, rank, chunk, phase]) takes 32 B.
+ *    tests/event/test_inline_budget.cc fails if one of them outgrows
+ *    the budget.
  *  - Larger captures (typically closures that themselves own another
  *    InlineEvent, e.g. a completion chain) fall back to fixed
  *    size-class blocks recycled through a free list (CallbackPool), so
@@ -179,8 +182,10 @@ class InlineEvent
 {
   public:
     /** Inline capture budget; sized so every closure on the message
-     *  hot path (this + a few ids) stays in-place. */
-    static constexpr size_t kInlineBytes = 48;
+     *  hot path (this + a few ids) stays in-place, and so that with
+     *  the ops pointer an InlineEvent is 48 B and an EventQueue entry
+     *  (time, sequence, callback) one 64 B cache line. */
+    static constexpr size_t kInlineBytes = 40;
 
     InlineEvent() noexcept = default;
     InlineEvent(std::nullptr_t) noexcept {}

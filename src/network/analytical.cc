@@ -20,6 +20,19 @@ AnalyticalNetwork::AnalyticalNetwork(EventQueue &eq, const Topology &topo,
     txBusy_.assign(txFree_.size(), 0.0);
     txScale_.assign(txFree_.size(), 1.0);
     txUp_.assign(txFree_.size(), 1);
+    coord_.resize(txFree_.size());
+    for (NpuId n = 0; n < topo.npus(); ++n)
+        for (int d = 0; d < topo.numDims(); ++d)
+            coord_[portIndex(n, d)] = topo.coordInDim(n, d);
+    for (int d = 0; d < topo.numDims(); ++d) {
+        const Dimension &dim = topo.dim(d);
+        const int k = dim.size;
+        dimRoute_.push_back(DimRoute{
+            dim.bandwidth, dim.latency,
+            static_cast<int>(hopTable_.size()) + k - 1});
+        for (int delta = 1 - k; delta < k; ++delta)
+            hopTable_.push_back(topo.hopsInDim(0, (delta + k) % k, d));
+    }
     // One serialization point per (NPU, dimension) transmit port.
     for (int d = 0; d < topo.numDims(); ++d)
         stats_.linksPerDim[static_cast<size_t>(d)] = topo.npus();
@@ -38,14 +51,6 @@ AnalyticalNetwork::setTracer(trace::Tracer *tracer)
                 detail::formatV("tx n%d.d%d", n, d));
 }
 
-TimeNs
-AnalyticalNetwork::txFreeAt(NpuId npu, int dim) const
-{
-    return txFree_[static_cast<size_t>(npu) *
-                       static_cast<size_t>(topo_.numDims()) +
-                   static_cast<size_t>(dim)];
-}
-
 size_t
 AnalyticalNetwork::bytesInUse() const
 {
@@ -54,7 +59,10 @@ AnalyticalNetwork::bytesInUse() const
                    txFree_.capacity() * sizeof(TimeNs) +
                    txBusy_.capacity() * sizeof(TimeNs) +
                    txScale_.capacity() * sizeof(double) +
-                   txUp_.capacity() * sizeof(uint8_t);
+                   txUp_.capacity() * sizeof(uint8_t) +
+                   coord_.capacity() * sizeof(int) +
+                   dimRoute_.capacity() * sizeof(DimRoute) +
+                   hopTable_.capacity() * sizeof(int);
     for (const auto &[port, lot] : parked_) {
         (void)port;
         bytes += sizeof(size_t) + kNodeOverhead +
@@ -66,12 +74,17 @@ AnalyticalNetwork::bytesInUse() const
 AnalyticalNetwork::Route
 AnalyticalNetwork::resolve(NpuId src, NpuId dst, int dim) const
 {
+    ASTRA_ASSERT(src >= 0 && src < topo_.npus() && dst >= 0 &&
+                     dst < topo_.npus(),
+                 "simSend: NPU out of range (%d -> %d)", src, dst);
+    const int *from = coordRow(src);
+    const int *to = coordRow(dst);
     if (dim != kAutoRoute) {
         ASTRA_ASSERT(dim >= 0 && dim < topo_.numDims(),
                      "simSend: bad dimension %d", dim);
-        const Dimension &d = topo_.dim(dim);
-        int hops = topo_.hopsInDim(topo_.coordInDim(src, dim),
-                                   topo_.coordInDim(dst, dim), dim);
+        const DimRoute &d = dimRoute_[static_cast<size_t>(dim)];
+        int hops = hopTable_[static_cast<size_t>(d.hops + to[dim] -
+                                                 from[dim])];
         ASTRA_ASSERT(hops > 0 || src == dst,
                      "simSend: src %d and dst %d are not peers in dim %d",
                      src, dst, dim);
@@ -86,20 +99,20 @@ AnalyticalNetwork::resolve(NpuId src, NpuId dst, int dim) const
     int charged_dim = 0;
     bool found = false;
     for (int d = 0; d < topo_.numDims(); ++d) {
-        int hops = topo_.hopsInDim(topo_.coordInDim(src, d),
-                                   topo_.coordInDim(dst, d), d);
+        const DimRoute &r = dimRoute_[static_cast<size_t>(d)];
+        int hops = hopTable_[static_cast<size_t>(r.hops + to[d] - from[d])];
         if (hops == 0)
             continue;
-        latency += topo_.dim(d).latency * hops;
-        if (!found || topo_.dim(d).bandwidth < bottleneck) {
-            bottleneck = topo_.dim(d).bandwidth;
+        latency += r.latency * hops;
+        if (!found || r.bandwidth < bottleneck) {
+            bottleneck = r.bandwidth;
             charged_dim = d;
             found = true;
         }
     }
     if (!found) {
         // Self-send: deliver after zero network time.
-        return Route{0, topo_.dim(0).bandwidth, 0.0};
+        return Route{0, dimRoute_[0].bandwidth, 0.0};
     }
     return Route{charged_dim, bottleneck, latency};
 }
@@ -176,11 +189,9 @@ AnalyticalNetwork::setLinkUp(NpuId src, NpuId dst, int dim, bool up)
 }
 
 TimeNs
-AnalyticalNetwork::claimTxPort(NpuId src, int dim, TimeNs ser)
+AnalyticalNetwork::claimTxPort(size_t port, TimeNs ser)
 {
-    TimeNs &free_at = txFree_[static_cast<size_t>(src) *
-                                  static_cast<size_t>(topo_.numDims()) +
-                              static_cast<size_t>(dim)];
+    TimeNs &free_at = txFree_[port];
     ASTRA_ASSERT(ser >= 0.0, "negative serialization time %g", ser);
     TimeNs now = eq_.now();
     TimeNs start = std::max(now, free_at);
@@ -224,8 +235,7 @@ AnalyticalNetwork::simSend(NpuId src, NpuId dst, Bytes bytes, int dim,
     accountBusy(route.dim, ser, busy);
     if (sendOwner_)
         (*sendOwner_)[static_cast<size_t>(route.dim)] += ser;
-    TimeNs start = serialize_ ? claimTxPort(src, route.dim, ser)
-                              : eq_.now();
+    TimeNs start = serialize_ ? claimTxPort(port, ser) : eq_.now();
     TimeNs injected_at = start + ser;
     TimeNs delivered_at = injected_at + route.latency;
 

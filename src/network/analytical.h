@@ -59,9 +59,6 @@ class AnalyticalNetwork : public NetworkApi
      *  serialization points; see docs/trace.md. */
     void setTracer(trace::Tracer *tracer) override;
 
-    /** The time at which (npu, dim)'s transmit port frees up. */
-    TimeNs txFreeAt(NpuId npu, int dim) const;
-
     /** Adds the per-port arrays and parked-send lots to the base
      *  accounting (telemetry footprint protocol). */
     size_t bytesInUse() const override;
@@ -76,6 +73,24 @@ class AnalyticalNetwork : public NetworkApi
 
     /** Resolve routing for a message (single-dim or dimension-ordered). */
     Route resolve(NpuId src, NpuId dst, int dim) const;
+
+    /** `npu`'s row of coord_: its coordinate in every dimension. */
+    const int *
+    coordRow(NpuId npu) const
+    {
+        return coord_.data() + static_cast<size_t>(npu) *
+                                   static_cast<size_t>(topo_.numDims());
+    }
+
+    /** One dimension's routing constants. hopTable_[hops + to - from]
+     *  is Topology::hopsInDim(from, to, d): the hop count depends only
+     *  on the coordinate difference. */
+    struct DimRoute
+    {
+        GBps bandwidth;
+        TimeNs latency;
+        int hops;
+    };
 
     /** A send held at an administratively-down transmit port. */
     struct ParkedSend
@@ -96,16 +111,23 @@ class AnalyticalNetwork : public NetworkApi
     std::vector<size_t> faultPorts(NpuId src, NpuId dst, int dim) const;
 
     /**
-     * Claim (src, dim)'s transmit port for `ser` ns starting no earlier
-     * than now; returns the granted start time and advances the port's
-     * free time. Uses the shared kTimeEpsNs tolerance (common/units.h)
-     * for its sanity check, matching EventQueue's past-time check so a
-     * port-derived timestamp that is within tolerance of now is always
-     * schedulable.
+     * Claim transmit port `port` (portIndex()) for `ser` ns starting no
+     * earlier than now; returns the granted start time and advances
+     * the port's free time. Uses the shared kTimeEpsNs tolerance
+     * (common/units.h) for its sanity check, matching EventQueue's
+     * past-time check so a port-derived timestamp that is within
+     * tolerance of now is always schedulable.
      */
-    TimeNs claimTxPort(NpuId src, int dim, TimeNs ser);
+    TimeNs claimTxPort(size_t port, TimeNs ser);
 
     bool serialize_;
+    // Routing tables, built at construction so resolving a send reads
+    // two coordinate rows and one hop count per dimension instead of
+    // dividing. coord_[npu * numDims + dim] is the NPU's coordinate in
+    // that dimension.
+    std::vector<int> coord_;
+    std::vector<DimRoute> dimRoute_;
+    std::vector<int> hopTable_;
     /** txFree_[npu * numDims + dim]: next free time of that TX port. */
     std::vector<TimeNs> txFree_;
     /** Cumulative serialization time per TX port (same indexing);

@@ -36,7 +36,7 @@ NetworkApi::simRecv(NpuId dst, NpuId src, uint64_t tag, EventCallback cb)
 }
 
 void
-NetworkApi::simSchedule(TimeNs delay, EventCallback cb)
+NetworkApi::simSchedule(TimeNs delay, EventCallback &&cb)
 {
     eq_.schedule(delay, std::move(cb));
 }
@@ -178,7 +178,7 @@ NetworkApi::deliverLoopback(NpuId src, uint64_t tag,
 
 void
 NetworkApi::scheduleDelivery(TimeNs at, NpuId src, NpuId dst,
-                             uint64_t tag, EventCallback on_delivered)
+                             uint64_t tag, EventCallback &&on_delivered)
 {
     if (tag == kNoTag) {
         eq_.scheduleAt(at, std::move(on_delivered));

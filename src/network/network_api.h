@@ -116,7 +116,7 @@ class NetworkApi
                          EventCallback cb);
 
     /** Schedule a callback after `delay` ns (Snippet 2 sim_schedule). */
-    void simSchedule(TimeNs delay, EventCallback cb);
+    void simSchedule(TimeNs delay, EventCallback &&cb);
 
     /**
      * Fault hooks (src/fault/): rescale or cut the capacity of the
@@ -230,7 +230,7 @@ class NetworkApi
      * through deliver() for matching.
      */
     void scheduleDelivery(TimeNs at, NpuId src, NpuId dst, uint64_t tag,
-                          EventCallback on_delivered);
+                          EventCallback &&on_delivered);
 
     /** Dimension a message's payload is attributed to in stats():
      *  `dim` itself, or — for kAutoRoute — the first dimension the
