@@ -5,6 +5,7 @@
 #ifndef ASTRA_COLLECTIVE_TYPES_H_
 #define ASTRA_COLLECTIVE_TYPES_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -14,7 +15,7 @@
 namespace astra {
 
 /** The four collective patterns of Fig. 2. */
-enum class CollectiveType {
+enum class CollectiveType : uint8_t {
     ReduceScatter,
     AllGather,
     AllReduce,

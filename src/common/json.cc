@@ -46,6 +46,14 @@ Value::asNumber() const
     return num_;
 }
 
+void
+badInt(const std::string &path, const Value &v, int64_t lo, int64_t hi)
+{
+    fatal("%s: expected an integer in [%lld, %lld], got %s", path.c_str(),
+          static_cast<long long>(lo), static_cast<long long>(hi),
+          v.dump().c_str());
+}
+
 int64_t
 Value::asInt() const
 {

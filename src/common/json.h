@@ -116,6 +116,32 @@ Value parseFile(const std::string &path);
 /** Write a JSON document to a file; fatal() if unwritable. */
 void writeFile(const std::string &path, const Value &v, int indent = 2);
 
+/** fatal() with "<path>: expected an integer in [lo, hi], got <v>". */
+[[noreturn]] void badInt(const std::string &path, const Value &v,
+                         int64_t lo, int64_t hi);
+
+/**
+ * `v` as an integer in [lo, hi], for fields that are narrowed or used
+ * as keys: fatal() (badInt) if it is not a number, not integral, or
+ * out of range. `path()` names the field and runs only on failure.
+ * `lo` and `hi` must be exact doubles (|x| <= 2^53).
+ */
+template <typename PathFn>
+int64_t
+checkedInt(const Value &v, int64_t lo, int64_t hi, PathFn &&path)
+{
+    if (v.isNumber()) {
+        double d = v.asNumber();
+        if (d >= double(lo) && d <= double(hi) && d == double(int64_t(d)))
+            return int64_t(d);
+    }
+    badInt(path(), v, lo, hi);
+}
+
+/** Keys and tags round-trip through JSON numbers (doubles), so they
+ *  must stay below 2^53. */
+constexpr int64_t kMaxExactInt = (int64_t(1) << 53) - 1;
+
 /** fatal() unless `doc` is an object whose keys are all `allowed`. The
  *  message reads "<path>: unknown key '<k>'", then the key's full path
  *  and the allowed keys, so a typo names its own fix. */

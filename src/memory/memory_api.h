@@ -12,18 +12,20 @@
 #ifndef ASTRA_MEMORY_MEMORY_API_H_
 #define ASTRA_MEMORY_MEMORY_API_H_
 
+#include <cstdint>
+
 #include "common/units.h"
 
 namespace astra {
 
 /** Where a tensor lives (ET memory-node metadata). */
-enum class MemLocation {
+enum class MemLocation : uint8_t {
     Local,  //!< NPU-attached HBM.
     Remote, //!< disaggregated pool / CPU+NVMe tier.
 };
 
 /** Access direction. */
-enum class MemOp {
+enum class MemOp : uint8_t {
     Load,
     Store,
 };

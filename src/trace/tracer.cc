@@ -212,30 +212,38 @@ Tracer::pushEvent(int32_t pid, int32_t tid, const char *cat,
 
 void
 Tracer::spanStr(int32_t pid, int32_t tid, const char *cat,
-                std::string name, TimeNs ts, TimeNs dur)
+                std::string_view name, TimeNs ts, TimeNs dur)
 {
-    names_.push_back(std::move(name));
-    pushEvent(pid, tid, cat, nullptr, ts, dur < 0 ? 0 : dur,
-              (long long)(names_.size() - 1), 0, 0);
+    spanName(pid, tid, cat, internName(name), ts, dur);
 }
 
 void
 Tracer::instantStr(int32_t pid, int32_t tid, const char *cat,
-                   std::string name, TimeNs ts)
+                   std::string_view name, TimeNs ts)
 {
-    names_.push_back(std::move(name));
     pushEvent(pid, tid, cat, nullptr, ts, kInstant,
-              (long long)(names_.size() - 1), 0, 0);
+              (long long)internName(name), 0, 0);
 }
 
 Tracer::SpanId
 Tracer::beginSpan(int32_t pid, int32_t tid, const char *cat,
-                  std::string name, TimeNs ts)
+                  std::string_view name, TimeNs ts)
 {
-    names_.push_back(std::move(name));
     pushEvent(pid, tid, cat, nullptr, ts, kOpen,
-              (long long)(names_.size() - 1), 0, 0);
+              (long long)internName(name), 0, 0);
     return SpanId(eventCount() - 1);
+}
+
+size_t
+Tracer::bytesInUse() const
+{
+    size_t bytes = blocks_.size() * kBlockSize * sizeof(Event) +
+                   blocks_.capacity() * sizeof(void *) +
+                   names_.bytesInUse() +
+                   links_.capacity() * sizeof(LinkState);
+    for (const LinkState &ls : links_)
+        bytes += ls.busyNs.capacity() * sizeof(double);
+    return bytes;
 }
 
 void
@@ -328,7 +336,7 @@ std::string_view
 Tracer::eventName(const Event &ev, NameBuffer &buf) const
 {
     if (ev.fmt == nullptr)
-        return names_[size_t(ev.a0)];
+        return names_[uint32_t(ev.a0)];
     int n = std::snprintf(buf, sizeof(buf), ev.fmt, ev.a0, ev.a1, ev.a2);
     return {buf, std::min(size_t(std::max(n, 0)), sizeof(buf) - 1)};
 }

@@ -42,6 +42,7 @@
 
 #include "common/cli.h"
 #include "common/json.h"
+#include "common/string_table.h"
 #include "common/units.h"
 
 namespace astra {
@@ -206,18 +207,34 @@ class Tracer
             newBlock();
         *cur_++ = Event{ts, kInstant, pid, tid, cat, fmt, a0, a1, a2};
     }
-    /** Slow path for dynamic names (node names, job ids); the string
-     *  is copied. Low-volume call sites only. */
+    /** Dynamic names (node names, job ids) are interned: each
+     *  distinct name is stored once, and an event holds its id. A
+     *  caller recording the same names many times interns them up
+     *  front and records by id with spanName(). */
+    uint32_t
+    internName(std::string_view name)
+    {
+        return names_.intern(name);
+    }
+    void spanName(int32_t pid, int32_t tid, const char *cat, uint32_t name,
+                  TimeNs ts, TimeNs dur)
+    {
+        if (cur_ == curEnd_)
+            newBlock();
+        *cur_++ = Event{ts, dur < 0 ? 0 : double(dur), pid, tid, cat,
+                        nullptr, (long long)name, 0, 0};
+    }
+    /** internName() + record, for low-volume call sites. */
     void spanStr(int32_t pid, int32_t tid, const char *cat,
-                 std::string name, TimeNs ts, TimeNs dur);
+                 std::string_view name, TimeNs ts, TimeNs dur);
     void instantStr(int32_t pid, int32_t tid, const char *cat,
-                    std::string name, TimeNs ts);
+                    std::string_view name, TimeNs ts);
 
     /** Open span for state that closes later (collective instances,
      *  job lifetimes). Spans never closed are dropped at export and
      *  counted in `trace_unclosed_spans`. */
     SpanId beginSpan(int32_t pid, int32_t tid, const char *cat,
-                     std::string name, TimeNs ts);
+                     std::string_view name, TimeNs ts);
     void endSpan(SpanId id, TimeNs ts);
 
     /** Perfetto display metadata ("M" events). */
@@ -256,19 +273,10 @@ class Tracer
      * Heap bytes held by the event blocks, link tracks and name table
      * (telemetry footprint protocol, docs/observability.md). Blocks
      * are counted at full size — they are allocated whole — so this
-     * is a deterministic step function of the event count.
+     * is a deterministic step function of the event count; the name
+     * table grows only per distinct name.
      */
-    size_t
-    bytesInUse() const
-    {
-        size_t bytes = blocks_.size() * kBlockSize * sizeof(Event) +
-                       blocks_.capacity() * sizeof(void *) +
-                       names_.capacity() * sizeof(std::string) +
-                       links_.capacity() * sizeof(LinkState);
-        for (const LinkState &ls : links_)
-            bytes += ls.busyNs.capacity() * sizeof(double);
-        return bytes;
-    }
+    size_t bytesInUse() const;
 
     // ---- in-memory inspection (src/trace/analysis/) -------------
     /** One recorded timeline event with its deferred name resolved.
@@ -401,7 +409,7 @@ class Tracer
     std::vector<std::unique_ptr<Event[]>> blocks_;
     Event *cur_ = nullptr;    //!< next append slot in blocks_.back().
     Event *curEnd_ = nullptr; //!< end of blocks_.back().
-    std::vector<std::string> names_;
+    StringTable names_; //!< dynamic names; events hold their ids.
     std::vector<LinkState> links_;
     std::map<int32_t, std::string> processNames_;
     std::map<std::pair<int32_t, int32_t>, std::string> threadNames_;

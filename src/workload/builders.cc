@@ -1,5 +1,6 @@
 #include "workload/builders.h"
 
+#include <array>
 #include <atomic>
 
 #include "common/logging.h"
@@ -68,79 +69,65 @@ mapHybrid(const Topology &topo, int mp, int dp)
 
 namespace {
 
-/** SPMD helper: builds one node template and replicates per NPU. */
+/** SPMD helper: builds one graph template and replicates it per NPU.
+ *  Nodes are returned as positions, which is what dependencies name. */
 class SpmdBuilder
 {
   public:
-    int
-    addNode(EtNode node)
+    using Deps = std::vector<uint32_t>;
+
+    uint32_t
+    addCompute(std::string_view name, Flops flops, Bytes bytes,
+               const Deps &deps)
     {
-        node.id = static_cast<int>(nodes_.size());
-        nodes_.push_back(std::move(node));
-        return nodes_.back().id;
+        return add(name, EtNode::compute(flops, bytes), deps);
     }
 
-    int
-    addCompute(std::string name, Flops flops, Bytes bytes,
-               std::vector<int> deps)
+    uint32_t
+    addCollective(std::string_view name, CollectiveType type, Bytes bytes,
+                  const std::vector<GroupDim> &groups, const Deps &deps)
     {
-        EtNode n;
-        n.type = NodeType::Compute;
-        n.name = std::move(name);
-        n.flops = flops;
-        n.tensorBytes = bytes;
-        n.deps = std::move(deps);
-        return addNode(std::move(n));
+        return add(name,
+                   EtNode::collective(type, bytes, freshCommKey(),
+                                      wl_.internGroups(groups)),
+                   deps);
     }
 
-    int
-    addCollective(std::string name, CollectiveType type, Bytes bytes,
-                  std::vector<GroupDim> groups, std::vector<int> deps)
+    uint32_t
+    addMemory(std::string_view name, MemLocation loc, MemOp op,
+              Bytes bytes, bool fused, const Deps &deps)
     {
-        EtNode n;
-        n.type = NodeType::CommColl;
-        n.name = std::move(name);
-        n.coll = type;
-        n.commBytes = bytes;
-        n.groups = std::move(groups);
-        n.commKey = freshCommKey();
-        n.deps = std::move(deps);
-        return addNode(std::move(n));
-    }
-
-    int
-    addMemory(std::string name, MemLocation loc, MemOp op, Bytes bytes,
-              bool fused, std::vector<int> deps)
-    {
-        EtNode n;
-        n.type = NodeType::Memory;
-        n.name = std::move(name);
-        n.location = loc;
-        n.memOp = op;
-        n.memBytes = bytes;
-        n.fused = fused;
-        n.deps = std::move(deps);
-        return addNode(std::move(n));
+        return add(name, EtNode::memory(loc, op, bytes, fused), deps);
     }
 
     Workload
-    replicate(const std::string &name, int npus) const
+    replicate(std::string name, int npus) &&
     {
-        Workload wl;
-        wl.name = name;
-        wl.graphs.reserve(static_cast<size_t>(npus));
+        wl_.name = std::move(name);
+        wl_.graphs.reserve(static_cast<size_t>(npus));
         for (NpuId n = 0; n < npus; ++n) {
             EtGraph g;
             g.npu = n;
-            g.nodes = nodes_;
-            wl.graphs.push_back(std::move(g));
+            g.nodes = graph_.nodes;
+            g.deps = graph_.deps;
+            wl_.graphs.push_back(std::move(g));
         }
-        return wl;
+        return std::move(wl_);
     }
 
   private:
-    std::vector<EtNode> nodes_;
+    uint32_t
+    add(std::string_view name, EtNode node, const Deps &deps)
+    {
+        node.name = wl_.internName(name);
+        return graph_.add(node, deps);
+    }
+
+    Workload wl_;   //!< name and group tables; graphs come last.
+    EtGraph graph_; //!< the template.
 };
+
+using Deps = SpmdBuilder::Deps;
 
 } // namespace
 
@@ -173,16 +160,16 @@ buildHybridTransformer(const Topology &topo, const ModelDesc &model,
 
     SpmdBuilder b;
     int prev = -1;
-    auto chain = [&](int id) {
-        prev = id;
+    auto chain = [&](uint32_t id) {
+        prev = int(id);
         return id;
     };
     auto deps_of = [&]() {
-        return prev >= 0 ? std::vector<int>{prev} : std::vector<int>{};
+        return prev >= 0 ? Deps{uint32_t(prev)} : Deps{};
     };
 
     for (int it = 0; it < opts.iterations; ++it) {
-        std::vector<int> iteration_tail;
+        Deps iteration_tail;
         // Forward pass. Megatron-style tensor parallelism reduces
         // activations twice per layer (after the attention block and
         // after the MLP block).
@@ -222,7 +209,7 @@ buildHybridTransformer(const Topology &topo, const ModelDesc &model,
                                       act_bytes, map.mpGroups,
                                       deps_of()));
             }
-            int bwd = chain(b.addCompute(tag + ".attn_bwd", fwd_flops,
+            uint32_t bwd = chain(b.addCompute(tag + ".attn_bwd", fwd_flops,
                                          act_bytes +
                                              0.5 * layer_weight_bytes,
                                          deps_of()));
@@ -240,16 +227,17 @@ buildHybridTransformer(const Topology &topo, const ModelDesc &model,
         }
         // Optimizer step: waits for the backward chain and all
         // outstanding weight-gradient all-reduces.
-        iteration_tail.push_back(prev);
+        iteration_tail.push_back(uint32_t(prev));
         chain(b.addCompute("it" + std::to_string(it) + ".opt",
                            2.0 * model.params / mp,
                            2.0 * model.params * model.bytesPerParam / mp,
-                           std::move(iteration_tail)));
+                           iteration_tail));
     }
 
-    return b.replicate(model.name + "-hybrid-mp" + std::to_string(mp) +
-                           "-dp" + std::to_string(dp),
-                       topo.npus());
+    return std::move(b).replicate(model.name + "-hybrid-mp" +
+                                      std::to_string(mp) + "-dp" +
+                                      std::to_string(dp),
+                                  topo.npus());
 }
 
 Workload
@@ -266,12 +254,12 @@ buildDlrm(const Topology &topo, const ModelDesc &model,
 
     SpmdBuilder b;
     int prev = -1;
-    auto chain = [&](int id) {
-        prev = id;
+    auto chain = [&](uint32_t id) {
+        prev = int(id);
         return id;
     };
     auto deps_of = [&]() {
-        return prev >= 0 ? std::vector<int>{prev} : std::vector<int>{};
+        return prev >= 0 ? Deps{uint32_t(prev)} : Deps{};
     };
 
     for (int it = 0; it < opts.iterations; ++it) {
@@ -288,20 +276,20 @@ buildDlrm(const Topology &topo, const ModelDesc &model,
         for (int l = layers - 1; l >= 0; --l)
             chain(b.addCompute(pre + "mlp" + std::to_string(l) + ".bwd",
                                2.0 * mlp_flops, act_bytes, deps_of()));
-        int bwd_tail = prev;
-        int a2a = b.addCollective(pre + "emb_bwd_a2a",
+        uint32_t bwd_tail = uint32_t(prev);
+        uint32_t a2a = b.addCollective(pre + "emb_bwd_a2a",
                                   CollectiveType::AllToAll,
                                   model.embeddingExchangeBytes, {},
                                   {bwd_tail});
         // Data-parallel MLP gradient synchronization across all NPUs.
-        int wgrad = b.addCollective(
+        uint32_t wgrad = b.addCollective(
             pre + "mlp_wgrad_ar", CollectiveType::AllReduce,
             model.params * model.bytesPerParam, {}, {bwd_tail});
         chain(b.addCompute(pre + "opt", 2.0 * model.params,
                            2.0 * model.params * model.bytesPerParam,
                            {a2a, wgrad}));
     }
-    return b.replicate(model.name + "-dlrm", topo.npus());
+    return std::move(b).replicate(model.name + "-dlrm", topo.npus());
 }
 
 Workload
@@ -311,8 +299,8 @@ buildSingleCollective(const Topology &topo, CollectiveType type,
     SpmdBuilder b;
     b.addCollective(std::string(collectiveName(type)), type, bytes, {},
                     {});
-    return b.replicate(std::string("single-") + collectiveName(type),
-                       topo.npus());
+    return std::move(b).replicate(
+        std::string("single-") + collectiveName(type), topo.npus());
 }
 
 Workload
@@ -339,72 +327,55 @@ buildPipelineParallel(const Topology &topo, const ModelDesc &model,
     Workload wl;
     wl.name = model.name + "-pipeline-" + std::to_string(stages) + "s" +
               std::to_string(micro) + "m";
+    // Node names depend only on (phase, micro-batch): intern each once.
+    enum Phase { kFwdRecv, kFwd, kFwdSend, kBwdRecv, kBwd, kBwdSend };
+    const char *const phase_names[] = {"fwd_recv", "fwd", "fwd_send",
+                                       "bwd_recv", "bwd", "bwd_send"};
+    std::vector<std::array<uint32_t, 6>> names(static_cast<size_t>(micro));
+    for (int m = 0; m < micro; ++m)
+        for (int p = 0; p < 6; ++p)
+            names[size_t(m)][size_t(p)] = wl.internName(
+                std::string(phase_names[p]) + ".m" + std::to_string(m));
+
+    wl.graphs.reserve(static_cast<size_t>(stages));
     for (NpuId s = 0; s < stages; ++s) {
         EtGraph g;
         g.npu = s;
-        int next_id = 0;
-        int prev = -1;
-        auto add = [&](EtNode n) {
-            n.id = next_id++;
-            if (prev >= 0)
-                n.deps.push_back(prev);
-            prev = n.id;
-            g.nodes.push_back(std::move(n));
-            return prev;
+        // Every stage is one chain: size the arrays exactly.
+        const bool first = s == 0, last = s == stages - 1;
+        size_t count = size_t(opts.iterations) * size_t(micro) *
+                       (2 + 2 * size_t(!first) + 2 * size_t(!last));
+        g.nodes.reserve(count);
+        g.deps.reserve(count > 0 ? count - 1 : 0);
+        auto add = [&](EtNode n, int m, Phase p) {
+            n.name = names[size_t(m)][size_t(p)];
+            if (g.nodes.empty())
+                g.add(n);
+            else
+                g.add(n, {uint32_t(g.nodes.size() - 1)});
         };
 
         for (int it = 0; it < opts.iterations; ++it) {
             // GPipe schedule: all forward micro-batches, then all
             // backward micro-batches in reverse.
             for (int m = 0; m < micro; ++m) {
-                if (s > 0) {
-                    EtNode recv;
-                    recv.type = NodeType::CommRecv;
-                    recv.name = "fwd_recv.m" + std::to_string(m);
-                    recv.peer = s - 1;
-                    recv.tag = tag_of(it, m, true);
-                    add(std::move(recv));
-                }
-                EtNode c;
-                c.type = NodeType::Compute;
-                c.name = "fwd.m" + std::to_string(m);
-                c.flops = fwd_flops;
-                c.tensorBytes = act_bytes;
-                add(std::move(c));
-                if (s < stages - 1) {
-                    EtNode send;
-                    send.type = NodeType::CommSend;
-                    send.name = "fwd_send.m" + std::to_string(m);
-                    send.peer = s + 1;
-                    send.p2pBytes = act_bytes;
-                    send.tag = tag_of(it, m, true);
-                    add(std::move(send));
-                }
+                if (!first)
+                    add(EtNode::recv(s - 1, tag_of(it, m, true)), m,
+                        kFwdRecv);
+                add(EtNode::compute(fwd_flops, act_bytes), m, kFwd);
+                if (!last)
+                    add(EtNode::send(s + 1, act_bytes, tag_of(it, m, true)),
+                        m, kFwdSend);
             }
             for (int m = micro - 1; m >= 0; --m) {
-                if (s < stages - 1) {
-                    EtNode recv;
-                    recv.type = NodeType::CommRecv;
-                    recv.name = "bwd_recv.m" + std::to_string(m);
-                    recv.peer = s + 1;
-                    recv.tag = tag_of(it, m, false);
-                    add(std::move(recv));
-                }
-                EtNode c;
-                c.type = NodeType::Compute;
-                c.name = "bwd.m" + std::to_string(m);
-                c.flops = 2.0 * fwd_flops;
-                c.tensorBytes = act_bytes;
-                add(std::move(c));
-                if (s > 0) {
-                    EtNode send;
-                    send.type = NodeType::CommSend;
-                    send.name = "bwd_send.m" + std::to_string(m);
-                    send.peer = s - 1;
-                    send.p2pBytes = act_bytes;
-                    send.tag = tag_of(it, m, false);
-                    add(std::move(send));
-                }
+                if (!last)
+                    add(EtNode::recv(s + 1, tag_of(it, m, false)), m,
+                        kBwdRecv);
+                add(EtNode::compute(2.0 * fwd_flops, act_bytes), m, kBwd);
+                if (!first)
+                    add(EtNode::send(s - 1, act_bytes,
+                                     tag_of(it, m, false)),
+                        m, kBwdSend);
             }
         }
         wl.graphs.push_back(std::move(g));
@@ -431,12 +402,12 @@ buildMoEDisaggregated(const Topology &topo, const ModelDesc &model,
 
     SpmdBuilder b;
     int prev = -1;
-    auto chain = [&](int id) {
-        prev = id;
+    auto chain = [&](uint32_t id) {
+        prev = int(id);
         return id;
     };
     auto deps_of = [&]() {
-        return prev >= 0 ? std::vector<int>{prev} : std::vector<int>{};
+        return prev >= 0 ? Deps{uint32_t(prev)} : Deps{};
     };
 
     for (int it = 0; it < opts.iterations; ++it) {
@@ -447,19 +418,18 @@ buildMoEDisaggregated(const Topology &topo, const ModelDesc &model,
         // time" configuration of §V-B; the network-collective path
         // keeps ZeRO-Infinity's serial fetch semantics.
         int prev_load = -1;
-        std::vector<int> fwd_loads(static_cast<size_t>(layers), -1);
+        Deps fwd_loads(static_cast<size_t>(layers));
         if (fused) {
             for (int l = 0; l < layers; ++l) {
                 std::string tag = "it" + std::to_string(it) + ".l" +
                                   std::to_string(l);
-                std::vector<int> deps;
+                Deps deps;
                 if (prev_load >= 0)
-                    deps.push_back(prev_load);
-                prev_load = b.addMemory(tag + ".param_gather_load",
-                                        MemLocation::Remote, MemOp::Load,
-                                        shard_bytes, true,
-                                        std::move(deps));
-                fwd_loads[static_cast<size_t>(l)] = prev_load;
+                    deps.push_back(uint32_t(prev_load));
+                prev_load = int(b.addMemory(
+                    tag + ".param_gather_load", MemLocation::Remote,
+                    MemOp::Load, shard_bytes, true, deps));
+                fwd_loads[static_cast<size_t>(l)] = uint32_t(prev_load);
             }
         }
         for (int l = 0; l < layers; ++l) {
@@ -467,11 +437,11 @@ buildMoEDisaggregated(const Topology &topo, const ModelDesc &model,
                 "it" + std::to_string(it) + ".l" + std::to_string(l);
             // Parameters live in the remote pool, ZeRO-sharded.
             if (fused) {
-                std::vector<int> deps = deps_of();
+                Deps deps = deps_of();
                 deps.push_back(fwd_loads[static_cast<size_t>(l)]);
                 chain(b.addCollective(tag + ".a2a_fwd",
                                       CollectiveType::AllToAll,
-                                      a2a_bytes, {}, std::move(deps)));
+                                      a2a_bytes, {}, deps));
             } else {
                 chain(b.addMemory(tag + ".param_shard_load",
                                   MemLocation::Remote, MemOp::Load,
@@ -490,21 +460,21 @@ buildMoEDisaggregated(const Topology &topo, const ModelDesc &model,
                                   CollectiveType::AllToAll, a2a_bytes,
                                   {}, deps_of()));
         }
-        std::vector<int> iteration_tail;
+        Deps iteration_tail;
         for (int l = layers - 1; l >= 0; --l) {
             std::string tag =
                 "it" + std::to_string(it) + ".l" + std::to_string(l);
             chain(b.addCollective(tag + ".a2a_bwd",
                                   CollectiveType::AllToAll, a2a_bytes,
                                   {}, deps_of()));
-            int bwd = chain(b.addCompute(tag + ".bwd", 2.0 * layer_flops,
+            uint32_t bwd = chain(b.addCompute(tag + ".bwd", 2.0 * layer_flops,
                                          a2a_bytes + shard_bytes,
                                          deps_of()));
             chain(b.addCollective(tag + ".a2a_bwd_ret",
                                   CollectiveType::AllToAll, a2a_bytes,
                                   {}, deps_of()));
             // Gradient reduction back into the sharded optimizer.
-            int store;
+            uint32_t store;
             if (fused) {
                 // Scatter-on-store off the critical chain: the fabric
                 // drains gradients while earlier layers keep running.
@@ -512,7 +482,7 @@ buildMoEDisaggregated(const Topology &topo, const ModelDesc &model,
                                     MemLocation::Remote, MemOp::Store,
                                     shard_bytes, true, {bwd});
             } else {
-                int rs = chain(b.addCollective(
+                uint32_t rs = chain(b.addCollective(
                     tag + ".grad_rs", CollectiveType::ReduceScatter,
                     layer_bytes, {}, deps_of()));
                 store = b.addMemory(tag + ".grad_shard_store",
@@ -526,12 +496,12 @@ buildMoEDisaggregated(const Topology &topo, const ModelDesc &model,
                 2.0 * shard_bytes, {store}));
         }
         // Next iteration starts after every optimizer shard landed.
-        iteration_tail.push_back(prev);
+        iteration_tail.push_back(uint32_t(prev));
         chain(b.addCompute("it" + std::to_string(it) + ".sync", 0.0, 0.0,
-                           std::move(iteration_tail)));
+                           iteration_tail));
     }
-    return b.replicate(model.name + (fused ? "-fused" : "-netcoll"),
-                       topo.npus());
+    return std::move(b).replicate(
+        model.name + (fused ? "-fused" : "-netcoll"), topo.npus());
 }
 
 } // namespace astra

@@ -23,9 +23,12 @@
  *     ]
  *   }
  *
- * Process-group ids ("pg") map to collective rendezvous keys;
- * communication groups default to the whole topology unless a
- * process-group table is supplied.
+ * Process-group ids ("pg") map to collective rendezvous keys
+ * (pg << 32 | occurrence, so pg must be below 2^21 for the key to
+ * survive a JSON round trip); communication groups default to the
+ * whole topology unless a process-group table is supplied. Integer
+ * fields (ids, inputs, peer, tag, pg) that are not integral or do not
+ * fit their type are user errors naming the field.
  */
 #ifndef ASTRA_WORKLOAD_CONVERTER_H_
 #define ASTRA_WORKLOAD_CONVERTER_H_

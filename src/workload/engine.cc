@@ -1,6 +1,5 @@
 #include "workload/engine.h"
 
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -18,9 +17,6 @@ ExecutionEngine::ExecutionEngine(std::vector<std::unique_ptr<Sys>> &sys,
                  sys_.size(), wl_.graphs.size());
     total_ = wl_.totalNodes();
 
-    // Build the CSR arenas in three passes: arena offsets, per-node
-    // child counts (prefix-summed into row starts), then the child
-    // lists themselves. One id->index map is reused across graphs.
     nodeBase_.resize(wl_.graphs.size());
     size_t base = 0;
     for (size_t n = 0; n < wl_.graphs.size(); ++n) {
@@ -29,41 +25,24 @@ ExecutionEngine::ExecutionEngine(std::vector<std::unique_ptr<Sys>> &sys,
     }
     ASTRA_ASSERT(base == total_, "arena size mismatch");
 
-    indegree_.assign(total_, 0);
+    // One child CSR across all graphs: each graph's rows continue
+    // where the previous graph's ended, so its last row start is the
+    // next graph's first.
+    size_t edges = 0;
+    for (const EtGraph &g : wl_.graphs)
+        edges += g.deps.size();
+    indegree_.resize(total_);
     childStart_.assign(total_ + 1, 0);
-    // Resolve every dependency edge once (one id->index map, reused
-    // across graphs); the edge list then feeds both the in-place
-    // prefix sum and the CSR fill without re-hashing.
-    std::vector<std::pair<uint32_t, uint32_t>> edges; // (parent, child)
-    std::unordered_map<int, size_t> index;
+    children_.resize(edges);
+    uint32_t edge_base = 0;
     for (size_t n = 0; n < wl_.graphs.size(); ++n) {
         const EtGraph &g = wl_.graphs[n];
-        index.clear();
         for (size_t i = 0; i < g.nodes.size(); ++i)
-            index.emplace(g.nodes[i].id, i);
-        for (size_t i = 0; i < g.nodes.size(); ++i) {
-            for (int dep : g.nodes[i].deps) {
-                auto it = index.find(dep);
-                ASTRA_ASSERT(it != index.end(),
-                             "unvalidated workload reached the engine");
-                edges.emplace_back(
-                    static_cast<uint32_t>(nodeBase_[n] + it->second),
-                    static_cast<uint32_t>(i));
-                // Counts land one slot ahead so the prefix sum below
-                // turns them into row starts in place.
-                ++childStart_[nodeBase_[n] + it->second + 1];
-                ++indegree_[nodeBase_[n] + i];
-            }
-        }
+            indegree_[nodeBase_[n] + i] = int(g.depsOf(i).size());
+        g.childCsr(edge_base, &childStart_[nodeBase_[n]],
+                   children_.data() + edge_base);
+        edge_base += uint32_t(g.deps.size());
     }
-    for (size_t g = 1; g <= total_; ++g)
-        childStart_[g] += childStart_[g - 1];
-    children_.resize(childStart_[total_]);
-
-    std::vector<uint32_t> fill(childStart_.begin(),
-                               childStart_.end() - 1);
-    for (const auto &[parent, child] : edges)
-        children_[fill[parent]++] = child;
 
     done_.assign(total_, 0);
     if (initial_done != nullptr) {
@@ -106,10 +85,20 @@ ExecutionEngine::setTracer(trace::Tracer *tracer, int32_t pid)
 {
     tracer_ = tracer;
     tracePid_ = pid;
-    if (tracer_)
-        issuedAt_.assign(total_, 0.0);
-    else
-        issuedAt_.clear();
+    traceNames_.clear();
+    issuedAt_.clear();
+    if (!tracer_)
+        return;
+    issuedAt_.assign(total_, 0.0);
+    // Span labels: the node's name, or its type for unnamed nodes
+    // (name id 0), interned into the tracer once per workload name.
+    traceNames_.resize(wl_.nameCount());
+    for (size_t id = 1; id < wl_.nameCount(); ++id)
+        traceNames_[id] = tracer_->internName(wl_.nameOf(uint32_t(id)));
+    for (NodeType t : {NodeType::Compute, NodeType::Memory,
+                       NodeType::CommColl, NodeType::CommSend,
+                       NodeType::CommRecv})
+        traceTypeNames_[size_t(t)] = tracer_->internName(nodeTypeName(t));
 }
 
 void
@@ -124,26 +113,27 @@ ExecutionEngine::issue(NpuId npu, size_t index)
 
     switch (node.type) {
       case NodeType::Compute:
-        sys.issueCompute(node.flops, node.tensorBytes, std::move(done));
+        sys.issueCompute(node.flops, node.bytes, std::move(done));
         break;
       case NodeType::Memory:
-        sys.issueMemory(node.location, node.memOp, node.memBytes,
-                        node.fused, std::move(done));
+        sys.issueMemory(node.location, node.memOp, node.bytes, node.fused,
+                        std::move(done));
         break;
       case NodeType::CommColl: {
         CollectiveRequest req;
         req.type = node.coll;
-        req.bytes = node.commBytes;
-        req.groups = node.groups;
+        req.bytes = node.bytes;
+        std::span<const GroupDim> groups = wl_.groupsOf(node.groups);
+        req.groups.assign(groups.begin(), groups.end());
         req.chunks = 0; // filled from the SysConfig default.
-        sys.issueCollective(node.commKey, req, std::move(done));
+        sys.issueCollective(node.key, req, std::move(done));
         break;
       }
       case NodeType::CommSend:
-        sys.issueSend(node.peer, node.p2pBytes, node.tag, std::move(done));
+        sys.issueSend(node.peer, node.bytes, node.key, std::move(done));
         break;
       case NodeType::CommRecv:
-        sys.issueRecv(node.peer, node.tag, std::move(done));
+        sys.issueRecv(node.peer, node.key, std::move(done));
         break;
     }
 }
@@ -160,10 +150,10 @@ ExecutionEngine::onDone(NpuId npu, size_t index)
         const EtNode &node =
             wl_.graphs[static_cast<size_t>(npu)].nodes[index];
         TimeNs now = sys_[static_cast<size_t>(npu)]->eventQueue().now();
-        tracer_->spanStr(tracePid_, int32_t(npu), nodeTypeName(node.type),
-                         node.name.empty() ? nodeTypeName(node.type)
-                                           : node.name,
-                         issuedAt_[flat], now - issuedAt_[flat]);
+        tracer_->spanName(tracePid_, int32_t(npu), nodeTypeName(node.type),
+                          node.name ? traceNames_[node.name]
+                                    : traceTypeNames_[size_t(node.type)],
+                          issuedAt_[flat], now - issuedAt_[flat]);
     }
     size_t base = nodeBase_[static_cast<size_t>(npu)];
     for (uint32_t c = childStart_[flat]; c < childStart_[flat + 1]; ++c) {

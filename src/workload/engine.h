@@ -14,13 +14,15 @@
  * children adjacency of *all* graphs live in three flat arrays (a
  * CSR layout indexed by a per-NPU node base), so the completion path
  * — decrement indegrees, walk a child span — is cache-linear instead
- * of chasing one heap allocation per node's child list. The public
- * ET types (workload/et.h) are unchanged; the arena is an engine
+ * of chasing one heap allocation per node's child list. The ET holds
+ * parent positions (workload/et.h), so the constructor builds the
+ * child CSR by counting, with no id lookup; the arena is an engine
  * implementation detail rebuilt per run.
  */
 #ifndef ASTRA_WORKLOAD_ENGINE_H_
 #define ASTRA_WORKLOAD_ENGINE_H_
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -127,11 +129,14 @@ class ExecutionEngine
     bool cancelled_ = false;
     EventCallback onFinished_;
 
-    // Tracing (null = disabled): per-node issue timestamps, allocated
-    // only when a tracer attaches.
+    // Tracing (null = disabled): per-node issue timestamps and the
+    // tracer's ids for the workload's names and the node type names,
+    // filled only when a tracer attaches.
     trace::Tracer *tracer_ = nullptr;
     int32_t tracePid_ = 0;
     std::vector<TimeNs> issuedAt_;
+    std::vector<uint32_t> traceNames_;
+    std::array<uint32_t, size_t(NodeType::CommRecv) + 1> traceTypeNames_{};
 };
 
 } // namespace astra

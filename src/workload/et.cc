@@ -1,11 +1,15 @@
 #include "workload/et.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <type_traits>
 
 #include "common/logging.h"
 
 namespace astra {
+
+static_assert(std::is_trivially_copyable_v<EtNode> && sizeof(EtNode) <= 48,
+              "EtNode must stay a flat record of at most 48 bytes (see "
+              "the et.h file comment)");
 
 const char *
 nodeTypeName(NodeType t)
@@ -36,6 +40,112 @@ parseNodeType(const std::string &name)
     fatal("unknown ET node type '%s'", name.c_str());
 }
 
+uint32_t
+EtGraph::add(EtNode node, std::span<const uint32_t> parents)
+{
+    node.firstDep = static_cast<uint32_t>(deps.size());
+    deps.insert(deps.end(), parents.begin(), parents.end());
+    nodes.push_back(node);
+    return static_cast<uint32_t>(nodes.size() - 1);
+}
+
+void
+EtGraph::childCsr(uint32_t base, uint32_t *start, uint32_t *children) const
+{
+    const size_t n = nodes.size();
+    std::fill(start, start + n + 1, 0u);
+    for (uint32_t p : deps) {
+        ASTRA_ASSERT(p < n, "NPU %d: unvalidated dependency %u", npu, p);
+        ++start[p];
+    }
+    uint32_t end = base; // prefix sums: row ends.
+    for (size_t i = 0; i < n; ++i)
+        start[i] = end += start[i];
+    start[n] = end;
+    // Fill each row from its end, walking the nodes backwards, so the
+    // rows come out ascending and the starts land on row begins.
+    for (size_t i = n; i-- > 0;) {
+        std::span<const uint32_t> parents = depsOf(i);
+        for (size_t k = parents.size(); k-- > 0;)
+            children[--start[parents[k]] - base] = uint32_t(i);
+    }
+}
+
+void
+IdGraphBuilder::add(int id, EtNode node)
+{
+    node.firstDep = static_cast<uint32_t>(depIds_.size());
+    graph_.nodes.push_back(node);
+    graph_.ids.push_back(id);
+}
+
+EtGraph
+IdGraphBuilder::finish() &&
+{
+    EtGraph &g = graph_;
+    const NpuId npu = g.npu;
+    const size_t n = g.nodes.size();
+    bool sequential = true;
+    for (size_t i = 0; i < n; ++i) {
+        ASTRA_USER_CHECK(g.ids[i] >= 0, "NPU %d: negative node id", npu);
+        sequential = sequential && size_t(g.ids[i]) == i;
+    }
+
+    // Ids equal to positions (what the writer emits for built
+    // workloads) need no lookup; anything else is resolved through
+    // one sorted (id, position) table.
+    std::vector<std::pair<int, uint32_t>> byId;
+    if (!sequential) {
+        byId.reserve(n);
+        for (size_t i = 0; i < n; ++i)
+            byId.emplace_back(g.ids[i], uint32_t(i));
+        std::sort(byId.begin(), byId.end());
+        for (size_t k = 1; k < n; ++k)
+            ASTRA_USER_CHECK(byId[k].first != byId[k - 1].first,
+                             "NPU %d: duplicate node id %d", npu,
+                             byId[k].first);
+    }
+
+    // Position of file id `dep`, or n when no node has it.
+    auto position = [&](int dep) -> size_t {
+        if (sequential)
+            return dep >= 0 && size_t(dep) < n ? size_t(dep) : n;
+        auto it = std::lower_bound(byId.begin(), byId.end(),
+                                   std::make_pair(dep, 0u));
+        return it != byId.end() && it->first == dep ? it->second : n;
+    };
+    g.deps.resize(depIds_.size());
+    for (size_t i = 0; i < n; ++i) {
+        size_t end = i + 1 < n ? g.nodes[i + 1].firstDep : depIds_.size();
+        for (size_t k = g.nodes[i].firstDep; k < end; ++k) {
+            const size_t pos = position(depIds_[k]);
+            ASTRA_USER_CHECK(pos < n, "NPU %d node %d: missing dependency %d",
+                             npu, g.ids[i], depIds_[k]);
+            ASTRA_USER_CHECK(pos != i, "NPU %d node %d depends on itself",
+                             npu, g.ids[i]);
+            g.deps[k] = uint32_t(pos);
+        }
+    }
+    if (sequential)
+        g.ids.clear();
+    return std::move(g);
+}
+
+uint32_t
+Workload::internGroups(std::span<const GroupDim> groups)
+{
+    static_assert(sizeof(GroupDim) == 3 * sizeof(int),
+                  "GroupDim must have no padding to key by its bytes");
+    const size_t known = groupKeys_.size();
+    uint32_t id = groupKeys_.intern(std::string_view(
+        reinterpret_cast<const char *>(groups.data()), groups.size_bytes()));
+    if (id == known) {
+        groupDims_.insert(groupDims_.end(), groups.begin(), groups.end());
+        groupStart_.push_back(static_cast<uint32_t>(groupDims_.size()));
+    }
+    return id;
+}
+
 size_t
 Workload::totalNodes() const
 {
@@ -44,6 +154,49 @@ Workload::totalNodes() const
         n += g.nodes.size();
     return n;
 }
+
+size_t
+Workload::bytesInUse() const
+{
+    size_t bytes = graphs.capacity() * sizeof(EtGraph);
+    for (const EtGraph &g : graphs)
+        bytes += g.nodes.capacity() * sizeof(EtNode) +
+                 g.deps.capacity() * sizeof(uint32_t) +
+                 g.ids.capacity() * sizeof(int);
+    return bytes + names_.bytesInUse() + groupKeys_.bytesInUse() +
+           groupDims_.capacity() * sizeof(GroupDim) +
+           groupStart_.capacity() * sizeof(uint32_t);
+}
+
+namespace {
+
+/** fatal() if graph `g` has a dependency cycle (Kahn's algorithm). */
+void
+checkAcyclic(const EtGraph &g)
+{
+    const size_t n = g.nodes.size();
+    std::vector<uint32_t> childStart(n + 1), children(g.deps.size());
+    g.childCsr(0, childStart.data(), children.data());
+    std::vector<uint32_t> indegree(n), ready;
+    for (size_t i = 0; i < n; ++i) {
+        indegree[i] = uint32_t(g.depsOf(i).size());
+        if (indegree[i] == 0)
+            ready.push_back(uint32_t(i));
+    }
+    size_t seen = 0;
+    while (!ready.empty()) {
+        uint32_t i = ready.back();
+        ready.pop_back();
+        ++seen;
+        for (uint32_t c = childStart[i]; c < childStart[i + 1]; ++c)
+            if (--indegree[children[c]] == 0)
+                ready.push_back(children[c]);
+    }
+    ASTRA_USER_CHECK(seen == n,
+                     "NPU %d: dependency cycle in execution trace", g.npu);
+}
+
+} // namespace
 
 void
 validateWorkload(const Workload &wl, int npus)
@@ -56,53 +209,42 @@ validateWorkload(const Workload &wl, int npus)
         const EtGraph &g = wl.graphs[static_cast<size_t>(n)];
         ASTRA_USER_CHECK(g.npu == n,
                          "graph %d is labelled for NPU %d", n, g.npu);
+        ASTRA_ASSERT(g.ids.empty() || g.ids.size() == g.nodes.size(),
+                     "NPU %d: %zu file ids for %zu nodes", n,
+                     g.ids.size(), g.nodes.size());
 
-        std::unordered_map<int, size_t> index;
+        // One pass: every dependency names another node of this graph.
+        // When each one also precedes its node, the graph is acyclic.
+        bool forward = true;
         for (size_t i = 0; i < g.nodes.size(); ++i) {
             const EtNode &node = g.nodes[i];
-            ASTRA_USER_CHECK(node.id >= 0, "NPU %d: negative node id", n);
-            ASTRA_USER_CHECK(index.emplace(node.id, i).second,
-                             "NPU %d: duplicate node id %d", n, node.id);
+            size_t end = i + 1 < g.nodes.size() ? g.nodes[i + 1].firstDep
+                                                : g.deps.size();
+            ASTRA_ASSERT((i > 0 || node.firstDep == 0) &&
+                             node.firstDep <= end && end <= g.deps.size(),
+                         "NPU %d: malformed dependency rows", n);
+            ASTRA_ASSERT(node.name < wl.nameCount() &&
+                             node.groups < wl.groupCount(),
+                         "NPU %d node %d: name or group id out of range",
+                         n, g.idOf(i));
             if (node.type == NodeType::CommSend ||
                 node.type == NodeType::CommRecv) {
                 ASTRA_USER_CHECK(node.peer >= 0 && node.peer < npus,
                                  "NPU %d node %d: peer %d out of range",
-                                 n, node.id, node.peer);
+                                 n, g.idOf(i), node.peer);
             }
-        }
-
-        // Dependency existence + cycle detection via Kahn's algorithm.
-        std::vector<int> indegree(g.nodes.size(), 0);
-        std::vector<std::vector<size_t>> children(g.nodes.size());
-        for (size_t i = 0; i < g.nodes.size(); ++i) {
-            for (int dep : g.nodes[i].deps) {
-                auto it = index.find(dep);
-                ASTRA_USER_CHECK(it != index.end(),
-                                 "NPU %d node %d: missing dependency %d",
-                                 n, g.nodes[i].id, dep);
-                ASTRA_USER_CHECK(it->second != i,
+            for (uint32_t p : g.depsOf(i)) {
+                ASTRA_USER_CHECK(p < g.nodes.size(),
+                                 "NPU %d node %d: missing dependency %u",
+                                 n, g.idOf(i), p);
+                ASTRA_USER_CHECK(p != i,
                                  "NPU %d node %d depends on itself", n,
-                                 g.nodes[i].id);
-                children[it->second].push_back(i);
-                ++indegree[i];
+                                 g.idOf(i));
+                forward = forward && p < i;
             }
         }
-        std::vector<size_t> ready;
-        for (size_t i = 0; i < g.nodes.size(); ++i)
-            if (indegree[i] == 0)
-                ready.push_back(i);
-        size_t seen = 0;
-        while (!ready.empty()) {
-            size_t i = ready.back();
-            ready.pop_back();
-            ++seen;
-            for (size_t c : children[i])
-                if (--indegree[c] == 0)
-                    ready.push_back(c);
-        }
-        ASTRA_USER_CHECK(seen == g.nodes.size(),
-                         "NPU %d: dependency cycle in execution trace",
-                         n);
+        if (!forward)
+            checkAcyclic(g);
     }
 }
 

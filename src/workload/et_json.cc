@@ -1,5 +1,8 @@
 #include "workload/et_json.h"
 
+#include <climits>
+#include <cstdint>
+
 #include "common/logging.h"
 
 namespace astra {
@@ -8,50 +11,58 @@ namespace {
 
 constexpr const char *kSchema = "astra-sim-et-v2";
 
+/** No array index in a field path. */
+constexpr size_t kNoIndex = SIZE_MAX;
+
 json::Value
-nodeToJson(const EtNode &node)
+nodeToJson(const Workload &wl, const EtGraph &g, size_t i)
 {
+    const EtNode &node = g.nodes[i];
+    const int id = g.idOf(i);
     json::Object o;
-    o["id"] = json::Value(node.id);
+    o["id"] = json::Value(id);
     o["type"] = json::Value(nodeTypeName(node.type));
-    if (!node.name.empty())
-        o["name"] = json::Value(node.name);
-    if (!node.deps.empty()) {
+    if (node.name != 0)
+        o["name"] = json::Value(wl.nameOf(node.name));
+    std::span<const uint32_t> parents = g.depsOf(i);
+    if (!parents.empty()) {
         json::Array deps;
-        for (int d : node.deps)
-            deps.push_back(json::Value(d));
+        for (uint32_t p : parents)
+            deps.push_back(json::Value(g.idOf(p)));
         o["deps"] = json::Value(std::move(deps));
     }
+    // JSON numbers are doubles: keys and tags beyond 2^53 would
+    // silently collide after a round trip.
+    auto exact_key = [&](const char *what) {
+        ASTRA_USER_CHECK(node.key <= uint64_t(json::kMaxExactInt),
+                         "ET node %d: %s %llu too large to serialize", id,
+                         what, static_cast<unsigned long long>(node.key));
+        return json::Value(static_cast<double>(node.key));
+    };
     switch (node.type) {
       case NodeType::Compute:
         o["flops"] = json::Value(node.flops);
-        o["tensor_bytes"] = json::Value(node.tensorBytes);
+        o["tensor_bytes"] = json::Value(node.bytes);
         break;
       case NodeType::Memory:
         o["op"] = json::Value(memOpName(node.memOp));
         o["location"] = json::Value(memLocationName(node.location));
-        o["bytes"] = json::Value(node.memBytes);
+        o["bytes"] = json::Value(node.bytes);
         if (node.fused)
             o["fused"] = json::Value(true);
         break;
       case NodeType::CommColl: {
         o["coll"] = json::Value(collectiveName(node.coll));
-        o["bytes"] = json::Value(node.commBytes);
-        // JSON numbers are doubles: keys beyond 2^53 would silently
-        // collide after a round trip.
-        ASTRA_USER_CHECK(node.commKey < (1ULL << 53),
-                         "ET node %d: collective key %llu too large to "
-                         "serialize",
-                         node.id,
-                         static_cast<unsigned long long>(node.commKey));
-        o["key"] = json::Value(static_cast<double>(node.commKey));
-        if (!node.groups.empty()) {
+        o["bytes"] = json::Value(node.bytes);
+        o["key"] = exact_key("collective key");
+        std::span<const GroupDim> list = wl.groupsOf(node.groups);
+        if (!list.empty()) {
             json::Array groups;
-            for (const GroupDim &g : node.groups) {
+            for (const GroupDim &gd : list) {
                 json::Object go;
-                go["dim"] = json::Value(g.dim);
-                go["size"] = json::Value(g.size);
-                go["stride"] = json::Value(g.stride);
+                go["dim"] = json::Value(gd.dim);
+                go["size"] = json::Value(gd.size);
+                go["stride"] = json::Value(gd.stride);
                 groups.push_back(json::Value(std::move(go)));
             }
             o["groups"] = json::Value(std::move(groups));
@@ -60,31 +71,57 @@ nodeToJson(const EtNode &node)
       }
       case NodeType::CommSend:
         o["peer"] = json::Value(node.peer);
-        o["bytes"] = json::Value(node.p2pBytes);
-        o["tag"] = json::Value(static_cast<double>(node.tag));
+        o["bytes"] = json::Value(node.bytes);
+        o["tag"] = exact_key("tag");
         break;
       case NodeType::CommRecv:
         o["peer"] = json::Value(node.peer);
-        o["tag"] = json::Value(static_cast<double>(node.tag));
+        o["tag"] = exact_key("tag");
         break;
     }
     return json::Value(std::move(o));
 }
 
-EtNode
-nodeFromJson(const json::Value &v)
+/** Appends document node `nodes[i]` of graph `g` to `b`. Integer
+ *  fields are range-checked before narrowing; an error names the
+ *  field's path in the document. */
+void
+addNodeFromJson(Workload &wl, IdGraphBuilder &b, const json::Value &v,
+                size_t g, size_t i)
 {
+    // The path "graphs[g].nodes[i].<key>[k].<sub>" is formatted only
+    // for an error.
+    auto field = [&](const json::Value &x, int64_t lo, int64_t hi,
+                     const char *key, size_t k = kNoIndex,
+                     const char *sub = nullptr) {
+        return json::checkedInt(x, lo, hi, [&] {
+            std::string path =
+                detail::formatV("graphs[%zu].nodes[%zu].%s", g, i, key);
+            if (k != kNoIndex)
+                path += detail::formatV("[%zu]", k);
+            if (sub)
+                path += std::string(".") + sub;
+            return path;
+        });
+    };
+    auto int_field = [&](const json::Value &x, const char *key,
+                         size_t k = kNoIndex, const char *sub = nullptr) {
+        return static_cast<int>(field(x, INT_MIN, INT_MAX, key, k, sub));
+    };
+    // Keys and tags must round-trip through the writer.
+    auto key_field = [&](const char *key) {
+        return v.has(key) ? static_cast<uint64_t>(field(
+                                v.at(key), 0, json::kMaxExactInt, key))
+                          : 0;
+    };
+
     EtNode node;
-    node.id = static_cast<int>(v.at("id").asInt());
     node.type = parseNodeType(v.at("type").asString());
-    node.name = v.getString("name", "");
-    if (v.has("deps"))
-        for (const json::Value &d : v.at("deps").asArray())
-            node.deps.push_back(static_cast<int>(d.asInt()));
+    node.name = wl.internName(v.getString("name", ""));
     switch (node.type) {
       case NodeType::Compute:
         node.flops = v.getNumber("flops", 0.0);
-        node.tensorBytes = v.getNumber("tensor_bytes", 0.0);
+        node.bytes = v.getNumber("tensor_bytes", 0.0);
         break;
       case NodeType::Memory:
         node.memOp = v.getString("op", "load") == "store" ? MemOp::Store
@@ -92,35 +129,49 @@ nodeFromJson(const json::Value &v)
         node.location = v.getString("location", "local") == "remote"
                             ? MemLocation::Remote
                             : MemLocation::Local;
-        node.memBytes = v.getNumber("bytes", 0.0);
+        node.bytes = v.getNumber("bytes", 0.0);
         node.fused = v.getBool("fused", false);
         break;
       case NodeType::CommColl: {
         node.coll = parseCollectiveType(v.at("coll").asString());
-        node.commBytes = v.getNumber("bytes", 0.0);
-        node.commKey = static_cast<uint64_t>(v.getNumber("key", 0.0));
+        node.bytes = v.getNumber("bytes", 0.0);
+        node.key = key_field("key");
         if (v.has("groups")) {
-            for (const json::Value &g : v.at("groups").asArray()) {
+            std::vector<GroupDim> groups;
+            const json::Array &list = v.at("groups").asArray();
+            for (size_t k = 0; k < list.size(); ++k) {
+                const json::Value &gv = list[k];
+                auto group_field = [&](const char *key, int dflt) {
+                    return gv.has(key) ? int_field(gv.at(key), "groups", k,
+                                                   key)
+                                       : dflt;
+                };
                 GroupDim gd;
-                gd.dim = static_cast<int>(g.at("dim").asInt());
-                gd.size = static_cast<int>(g.getInt("size", 0));
-                gd.stride = static_cast<int>(g.getInt("stride", 1));
-                node.groups.push_back(gd);
+                gd.dim = int_field(gv.at("dim"), "groups", k, "dim");
+                gd.size = group_field("size", 0);
+                gd.stride = group_field("stride", 1);
+                groups.push_back(gd);
             }
+            node.groups = wl.internGroups(groups);
         }
         break;
       }
       case NodeType::CommSend:
-        node.peer = static_cast<NpuId>(v.at("peer").asInt());
-        node.p2pBytes = v.getNumber("bytes", 0.0);
-        node.tag = static_cast<uint64_t>(v.getNumber("tag", 0.0));
+        node.peer = int_field(v.at("peer"), "peer");
+        node.bytes = v.getNumber("bytes", 0.0);
+        node.key = key_field("tag");
         break;
       case NodeType::CommRecv:
-        node.peer = static_cast<NpuId>(v.at("peer").asInt());
-        node.tag = static_cast<uint64_t>(v.getNumber("tag", 0.0));
+        node.peer = int_field(v.at("peer"), "peer");
+        node.key = key_field("tag");
         break;
     }
-    return node;
+    b.add(int_field(v.at("id"), "id"), node);
+    if (v.has("deps")) {
+        const json::Array &deps = v.at("deps").asArray();
+        for (size_t k = 0; k < deps.size(); ++k)
+            b.dep(int_field(deps[k], "deps", k));
+    }
 }
 
 } // namespace
@@ -137,8 +188,8 @@ workloadToJson(const Workload &wl)
         json::Object go;
         go["npu"] = json::Value(g.npu);
         json::Array nodes;
-        for (const EtNode &node : g.nodes)
-            nodes.push_back(nodeToJson(node));
+        for (size_t i = 0; i < g.nodes.size(); ++i)
+            nodes.push_back(nodeToJson(wl, g, i));
         go["nodes"] = json::Value(std::move(nodes));
         graphs.push_back(json::Value(std::move(go)));
     }
@@ -161,12 +212,18 @@ workloadFromJson(const json::Value &doc)
     ASTRA_USER_CHECK(static_cast<int64_t>(graphs.size()) == npus,
                      "ET document: npus=%lld but %zu graphs",
                      static_cast<long long>(npus), graphs.size());
-    for (const json::Value &g : graphs) {
-        EtGraph graph;
-        graph.npu = static_cast<NpuId>(g.at("npu").asInt());
-        for (const json::Value &n : g.at("nodes").asArray())
-            graph.nodes.push_back(nodeFromJson(n));
-        wl.graphs.push_back(std::move(graph));
+    wl.graphs.reserve(graphs.size());
+    for (size_t g = 0; g < graphs.size(); ++g) {
+        const json::Value &gv = graphs[g];
+        NpuId npu = static_cast<NpuId>(
+            json::checkedInt(gv.at("npu"), INT_MIN, INT_MAX, [&] {
+                return detail::formatV("graphs[%zu].npu", g);
+            }));
+        IdGraphBuilder b(npu);
+        const json::Array &nodes = gv.at("nodes").asArray();
+        for (size_t i = 0; i < nodes.size(); ++i)
+            addNodeFromJson(wl, b, nodes[i], g, i);
+        wl.graphs.push_back(std::move(b).finish());
     }
     return wl;
 }

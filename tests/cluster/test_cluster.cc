@@ -41,55 +41,20 @@ makeMixedWorkload(const Topology &topo)
     for (NpuId n = 0; n < npus; ++n) {
         EtGraph g;
         g.npu = n;
-        EtNode compute;
-        compute.id = 0;
-        compute.type = NodeType::Compute;
-        compute.flops = 1e9;
-        compute.tensorBytes = 1e6;
-        g.nodes.push_back(compute);
-
-        EtNode mem;
-        mem.id = 1;
-        mem.type = NodeType::Memory;
-        mem.deps = {0};
-        mem.location = MemLocation::Local;
-        mem.memOp = MemOp::Load;
-        mem.memBytes = 1e6;
-        g.nodes.push_back(mem);
-
-        EtNode coll;
-        coll.id = 2;
-        coll.type = NodeType::CommColl;
-        coll.deps = {1};
-        coll.coll = CollectiveType::AllReduce;
-        coll.commBytes = 1 << 20;
-        coll.commKey = 7;
-        g.nodes.push_back(coll);
-
-        EtNode send;
-        send.id = 3;
-        send.type = NodeType::CommSend;
-        send.deps = {2};
-        send.peer = (n + 1) % npus;
-        send.p2pBytes = 64 << 10;
-        send.tag = 100 + static_cast<uint64_t>(n);
-        g.nodes.push_back(send);
-
-        EtNode recv;
-        recv.id = 4;
-        recv.type = NodeType::CommRecv;
-        recv.deps = {2};
-        recv.peer = (n - 1 + npus) % npus;
-        recv.tag = 100 + static_cast<uint64_t>((n - 1 + npus) % npus);
-        g.nodes.push_back(recv);
-
-        EtNode tail;
-        tail.id = 5;
-        tail.type = NodeType::Compute;
-        tail.deps = {3, 4};
-        tail.flops = 5e8;
-        tail.tensorBytes = 1e6;
-        g.nodes.push_back(tail);
+        uint32_t compute = g.add(EtNode::compute(1e9, 1e6));
+        uint32_t mem = g.add(
+            EtNode::memory(MemLocation::Local, MemOp::Load, 1e6), {compute});
+        uint32_t coll = g.add(
+            EtNode::collective(CollectiveType::AllReduce, 1 << 20, 7),
+            {mem});
+        uint32_t send = g.add(EtNode::send((n + 1) % npus, 64 << 10,
+                                           100 + static_cast<uint64_t>(n)),
+                              {coll});
+        uint32_t recv = g.add(
+            EtNode::recv((n - 1 + npus) % npus,
+                         100 + static_cast<uint64_t>((n - 1 + npus) % npus)),
+            {coll});
+        g.add(EtNode::compute(5e8, 1e6), {send, recv});
         wl.graphs.push_back(std::move(g));
     }
     return wl;
@@ -394,29 +359,12 @@ TEST(TagNamespacing, StaleDeliveriesNeverMatchASuccessorTenant)
         for (NpuId n = 0; n < 2; ++n) {
             EtGraph g;
             g.npu = n;
-            if (n == 0) {
-                EtNode send;
-                send.id = 0;
-                send.type = NodeType::CommSend;
-                send.peer = 1;
-                send.p2pBytes = 4096.0;
-                send.tag = 42;
-                g.nodes.push_back(send);
-            } else if (!dangling_only) {
-                EtNode recv;
-                recv.id = 0;
-                recv.type = NodeType::CommRecv;
-                recv.peer = 0;
-                recv.tag = 42;
-                g.nodes.push_back(recv);
-            } else {
-                EtNode idle;
-                idle.id = 0;
-                idle.type = NodeType::Compute;
-                idle.flops = 1e9;
-                idle.tensorBytes = 1e6;
-                g.nodes.push_back(idle);
-            }
+            if (n == 0)
+                g.add(EtNode::send(1, 4096.0, 42));
+            else if (!dangling_only)
+                g.add(EtNode::recv(0, 42));
+            else
+                g.add(EtNode::compute(1e9, 1e6));
             wl.graphs.push_back(std::move(g));
         }
         return wl;

@@ -140,13 +140,11 @@ TEST(InlineBudget, NodeCompletionIsInline)
         g.npu = n;
         if (n == 0) {
             for (int i = 0; i < 4; ++i) {
-                EtNode node;
-                node.id = i;
-                node.type = NodeType::Compute;
-                node.flops = 1e9;
+                EtNode node = EtNode::compute(1e9, 0.0);
                 if (i > 0)
-                    node.deps = {i - 1};
-                g.nodes.push_back(node);
+                    g.add(node, {uint32_t(i - 1)});
+                else
+                    g.add(node);
             }
         }
         wl.graphs.push_back(std::move(g));

@@ -314,14 +314,11 @@ computeWorkload(const Topology &topo, int chain = 1)
         EtGraph g;
         g.npu = n;
         for (int i = 0; i < chain; ++i) {
-            EtNode c;
-            c.id = i;
-            c.type = NodeType::Compute;
-            c.flops = 1e9;
-            c.tensorBytes = 1e6;
+            EtNode c = EtNode::compute(1e9, 1e6);
             if (i > 0)
-                c.deps = {i - 1};
-            g.nodes.push_back(c);
+                g.add(c, {uint32_t(i - 1)});
+            else
+                g.add(c);
         }
         wl.graphs.push_back(std::move(g));
     }
@@ -459,21 +456,10 @@ TEST(SimulatorFaults, DeadlockDiagnosticListsDanglingRecvs)
     for (NpuId n = 0; n < 2; ++n) {
         EtGraph g;
         g.npu = n;
-        if (n == 0) {
-            EtNode recv;
-            recv.id = 0;
-            recv.type = NodeType::CommRecv;
-            recv.peer = 1;
-            recv.tag = 42;
-            g.nodes.push_back(recv);
-        } else {
-            EtNode c;
-            c.id = 0;
-            c.type = NodeType::Compute;
-            c.flops = 1e6;
-            c.tensorBytes = 1e3;
-            g.nodes.push_back(c);
-        }
+        if (n == 0)
+            g.add(EtNode::recv(1, 42));
+        else
+            g.add(EtNode::compute(1e6, 1e3));
         wl.graphs.push_back(std::move(g));
     }
 

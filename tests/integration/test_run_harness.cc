@@ -39,35 +39,17 @@ ringWorkload(const Topology &topo)
     for (NpuId n = 0; n < npus; ++n) {
         EtGraph g;
         g.npu = n;
-        EtNode compute;
-        compute.id = 0;
-        compute.type = NodeType::Compute;
-        compute.flops = 1e9;
-        compute.tensorBytes = 1e6;
-        g.nodes.push_back(compute);
-        EtNode coll;
-        coll.id = 1;
-        coll.type = NodeType::CommColl;
-        coll.deps = {0};
-        coll.coll = CollectiveType::AllReduce;
-        coll.commBytes = 1 << 20;
-        coll.commKey = 3;
-        g.nodes.push_back(coll);
-        EtNode send;
-        send.id = 2;
-        send.type = NodeType::CommSend;
-        send.deps = {1};
-        send.peer = (n + 1) % npus;
-        send.p2pBytes = 64 << 10;
-        send.tag = 50 + static_cast<uint64_t>(n);
-        g.nodes.push_back(send);
-        EtNode recv;
-        recv.id = 3;
-        recv.type = NodeType::CommRecv;
-        recv.deps = {1};
-        recv.peer = (n - 1 + npus) % npus;
-        recv.tag = 50 + static_cast<uint64_t>((n - 1 + npus) % npus);
-        g.nodes.push_back(recv);
+        uint32_t compute = g.add(EtNode::compute(1e9, 1e6));
+        uint32_t coll = g.add(
+            EtNode::collective(CollectiveType::AllReduce, 1 << 20, 3),
+            {compute});
+        g.add(EtNode::send((n + 1) % npus, 64 << 10,
+                           50 + static_cast<uint64_t>(n)),
+              {coll});
+        g.add(EtNode::recv((n - 1 + npus) % npus,
+                           50 + static_cast<uint64_t>((n - 1 + npus) %
+                                                      npus)),
+              {coll});
         wl.graphs.push_back(std::move(g));
     }
     return wl;

@@ -60,20 +60,9 @@ mixedWorkload(const Topology &topo)
     for (NpuId n = 0; n < topo.npus(); ++n) {
         EtGraph g;
         g.npu = n;
-        EtNode compute;
-        compute.id = 0;
-        compute.type = NodeType::Compute;
-        compute.flops = 1e9;
-        compute.tensorBytes = 1e6;
-        g.nodes.push_back(compute);
-        EtNode coll;
-        coll.id = 1;
-        coll.type = NodeType::CommColl;
-        coll.deps = {0};
-        coll.coll = CollectiveType::AllReduce;
-        coll.commBytes = 1 << 20;
-        coll.commKey = 7;
-        g.nodes.push_back(coll);
+        uint32_t compute = g.add(EtNode::compute(1e9, 1e6));
+        g.add(EtNode::collective(CollectiveType::AllReduce, 1 << 20, 7),
+              {compute});
         wl.graphs.push_back(std::move(g));
     }
     return wl;
@@ -284,14 +273,11 @@ TEST(Telemetry, EtaConvergesOnSerialChain)
         EtGraph g;
         g.npu = n;
         for (int i = 0; i < 64; ++i) {
-            EtNode node;
-            node.id = i;
-            node.type = NodeType::Compute;
-            node.flops = 1e9;
-            node.tensorBytes = 1e6;
+            EtNode node = EtNode::compute(1e9, 1e6);
             if (i > 0)
-                node.deps = {i - 1};
-            g.nodes.push_back(node);
+                g.add(node, {uint32_t(i - 1)});
+            else
+                g.add(node);
         }
         wl.graphs.push_back(std::move(g));
     }

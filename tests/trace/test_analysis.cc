@@ -123,15 +123,12 @@ TEST(CriticalPath, SerialChainEqualsTotalTime)
     for (NpuId n = 0; n < 2; ++n)
         wl.graphs[size_t(n)].npu = n;
     for (int i = 0; i < 5; ++i) {
-        EtNode node;
-        node.id = i;
-        node.type = NodeType::Compute;
-        node.name = "step" + std::to_string(i);
-        node.flops = 1e9;
-        node.tensorBytes = 1e6;
+        EtNode node = EtNode::compute(1e9, 1e6);
+        node.name = wl.internName("step" + std::to_string(i));
         if (i > 0)
-            node.deps.push_back(i - 1);
-        wl.graphs[0].nodes.push_back(node);
+            wl.graphs[0].add(node, {uint32_t(i - 1)});
+        else
+            wl.graphs[0].add(node);
     }
 
     SimulatorConfig cfg;

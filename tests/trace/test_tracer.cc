@@ -498,6 +498,40 @@ TEST(ChromeTraceGolden, UtilizationIsByteIdentical)
     EXPECT_EQ(json_bytes, json);
 }
 
+TEST(TraceNameInterning, FootprintGrowsOnlyPerDistinctName)
+{
+    // Ten distinct dynamic names recorded a thousand times each, through
+    // every name-taking call: the name table holds ten entries, and the
+    // events fit in the first block, so the footprint never moves.
+    Tracer t(goldenConfig());
+    auto name_of = [](int i) { return "node " + std::to_string(i % 10); };
+    for (int i = 0; i < 10; ++i)
+        t.spanStr(0, 0, "node", name_of(i), double(i), 1.0);
+    const size_t distinct = t.bytesInUse();
+    for (int i = 10; i < 10000; ++i) {
+        t.spanStr(0, 0, "node", name_of(i), double(i), 1.0);
+        t.instantStr(0, 1, "job", name_of(i), double(i));
+        t.endSpan(t.beginSpan(0, 2, "coll", name_of(i), double(i)),
+                  double(i) + 1.0);
+    }
+    EXPECT_EQ(t.bytesInUse(), distinct);
+    EXPECT_EQ(t.internName(name_of(3)), t.internName(name_of(13)));
+    uint32_t id = t.internName(name_of(7));
+    t.spanName(0, 3, "node", id, 0.0, 1.0);
+    EXPECT_EQ(t.bytesInUse(), distinct);
+    // A new name is the only thing that grows it.
+    t.spanStr(0, 0, "node", "a new name", 0.0, 1.0);
+    EXPECT_GT(t.bytesInUse(), distinct);
+
+    size_t named = 0;
+    t.visitEvents([&](const Tracer::ResolvedEvent &ev) {
+        if (ev.name == "node 7")
+            ++named;
+    });
+    // i = 7 once, i = 17 .. 9997 three times each, plus spanName().
+    EXPECT_EQ(named, 1u + 3u * 999u + 1u);
+}
+
 TEST(ChromeTraceGolden, VisitEventsFollowsExportOrder)
 {
     Tracer t(goldenConfig());

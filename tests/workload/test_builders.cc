@@ -98,7 +98,7 @@ TEST(HybridBuilder, PureDpHasOnlyWgradCollectives)
         if (n.type == NodeType::CommColl) {
             ++colls;
             EXPECT_EQ(n.coll, CollectiveType::AllReduce);
-            EXPECT_NE(n.name.find("wgrad"), std::string::npos);
+            EXPECT_NE(wl.nameOf(n.name).find("wgrad"), std::string::npos);
         }
     EXPECT_EQ(colls, 2);
 }
@@ -112,18 +112,15 @@ TEST(HybridBuilder, WgradOverlapsBackwardChain)
     opts.mp = 1;
     opts.simLayers = 4;
     Workload wl = buildHybridTransformer(topo, gpt3(), opts);
-    const auto &nodes = wl.graphs[0].nodes;
-    for (size_t i = 0; i < nodes.size(); ++i) {
-        if (nodes[i].name.find("wgrad") == std::string::npos)
+    const EtGraph &g = wl.graphs[0];
+    for (size_t i = 0; i < g.nodes.size(); ++i) {
+        if (wl.nameOf(g.nodes[i].name).find("wgrad") == std::string::npos)
             continue;
-        ASSERT_EQ(nodes[i].deps.size(), 1u);
-        const EtNode *dep = nullptr;
-        for (const EtNode &n : nodes)
-            if (n.id == nodes[i].deps[0])
-                dep = &n;
-        ASSERT_NE(dep, nullptr);
+        ASSERT_EQ(g.depsOf(i).size(), 1u);
+        ASSERT_LT(g.depsOf(i)[0], g.nodes.size());
+        const EtNode *dep = &g.nodes[g.depsOf(i)[0]];
         EXPECT_EQ(dep->type, NodeType::Compute);
-        EXPECT_NE(dep->name.find("bwd"), std::string::npos);
+        EXPECT_NE(wl.nameOf(dep->name).find("bwd"), std::string::npos);
     }
 }
 
@@ -140,10 +137,10 @@ TEST(HybridBuilder, CommKeysSharedAcrossNpusUniqueWithin)
         const EtNode &a = wl.graphs[0].nodes[i];
         if (a.type != NodeType::CommColl)
             continue;
-        EXPECT_TRUE(keys.insert(a.commKey).second)
+        EXPECT_TRUE(keys.insert(a.key).second)
             << "duplicate key within a graph";
         for (size_t g = 1; g < wl.graphs.size(); ++g)
-            EXPECT_EQ(wl.graphs[g].nodes[i].commKey, a.commKey);
+            EXPECT_EQ(wl.graphs[g].nodes[i].key, a.key);
     }
 }
 
@@ -173,7 +170,7 @@ TEST(SingleCollectiveBuilder, OneNodePerNpu)
     EXPECT_NO_THROW(validateWorkload(wl, 512));
     EXPECT_EQ(wl.totalNodes(), 512u);
     EXPECT_EQ(wl.graphs[0].nodes[0].coll, CollectiveType::AllReduce);
-    EXPECT_DOUBLE_EQ(wl.graphs[0].nodes[0].commBytes, 1e9);
+    EXPECT_DOUBLE_EQ(wl.graphs[0].nodes[0].bytes, 1e9);
 }
 
 TEST(PipelineBuilder, StagesDifferPerNpu)
@@ -207,9 +204,9 @@ TEST(PipelineBuilder, SendRecvTagsPairUp)
     for (const EtGraph &g : wl.graphs)
         for (const EtNode &n : g.nodes) {
             if (n.type == NodeType::CommSend)
-                sent.insert((uint64_t(g.npu) << 32) ^ n.tag);
+                sent.insert((uint64_t(g.npu) << 32) ^ n.key);
             if (n.type == NodeType::CommRecv)
-                received.insert((uint64_t(n.peer) << 32) ^ n.tag);
+                received.insert((uint64_t(n.peer) << 32) ^ n.key);
         }
     EXPECT_EQ(sent, received);
 }

@@ -32,16 +32,6 @@ struct Fixture
     std::vector<std::unique_ptr<Sys>> sys;
 };
 
-EtNode
-compute(int id, Flops flops, std::vector<int> deps = {})
-{
-    EtNode n;
-    n.id = id;
-    n.type = NodeType::Compute;
-    n.flops = flops;
-    n.deps = std::move(deps);
-    return n;
-}
 
 TEST(ExecutionEngine, RespectsDependencyChains)
 {
@@ -51,8 +41,9 @@ TEST(ExecutionEngine, RespectsDependencyChains)
     for (NpuId n = 0; n < 4; ++n) {
         EtGraph g;
         g.npu = n;
-        g.nodes = {compute(0, 1e9), compute(1, 1e9, {0}),
-                   compute(2, 1e9, {1})};
+        g.add(EtNode::compute(1e9, 0.0));
+        g.add(EtNode::compute(1e9, 0.0), {0});
+        g.add(EtNode::compute(1e9, 0.0), {1});
         wl.graphs.push_back(std::move(g));
     }
     validateWorkload(wl, 4);
@@ -72,11 +63,9 @@ TEST(ExecutionEngine, IndependentNodesOverlapAcrossResources)
     for (NpuId n = 0; n < 4; ++n) {
         EtGraph g;
         g.npu = n;
-        EtNode mem_node;
-        mem_node.id = 1;
-        mem_node.type = NodeType::Memory;
-        mem_node.memBytes = 1e6; // 1 us at 1000 GB/s.
-        g.nodes = {compute(0, 1e9), mem_node};
+        g.add(EtNode::compute(1e9, 0.0));
+        // 1 us at 1000 GB/s.
+        g.add(EtNode::memory(MemLocation::Local, MemOp::Load, 1e6));
         wl.graphs.push_back(std::move(g));
     }
     validateWorkload(wl, 4);
@@ -96,15 +85,9 @@ TEST(ExecutionEngine, CollectiveNodesSynchronizeGroups)
         g.npu = n;
         // NPU 0 computes longer before joining; others wait in the
         // rendezvous.
-        g.nodes = {compute(0, n == 0 ? 2e9 : 1e9)};
-        EtNode coll;
-        coll.id = 1;
-        coll.type = NodeType::CommColl;
-        coll.coll = CollectiveType::AllReduce;
-        coll.commBytes = 4e6;
-        coll.commKey = key;
-        coll.deps = {0};
-        g.nodes.push_back(coll);
+        g.add(EtNode::compute(n == 0 ? 2e9 : 1e9, 0.0));
+        g.add(EtNode::collective(CollectiveType::AllReduce, 4e6, key),
+              {0});
         wl.graphs.push_back(std::move(g));
     }
     validateWorkload(wl, 4);
@@ -123,27 +106,15 @@ TEST(ExecutionEngine, PipelineSendRecvAcrossNpus)
     {
         EtGraph g0;
         g0.npu = 0;
-        g0.nodes = {compute(0, 1e9)};
-        EtNode send;
-        send.id = 1;
-        send.type = NodeType::CommSend;
-        send.peer = 1;
-        send.p2pBytes = 1e6;
-        send.tag = 5;
-        send.deps = {0};
-        g0.nodes.push_back(send);
+        g0.add(EtNode::compute(1e9, 0.0));
+        g0.add(EtNode::send(1, 1e6, 5), {0});
         wl.graphs.push_back(std::move(g0));
     }
     {
         EtGraph g1;
         g1.npu = 1;
-        EtNode recv;
-        recv.id = 0;
-        recv.type = NodeType::CommRecv;
-        recv.peer = 0;
-        recv.tag = 5;
-        g1.nodes.push_back(recv);
-        g1.nodes.push_back(compute(1, 1e9, {0}));
+        g1.add(EtNode::recv(0, 5));
+        g1.add(EtNode::compute(1e9, 0.0), {0});
         wl.graphs.push_back(std::move(g1));
     }
     validateWorkload(wl, 2);
@@ -161,12 +132,7 @@ TEST(ExecutionEngine, DeadlockIsAUserError)
     for (NpuId n = 0; n < 2; ++n) {
         EtGraph g;
         g.npu = n;
-        EtNode recv; // both sides receive; nobody sends.
-        recv.id = 0;
-        recv.type = NodeType::CommRecv;
-        recv.peer = 1 - n;
-        recv.tag = 9;
-        g.nodes.push_back(recv);
+        g.add(EtNode::recv(1 - n, 9)); // both receive; nobody sends.
         wl.graphs.push_back(std::move(g));
     }
     validateWorkload(wl, 2);

@@ -1,6 +1,11 @@
 /** @file Unit tests for ET JSON (de)serialization. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+#include <fstream>
+#include <sstream>
+
 #include "common/logging.h"
 #include "workload/builders.h"
 #include "workload/et_json.h"
@@ -17,50 +22,52 @@ richWorkload()
         EtGraph g;
         g.npu = n;
 
-        EtNode c;
-        c.id = 0;
-        c.type = NodeType::Compute;
-        c.name = "fwd";
-        c.flops = 1.5e9;
-        c.tensorBytes = 3e6;
+        EtNode c = EtNode::compute(1.5e9, 3e6);
+        c.name = wl.internName("fwd");
+        uint32_t c_pos = g.add(c);
 
-        EtNode m;
-        m.id = 1;
-        m.type = NodeType::Memory;
-        m.location = MemLocation::Remote;
-        m.memOp = MemOp::Store;
-        m.memBytes = 2e6;
-        m.fused = true;
-        m.deps = {0};
+        uint32_t m_pos = g.add(
+            EtNode::memory(MemLocation::Remote, MemOp::Store, 2e6, true),
+            {c_pos});
 
-        EtNode coll;
-        coll.id = 2;
-        coll.type = NodeType::CommColl;
-        coll.coll = CollectiveType::ReduceScatter;
-        coll.commBytes = 8e6;
-        coll.commKey = 991;
-        coll.groups = {GroupDim{0, 2, 1}};
-        coll.deps = {0, 1};
+        std::vector<GroupDim> groups = {GroupDim{0, 2, 1}};
+        uint32_t coll_pos =
+            g.add(EtNode::collective(CollectiveType::ReduceScatter, 8e6,
+                                     991, wl.internGroups(groups)),
+                  {c_pos, m_pos});
 
-        EtNode send;
-        send.id = 3;
-        send.type = NodeType::CommSend;
-        send.peer = 1 - n;
-        send.p2pBytes = 5e5;
-        send.tag = 17;
-        send.deps = {2};
-
-        EtNode recv;
-        recv.id = 4;
-        recv.type = NodeType::CommRecv;
-        recv.peer = 1 - n;
-        recv.tag = 17;
-        recv.deps = {2};
-
-        g.nodes = {c, m, coll, send, recv};
+        g.add(EtNode::send(1 - n, 5e5, 17), {coll_pos});
+        g.add(EtNode::recv(1 - n, 17), {coll_pos});
         wl.graphs.push_back(std::move(g));
     }
     return wl;
+}
+
+/** Expect `fn` to throw a FatalError whose message contains `what`. */
+template <typename Fn>
+void
+expectRejects(Fn fn, const std::string &what)
+{
+    try {
+        fn();
+        FAIL() << "accepted a document that should be rejected (" << what
+               << ")";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << "message: " << e.what() << "\nexpected substring: "
+            << what;
+    }
+}
+
+/** A one-graph document whose only node is `node`, plus a compute
+ *  node 0 it may depend on. */
+json::Value
+oneNodeDoc(const std::string &node)
+{
+    return json::parse(R"({"schema": "astra-sim-et-v2", "npus": 1,
+        "graphs": [{"npu": 0, "nodes": [
+          {"id": 0, "type": "compute"}, )" +
+                       node + "]}]}");
 }
 
 TEST(EtJson, RoundTripPreservesEverything)
@@ -70,31 +77,32 @@ TEST(EtJson, RoundTripPreservesEverything)
     ASSERT_EQ(back.graphs.size(), wl.graphs.size());
     EXPECT_EQ(back.name, wl.name);
     for (size_t g = 0; g < wl.graphs.size(); ++g) {
-        ASSERT_EQ(back.graphs[g].nodes.size(), wl.graphs[g].nodes.size());
-        for (size_t i = 0; i < wl.graphs[g].nodes.size(); ++i) {
-            const EtNode &a = wl.graphs[g].nodes[i];
-            const EtNode &b = back.graphs[g].nodes[i];
-            EXPECT_EQ(a.id, b.id);
+        const EtGraph &ga = wl.graphs[g];
+        const EtGraph &gb = back.graphs[g];
+        ASSERT_EQ(gb.nodes.size(), ga.nodes.size());
+        for (size_t i = 0; i < ga.nodes.size(); ++i) {
+            const EtNode &a = ga.nodes[i];
+            const EtNode &b = gb.nodes[i];
+            EXPECT_EQ(ga.idOf(i), gb.idOf(i));
             EXPECT_EQ(a.type, b.type);
-            EXPECT_EQ(a.deps, b.deps);
+            EXPECT_EQ(wl.nameOf(a.name), back.nameOf(b.name));
+            EXPECT_TRUE(std::ranges::equal(ga.depsOf(i), gb.depsOf(i)));
             EXPECT_DOUBLE_EQ(a.flops, b.flops);
-            EXPECT_DOUBLE_EQ(a.tensorBytes, b.tensorBytes);
+            EXPECT_DOUBLE_EQ(a.bytes, b.bytes);
             EXPECT_EQ(a.location, b.location);
             EXPECT_EQ(a.memOp, b.memOp);
-            EXPECT_DOUBLE_EQ(a.memBytes, b.memBytes);
             EXPECT_EQ(a.fused, b.fused);
             EXPECT_EQ(a.coll, b.coll);
-            EXPECT_DOUBLE_EQ(a.commBytes, b.commBytes);
-            EXPECT_EQ(a.commKey, b.commKey);
-            ASSERT_EQ(a.groups.size(), b.groups.size());
-            for (size_t k = 0; k < a.groups.size(); ++k) {
-                EXPECT_EQ(a.groups[k].dim, b.groups[k].dim);
-                EXPECT_EQ(a.groups[k].size, b.groups[k].size);
-                EXPECT_EQ(a.groups[k].stride, b.groups[k].stride);
+            EXPECT_EQ(a.key, b.key);
+            std::span<const GroupDim> la = wl.groupsOf(a.groups);
+            std::span<const GroupDim> lb = back.groupsOf(b.groups);
+            ASSERT_EQ(la.size(), lb.size());
+            for (size_t k = 0; k < la.size(); ++k) {
+                EXPECT_EQ(la[k].dim, lb[k].dim);
+                EXPECT_EQ(la[k].size, lb[k].size);
+                EXPECT_EQ(la[k].stride, lb[k].stride);
             }
             EXPECT_EQ(a.peer, b.peer);
-            EXPECT_DOUBLE_EQ(a.p2pBytes, b.p2pBytes);
-            EXPECT_EQ(a.tag, b.tag);
         }
     }
 }
@@ -130,6 +138,120 @@ TEST(EtJson, RejectsWrongSchema)
                      R"({"schema":"astra-sim-et-v2","npus":2,
                          "graphs":[]})")),
                  FatalError);
+}
+
+TEST(EtJson, SparseOutOfOrderIdsRoundTripByteForByte)
+{
+    // Sparse ids up to INT_MAX, listed out of order, with a forward
+    // reference: the loader resolves them to positions, and the writer
+    // emits the original ids again.
+    json::Value doc = json::parse(R"({"schema": "astra-sim-et-v2",
+      "name": "sparse", "npus": 1, "graphs": [{"npu": 0, "nodes": [
+        {"id": 2147483647, "type": "compute", "flops": 1,
+         "tensor_bytes": 8, "deps": [40]},
+        {"id": 7, "type": "compute", "flops": 2, "tensor_bytes": 8},
+        {"id": 40, "type": "compute", "flops": 3, "tensor_bytes": 8,
+         "deps": [7]}]}]})");
+    std::string path = testing::TempDir() + "/astra_et_sparse.json";
+    std::string again = testing::TempDir() + "/astra_et_sparse2.json";
+    json::writeFile(path, doc);
+    Workload wl = loadWorkload(path);
+    const EtGraph &g = wl.graphs[0];
+    EXPECT_EQ(g.depsOf(0)[0], 2u);
+    EXPECT_EQ(g.depsOf(2)[0], 1u);
+    EXPECT_EQ(g.idOf(0), INT_MAX);
+    EXPECT_NO_THROW(validateWorkload(wl, 1));
+    saveWorkload(again, wl);
+    auto slurp = [](const std::string &p) {
+        std::ifstream in(p, std::ios::binary);
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        return ss.str();
+    };
+    EXPECT_EQ(slurp(again), slurp(path));
+}
+
+TEST(EtJson, DuplicateAndMissingIdsRejected)
+{
+    expectRejects([] { workloadFromJson(oneNodeDoc(
+                           R"({"id": 0, "type": "compute"})")); },
+                  "NPU 0: duplicate node id 0");
+    expectRejects([] { workloadFromJson(oneNodeDoc(
+                           R"({"id": 5, "type": "compute",
+                               "deps": [3]})")); },
+                  "NPU 0 node 5: missing dependency 3");
+}
+
+TEST(EtJson, OutOfRangeIdRejected)
+{
+    expectRejects([] { workloadFromJson(oneNodeDoc(
+                           R"({"id": 4294967296, "type": "compute"})")); },
+                  "graphs[0].nodes[1].id: expected an integer");
+    expectRejects([] { workloadFromJson(oneNodeDoc(
+                           R"({"id": 1.5, "type": "compute"})")); },
+                  "graphs[0].nodes[1].id: expected an integer");
+}
+
+TEST(EtJson, OutOfRangeDependencyRejected)
+{
+    // 4294967296 used to wrap to id 0 and load without complaint.
+    expectRejects([] { workloadFromJson(oneNodeDoc(
+                           R"({"id": 1, "type": "compute",
+                               "deps": [4294967296]})")); },
+                  "graphs[0].nodes[1].deps[0]: expected an integer");
+}
+
+TEST(EtJson, OutOfRangePeerRejected)
+{
+    expectRejects([] { workloadFromJson(oneNodeDoc(
+                           R"({"id": 1, "type": "comm_recv",
+                               "peer": 4294967297})")); },
+                  "graphs[0].nodes[1].peer: expected an integer");
+}
+
+TEST(EtJson, OutOfRangeNpuRejected)
+{
+    expectRejects([] { workloadFromJson(json::parse(
+                           R"({"schema": "astra-sim-et-v2", "npus": 1,
+                               "graphs": [{"npu": 4294967296,
+                                           "nodes": []}]})")); },
+                  "graphs[0].npu: expected an integer");
+}
+
+TEST(EtJson, OutOfRangeGroupFieldsRejected)
+{
+    for (const char *field : {"dim", "size", "stride"}) {
+        std::string node = R"({"id": 1, "type": "comm_coll",
+            "coll": "all_reduce", "groups": [{"dim": 0, ")" +
+                           std::string(field) + R"(": 1e10}]})";
+        expectRejects([&] { workloadFromJson(oneNodeDoc(node)); },
+                      "graphs[0].nodes[1].groups[0]." +
+                          std::string(field) + ": expected an integer");
+    }
+}
+
+TEST(EtJson, OutOfRangeKeyRejected)
+{
+    for (const char *key : {"-1", "9007199254740992", "0.5"})
+        expectRejects([&] { workloadFromJson(oneNodeDoc(
+                                R"({"id": 1, "type": "comm_coll",
+                                    "coll": "all_reduce", "key": )" +
+                                std::string(key) + "}")); },
+                      "graphs[0].nodes[1].key: expected an integer in "
+                      "[0, 9007199254740991]");
+}
+
+TEST(EtJson, OutOfRangeTagRejected)
+{
+    // A negative tag used to be undefined behaviour: the send and the
+    // recv could end up with different tags and deadlock.
+    for (const char *type : {"comm_send", "comm_recv"})
+        expectRejects([&] { workloadFromJson(oneNodeDoc(
+                                R"({"id": 1, "type": ")" +
+                                std::string(type) +
+                                R"(", "peer": 0, "tag": -1})")); },
+                      "graphs[0].nodes[1].tag: expected an integer in "
+                      "[0, 9007199254740991]");
 }
 
 } // namespace

@@ -207,17 +207,13 @@ TEST(WorkloadFailureInjection, MismatchedCollectiveGroupsAreFatal)
     for (NpuId n = 0; n < 4; ++n) {
         EtGraph g;
         g.npu = n;
-        EtNode coll;
-        coll.id = 0;
-        coll.type = NodeType::CommColl;
-        coll.coll = CollectiveType::AllReduce;
-        coll.commBytes = 1e6;
-        coll.commKey = 5;
         // NPUs 0/1 expect a group of 2; NPUs 2/3 expect the whole dim:
         // their instance waits for members 0/1 forever.
-        coll.groups = (n < 2) ? std::vector<GroupDim>{{0, 2, 1}}
-                              : std::vector<GroupDim>{{0, 4, 1}};
-        g.nodes.push_back(coll);
+        std::vector<GroupDim> groups = (n < 2)
+                                           ? std::vector<GroupDim>{{0, 2, 1}}
+                                           : std::vector<GroupDim>{{0, 4, 1}};
+        g.add(EtNode::collective(CollectiveType::AllReduce, 1e6, 5,
+                                 wl.internGroups(groups)));
         wl.graphs.push_back(std::move(g));
     }
     validateWorkload(wl, 4);
