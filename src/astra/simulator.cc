@@ -1,10 +1,6 @@
 #include "astra/simulator.h"
 
 #include <chrono>
-#include <cstdlib>
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
 
 #include "common/logging.h"
 #include "workload/engine.h"
@@ -44,13 +40,6 @@ Simulator::run(const Workload &wl)
     ASTRA_USER_CHECK(!ran_, "a Simulator instance runs one workload; "
                             "create a fresh instance per run");
     ran_ = true;
-#if defined(__GLIBC__)
-    // Hand the pages freed since earlier runs back to the OS before
-    // this run allocates; glibc keeps them resident. A sweep process
-    // then peaks at one run's footprint, not at the heap extent its
-    // allocation history fragmented (docs/observability.md).
-    malloc_trim(0);
-#endif
     int npus = topology().npus();
     validateWorkload(wl, npus);
     EventQueue &eq = eventQueue();

@@ -14,7 +14,6 @@
 #include <initializer_list>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace astra {
@@ -34,44 +33,54 @@ class StringTable
     uint32_t
     intern(std::string_view s)
     {
-        auto it = ids_.find(s);
-        if (it != ids_.end())
-            return it->second;
-        uint32_t id = static_cast<uint32_t>(strings_.size());
+        uint32_t &slot = slots_[slotOf(s)];
+        if (slot != 0)
+            return slot - 1;
+        const auto id = static_cast<uint32_t>(strings_.size());
         strings_.emplace_back(s);
-        ids_.emplace(std::string(s), id);
+        slot = id + 1;
+        if (2 * strings_.size() > slots_.size())
+            rehash(2 * slots_.size());
         return id;
     }
 
     const std::string &operator[](uint32_t id) const { return strings_[id]; }
     size_t size() const { return strings_.size(); }
 
-    /** Heap bytes (telemetry footprint protocol): string slots, plus
-     *  hash-map nodes estimated as LinkGraph::bytesInUse does (payload
-     *  and a next pointer each, one pointer per bucket). */
+    /** Heap bytes (telemetry footprint protocol): string slots and the
+     *  index. */
     size_t
     bytesInUse() const
     {
         return strings_.capacity() * sizeof(std::string) +
-               ids_.bucket_count() * sizeof(void *) +
-               ids_.size() * (sizeof(Map::value_type) + sizeof(void *));
+               slots_.capacity() * sizeof(uint32_t);
     }
 
   private:
-    /** Heterogeneous lookup: finding a string_view allocates nothing. */
-    struct Hash
+    /** The index slot that holds `s`'s id + 1, or the empty (0) slot
+     *  where it belongs: open addressing with linear probing over a
+     *  power-of-two table at most half full. The strings themselves
+     *  live only in strings_. */
+    size_t
+    slotOf(std::string_view s) const
     {
-        using is_transparent = void;
-        size_t operator()(std::string_view s) const
-        {
-            return std::hash<std::string_view>()(s);
-        }
-    };
-    using Map = std::unordered_map<std::string, uint32_t, Hash,
-                                   std::equal_to<>>;
+        const size_t mask = slots_.size() - 1;
+        size_t i = std::hash<std::string_view>()(s) & mask;
+        while (slots_[i] != 0 && strings_[slots_[i] - 1] != s)
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    void
+    rehash(size_t size)
+    {
+        slots_.assign(size, 0);
+        for (size_t id = 0; id < strings_.size(); ++id)
+            slots_[slotOf(strings_[id])] = static_cast<uint32_t>(id + 1);
+    }
 
     std::vector<std::string> strings_;
-    Map ids_;
+    std::vector<uint32_t> slots_ = std::vector<uint32_t>(8);
 };
 
 } // namespace astra

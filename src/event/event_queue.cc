@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -78,11 +80,19 @@ EventQueue::entryAfter(const Entry &a, const Entry &b)
 void
 EventQueue::addSlabBlock()
 {
-    slabBlocks_.push_back(std::make_unique<Chunk[]>(kSlabBlockChunks));
-    Chunk *block = slabBlocks_.back().get();
+    static_assert(std::is_trivially_destructible_v<Chunk>,
+                  "slab blocks are freed as bytes");
+    constexpr size_t bytes = kSlabBlockChunks * sizeof(Chunk);
+    size_t space = bytes + alignof(Chunk);
+    slabBlocks_.push_back(
+        std::make_unique_for_overwrite<unsigned char[]>(space));
+    void *raw = slabBlocks_.back().get();
+    auto *block =
+        static_cast<Chunk *>(std::align(alignof(Chunk), bytes, raw, space));
     for (size_t i = 0; i < kSlabBlockChunks; ++i) {
-        block[i].next = freeChunks_;
-        freeChunks_ = &block[i];
+        Chunk *chunk = ::new (&block[i]) Chunk;
+        chunk->next = freeChunks_;
+        freeChunks_ = chunk;
     }
 }
 

@@ -364,8 +364,10 @@ class EventQueue
     std::vector<Entry> heap_;
 
     // Chunk slab: blocks of kSlabBlockChunks chunks that never move,
-    // and a free list through Chunk::next.
-    std::vector<std::unique_ptr<Chunk[]>> slabBlocks_;
+    // and a free list through Chunk::next. A block is plain bytes with
+    // the chunks at its first line boundary, not an over-aligned new,
+    // whose freed holes glibc does not reuse (docs/eventcore.md).
+    std::vector<std::unique_ptr<unsigned char[]>> slabBlocks_;
     Chunk *freeChunks_ = nullptr;
 
     TimeNs bucketWidth_;

@@ -91,25 +91,17 @@ IdGraphBuilder::finish() &&
         sequential = sequential && size_t(g.ids[i]) == i;
     }
 
-    // Ids equal to positions (what the writer emits for built
-    // workloads) need no lookup; anything else is resolved through
-    // one sorted (id, position) table.
     std::vector<std::pair<int, uint32_t>> byId;
-    if (!sequential) {
-        byId.reserve(n);
-        for (size_t i = 0; i < n; ++i)
-            byId.emplace_back(g.ids[i], uint32_t(i));
-        std::sort(byId.begin(), byId.end());
-        for (size_t k = 1; k < n; ++k)
-            ASTRA_USER_CHECK(byId[k].first != byId[k - 1].first,
-                             "NPU %d: duplicate node id %d", npu,
-                             byId[k].first);
-    }
+    byId.reserve(n);
+    for (size_t i = 0; i < n; ++i)
+        byId.emplace_back(g.ids[i], uint32_t(i));
+    std::sort(byId.begin(), byId.end());
+    for (size_t k = 1; k < n; ++k)
+        ASTRA_USER_CHECK(byId[k].first != byId[k - 1].first,
+                         "NPU %d: duplicate node id %d", npu, byId[k].first);
 
     // Position of file id `dep`, or n when no node has it.
     auto position = [&](int dep) -> size_t {
-        if (sequential)
-            return dep >= 0 && size_t(dep) < n ? size_t(dep) : n;
         auto it = std::lower_bound(byId.begin(), byId.end(),
                                    std::make_pair(dep, 0u));
         return it != byId.end() && it->first == dep ? it->second : n;
@@ -127,7 +119,7 @@ IdGraphBuilder::finish() &&
         }
     }
     if (sequential)
-        g.ids.clear();
+        g.ids = std::vector<int>(); // positions stand for the ids.
     return std::move(g);
 }
 

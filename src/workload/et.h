@@ -204,8 +204,8 @@ struct Workload
     /**
      * Heap bytes held by the graphs and the name and group tables
      * (telemetry footprint protocol, docs/observability.md):
-     * capacity-based, hash-map nodes estimated, so a deterministic
-     * function of how the workload was built.
+     * capacity-based, so a deterministic function of how the
+     * workload was built.
      */
     size_t bytesInUse() const;
 

@@ -519,8 +519,10 @@ TEST(TraceNameInterning, FootprintGrowsOnlyPerDistinctName)
     uint32_t id = t.internName(name_of(7));
     t.spanName(0, 3, "node", id, 0.0, 1.0);
     EXPECT_EQ(t.bytesInUse(), distinct);
-    // A new name is the only thing that grows it.
-    t.spanStr(0, 0, "node", "a new name", 0.0, 1.0);
+    // New names are the only thing that grows it (capacity-based, so
+    // not necessarily at every single one).
+    for (int i = 0; i < 100; ++i)
+        t.spanStr(0, 0, "node", "new name " + std::to_string(i), 0.0, 1.0);
     EXPECT_GT(t.bytesInUse(), distinct);
 
     size_t named = 0;
