@@ -26,6 +26,7 @@
 #include "astra/simulator.h"
 #include "cluster/cluster.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "common/units.h"
 #include "topology/notation.h"
 #include "workload/builders.h"
@@ -151,15 +152,14 @@ benchQueuedMix(const char *name, AdmissionPolicy admission)
     return s;
 }
 
-void
-writeJson(std::FILE *f, const std::vector<Scenario> &scenarios)
+std::string
+jsonReport(const std::vector<Scenario> &scenarios)
 {
-    std::fprintf(f, "{\n  \"bench\": \"cluster_tenancy\",\n"
-                    "  \"scenarios\": {\n");
+    std::string out = "{\n  \"bench\": \"cluster_tenancy\",\n"
+                      "  \"scenarios\": {\n";
     for (size_t i = 0; i < scenarios.size(); ++i) {
         const Scenario &s = scenarios[i];
-        std::fprintf(
-            f,
+        out += detail::formatV(
             "    \"%s\": {\"sim_time_ns\": %.3f, \"events\": %llu, "
             "\"interference_slowdown\": %.6f, "
             "\"queueing_delay_ns\": %.3f, \"identical\": %s, "
@@ -170,7 +170,8 @@ writeJson(std::FILE *f, const std::vector<Scenario> &scenarios)
             s.identical ? "true" : "false", s.wallSeconds,
             i + 1 < scenarios.size() ? "," : "");
     }
-    std::fprintf(f, "  }\n}\n");
+    out += "  }\n}\n";
+    return out;
 }
 
 int
@@ -224,8 +225,10 @@ runBench(const CommandLine &cl)
         return 1;
     }
 
-    auto write = [&](std::FILE *f) { writeJson(f, scenarios); };
-    return bench::writeJsonFile(cl, write) ? 0 : 1;
+    if (cl.has("json"))
+        OutputFile::write(cl.getString("json", ""), "bench JSON",
+                          jsonReport(scenarios));
+    return 0;
 }
 
 } // namespace

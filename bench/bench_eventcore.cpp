@@ -22,6 +22,7 @@
 
 #include "bench_util.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "common/rng.h"
 #include "event/event_queue.h"
 
@@ -140,21 +141,22 @@ benchCollective4096()
     });
 }
 
-void
-writeJson(std::FILE *f, const std::vector<BenchResult> &results)
+std::string
+jsonReport(const std::vector<BenchResult> &results)
 {
-    std::fprintf(f, "{\n  \"bench\": \"eventcore\",\n  \"results\": {\n");
+    std::string out = "{\n  \"bench\": \"eventcore\",\n  \"results\": {\n";
     for (size_t i = 0; i < results.size(); ++i) {
         const BenchResult &r = results[i];
-        std::fprintf(f,
-                     "    \"%s\": {\"events\": %llu, \"seconds\": %.6f, "
-                     "\"events_per_sec\": %.0f, \"sim_time_ns\": %.3f}%s\n",
-                     r.name.c_str(),
-                     static_cast<unsigned long long>(r.events), r.seconds,
-                     r.eventsPerSec(), r.simTimeNs,
-                     i + 1 < results.size() ? "," : "");
+        out += detail::formatV(
+            "    \"%s\": {\"events\": %llu, \"seconds\": %.6f, "
+            "\"events_per_sec\": %.0f, \"sim_time_ns\": %.3f}%s\n",
+            r.name.c_str(),
+            static_cast<unsigned long long>(r.events), r.seconds,
+            r.eventsPerSec(), r.simTimeNs,
+            i + 1 < results.size() ? "," : "");
     }
-    std::fprintf(f, "  }\n}\n");
+    out += "  }\n}\n";
+    return out;
 }
 
 int
@@ -179,8 +181,10 @@ runBench(const CommandLine &cl)
         std::printf("\n");
     }
 
-    auto write = [&](std::FILE *f) { writeJson(f, results); };
-    return writeJsonFile(cl, write) ? 0 : 1;
+    if (cl.has("json"))
+        OutputFile::write(cl.getString("json", ""), "bench JSON",
+                          jsonReport(results));
+    return 0;
 }
 
 } // namespace

@@ -30,6 +30,7 @@
 #include "bench_util.h"
 #include "cluster/cluster.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "common/units.h"
 #include "event/event_queue.h"
 #include "fault/injector.h"
@@ -196,15 +197,14 @@ benchGoodputPoint(const std::string &name, TimeNs npu_mtbf,
     return s;
 }
 
-void
-writeJson(std::FILE *f, const std::vector<Scenario> &scenarios)
+std::string
+jsonReport(const std::vector<Scenario> &scenarios)
 {
-    std::fprintf(f, "{\n  \"bench\": \"fault_resilience\",\n"
-                    "  \"scenarios\": {\n");
+    std::string out = "{\n  \"bench\": \"fault_resilience\",\n"
+                      "  \"scenarios\": {\n";
     for (size_t i = 0; i < scenarios.size(); ++i) {
         const Scenario &s = scenarios[i];
-        std::fprintf(
-            f,
+        out += detail::formatV(
             "    \"%s\": {\"sim_time_ns\": %.3f, \"events\": %llu, "
             "\"num_faults\": %llu, \"lost_work_ns\": %.3f, "
             "\"recovery_time_ns\": %.3f, \"goodput\": %.6f, "
@@ -216,7 +216,8 @@ writeJson(std::FILE *f, const std::vector<Scenario> &scenarios)
             s.identical ? "true" : "false", s.wallSeconds,
             i + 1 < scenarios.size() ? "," : "");
     }
-    std::fprintf(f, "  }\n}\n");
+    out += "  }\n}\n";
+    return out;
 }
 
 int
@@ -307,8 +308,10 @@ runBench(const CommandLine &cl)
         }
     }
 
-    auto write = [&](std::FILE *f) { writeJson(f, scenarios); };
-    return bench::writeJsonFile(cl, write) ? 0 : 1;
+    if (cl.has("json"))
+        OutputFile::write(cl.getString("json", ""), "bench JSON",
+                          jsonReport(scenarios));
+    return 0;
 }
 
 } // namespace

@@ -36,6 +36,7 @@
 #include "bench_util.h"
 #include "collective/engine.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "common/units.h"
 #include "event/event_queue.h"
 #include "network/detailed/packet_network.h"
@@ -218,15 +219,14 @@ benchAllToAll64()
     return runScenario("alltoall_64", topo, transfers);
 }
 
-void
-writeJson(std::FILE *f, const std::vector<Scenario> &scenarios)
+std::string
+jsonReport(const std::vector<Scenario> &scenarios)
 {
-    std::fprintf(f, "{\n  \"bench\": \"flow_vs_packet\",\n"
-                    "  \"scenarios\": {\n");
+    std::string out = "{\n  \"bench\": \"flow_vs_packet\",\n"
+                      "  \"scenarios\": {\n";
     for (size_t i = 0; i < scenarios.size(); ++i) {
         const Scenario &s = scenarios[i];
-        std::fprintf(
-            f,
+        out += detail::formatV(
             "    \"%s\": {\n"
             "      \"flow\": {\"sim_time_ns\": %.3f, \"wall_seconds\": "
             "%.6f, \"events\": %llu},\n"
@@ -247,7 +247,8 @@ writeJson(std::FILE *f, const std::vector<Scenario> &scenarios)
             s.solver.avgComponentFrac(), s.accuracyGap(), s.speedup(),
             i + 1 < scenarios.size() ? "," : "");
     }
-    std::fprintf(f, "  }\n}\n");
+    out += "  }\n}\n";
+    return out;
 }
 
 int
@@ -278,8 +279,10 @@ runBench(const CommandLine &cl)
                     100.0 * s.solver.avgComponentFrac());
     }
 
-    auto write = [&](std::FILE *f) { writeJson(f, scenarios); };
-    return bench::writeJsonFile(cl, write) ? 0 : 1;
+    if (cl.has("json"))
+        OutputFile::write(cl.getString("json", ""), "bench JSON",
+                          jsonReport(scenarios));
+    return 0;
 }
 
 } // namespace

@@ -34,6 +34,7 @@
 
 #include "bench_util.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "common/units.h"
 #include "sweep/resilience.h"
 #include "sweep/result_store.h"
@@ -141,15 +142,14 @@ placementVariant(const std::string &name, const json::Value &base,
     return s;
 }
 
-void
-writeJson(std::FILE *f, const std::vector<Scenario> &scenarios)
+std::string
+jsonReport(const std::vector<Scenario> &scenarios)
 {
-    std::fprintf(f, "{\n  \"bench\": \"resilience_study\",\n"
-                    "  \"scenarios\": {\n");
+    std::string out = "{\n  \"bench\": \"resilience_study\",\n"
+                      "  \"scenarios\": {\n";
     for (size_t i = 0; i < scenarios.size(); ++i) {
         const Scenario &s = scenarios[i];
-        std::fprintf(
-            f,
+        out += detail::formatV(
             "    \"%s\": {\"goodput\": %.6f, \"availability\": %.6f, "
             "\"blast_radius\": %.6f, \"spare_utilization\": %.6f, "
             "\"interval_ns\": %.3f, \"young_daly_ns\": %.3f, "
@@ -159,7 +159,8 @@ writeJson(std::FILE *f, const std::vector<Scenario> &scenarios)
             s.wallSeconds,
             i + 1 < scenarios.size() ? "," : "");
     }
-    std::fprintf(f, "  }\n}\n");
+    out += "  }\n}\n";
+    return out;
 }
 
 int
@@ -244,9 +245,9 @@ runBench(const CommandLine &cl)
                     s.wallSeconds);
     }
 
-    auto write = [&](std::FILE *f) { writeJson(f, scenarios); };
-    if (!bench::writeJsonFile(cl, write))
-        return 1;
+    if (cl.has("json"))
+        OutputFile::write(cl.getString("json", ""), "bench JSON",
+                          jsonReport(scenarios));
 
     if (!only.empty()) // debugging subset: no contracts.
         return 0;

@@ -28,6 +28,7 @@
 
 #include "bench_util.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "sweep/result_store.h"
 
 using namespace astra;
@@ -149,29 +150,27 @@ runBench(const CommandLine &cl)
     for (const Sample &s : samples)
         all_identical = all_identical && s.identical;
 
-    auto write = [&](std::FILE *f) {
-        std::fprintf(f,
-                     "{\n  \"bench\": \"sweep\",\n"
-                     "  \"configs\": %zu,\n"
-                     "  \"hardware_threads\": %u,\n"
-                     "  \"identical_across_thread_counts\": %s,\n"
-                     "  \"results\": {\n",
-                     n, std::thread::hardware_concurrency(),
-                     all_identical ? "true" : "false");
+    if (cl.has("json")) {
+        std::string out = detail::formatV(
+            "{\n  \"bench\": \"sweep\",\n"
+            "  \"configs\": %zu,\n"
+            "  \"hardware_threads\": %u,\n"
+            "  \"identical_across_thread_counts\": %s,\n"
+            "  \"results\": {\n",
+            n, std::thread::hardware_concurrency(),
+            all_identical ? "true" : "false");
         for (size_t i = 0; i < samples.size(); ++i) {
             const Sample &s = samples[i];
-            std::fprintf(
-                f,
+            out += detail::formatV(
                 "    \"threads_%d\": {\"seconds\": %.3f, "
                 "\"configs_per_sec\": %.2f}%s\n",
                 s.threads, s.seconds, s.configsPerSec(),
                 i + 1 < samples.size() ? "," : "");
         }
-        std::fprintf(f, "  },\n  \"speedup_8_over_1\": %.2f\n}\n",
-                     speedup8);
-    };
-    if (!bench::writeJsonFile(cl, write))
-        return 1;
+        out += detail::formatV("  },\n  \"speedup_8_over_1\": %.2f\n}\n",
+                               speedup8);
+        OutputFile::write(cl.getString("json", ""), "bench JSON", out);
+    }
     return all_identical ? 0 : 1;
 }
 

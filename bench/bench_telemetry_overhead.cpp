@@ -35,6 +35,7 @@
 #include "astra/simulator.h"
 #include "collective/engine.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "common/units.h"
 #include "event/event_queue.h"
 #include "network/flow/flow_network.h"
@@ -189,20 +190,19 @@ runScalePoint()
     return s;
 }
 
-void
-writeJson(std::FILE *f, const RunResult &off, const RunResult &on,
-          double overhead, const ScaleResult &scale)
+std::string
+jsonReport(const RunResult &off, const RunResult &on,
+           double overhead, const ScaleResult &scale)
 {
-    std::fprintf(f, "{\n  \"bench\": \"telemetry_overhead\",\n"
-                    "  \"scenarios\": {\n");
-    std::fprintf(f,
-                 "    \"hier_allreduce_256_off\": {\"sim_time_ns\": "
-                 "%.3f, \"events\": %llu, \"wall_seconds\": %.6f},\n",
-                 off.simTimeNs,
-                 static_cast<unsigned long long>(off.events),
-                 off.wallSeconds);
-    std::fprintf(
-        f,
+    std::string out = "{\n  \"bench\": \"telemetry_overhead\",\n"
+                      "  \"scenarios\": {\n";
+    out += detail::formatV(
+        "    \"hier_allreduce_256_off\": {\"sim_time_ns\": "
+        "%.3f, \"events\": %llu, \"wall_seconds\": %.6f},\n",
+        off.simTimeNs,
+        static_cast<unsigned long long>(off.events),
+        off.wallSeconds);
+    out += detail::formatV(
         "    \"hier_allreduce_256_heartbeat\": {\"sim_time_ns\": %.3f, "
         "\"events\": %llu, \"telemetry_heartbeats\": %llu, "
         "\"identical\": %s, \"wall_seconds\": %.6f, "
@@ -213,8 +213,7 @@ writeJson(std::FILE *f, const RunResult &off, const RunResult &on,
             ? "true"
             : "false",
         on.wallSeconds, overhead);
-    std::fprintf(
-        f,
+    out += detail::formatV(
         "    \"flow_allreduce_4096\": {\"sim_time_ns\": %.3f, "
         "\"events\": %llu, \"peak_footprint_bytes\": %zu, "
         "\"bytes_per_flow\": %.3f, \"bytes_per_npu\": %.3f, "
@@ -224,7 +223,8 @@ writeJson(std::FILE *f, const RunResult &off, const RunResult &on,
         scale.peakFootprintBytes, scale.bytesPerFlow, scale.bytesPerNpu,
         static_cast<unsigned long long>(scale.heartbeats),
         scale.peakRssBytes, scale.wallSeconds);
-    std::fprintf(f, "  }\n}\n");
+    out += "  }\n}\n";
+    return out;
 }
 
 int
@@ -289,8 +289,10 @@ runBench(const CommandLine &cl)
         return 1;
     }
 
-    auto write = [&](std::FILE *f) { writeJson(f, off, on, overhead, scale); };
-    return bench::writeJsonFile(cl, write) ? 0 : 1;
+    if (cl.has("json"))
+        OutputFile::write(cl.getString("json", ""), "bench JSON",
+                          jsonReport(off, on, overhead, scale));
+    return 0;
 }
 
 } // namespace

@@ -32,6 +32,7 @@
 #include "bench_util.h"
 #include "collective/engine.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "common/units.h"
 #include "event/event_queue.h"
 #include "network/flow/flow_network.h"
@@ -158,20 +159,19 @@ runInterleaved(RunResult &off, RunResult &spans, RunResult &full,
     }
 }
 
-void
-writeJson(std::FILE *f, const RunResult &off, const RunResult &spans,
-          const RunResult &full, double spans_over, double full_over)
+std::string
+jsonReport(const RunResult &off, const RunResult &spans,
+           const RunResult &full, double spans_over, double full_over)
 {
-    std::fprintf(f, "{\n  \"bench\": \"trace_overhead\",\n"
-                    "  \"scenarios\": {\n");
-    std::fprintf(f,
-                 "    \"hier_allreduce_256_off\": {\"sim_time_ns\": %.3f, "
-                 "\"events\": %llu, \"wall_seconds\": %.6f},\n",
-                 off.simTimeNs,
-                 static_cast<unsigned long long>(off.events),
-                 off.wallSeconds);
-    std::fprintf(
-        f,
+    std::string out = "{\n  \"bench\": \"trace_overhead\",\n"
+                      "  \"scenarios\": {\n";
+    out += detail::formatV(
+        "    \"hier_allreduce_256_off\": {\"sim_time_ns\": %.3f, "
+        "\"events\": %llu, \"wall_seconds\": %.6f},\n",
+        off.simTimeNs,
+        static_cast<unsigned long long>(off.events),
+        off.wallSeconds);
+    out += detail::formatV(
         "    \"hier_allreduce_256_spans\": {\"sim_time_ns\": %.3f, "
         "\"events\": %llu, \"trace_events\": %llu, \"identical\": %s, "
         "\"wall_seconds\": %.6f, \"overhead_frac\": %.6f},\n",
@@ -181,8 +181,7 @@ writeJson(std::FILE *f, const RunResult &off, const RunResult &spans,
             ? "true"
             : "false",
         spans.wallSeconds, spans_over);
-    std::fprintf(
-        f,
+    out += detail::formatV(
         "    \"hier_allreduce_256_full\": {\"sim_time_ns\": %.3f, "
         "\"events\": %llu, \"trace_events\": %llu, \"identical\": %s, "
         "\"wall_seconds\": %.6f, \"overhead_frac\": %.6f, "
@@ -193,7 +192,8 @@ writeJson(std::FILE *f, const RunResult &off, const RunResult &spans,
             ? "true"
             : "false",
         full.wallSeconds, full_over, full.writeSeconds);
-    std::fprintf(f, "  }\n}\n");
+    out += "  }\n}\n";
+    return out;
 }
 
 int
@@ -260,10 +260,10 @@ runBench(const CommandLine &cl)
         return 1;
     }
 
-    auto write = [&](std::FILE *f) {
-        writeJson(f, off, spans, full, spans_over, full_over);
-    };
-    return bench::writeJsonFile(cl, write) ? 0 : 1;
+    if (cl.has("json"))
+        OutputFile::write(cl.getString("json", ""), "bench JSON",
+                          jsonReport(off, spans, full, spans_over, full_over));
+    return 0;
 }
 
 } // namespace

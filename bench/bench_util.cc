@@ -130,23 +130,5 @@ wallSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-bool
-writeJsonFile(const CommandLine &cl,
-              const std::function<void(std::FILE *)> &write)
-{
-    std::string path = cl.getString(kJsonFlag.name, "");
-    if (path.empty())
-        return true;
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        warn("cannot write %s", path.c_str());
-        return false;
-    }
-    write(f);
-    std::fclose(f);
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-}
-
 } // namespace bench
 } // namespace astra

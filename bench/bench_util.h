@@ -8,8 +8,6 @@
 #define ASTRA_BENCH_BENCH_UTIL_H_
 
 #include <chrono>
-#include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -73,12 +71,6 @@ double wallSince(std::chrono::steady_clock::time_point start);
  *  (scripts/bench.sh reads them). */
 inline const Flag kJsonFlag = {"json", FlagKind::Value,
                                "write the results as JSON"};
-
-/** Write the kJsonFlag file: nothing when the flag is absent;
- *  otherwise open it, let `write` fill it, and print "wrote PATH".
- *  False, after a warning, if the file cannot be opened. */
-bool writeJsonFile(const CommandLine &cl,
-                   const std::function<void(std::FILE *)> &write);
 
 /** Run a Fig. 9 cell and return the report. */
 Report runFig9Cell(const Topology &topo, Fig9Workload w,

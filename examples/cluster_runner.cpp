@@ -19,6 +19,7 @@
 #include "cluster/config.h"
 #include "common/cli.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "common/units.h"
 
 using namespace astra;
@@ -127,17 +128,13 @@ run(const CommandLine &cli)
 
     std::string csv_path = cli.getString("csv", "");
     if (!csv_path.empty()) {
-        std::FILE *f = std::fopen(csv_path.c_str(), "wb");
-        ASTRA_USER_CHECK(f != nullptr, "cannot write '%s'",
-                         csv_path.c_str());
-        std::string csv = report.jobsCsv();
-        std::fwrite(csv.data(), 1, csv.size(), f);
-        std::fclose(f);
+        OutputFile::write(csv_path, "CSV file", report.jobsCsv());
         std::printf("wrote %s\n", csv_path.c_str());
     }
     std::string json_path = cli.getString("json", "");
     if (!json_path.empty()) {
-        json::writeFile(json_path, report.toJson());
+        OutputFile::write(json_path, "JSON file",
+                          report.toJson().dump(2) + "\n");
         std::printf("wrote %s\n", json_path.c_str());
     }
     for (const std::string &out : scenario.cfg.outputFiles())

@@ -15,6 +15,7 @@
 
 #include "common/cli.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "common/table.h"
 #include "common/units.h"
 #include "sweep/resilience.h"
@@ -65,7 +66,7 @@ run(const CommandLine &cli)
 
     std::string json_path = cli.getString("json", "");
     if (!json_path.empty()) {
-        json::writeFile(json_path, report);
+        OutputFile::write(json_path, "JSON file", report.dump(2) + "\n");
         std::printf("wrote %s\n", json_path.c_str());
     }
     return 0;

@@ -21,6 +21,7 @@
 
 #include "common/cli.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "common/table.h"
 #include "common/units.h"
 #include "sweep/auto_diff.h"
@@ -124,8 +125,9 @@ run(const CommandLine &cli)
                 trace::analysis::diffSummary(ad.diff).c_str(), stdout);
             std::string diff_path = cli.getString("auto-diff", "");
             if (!diff_path.empty()) {
-                json::writeFile(diff_path,
-                                trace::analysis::diffToJson(ad.diff));
+                OutputFile::write(
+                    diff_path, "JSON file",
+                    trace::analysis::diffToJson(ad.diff).dump(2) + "\n");
                 std::printf("wrote %s\n", diff_path.c_str());
             }
         }
@@ -158,12 +160,13 @@ run(const CommandLine &cli)
 
     std::string csv_path = cli.getString("csv", "");
     if (!csv_path.empty()) {
-        store.writeCsv(csv_path);
+        OutputFile::write(csv_path, "CSV file", store.toCsv());
         std::printf("wrote %s\n", csv_path.c_str());
     }
     std::string json_path = cli.getString("json", "");
     if (!json_path.empty()) {
-        store.writeJson(json_path);
+        OutputFile::write(json_path, "JSON file",
+                          store.toJson().dump(2) + "\n");
         std::printf("wrote %s\n", json_path.c_str());
     }
     if (!cache_path.empty()) {

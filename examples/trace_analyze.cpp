@@ -9,6 +9,7 @@
 
 #include "common/cli.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "trace/analysis/analysis.h"
 #include "trace/analysis/diff.h"
 
@@ -54,15 +55,10 @@ run(const CommandLine &cl)
         csv = analysisToCsv(result);
     }
     if (cl.has("json"))
-        json::writeFile(cl.getString("json", ""), report);
-    if (cl.has("csv")) {
-        std::string path = cl.getString("csv", "");
-        FILE *f = std::fopen(path.c_str(), "w");
-        ASTRA_USER_CHECK(f != nullptr, "--csv: cannot open '%s'",
-                         path.c_str());
-        std::fputs(csv.c_str(), f);
-        std::fclose(f);
-    }
+        OutputFile::write(cl.getString("json", ""), "JSON file",
+                          report.dump(2) + "\n");
+    if (cl.has("csv"))
+        OutputFile::write(cl.getString("csv", ""), "CSV file", csv);
     return 0;
 }
 

@@ -5,6 +5,7 @@
 #include <iterator>
 
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "sweep/spec.h"
 
 namespace astra {
@@ -216,12 +217,12 @@ void
 writeSampleConfigs(const std::string &network_path,
                    const std::string &system_path)
 {
-    json::writeFile(network_path, json::parse(R"json({
+    OutputFile::write(network_path, "sample file", json::parse(R"json({
       "topology": "Ring(2,250)_FC(8,200)_Ring(8,100)_Switch(4,50)",
       "backend": "analytical"
-    })json"));
+    })json").dump(2) + "\n");
     // The library defaults (SimulatorConfig{}): the paper's A100 system.
-    json::writeFile(system_path, json::parse(R"json({
+    OutputFile::write(system_path, "sample file", json::parse(R"json({
       "peak_tflops": 234,
       "compute_mem_bw_gbps": 2039,
       "kernel_overhead_ns": 0,
@@ -229,7 +230,7 @@ writeSampleConfigs(const std::string &network_path,
       "scheduling_policy": "baseline",
       "serialize_chunks": false,
       "local_memory": {"bandwidth_gbps": 4096, "latency_ns": 100}
-    })json"));
+    })json").dump(2) + "\n");
 }
 
 } // namespace astra

@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "common/json.h"
+#include "common/output_file.h"
 #include "network/flow/flow_network.h"
 #include "trace/analysis/analysis.h"
 
@@ -115,7 +116,8 @@ analyzeInto(Report &report, trace::Tracer &tracer,
         report.bottleneckLinkShare = analysis.links.front().share;
     }
     if (!cfg.analysisFile.empty())
-        json::writeFile(cfg.analysisFile, an::analysisToJson(analysis));
+        OutputFile::write(cfg.analysisFile, "trace analysis file",
+                          an::analysisToJson(analysis).dump(2) + "\n");
 }
 
 } // namespace

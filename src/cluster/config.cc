@@ -4,6 +4,7 @@
 
 #include "astra/config.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "sweep/spec.h"
 
 namespace astra {
@@ -205,7 +206,7 @@ writeSampleClusterConfig(const std::string &path)
         ]
       }
     })json");
-    json::writeFile(path, doc);
+    OutputFile::write(path, "sample file", doc.dump(2) + "\n");
 }
 
 } // namespace cluster

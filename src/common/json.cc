@@ -1,13 +1,16 @@
 #include "common/json.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <iterator>
 
 #include "common/logging.h"
+#include "common/output_file.h"
 
 namespace astra {
 namespace json {
@@ -145,45 +148,33 @@ Value::getString(const std::string &key, const std::string &dflt) const
 
 namespace {
 
+/** `s` as a quoted JSON string. Escaped a slice at a time through a
+ *  stack buffer, so `out` grows by what is written and no more: an
+ *  over-grown string here changed which heap pages later runs reuse,
+ *  and with it pipeline_traced's setup time. */
 void
-escapeString(std::string &out, const std::string &s)
+appendString(std::string &out, std::string_view s)
 {
+    constexpr size_t kSlice = 64;
+    char buf[kSlice * kMaxEscapedPerByte];
     out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
+    for (size_t i = 0; i < s.size(); i += kSlice)
+        out.append(buf, appendEscaped(buf, s.substr(i, kSlice)));
     out += '"';
 }
 
+/** Integral values below 1e15 as integers, everything else as
+ *  printf("%.17g") (which to_chars' general format is defined as). */
 void
-numberToString(std::string &out, double n)
+appendNumber(std::string &out, double n)
 {
-    if (n == std::floor(n) && std::abs(n) < 1e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(n));
-        out += buf;
-    } else {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", n);
-        out += buf;
-    }
+    char buf[32];
+    char *end = n == std::floor(n) && std::abs(n) < 1e15
+                    ? appendInt(buf, static_cast<long long>(n))
+                    : std::to_chars(buf, std::end(buf), n,
+                                    std::chars_format::general, 17)
+                          .ptr;
+    out.append(buf, end);
 }
 
 } // namespace
@@ -206,10 +197,10 @@ Value::dumpTo(std::string &out, int indent, int depth) const
         out += bool_ ? "true" : "false";
         break;
       case Kind::Number:
-        numberToString(out, num_);
+        appendNumber(out, num_);
         break;
       case Kind::String:
-        escapeString(out, str_);
+        appendString(out, str_);
         break;
       case Kind::Array: {
         if (arr_->empty()) {
@@ -220,7 +211,7 @@ Value::dumpTo(std::string &out, int indent, int depth) const
         bool first = true;
         for (const Value &v : *arr_) {
             if (!first)
-                out += indent >= 0 ? "," : ",";
+                out += ',';
             first = false;
             newline(depth + 1);
             v.dumpTo(out, indent, depth + 1);
@@ -241,7 +232,7 @@ Value::dumpTo(std::string &out, int indent, int depth) const
                 out += ",";
             first = false;
             newline(depth + 1);
-            escapeString(out, key);
+            appendString(out, key);
             out += indent >= 0 ? ": " : ":";
             v.dumpTo(out, indent, depth + 1);
         }
@@ -544,19 +535,21 @@ parse(const std::string &text)
 Value
 parseFile(const std::string &path)
 {
-    std::ifstream in(path);
-    ASTRA_USER_CHECK(in.good(), "json: cannot open '%s'", path.c_str());
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return parse(ss.str());
-}
-
-void
-writeFile(const std::string &path, const Value &v, int indent)
-{
-    std::ofstream out(path);
-    ASTRA_USER_CHECK(out.good(), "json: cannot write '%s'", path.c_str());
-    out << v.dump(indent) << "\n";
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    ASTRA_USER_CHECK(f != nullptr, "json: cannot open '%s'", path.c_str());
+    // The text is held once, sized from the file; reading to EOF
+    // keeps pipes working.
+    std::string text;
+    struct stat st;
+    if (fstat(fileno(f), &st) == 0)
+        text.reserve(size_t(st.st_size));
+    char buf[1 << 16];
+    while (size_t n = std::fread(buf, 1, sizeof(buf), f))
+        text.append(buf, n);
+    const bool failed = std::ferror(f) != 0;
+    std::fclose(f);
+    ASTRA_USER_CHECK(!failed, "json: cannot read '%s'", path.c_str());
+    return parse(text);
 }
 
 void

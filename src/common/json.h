@@ -1,6 +1,7 @@
 /**
  * @file
- * Minimal self-contained JSON value type, parser, and writer.
+ * Minimal self-contained JSON value type, parser, and formatter
+ * (files are written through OutputFile, common/output_file.h).
  *
  * Used for execution-trace (ET) files and simulator configuration.
  * Supports the full JSON grammar (objects, arrays, strings with
@@ -112,9 +113,6 @@ Value parse(const std::string &text);
 
 /** Parse the JSON document stored in a file; fatal() if unreadable. */
 Value parseFile(const std::string &path);
-
-/** Write a JSON document to a file; fatal() if unwritable. */
-void writeFile(const std::string &path, const Value &v, int indent = 2);
 
 /** fatal() with "<path>: expected an integer in [lo, hi], got <v>". */
 [[noreturn]] void badInt(const std::string &path, const Value &v,

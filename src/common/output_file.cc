@@ -1,15 +1,15 @@
-#include "trace/writer.h"
+#include "common/output_file.h"
 
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace astra {
-namespace trace {
 
 char *
 appendFixed(char *out, double v, int precision)
@@ -97,6 +97,14 @@ OutputFile::OutputFile(std::string path, const char *what)
     end_ = cur_ + capacity_;
 }
 
+void
+OutputFile::write(std::string path, const char *what, std::string_view text)
+{
+    OutputFile out(std::move(path), what);
+    out.put(text);
+    out.close();
+}
+
 OutputFile::~OutputFile()
 {
     if (file_ != nullptr)
@@ -155,5 +163,4 @@ OutputFile::close()
         fail();
 }
 
-} // namespace trace
 } // namespace astra

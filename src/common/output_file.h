@@ -1,14 +1,15 @@
 /**
  * @file
- * Buffered, error-checked text output for the trace exports
- * (tracer.cc): the Chrome trace-event JSON and the utilization
- * series. A record is formatted straight into a 1 MiB buffer through
- * the append* helpers below, and the buffer is written out whole when
- * it fills. Every write and the close are checked, so a full disk is a
- * user error naming the file instead of a silently truncated output.
+ * The one writer for every file the simulator produces: JSON
+ * documents (results, reports, manifests, execution traces, samples),
+ * CSV tables, heartbeat streams and the Chrome trace exports. Text is
+ * buffered 1 MiB at a time; hot exporters format records straight
+ * into the buffer through the append* helpers below. Every write and
+ * the close are checked, so a full disk is a user error naming the
+ * file instead of a silently truncated output.
  */
-#ifndef ASTRA_TRACE_WRITER_H_
-#define ASTRA_TRACE_WRITER_H_
+#ifndef ASTRA_COMMON_OUTPUT_FILE_H_
+#define ASTRA_COMMON_OUTPUT_FILE_H_
 
 #include <algorithm>
 #include <charconv>
@@ -19,7 +20,6 @@
 #include <string_view>
 
 namespace astra {
-namespace trace {
 
 /** Longest printf("%.*f") of a double at precision <= 16: sign, 309
  *  integer digits, point and fraction. */
@@ -61,6 +61,9 @@ class OutputFile
     /** Open `path` for writing; fatal() naming `what` (e.g. "trace
      *  file") and the path if it cannot be opened. */
     OutputFile(std::string path, const char *what);
+    /** Write the whole of `text` to `path` and close it. */
+    static void write(std::string path, const char *what,
+                      std::string_view text);
     /** Closes without checking: only reached unchecked when an
      *  error is already propagating. */
     ~OutputFile();
@@ -78,6 +81,8 @@ class OutputFile
     void commit(char *end) { cur_ = end; }
     /** Append `s`; one longer than the buffer is written directly. */
     void put(std::string_view s);
+    /** Write out the buffer now (live streams: once per record). */
+    void flush();
 
     /** Write out the buffer and close; fatal() with strerror on any
      *  write error. */
@@ -87,7 +92,6 @@ class OutputFile
     /** Write out the buffer, growing it if `n` bytes still don't fit
      *  (a record with a name longer than the buffer). */
     void makeRoom(size_t n);
-    void flush();
     [[noreturn]] void fail() const;
 
     std::string path_;
@@ -99,7 +103,6 @@ class OutputFile
     char *end_;
 };
 
-} // namespace trace
 } // namespace astra
 
-#endif // ASTRA_TRACE_WRITER_H_
+#endif // ASTRA_COMMON_OUTPUT_FILE_H_

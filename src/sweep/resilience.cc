@@ -6,6 +6,7 @@
 
 #include "cluster/config.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "fault/fault.h"
 #include "sweep/runner.h"
 
@@ -307,7 +308,7 @@ writeSampleResilienceStudy(const std::string &path)
         }
       }
     })json");
-    json::writeFile(path, doc);
+    OutputFile::write(path, "sample file", doc.dump(2) + "\n");
 }
 
 } // namespace sweep

@@ -228,21 +228,5 @@ ResultStore::toJson() const
     return json::Value(std::move(doc));
 }
 
-void
-ResultStore::writeCsv(const std::string &path) const
-{
-    std::string text = toCsv();
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASTRA_USER_CHECK(f != nullptr, "cannot write '%s'", path.c_str());
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-}
-
-void
-ResultStore::writeJson(const std::string &path) const
-{
-    json::writeFile(path, toJson());
-}
-
 } // namespace sweep
 } // namespace astra

@@ -89,9 +89,6 @@ class ResultStore
     std::string toCsv() const;
     json::Value toJson() const;
 
-    void writeCsv(const std::string &path) const;
-    void writeJson(const std::string &path) const;
-
   private:
     std::string sweepName_;
     std::vector<std::string> axisNames_;

@@ -7,11 +7,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <exception>
+#include <optional>
 #include <thread>
 #include <utility>
 
 #include "cluster/config.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "telemetry/telemetry.h"
 
 namespace astra {
@@ -83,21 +86,24 @@ class SweepPulse
     {
         for (auto &b : busy_)
             b.store(0, std::memory_order_relaxed);
-        if (!cfg.file.empty()) {
-            out_ = std::fopen(cfg.file.c_str(), "wb");
-            ASTRA_USER_CHECK(out_ != nullptr,
-                             "telemetry: cannot write heartbeat file "
-                             "'%s'",
-                             cfg.file.c_str());
-        }
+        if (!cfg.file.empty())
+            out_.emplace(cfg.file, "heartbeat file");
         intervalMs_ = cfg.intervalMs > 0.0 ? cfg.intervalMs : 500.0;
         start_ = telemetry::wallNow();
         sampler_ = std::thread([this] { loop(); });
     }
 
-    ~SweepPulse() { stop(); }
+    ~SweepPulse()
+    {
+        try {
+            stop();
+        } catch (...) {
+            // Only reached while another error propagates.
+        }
+    }
 
-    /** Final beat + shutdown; idempotent. */
+    /** Final beat + shutdown; idempotent. A write that failed on the
+     *  sampler thread is raised here, on the caller's. */
     void
     stop()
     {
@@ -109,11 +115,11 @@ class SweepPulse
         }
         wake_.notify_all();
         sampler_.join();
+        if (failure_)
+            std::rethrow_exception(failure_);
         emit(); // final beat: rows_done == rows_total on success.
-        if (out_ != nullptr) {
-            std::fclose(out_);
-            out_ = nullptr;
-        }
+        if (out_)
+            out_->close();
     }
 
     void
@@ -143,14 +149,20 @@ class SweepPulse
                                      intervalMs_));
             if (stopped_)
                 return;
-            emit();
+            try {
+                emit();
+            } catch (...) {
+                // Thrown here it would terminate the process.
+                failure_ = std::current_exception();
+                return;
+            }
         }
     }
 
     void
     emit()
     {
-        if (out_ == nullptr)
+        if (!out_)
             return;
         size_t done = done_.load(std::memory_order_relaxed);
         double wall = telemetry::wallNow() - start_;
@@ -166,8 +178,7 @@ class SweepPulse
             workers += (w > 0 ? "," : "") + std::to_string(b);
         }
         workers += "]";
-        std::fprintf(
-            out_,
+        out_->put(detail::formatV(
             "{\"seq\":%llu,\"rows_done\":%zu,\"rows_total\":%zu,"
             "\"cache_hits\":%zu,\"failures\":%zu,\"workers_busy\":%zu,"
             "\"worker_busy\":%s,\"wall_seconds\":%.6f,"
@@ -175,8 +186,8 @@ class SweepPulse
             static_cast<unsigned long long>(seq_++), done, total_,
             cacheHits_.load(std::memory_order_relaxed),
             failures_.load(std::memory_order_relaxed), busy,
-            workers.c_str(), wall, rate, eta);
-        std::fflush(out_);
+            workers.c_str(), wall, rate, eta));
+        out_->flush();
     }
 
     size_t total_;
@@ -184,7 +195,8 @@ class SweepPulse
     std::atomic<size_t> done_{0};
     std::atomic<size_t> cacheHits_{0};
     std::atomic<size_t> failures_{0};
-    std::FILE *out_ = nullptr;
+    std::optional<OutputFile> out_;
+    std::exception_ptr failure_; //!< set on the sampler thread.
     double intervalMs_ = 500.0;
     double start_ = 0.0;
     uint64_t seq_ = 0;
@@ -356,10 +368,12 @@ ResultCache::saveFile(const std::string &path) const
     doc["kind"] = json::Value("astra-sweep-result-cache");
     doc["version"] = json::Value(cacheFingerprint());
     doc["entries"] = json::Value(std::move(entries));
-    // Write-then-rename so an interrupted save can only ever leave the
-    // previous cache (or a stray .tmp), never a truncated file.
+    // Write-then-rename so an interrupted or failed save can only ever
+    // leave the previous cache (or a stray .tmp), never a truncated
+    // file: a failed write is fatal before the rename.
     std::string tmp = path + ".tmp";
-    json::writeFile(tmp, json::Value(std::move(doc)));
+    OutputFile::write(tmp, "result cache",
+                      json::Value(std::move(doc)).dump(2) + "\n");
     ASTRA_USER_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
                      "cannot move '%s' into place", tmp.c_str());
 }
@@ -434,10 +448,21 @@ runBatch(const SweepSpec &spec, const BatchOptions &opts)
     std::unique_ptr<SweepPulse> pulse;
     if (opts.telemetry.heartbeatsEnabled())
         pulse = std::make_unique<SweepPulse>(opts.telemetry, n, threads);
+    // A row's own errors fail only that row (runOne). What else
+    // escapes, a row manifest that cannot be written, is raised after
+    // the batch: thrown on a worker it would terminate the process.
+    std::mutex failure_mutex;
+    std::exception_ptr failure;
     auto run_slot = [&](int worker, size_t index) {
         if (pulse)
             pulse->markBusy(worker, true);
-        runOne(spec, index, opts, out.results[index]);
+        try {
+            runOne(spec, index, opts, out.results[index]);
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(failure_mutex);
+            if (!failure)
+                failure = std::current_exception();
+        }
         if (pulse) {
             pulse->markBusy(worker, false);
             pulse->rowDone(out.results[index].fromCache,
@@ -520,6 +545,8 @@ runBatch(const SweepSpec &spec, const BatchOptions &opts)
 
     if (pulse)
         pulse->stop();
+    if (failure)
+        std::rethrow_exception(failure);
 
     auto host_end = std::chrono::steady_clock::now();
     out.wallSeconds =

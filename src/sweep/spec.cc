@@ -9,6 +9,7 @@
 
 #include "astra/config.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "fault/fault.h"
 #include "topology/notation.h"
 #include "topology/presets.h"
@@ -479,7 +480,7 @@ materializeConfig(const json::Value &doc)
 void
 writeSampleSpec(const std::string &path)
 {
-    json::writeFile(path, json::parse(R"json({
+    OutputFile::write(path, "sample file", json::parse(R"json({
       "name": "hiermem-sample",
       "mode": "cartesian",
       "base": {
@@ -500,7 +501,7 @@ writeSampleSpec(const std::string &path)
          "name": "group_bw",
          "range": {"from": 100, "to": 500, "step": 200}}
       ]
-    })json"));
+    })json").dump(2) + "\n");
 }
 
 } // namespace sweep

@@ -8,6 +8,7 @@
 #include "astra/report.h"
 #include "common/cli.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "sweep/runner.h"
 #include "sweep/spec.h"
 #include "topology/topology.h"
@@ -90,20 +91,10 @@ peakRssBytes()
 
 Monitor::Monitor(const TelemetryConfig &cfg) : cfg_(cfg)
 {
-    if (!cfg_.file.empty()) {
-        out_ = std::fopen(cfg_.file.c_str(), "w");
-        ASTRA_USER_CHECK(out_ != nullptr,
-                         "telemetry: cannot open heartbeat file \"%s\"",
-                         cfg_.file.c_str());
-    }
+    if (!cfg_.file.empty())
+        out_.emplace(cfg_.file, "heartbeat file");
     startWall_ = wallNow();
     lastEmitWall_ = startWall_;
-}
-
-Monitor::~Monitor()
-{
-    if (out_ != nullptr)
-        std::fclose(out_);
 }
 
 void
@@ -192,7 +183,7 @@ Monitor::emit(TimeNs now, uint64_t executed, size_t pending)
             r.wallSeconds * (1.0 - r.progress) / r.progress;
     lastEmitWall_ = w;
 
-    if (out_ != nullptr)
+    if (out_)
         writeLine(r);
     records_.push_back(std::move(r));
 }
@@ -238,9 +229,10 @@ Monitor::writeLine(const HeartbeatRecord &r)
     o["wall_sim_ns_per_s"] = json::Value(r.wallSimNsPerSec);
     o["wall_events_per_s"] = json::Value(r.wallEventsPerSec);
     o["wall_eta_seconds"] = json::Value(r.wallEtaSeconds);
-    std::string line = json::Value(std::move(o)).dump();
-    line += '\n';
-    std::fwrite(line.data(), 1, line.size(), out_);
+    out_->put(json::Value(std::move(o)).dump());
+    out_->put("\n");
+    // Flushed per record, so the stream shows live progress.
+    out_->flush();
 }
 
 void
@@ -250,9 +242,9 @@ Monitor::finish(TimeNs now, uint64_t executed, size_t pending)
         return;
     finished_ = true;
     emit(now, executed, pending);
-    if (out_ != nullptr) {
-        std::fclose(out_);
-        out_ = nullptr;
+    if (out_) {
+        out_->close();
+        out_.reset();
     }
 }
 
@@ -319,7 +311,8 @@ manifestToJson(const ManifestInfo &info)
 void
 writeManifest(const std::string &path, const ManifestInfo &info)
 {
-    json::writeFile(path, manifestToJson(info));
+    OutputFile::write(path, "run manifest",
+                      manifestToJson(info).dump(2) + "\n");
     debugT("telemetry", "wrote run manifest %s", path.c_str());
 }
 

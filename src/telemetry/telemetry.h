@@ -37,14 +37,15 @@
 #define ASTRA_TELEMETRY_TELEMETRY_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/cli.h"
 #include "common/json.h"
+#include "common/output_file.h"
 #include "common/units.h"
 
 namespace astra {
@@ -178,7 +179,6 @@ class Monitor
 {
   public:
     explicit Monitor(const TelemetryConfig &cfg);
-    ~Monitor();
 
     Monitor(const Monitor &) = delete;
     Monitor &operator=(const Monitor &) = delete;
@@ -238,7 +238,7 @@ class Monitor
     std::function<std::vector<JobProgress>()> jobs_;
     std::vector<FootprintSource> sources_;
     std::vector<HeartbeatRecord> records_;
-    std::FILE *out_ = nullptr;
+    std::optional<OutputFile> out_;
     bool finished_ = false;
     double startWall_ = 0.0;    //!< steady-clock origin (seconds).
     double lastEmitWall_ = 0.0; //!< wall seconds at the last emit.

@@ -8,8 +8,8 @@
 
 #include "common/cli.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "event/event_queue.h"
-#include "trace/writer.h"
 
 namespace astra {
 namespace trace {

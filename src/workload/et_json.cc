@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "common/logging.h"
+#include "common/output_file.h"
 
 namespace astra {
 
@@ -231,7 +232,10 @@ workloadFromJson(const json::Value &doc)
 void
 saveWorkload(const std::string &path, const Workload &wl)
 {
-    json::writeFile(path, workloadToJson(wl));
+    OutputFile out(path, "execution trace");
+    out.put(workloadToJson(wl).dump(2));
+    out.put("\n");
+    out.close();
 }
 
 Workload

@@ -1,8 +1,14 @@
 /** @file Unit tests for the minimal JSON parser/writer. */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <random>
+#include <vector>
+
 #include "common/json.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 
 namespace astra {
 namespace json {
@@ -126,10 +132,40 @@ TEST(Json, FileRoundTrip)
 {
     std::string path = testing::TempDir() + "/astra_json_test.json";
     Value v = parse(R"({"hello": [1, 2, {"deep": "value"}]})");
-    writeFile(path, v);
+    OutputFile::write(path, "JSON file", v.dump(2) + "\n");
     Value back = parseFile(path);
     EXPECT_EQ(back.dump(), v.dump());
     EXPECT_THROW(parseFile("/nonexistent/astra.json"), FatalError);
+}
+
+TEST(Json, NumbersMatchPrintf)
+{
+    // Integral values below 1e15 print as integers, everything else
+    // as printf("%.17g"), byte for byte.
+    std::vector<double> values = {0.0, -0.0, 1.0, -7.0, 0.1, 1e15,
+                                  -1e15, 999999999999999.0, 1e300,
+                                  1e-300, 4.9e-324, 2.5, 1.0 / 3.0,
+                                  123456789.125, -0.001};
+    std::mt19937_64 rng(5);
+    std::uniform_real_distribution<double> mantissa(-1.0, 1.0);
+    for (int i = 0; i < 100000; ++i)
+        values.push_back(mantissa(rng) * std::pow(10.0, i % 40 - 20));
+    char ref[64];
+    for (double v : values) {
+        if (v == std::floor(v) && std::abs(v) < 1e15)
+            std::snprintf(ref, sizeof(ref), "%lld", (long long)v);
+        else
+            std::snprintf(ref, sizeof(ref), "%.17g", v);
+        ASSERT_EQ(Value(v).dump(), ref) << v;
+    }
+}
+
+TEST(Json, DumpEscapesStrings)
+{
+    EXPECT_EQ(Value(std::string("a\"b\\c\nd\te\x01\x1f\xc3\xa9")).dump(),
+              "\"a\\\"b\\\\c\\nd\\te\\u0001\\u001f\xc3\xa9\"");
+    Value back = parse(Value(std::string("x\ry\bz\f")).dump());
+    EXPECT_EQ(back.asString(), "x\ry\bz\f");
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "sweep/result_store.h"
 
 namespace astra {
@@ -167,8 +168,8 @@ TEST(ResultStore, FileOutput)
     ResultStore store = makeStore();
     std::string csv_path = "result_store_test.csv";
     std::string json_path = "result_store_test.json";
-    store.writeCsv(csv_path);
-    store.writeJson(json_path);
+    OutputFile::write(csv_path, "CSV file", store.toCsv());
+    OutputFile::write(json_path, "JSON file", store.toJson().dump(2) + "\n");
 
     std::ifstream csv(csv_path);
     std::stringstream csv_text;

@@ -1,7 +1,14 @@
 /** @file Tests for the parallel batch runner and the result cache. */
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "common/logging.h"
@@ -39,6 +46,28 @@ storeBytes(const SweepSpec &spec, const BatchOutcome &outcome)
 {
     ResultStore store = ResultStore::fromBatch(spec, outcome);
     return store.toCsv() + store.toJson().dump(2);
+}
+
+/**
+ * The body of an EXPECT_EXIT child: cap this process's file size at
+ * `bytes` (with SIGXFSZ ignored, a write past it fails with EFBIG),
+ * run `write`, and exit 3 after printing the FatalError it raised, or
+ * 0 if it raised none. Both settings act on the child alone.
+ */
+template <typename F>
+[[noreturn]] void
+exitAfterCappedWrite(rlim_t bytes, F &&write)
+{
+    std::signal(SIGXFSZ, SIG_IGN);
+    rlimit cap{bytes, bytes};
+    setrlimit(RLIMIT_FSIZE, &cap);
+    try {
+        write();
+    } catch (const FatalError &err) {
+        std::fprintf(stderr, "%s\n", err.what());
+        std::_Exit(3);
+    }
+    std::_Exit(0);
 }
 
 TEST(BatchRunner, ResultsOrderedAndComplete)
@@ -144,6 +173,40 @@ TEST(BatchRunner, ExpansionErrorIsolatedPerRow)
     // The store still renders (header-aligned failed rows).
     ResultStore store = ResultStore::fromBatch(spec, outcome);
     EXPECT_NE(store.toCsv().find("failed: "), std::string::npos);
+}
+
+TEST(BatchRunner, HeartbeatWriteFailureIsAUserError)
+{
+    // Beats every microsecond make the sampler thread hit the full
+    // disk mid-batch; the failure surfaces from runBatch on this
+    // thread instead of terminating the process.
+    if (access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "/dev/full is absent";
+    SweepSpec spec = SweepSpec::fromJson(smallSpec());
+    BatchOptions opts;
+    opts.threads = 2;
+    opts.telemetry.file = "/dev/full";
+    opts.telemetry.intervalMs = 0.001;
+    EXPECT_THROW(runBatch(spec, opts), FatalError);
+}
+
+TEST(BatchRunner, ManifestWriteFailureIsAUserError)
+{
+    // Row manifests are written on the worker threads. A failed write
+    // there surfaces from runBatch as a FatalError instead of
+    // terminating the process. The writes fail in a forked child that
+    // caps its own file size.
+    std::string dir = testing::TempDir() + "/astra_manifest_fail";
+    std::filesystem::create_directories(dir);
+    SweepSpec spec = SweepSpec::fromJson(smallSpec());
+    BatchOptions opts;
+    opts.threads = 2;
+    opts.manifestDir = dir;
+    // 200 bytes: room for the error message, not for a manifest.
+    EXPECT_EXIT(exitAfterCappedWrite(200, [&] { runBatch(spec, opts); }),
+                testing::ExitedWithCode(3),
+                "cannot write run manifest .*: File too large");
+    std::filesystem::remove_all(dir);
 }
 
 TEST(ResultCache, HitsSkipSimulationAndPreserveBytes)
@@ -332,6 +395,36 @@ TEST(ResultCache, SaveStampsTheBuildFingerprint)
     ResultCache reload;
     EXPECT_EQ(reload.loadFile(path), 1u);
     std::remove(path.c_str());
+}
+
+TEST(ResultCache, FailedSaveKeepsThePreviousCache)
+{
+    // A save whose writes fail is a user error, and the cache file
+    // saved before it stays byte-identical: the truncated .tmp is
+    // never renamed over it. The writes fail in a forked child that
+    // caps its own file size below the second document.
+    std::string path = "sweep_cache_failed_save_test.json";
+    ResultCache cache;
+    cache.insert(1, Report{});
+    cache.saveFile(path);
+    auto slurp = [&] {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream ss;
+        ss << in.rdbuf();
+        return ss.str();
+    };
+    const std::string before = slurp();
+    for (uint64_t h = 2; h < 40; ++h)
+        cache.insert(h, Report{});
+
+    EXPECT_EXIT(exitAfterCappedWrite(before.size(),
+                                     [&] { cache.saveFile(path); }),
+                testing::ExitedWithCode(3),
+                "cannot write result cache "
+                "sweep_cache_failed_save_test\\.json\\.tmp: File too large");
+    EXPECT_EQ(slurp(), before);
+    std::remove(path.c_str());
+    std::remove((path + ".tmp").c_str());
 }
 
 } // namespace

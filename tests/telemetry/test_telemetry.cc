@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -330,6 +331,23 @@ TEST(Telemetry, HeartbeatFileIsValidNdjson)
     }
     std::fclose(f);
     EXPECT_EQ(lines, r.telemetryHeartbeats);
+    std::remove(path.c_str());
+}
+
+TEST(Telemetry, HeartbeatFileFlushesEachRecord)
+{
+    // A live stream: each beat is in the file before the run ends.
+    std::string path = "telemetry_flush_test.ndjson";
+    TelemetryConfig cfg;
+    cfg.file = path;
+    cfg.intervalEvents = 1;
+    Monitor monitor(cfg);
+    monitor.poll(10.0, 1, 0);
+    std::ifstream in(path);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(json::parse(line).at("seq").asInt(), 0);
+    monitor.finish(20.0, 2, 0);
     std::remove(path.c_str());
 }
 

@@ -38,12 +38,12 @@
 #include "astra/simulator.h"
 #include "common/json.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "sweep/result_store.h"
 #include "sweep/runner.h"
 #include "sweep/spec.h"
 #include "topology/topology.h"
 #include "trace/tracer.h"
-#include "trace/writer.h"
 #include "workload/builders.h"
 
 namespace astra {

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "workload/builders.h"
 #include "workload/et_json.h"
 
@@ -154,7 +155,7 @@ TEST(EtJson, SparseOutOfOrderIdsRoundTripByteForByte)
          "deps": [7]}]}]})");
     std::string path = testing::TempDir() + "/astra_et_sparse.json";
     std::string again = testing::TempDir() + "/astra_et_sparse2.json";
-    json::writeFile(path, doc);
+    OutputFile::write(path, "execution trace", doc.dump(2) + "\n");
     Workload wl = loadWorkload(path);
     const EtGraph &g = wl.graphs[0];
     EXPECT_EQ(g.depsOf(0)[0], 2u);
