@@ -39,9 +39,8 @@ run(const CommandLine &cl)
             std::printf("wrote %s\n", path.c_str());
             return 0;
         }
-        // Round-trip through the serialized form to exercise the
-        // parser exactly as an external trace would.
-        wl = workloadFromJson(workloadToJson(wl));
+        // Round-trip through ET text, read as an external trace is.
+        wl = workloadFromText(workloadToText(wl));
     }
 
     SimulatorConfig cfg;

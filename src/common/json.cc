@@ -1,12 +1,11 @@
 #include "common/json.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <cctype>
+#include <cerrno>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <iterator>
 
 #include "common/logging.h"
@@ -15,38 +14,13 @@
 namespace astra {
 namespace json {
 
-namespace {
-
-const char *
-kindName(Kind k)
+void
+Value::kindError(Kind expected) const
 {
-    switch (k) {
-      case Kind::Null: return "null";
-      case Kind::Bool: return "bool";
-      case Kind::Number: return "number";
-      case Kind::String: return "string";
-      case Kind::Array: return "array";
-      case Kind::Object: return "object";
-    }
-    return "?";
-}
-
-} // namespace
-
-bool
-Value::asBool() const
-{
-    ASTRA_USER_CHECK(kind_ == Kind::Bool,
-                     "json: expected bool, got %s", kindName(kind_));
-    return bool_;
-}
-
-double
-Value::asNumber() const
-{
-    ASTRA_USER_CHECK(kind_ == Kind::Number,
-                     "json: expected number, got %s", kindName(kind_));
-    return num_;
+    constexpr const char *kNames[] = {"null",   "bool",  "number",
+                                      "string", "array", "object"};
+    fatal("json: expected %s, got %s", kNames[int(expected)],
+          kNames[int(kind_)]);
 }
 
 void
@@ -55,36 +29,6 @@ badInt(const std::string &path, const Value &v, int64_t lo, int64_t hi)
     fatal("%s: expected an integer in [%lld, %lld], got %s", path.c_str(),
           static_cast<long long>(lo), static_cast<long long>(hi),
           v.dump().c_str());
-}
-
-int64_t
-Value::asInt() const
-{
-    return static_cast<int64_t>(std::llround(asNumber()));
-}
-
-const std::string &
-Value::asString() const
-{
-    ASTRA_USER_CHECK(kind_ == Kind::String,
-                     "json: expected string, got %s", kindName(kind_));
-    return str_;
-}
-
-const Array &
-Value::asArray() const
-{
-    ASTRA_USER_CHECK(kind_ == Kind::Array,
-                     "json: expected array, got %s", kindName(kind_));
-    return *arr_;
-}
-
-const Object &
-Value::asObject() const
-{
-    ASTRA_USER_CHECK(kind_ == Kind::Object,
-                     "json: expected object, got %s", kindName(kind_));
-    return *obj_;
 }
 
 Array &
@@ -114,36 +58,6 @@ Value::at(const std::string &key) const
     auto it = obj.find(key);
     ASTRA_USER_CHECK(it != obj.end(), "json: missing key '%s'", key.c_str());
     return it->second;
-}
-
-bool
-Value::has(const std::string &key) const
-{
-    return kind_ == Kind::Object && obj_->count(key) > 0;
-}
-
-double
-Value::getNumber(const std::string &key, double dflt) const
-{
-    return has(key) ? at(key).asNumber() : dflt;
-}
-
-int64_t
-Value::getInt(const std::string &key, int64_t dflt) const
-{
-    return has(key) ? at(key).asInt() : dflt;
-}
-
-bool
-Value::getBool(const std::string &key, bool dflt) const
-{
-    return has(key) ? at(key).asBool() : dflt;
-}
-
-std::string
-Value::getString(const std::string &key, const std::string &dflt) const
-{
-    return has(key) ? at(key).asString() : dflt;
 }
 
 namespace {
@@ -274,282 +188,239 @@ Value::clone() const
     }
 }
 
-namespace {
-
-/** Recursive-descent JSON parser with line/column error reporting. */
-class Parser
+Reader
+Reader::open(const std::string &path)
 {
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    ASTRA_USER_CHECK(f != nullptr, "json: cannot open '%s'", path.c_str());
+    Reader r{std::string_view()};
+    r.path_ = path;
+    r.file_.reset(f);
+    r.storage_ = std::make_unique<char[]>(kBufferBytes);
+    r.buf_ = r.storage_.get();
+    return r;
+}
 
-    Value
-    parseDocument()
-    {
-        skipWs();
-        Value v = parseValue();
-        skipWs();
-        if (pos_ != text_.size())
-            error("trailing characters after JSON document");
-        return v;
+void
+Reader::countLines(size_t n)
+{
+    if (auto *nl = static_cast<const char *>(memrchr(buf_, '\n', n))) {
+        lines_ += size_t(std::count(buf_, nl + 1, '\n'));
+        lineStart_ = dropped_ + size_t(nl - buf_) + 1;
     }
+}
 
-  private:
-    [[noreturn]] void
-    error(const std::string &msg)
-    {
-        size_t line = 1, col = 1;
-        for (size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-            if (text_[i] == '\n') {
-                ++line;
-                col = 1;
-            } else {
-                ++col;
-            }
-        }
-        fatal("json parse error at line %zu col %zu: %s", line, col,
-              msg.c_str());
-    }
-
-    char
-    peek() const
-    {
-        return pos_ < text_.size() ? text_[pos_] : '\0';
-    }
-
-    char
-    get()
-    {
-        if (pos_ >= text_.size())
-            error("unexpected end of input");
-        return text_[pos_++];
-    }
-
-    void
-    expect(char c)
-    {
-        if (get() != c)
-            error(std::string("expected '") + c + "'");
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r')) {
-            ++pos_;
-        }
-    }
-
-    bool
-    consumeLiteral(const char *lit)
-    {
-        size_t len = std::char_traits<char>::length(lit);
-        if (text_.compare(pos_, len, lit) == 0) {
-            pos_ += len;
-            return true;
-        }
+bool
+Reader::fill()
+{
+    if (!file_)
         return false;
+    countLines(end_);
+    dropped_ += end_;
+    pos_ = 0;
+    end_ = std::fread(storage_.get(), 1, kBufferBytes, file_.get());
+    ASTRA_USER_CHECK(!std::ferror(file_.get()), "json: cannot read '%s'",
+                     path_.c_str());
+    return end_ > 0;
+}
+
+void
+Reader::error(const std::string &msg)
+{
+    countLines(pos_);
+    fatal("%s%sjson parse error at line %zu col %zu: %s", path_.c_str(),
+          path_.empty() ? "" : ": ", lines_ + 1,
+          dropped_ + pos_ - lineStart_ + 1, msg.c_str());
+}
+
+char
+Reader::get()
+{
+    if (pos_ == end_ && !fill())
+        error("unexpected end of input");
+    return buf_[pos_++];
+}
+
+char
+Reader::next()
+{
+    char c = peek();
+    while (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
+        ++pos_;
+        c = peek();
     }
-
-    Value
-    parseValue()
-    {
-        skipWs();
-        switch (peek()) {
-          case '{': return parseObject();
-          case '[': return parseArray();
-          case '"': return Value(parseString());
-          case 't':
-            if (consumeLiteral("true"))
-                return Value(true);
-            error("invalid literal");
-          case 'f':
-            if (consumeLiteral("false"))
-                return Value(false);
-            error("invalid literal");
-          case 'n':
-            if (consumeLiteral("null"))
-                return Value(nullptr);
-            error("invalid literal");
-          default:
-            return parseNumber();
-        }
-    }
-
-    Value
-    parseObject()
-    {
-        expect('{');
-        Object obj;
-        skipWs();
-        if (peek() == '}') {
-            get();
-            return Value(std::move(obj));
-        }
-        while (true) {
-            skipWs();
-            if (peek() != '"')
-                error("expected object key string");
-            std::string key = parseString();
-            skipWs();
-            expect(':');
-            obj[key] = parseValue();
-            skipWs();
-            char c = get();
-            if (c == '}')
-                break;
-            if (c != ',')
-                error("expected ',' or '}' in object");
-        }
-        return Value(std::move(obj));
-    }
-
-    Value
-    parseArray()
-    {
-        expect('[');
-        Array arr;
-        skipWs();
-        if (peek() == ']') {
-            get();
-            return Value(std::move(arr));
-        }
-        while (true) {
-            arr.push_back(parseValue());
-            skipWs();
-            char c = get();
-            if (c == ']')
-                break;
-            if (c != ',')
-                error("expected ',' or ']' in array");
-        }
-        return Value(std::move(arr));
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (true) {
-            char c = get();
-            if (c == '"')
-                break;
-            if (c == '\\') {
-                char e = get();
-                switch (e) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  case 'r': out += '\r'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'u': {
-                    unsigned code = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        char h = get();
-                        code <<= 4;
-                        if (h >= '0' && h <= '9')
-                            code += unsigned(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            code += unsigned(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            code += unsigned(h - 'A' + 10);
-                        else
-                            error("invalid \\u escape");
-                    }
-                    // Encode as UTF-8 (basic multilingual plane only;
-                    // surrogate pairs are not needed for ET files).
-                    if (code < 0x80) {
-                        out += char(code);
-                    } else if (code < 0x800) {
-                        out += char(0xC0 | (code >> 6));
-                        out += char(0x80 | (code & 0x3F));
-                    } else {
-                        out += char(0xE0 | (code >> 12));
-                        out += char(0x80 | ((code >> 6) & 0x3F));
-                        out += char(0x80 | (code & 0x3F));
-                    }
-                    break;
-                  }
-                  default:
-                    error("invalid escape character");
-                }
-            } else {
-                out += c;
-            }
-        }
-        return out;
-    }
-
-    Value
-    parseNumber()
-    {
-        size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        while (std::isdigit(static_cast<unsigned char>(peek())))
-            ++pos_;
-        if (peek() == '.') {
-            ++pos_;
-            while (std::isdigit(static_cast<unsigned char>(peek())))
-                ++pos_;
-        }
-        if (peek() == 'e' || peek() == 'E') {
-            ++pos_;
-            if (peek() == '+' || peek() == '-')
-                ++pos_;
-            while (std::isdigit(static_cast<unsigned char>(peek())))
-                ++pos_;
-        }
-        if (pos_ == start)
-            error("invalid number");
-        std::string tok = text_.substr(start, pos_ - start);
-        try {
-            size_t used = 0;
-            double v = std::stod(tok, &used);
-            if (used != tok.size())
-                error("invalid number '" + tok + "'");
-            return Value(v);
-        } catch (const std::exception &) {
-            error("invalid number '" + tok + "'");
-        }
-    }
-
-    const std::string &text_;
-    size_t pos_ = 0;
-};
-
-} // namespace
+    return c;
+}
 
 Value
-parse(const std::string &text)
+Reader::value()
 {
-    Parser p(text);
-    return p.parseDocument();
+    switch (next()) {
+      case '{': {
+        Object obj;
+        object([&](std::string k) { obj[std::move(k)] = value(); });
+        return Value(std::move(obj));
+      }
+      case '[': {
+        Array arr;
+        array([&] { arr.push_back(value()); });
+        return Value(std::move(arr));
+      }
+      case '"':
+        return Value(string());
+      case 't':
+        return literal("true", true);
+      case 'f':
+        return literal("false", false);
+      case 'n':
+        return literal("null", nullptr);
+      default:
+        return number();
+    }
+}
+
+Value
+Reader::literal(std::string_view lit, Value v)
+{
+    for (char c : lit) {
+        if (peek() != c)
+            error("invalid literal");
+        ++pos_;
+    }
+    return v;
+}
+
+bool
+Reader::begin(char open, char close)
+{
+    next();
+    if (get() != open)
+        error(std::string("expected '") + open + "'");
+    if (next() != close)
+        return true;
+    ++pos_;
+    return false;
+}
+
+std::string
+Reader::key()
+{
+    if (next() != '"')
+        error("expected object key string");
+    std::string k = string();
+    next();
+    if (get() != ':')
+        error("expected ':'");
+    return k;
+}
+
+bool
+Reader::more(char close)
+{
+    next();
+    char c = get();
+    if (c != ',' && c != close)
+        error(close == '}' ? "expected ',' or '}' in object"
+                           : "expected ',' or ']' in array");
+    return c == ',';
+}
+
+void
+Reader::end()
+{
+    if (next() != '\0' || pos_ < end_)
+        error("trailing characters after JSON document");
+}
+
+std::string
+Reader::string()
+{
+    // Escape letters, each followed by the byte it stands for.
+    constexpr std::string_view kEscapes = "\"\"\\\\//b\bf\fn\nr\rt\t";
+    ++pos_; // the opening quote, seen by the caller.
+    std::string out;
+    while (true) {
+        // Copy the run up to the next quote or backslash at once.
+        size_t run = pos_;
+        while (run < end_ && buf_[run] != '"' && buf_[run] != '\\')
+            ++run;
+        out.append(buf_ + pos_, run - pos_);
+        pos_ = run;
+        char c = get();
+        if (c == '"')
+            return out;
+        if (c != '\\') {
+            out += c;
+            continue;
+        }
+        char e = get();
+        if (e != 'u') {
+            size_t k = 0;
+            while (k < kEscapes.size() && kEscapes[k] != e)
+                k += 2;
+            if (k == kEscapes.size())
+                error("invalid escape character");
+            out += kEscapes[k + 1];
+            continue;
+        }
+        const char hex[4] = {get(), get(), get(), get()};
+        unsigned code = 0;
+        if (std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4)
+            error("invalid \\u escape");
+        // Encode as UTF-8 (basic multilingual plane only; surrogate
+        // pairs are not needed for ET files).
+        if (code < 0x80) {
+            out += char(code);
+            continue;
+        }
+        if (code >= 0x800)
+            out += char(0xE0 | (code >> 12));
+        out += char((code < 0x800 ? 0xC0 : 0x80) | ((code >> 6) & 0x3F));
+        out += char(0x80 | (code & 0x3F));
+    }
+}
+
+Value
+Reader::number()
+{
+    token_.clear();
+    for (char c = peek(); c && std::strchr("+-.0123456789Ee", c); c = peek())
+        token_ += buf_[pos_++];
+    if (token_.empty() || token_[0] == '+')
+        error("invalid number");
+    // Up to 15 digits alone are exact as an integer.
+    const size_t sign = token_[0] == '-';
+    const char *end = token_.data() + token_.size();
+    uint64_t m = 0;
+    auto [used, ec] = std::from_chars(token_.data() + sign, end, m);
+    if (token_.size() - sign <= 15 && ec == std::errc() && used == end)
+        return Value(sign ? -double(m) : double(m));
+    // Else strtod as std::stod used it: a partial conversion or ERANGE
+    // (subnormals included) is invalid.
+    errno = 0;
+    char *stop = nullptr;
+    double v = std::strtod(token_.c_str(), &stop);
+    if (stop != end || errno == ERANGE)
+        error("invalid number '" + token_ + "'");
+    return Value(v);
+}
+
+Value
+parse(std::string_view text)
+{
+    Reader r(text);
+    Value v = r.value();
+    r.end();
+    return v;
 }
 
 Value
 parseFile(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    ASTRA_USER_CHECK(f != nullptr, "json: cannot open '%s'", path.c_str());
-    // The text is held once, sized from the file; reading to EOF
-    // keeps pipes working.
-    std::string text;
-    struct stat st;
-    if (fstat(fileno(f), &st) == 0)
-        text.reserve(size_t(st.st_size));
-    char buf[1 << 16];
-    while (size_t n = std::fread(buf, 1, sizeof(buf), f))
-        text.append(buf, n);
-    const bool failed = std::ferror(f) != 0;
-    std::fclose(f);
-    ASTRA_USER_CHECK(!failed, "json: cannot read '%s'", path.c_str());
-    return parse(text);
+    Reader r = Reader::open(path);
+    Value v = r.value();
+    r.end();
+    return v;
 }
 
 void

@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal self-contained JSON value type, parser, and formatter
+ * Minimal self-contained JSON value type, reader, and formatter
  * (files are written through OutputFile, common/output_file.h).
  *
  * Used for execution-trace (ET) files and simulator configuration.
@@ -10,11 +10,14 @@
 #ifndef ASTRA_COMMON_JSON_H_
 #define ASTRA_COMMON_JSON_H_
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace astra {
@@ -53,21 +56,19 @@ class Value
     Value(Object o)
         : kind_(Kind::Object), obj_(std::make_shared<Object>(std::move(o))) {}
 
-    Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::Null; }
-    bool isBool() const { return kind_ == Kind::Bool; }
     bool isNumber() const { return kind_ == Kind::Number; }
     bool isString() const { return kind_ == Kind::String; }
     bool isArray() const { return kind_ == Kind::Array; }
     bool isObject() const { return kind_ == Kind::Object; }
 
     /** Checked accessors; fatal() on kind mismatch. */
-    bool asBool() const;
-    double asNumber() const;
-    int64_t asInt() const;
-    const std::string &asString() const;
-    const Array &asArray() const;
-    const Object &asObject() const;
+    bool asBool() const { return checked(Kind::Bool).bool_; }
+    double asNumber() const { return checked(Kind::Number).num_; }
+    int64_t asInt() const { return int64_t(std::llround(asNumber())); }
+    const std::string &asString() const { return checked(Kind::String).str_; }
+    const Array &asArray() const { return *checked(Kind::Array).arr_; }
+    const Object &asObject() const { return *checked(Kind::Object).obj_; }
 
     /** Mutable access (copy-on-write is not needed; shared for cheap copy,
      *  callers building documents own the unique reference). */
@@ -77,14 +78,29 @@ class Value
     /** Object member lookup; fatal() if not an object or key missing. */
     const Value &at(const std::string &key) const;
     /** True if this is an object containing key. */
-    bool has(const std::string &key) const;
+    bool has(const std::string &key) const
+    {
+        return kind_ == Kind::Object && obj_->count(key) > 0;
+    }
 
     /** Lookup with defaults (no error if missing). */
-    double getNumber(const std::string &key, double dflt) const;
-    int64_t getInt(const std::string &key, int64_t dflt) const;
-    bool getBool(const std::string &key, bool dflt) const;
-    std::string getString(const std::string &key,
-                          const std::string &dflt) const;
+    double getNumber(const std::string &key, double dflt) const
+    {
+        return has(key) ? at(key).asNumber() : dflt;
+    }
+    int64_t getInt(const std::string &key, int64_t dflt) const
+    {
+        return has(key) ? at(key).asInt() : dflt;
+    }
+    bool getBool(const std::string &key, bool dflt) const
+    {
+        return has(key) ? at(key).asBool() : dflt;
+    }
+    std::string
+    getString(const std::string &key, const std::string &dflt) const
+    {
+        return has(key) ? at(key).asString() : dflt;
+    }
 
     /**
      * Deep copy. Copy construction shares arrays/objects (cheap value
@@ -96,9 +112,18 @@ class Value
 
     /** Serialize; indent < 0 means compact single-line output. */
     std::string dump(int indent = -1) const;
+    /** Append dump(indent) to `out` as if nested `depth` levels into
+     *  an indented document. */
+    void dumpTo(std::string &out, int indent, int depth) const;
 
   private:
-    void dumpTo(std::string &out, int indent, int depth) const;
+    const Value &checked(Kind k) const
+    {
+        if (kind_ != k)
+            kindError(k);
+        return *this;
+    }
+    [[noreturn]] void kindError(Kind expected) const;
 
     Kind kind_;
     bool bool_ = false;
@@ -108,8 +133,74 @@ class Value
     std::shared_ptr<Object> obj_;
 };
 
+/**
+ * The one JSON tokenizer: a pull reader over a string, or over a file
+ * read through a fixed buffer. value() parses the next value; object()
+ * and array() walk a container a member at a time, so a loader holds
+ * one record of a large file at a time. Syntax errors are fatal() with
+ * the line and column, after the path when reading a file.
+ */
+class Reader
+{
+  public:
+    /** Bytes read from a file at a time. */
+    static constexpr size_t kBufferBytes = size_t(1) << 16;
+
+    /** Read `text`, which must outlive the reader. */
+    explicit Reader(std::string_view text) : buf_(text.data()),
+                                             end_(text.size()) {}
+    /** Read the file `path`; fatal() if it cannot be opened. */
+    static Reader open(const std::string &path);
+
+    /** The first character of the next value ('\0' at the end). */
+    char next();
+    /** Parse the next value. */
+    Value value();
+    /** Walk the object at the cursor: member(key) runs once per member
+     *  and must consume its value. */
+    template <typename F>
+    void object(F &&member)
+    {
+        if (begin('{', '}'))
+            do member(key()); while (more('}'));
+    }
+    /** Walk the array at the cursor: element() runs once per element
+     *  and must consume it. */
+    template <typename F>
+    void array(F &&element)
+    {
+        if (begin('[', ']'))
+            do element(); while (more(']'));
+    }
+    /** fatal() unless only whitespace is left. */
+    void end();
+
+  private:
+    bool begin(char open, char close);
+    std::string key();
+    bool more(char close);
+    std::string string();
+    Value number();
+    Value literal(std::string_view lit, Value v);
+    char peek() { return pos_ < end_ || fill() ? buf_[pos_] : '\0'; }
+    char get();
+    bool fill(); //!< refill a used-up buffer; false at the end.
+    void countLines(size_t n); //!< of buf_[0, n), into lines_.
+    [[noreturn]] void error(const std::string &msg);
+
+    std::string path_;
+    std::unique_ptr<std::FILE, decltype(&std::fclose)> file_{nullptr,
+                                                             std::fclose};
+    std::unique_ptr<char[]> storage_;
+    const char *buf_;
+    size_t pos_ = 0, end_;
+    /** Bytes before buf_, their newlines, and where the line began. */
+    size_t dropped_ = 0, lines_ = 0, lineStart_ = 0;
+    std::string token_; //!< number scratch.
+};
+
 /** Parse a JSON document; fatal() with line/column info on syntax error. */
-Value parse(const std::string &text);
+Value parse(std::string_view text);
 
 /** Parse the JSON document stored in a file; fatal() if unreadable. */
 Value parseFile(const std::string &path);

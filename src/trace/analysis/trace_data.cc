@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 
+#include "common/json.h"
 #include "common/logging.h"
 
 namespace astra {
@@ -12,14 +14,9 @@ namespace analysis {
 const char *
 trackClassName(TrackClass c)
 {
-    switch (c) {
-      case TrackClass::Rank:      return "rank";
-      case TrackClass::Lifecycle: return "lifecycle";
-      case TrackClass::Link:      return "link";
-      case TrackClass::Flow:      return "flow";
-      case TrackClass::Coll:      return "coll";
-    }
-    return "?";
+    constexpr const char *kNames[] = {"rank", "lifecycle", "link", "flow",
+                                      "coll"};
+    return kNames[int(c)];
 }
 
 TrackClass
@@ -38,44 +35,34 @@ trackClassOf(int32_t tid)
 
 namespace {
 
-bool
-allDigits(const std::string &s, size_t from, size_t to)
-{
-    if (from >= to)
-        return false;
-    for (size_t i = from; i < to; ++i)
-        if (!std::isdigit(static_cast<unsigned char>(s[i])))
-            return false;
-    return true;
-}
-
 /** Parse the structured name tokens into the span: an "a->b" peer
- *  pair anywhere, and a trailing " d<k>" dimension token. */
+ *  pair anywhere, and a trailing " d<k>" dimension token. A number
+ *  too large for its field leaves the field unset. */
 void
 parseNameTokens(Span &s)
 {
+    constexpr const char *kDigits = "0123456789";
     const std::string &n = s.name;
-    size_t arrow = n.find("->");
-    if (arrow != std::string::npos) {
-        size_t lo = arrow;
-        while (lo > 0 &&
-               std::isdigit(static_cast<unsigned char>(n[lo - 1])))
-            --lo;
-        size_t hi = arrow + 2;
-        size_t hi_end = hi;
-        while (hi_end < n.size() &&
-               std::isdigit(static_cast<unsigned char>(n[hi_end])))
-            ++hi_end;
-        if (lo < arrow && hi_end > hi) {
-            s.peerSrc = std::stoll(n.substr(lo, arrow - lo));
-            s.peerDst = std::stoll(n.substr(hi, hi_end - hi));
+    // The digits n[from, to) into `out`; false if none or too large.
+    auto digits = [&n](size_t from, size_t to, auto &out) {
+        return from < to && std::from_chars(n.data() + from, n.data() + to,
+                                            out).ec == std::errc();
+    };
+    if (size_t arrow = n.find("->"); arrow != std::string::npos) {
+        size_t lo =
+            arrow == 0 ? 0 : n.find_last_not_of(kDigits, arrow - 1) + 1;
+        size_t hi = std::min(n.find_first_not_of(kDigits, arrow + 2),
+                             n.size());
+        int64_t src = -1, dst = -1;
+        if (digits(lo, arrow, src) && digits(arrow + 2, hi, dst)) {
+            s.peerSrc = src;
+            s.peerDst = dst;
         }
     }
-    size_t sp = n.rfind(' ');
-    size_t tok = sp == std::string::npos ? 0 : sp + 1;
+    size_t tok = n.rfind(' ') + 1; // 0 when there is no space.
     if (tok < n.size() && n[tok] == 'd' &&
-        allDigits(n, tok + 1, n.size()))
-        s.dim = std::stoi(n.substr(tok + 1));
+        n.find_first_not_of(kDigits, tok + 1) == std::string::npos)
+        digits(tok + 1, n.size(), s.dim);
 }
 
 /** "flow a->b" message spans (flow backend) carry the same meaning as
@@ -173,36 +160,24 @@ TraceData::fromTracer(Tracer &tracer)
 TraceData
 TraceData::fromChromeFile(const std::string &path)
 {
-    json::Value doc = json::parseFile(path);
-    const json::Array *events = nullptr;
-    if (doc.isArray()) {
-        events = &doc.asArray();
-    } else {
-        ASTRA_USER_CHECK(doc.has("traceEvents"),
-                         "%s: no traceEvents array", path.c_str());
-        events = &doc.at("traceEvents").asArray();
-    }
-
     TraceData data;
-    for (const json::Value &ev : *events) {
+    auto add = [&](const json::Value &ev) {
         std::string ph = ev.getString("ph", "");
         if (ph == "M") {
             // Recover link-track labels from thread_name metadata.
             if (ev.getString("name", "") != "thread_name")
-                continue;
+                return;
             int32_t tid = static_cast<int32_t>(ev.getInt("tid", 0));
-            if (trackClassOf(tid) != TrackClass::Link ||
-                !ev.has("args"))
-                continue;
+            if (trackClassOf(tid) != TrackClass::Link || !ev.has("args"))
+                return;
             size_t index = size_t(tid - Tracer::kLinkTidBase);
             if (index >= data.links.size())
                 data.links.resize(index + 1);
-            data.links[index].label =
-                ev.at("args").getString("name", "");
-            continue;
+            data.links[index].label = ev.at("args").getString("name", "");
+            return;
         }
         if (ph != "X")
-            continue; // instants don't feed the analyzers.
+            return; // instants don't feed the analyzers.
         Span s;
         s.pid = static_cast<int32_t>(ev.getInt("pid", 0));
         s.tid = static_cast<int32_t>(ev.getInt("tid", 0));
@@ -214,11 +189,28 @@ TraceData::fromChromeFile(const std::string &path)
         s.dur = ev.getNumber("dur", 0.0) * 1000.0;
         parseNameTokens(s);
         data.spans.push_back(std::move(s));
-    }
+    };
+    // The events are the document or its "traceEvents", read in turn.
+    json::Reader r = json::Reader::open(path);
+    bool found = false;
+    auto events = [&] {
+        ASTRA_USER_CHECK(!found, "%s: two traceEvents arrays", path.c_str());
+        found = true;
+        r.array([&] { add(r.value()); });
+    };
+    if (r.next() == '[')
+        events();
+    else
+        r.object([&](const std::string &key) {
+            if (key == "traceEvents")
+                events();
+            else
+                r.value();
+        });
+    r.end();
+    ASTRA_USER_CHECK(found, "%s: no traceEvents array", path.c_str());
     std::stable_sort(data.spans.begin(), data.spans.end(),
-                     [](const Span &a, const Span &b) {
-                         return a.ts < b.ts;
-                     });
+                     [](const Span &a, const Span &b) { return a.ts < b.ts; });
     for (const Span &s : data.spans)
         data.endNs = std::max(data.endNs, s.end());
     return data;

@@ -125,12 +125,12 @@ convertPyTorchTraces(const std::vector<json::Value> &rank_docs,
             "converter: rank documents out of order (got %lld at %zu)",
             static_cast<long long>(doc.at("rank").asInt()), rank);
 
-        IdGraphBuilder b(static_cast<NpuId>(rank));
+        IdGraphBuilder b;
         std::map<int64_t, uint64_t> pg_counter;
         const json::Array &nodes = doc.at("nodes").asArray();
         for (size_t i = 0; i < nodes.size(); ++i)
             convertNode(wl, b, nodes[i], rank, i, groups, pg_counter);
-        wl.graphs.push_back(std::move(b).finish());
+        wl.graphs.push_back(std::move(b).finish(static_cast<NpuId>(rank)));
     }
     return wl;
 }

@@ -80,10 +80,10 @@ IdGraphBuilder::add(int id, EtNode node)
 }
 
 EtGraph
-IdGraphBuilder::finish() &&
+IdGraphBuilder::finish(NpuId npu) &&
 {
     EtGraph &g = graph_;
-    const NpuId npu = g.npu;
+    g.npu = npu;
     const size_t n = g.nodes.size();
     bool sequential = true;
     for (size_t i = 0; i < n; ++i) {
@@ -118,6 +118,7 @@ IdGraphBuilder::finish() &&
             g.deps[k] = uint32_t(pos);
         }
     }
+    g.nodes.shrink_to_fit(); // no push_back slack in a loaded graph.
     if (sequential)
         g.ids = std::vector<int>(); // positions stand for the ids.
     return std::move(g);

@@ -163,14 +163,13 @@ struct EtGraph
 class IdGraphBuilder
 {
   public:
-    explicit IdGraphBuilder(NpuId npu) { graph_.npu = npu; }
-
     /** Append a node with file id `id`. */
     void add(int id, EtNode node);
     /** Add file id `id` to the last node's parents. */
     void dep(int id) { depIds_.push_back(id); }
 
-    EtGraph finish() &&;
+    /** NPU `npu`'s graph (ET JSON lists the NPU after its nodes). */
+    EtGraph finish(NpuId npu) &&;
 
   private:
     EtGraph graph_;

@@ -2,7 +2,9 @@
 
 #include <climits>
 #include <cstdint>
+#include <functional>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/output_file.h"
 
@@ -175,73 +177,112 @@ addNodeFromJson(Workload &wl, IdGraphBuilder &b, const json::Value &v,
     }
 }
 
-} // namespace
-
-json::Value
-workloadToJson(const Workload &wl)
-{
-    json::Object doc;
-    doc["schema"] = json::Value(kSchema);
-    doc["name"] = json::Value(wl.name);
-    doc["npus"] = json::Value(static_cast<int64_t>(wl.graphs.size()));
-    json::Array graphs;
-    for (const EtGraph &g : wl.graphs) {
-        json::Object go;
-        go["npu"] = json::Value(g.npu);
-        json::Array nodes;
-        for (size_t i = 0; i < g.nodes.size(); ++i)
-            nodes.push_back(nodeToJson(wl, g, i));
-        go["nodes"] = json::Value(std::move(nodes));
-        graphs.push_back(json::Value(std::move(go)));
-    }
-    doc["graphs"] = json::Value(std::move(graphs));
-    return json::Value(std::move(doc));
-}
-
+/** Reads the document at `r`, one node at a time. */
 Workload
-workloadFromJson(const json::Value &doc)
+readWorkload(json::Reader &&r)
 {
+    Workload wl;
+    json::Value doc{json::Object()}; // every key but "graphs".
+    bool have_graphs = false;
+    r.object([&](const std::string &key) {
+        if (key != "graphs") {
+            doc.mutableObject()[key] = r.value();
+            return;
+        }
+        ASTRA_USER_CHECK(!have_graphs, "json: duplicate key 'graphs'");
+        have_graphs = true;
+        r.array([&] {
+            const size_t g = wl.graphs.size();
+            IdGraphBuilder b;
+            json::Object gv; // every key but "nodes".
+            bool have_nodes = false;
+            r.object([&](const std::string &gkey) {
+                if (gkey != "nodes") {
+                    gv[gkey] = r.value();
+                    return;
+                }
+                ASTRA_USER_CHECK(!have_nodes, "json: duplicate key 'nodes'");
+                have_nodes = true;
+                size_t i = 0;
+                r.array([&] { addNodeFromJson(wl, b, r.value(), g, i++); });
+            });
+            NpuId npu = static_cast<NpuId>(json::checkedInt(
+                json::Value(std::move(gv)).at("npu"), INT_MIN, INT_MAX,
+                [&] { return detail::formatV("graphs[%zu].npu", g); }));
+            ASTRA_USER_CHECK(have_nodes, "json: missing key 'nodes'");
+            wl.graphs.push_back(std::move(b).finish(npu));
+        });
+    });
+    r.end();
     ASTRA_USER_CHECK(doc.getString("schema", "") == kSchema,
                      "ET document schema is '%s', expected '%s' (use the "
                      "converter for external trace formats)",
                      doc.getString("schema", "<missing>").c_str(),
                      kSchema);
-    Workload wl;
     wl.name = doc.getString("name", "trace");
     int64_t npus = doc.at("npus").asInt();
-    const json::Array &graphs = doc.at("graphs").asArray();
-    ASTRA_USER_CHECK(static_cast<int64_t>(graphs.size()) == npus,
+    ASTRA_USER_CHECK(have_graphs, "json: missing key 'graphs'");
+    ASTRA_USER_CHECK(static_cast<int64_t>(wl.graphs.size()) == npus,
                      "ET document: npus=%lld but %zu graphs",
-                     static_cast<long long>(npus), graphs.size());
-    wl.graphs.reserve(graphs.size());
-    for (size_t g = 0; g < graphs.size(); ++g) {
-        const json::Value &gv = graphs[g];
-        NpuId npu = static_cast<NpuId>(
-            json::checkedInt(gv.at("npu"), INT_MIN, INT_MAX, [&] {
-                return detail::formatV("graphs[%zu].npu", g);
-            }));
-        IdGraphBuilder b(npu);
-        const json::Array &nodes = gv.at("nodes").asArray();
-        for (size_t i = 0; i < nodes.size(); ++i)
-            addNodeFromJson(wl, b, nodes[i], g, i);
-        wl.graphs.push_back(std::move(b).finish());
-    }
+                     static_cast<long long>(npus), wl.graphs.size());
+    wl.graphs.shrink_to_fit();
     return wl;
 }
+
+/** Writes `wl` as the document's dump(2) and a newline, a node at a
+ *  time. */
+void
+writeWorkload(const Workload &wl,
+              const std::function<void(std::string_view)> &put)
+{
+    put("{\n  \"graphs\": ");
+    std::string text;
+    for (size_t g = 0; g < wl.graphs.size(); ++g) {
+        const EtGraph &graph = wl.graphs[g];
+        put(g == 0 ? "[\n    {\n      \"nodes\": "
+                   : ",\n    {\n      \"nodes\": ");
+        for (size_t i = 0; i < graph.nodes.size(); ++i) {
+            text = i == 0 ? "[\n        " : ",\n        ";
+            nodeToJson(wl, graph, i).dumpTo(text, 2, 4);
+            put(text);
+        }
+        put(graph.nodes.empty() ? "[]" : "\n      ]");
+        put(",\n      \"npu\": " + std::to_string(graph.npu) + "\n    }");
+    }
+    put(wl.graphs.empty() ? "[]" : "\n  ]");
+    put(",\n  \"name\": " + json::Value(wl.name).dump() +
+        ",\n  \"npus\": " + std::to_string(wl.graphs.size()) +
+        ",\n  \"schema\": \"" + kSchema + "\"\n}\n");
+}
+
+} // namespace
 
 void
 saveWorkload(const std::string &path, const Workload &wl)
 {
     OutputFile out(path, "execution trace");
-    out.put(workloadToJson(wl).dump(2));
-    out.put("\n");
+    writeWorkload(wl, [&](std::string_view s) { out.put(s); });
     out.close();
 }
 
 Workload
 loadWorkload(const std::string &path)
 {
-    return workloadFromJson(json::parseFile(path));
+    return readWorkload(json::Reader::open(path));
+}
+
+std::string
+workloadToText(const Workload &wl)
+{
+    std::string text;
+    writeWorkload(wl, [&](std::string_view s) { text += s; });
+    return text;
+}
+
+Workload
+workloadFromText(std::string_view text)
+{
+    return readWorkload(json::Reader(text));
 }
 
 } // namespace astra

@@ -8,7 +8,10 @@
 #   - with FULL_FLAGS: `BIN FULL_RUN` exits 0, and for each output
 #     flag F, `BIN FULL_RUN --F /dev/full` exits 2 with exactly one
 #     "error:" line naming /dev/full. @SAMPLE@ is replaced as above;
-#     @INPUT@ by a file holding the JSON text INPUT.
+#     @INPUT@ by a file holding the JSON text INPUT;
+#   - with ZERO_ARGS: `BIN ZERO_ARGS`, which reads /dev/zero as a JSON
+#     file, exits 2 with exactly one "error:" line naming /dev/zero.
+# Every run is bounded by a timeout.
 # Argument lists separate their items with "|".
 #
 #   cmake -DBIN=build/sweep_runner -DBAD_ARGS="missing.json" \
@@ -22,7 +25,7 @@ if(NOT BIN OR NOT BAD_ARGS OR NOT WORK)
 endif()
 
 function(run_bin expected_rc)
-  execute_process(COMMAND ${BIN} ${ARGN}
+  execute_process(COMMAND ${BIN} ${ARGN} TIMEOUT 300
                   RESULT_VARIABLE rc OUTPUT_VARIABLE out
                   ERROR_VARIABLE err)
   if(NOT rc STREQUAL "${expected_rc}")
@@ -47,6 +50,16 @@ run_bin(0 --help)
 expect_user_error(--bogus)
 string(REPLACE "|" ";" bad "${BAD_ARGS}")
 expect_user_error(${bad})
+
+# A stream that never ends is read only up to its first bad byte.
+if(ZERO_ARGS AND EXISTS /dev/zero)
+  string(REPLACE "|" ";" args "${ZERO_ARGS}")
+  expect_user_error(${args})
+  if(NOT last_err MATCHES "/dev/zero")
+    message(FATAL_ERROR "${BIN} ${args}: the error does not name the "
+                        "file:\n${last_err}")
+  endif()
+endif()
 
 set(sample "${WORK}.json")
 if(SAMPLE_RUN OR FULL_RUN MATCHES "@SAMPLE@")

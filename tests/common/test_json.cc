@@ -51,6 +51,8 @@ TEST(Json, ParsesStringEscapes)
     EXPECT_EQ(parse(R"("s\\t")").asString(), "s\\t");
     EXPECT_EQ(parse(R"("A")").asString(), "A");
     EXPECT_EQ(parse(R"("é")").asString(), "\xc3\xa9");
+    EXPECT_EQ(parse(R"("\u20ac\u00e9\u0041")").asString(),
+              "\xe2\x82\xac\xc3\xa9" "A");
 }
 
 TEST(Json, WhitespaceTolerant)
@@ -166,6 +168,83 @@ TEST(Json, DumpEscapesStrings)
               "\"a\\\"b\\\\c\\nd\\te\\u0001\\u001f\xc3\xa9\"");
     Value back = parse(Value(std::string("x\ry\bz\f")).dump());
     EXPECT_EQ(back.asString(), "x\ry\bz\f");
+}
+
+TEST(Json, NumberGrammar)
+{
+    for (const char *bad : {"1e999", "1e-320", "-", "+1", "1e"})
+        EXPECT_THROW(parse(bad), FatalError) << bad;
+    Value zero = parse("-0");
+    EXPECT_EQ(zero.asNumber(), 0.0);
+    EXPECT_TRUE(std::signbit(zero.asNumber()));
+    EXPECT_EQ(parse("1.").asNumber(), 1.0);
+    EXPECT_EQ(parse(".5").asNumber(), 0.5);
+    EXPECT_EQ(parse("01").asNumber(), 1.0);
+    EXPECT_EQ(parse("2.2250738585072014e-308").asNumber(),
+              2.2250738585072014e-308);
+    // Either side of the 15-digit integer shortcut.
+    EXPECT_EQ(parse("-999999999999999").asNumber(), -999999999999999.0);
+    EXPECT_EQ(parse("9007199254740993").asNumber(), 9007199254740992.0);
+}
+
+/** `text` written to a file and parsed through the file reader. */
+Value
+parseViaFile(const std::string &text)
+{
+    std::string path = testing::TempDir() + "/astra_json_reader.json";
+    OutputFile::write(path, "JSON file", text);
+    return parseFile(path);
+}
+
+/** The message `fn` fails with ("" if it does not). */
+template <typename Fn>
+std::string
+errorOf(Fn fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(JsonReader, TokensAcrossARefillParseAsFromText)
+{
+    // Slide the tokens over the end of the first buffer a byte at a
+    // time, so each kind straddles a refill at every offset.
+    const std::string tail = R"(["a\u00e9\"b\u20ac", -12345.678e-2, )"
+                             R"(123456789012, true, false, null, {"k": []}])";
+    for (size_t shift = 1; shift <= tail.size(); ++shift) {
+        std::string text =
+            std::string(Reader::kBufferBytes - shift, ' ') + tail;
+        EXPECT_EQ(parseViaFile(text).dump(), parse(text).dump()) << shift;
+    }
+    std::string big = "{\"s\": \"" +
+                      std::string(3 * Reader::kBufferBytes, 'x') +
+                      "\", \"n\": [0";
+    for (int i = 1; i < 40000; ++i)
+        big += ", " + std::to_string(i * 0.25);
+    big += "]}";
+    EXPECT_EQ(parseViaFile(big).dump(), parse(big).dump());
+}
+
+TEST(JsonReader, ErrorsAfterARefillReportTheSamePosition)
+{
+    std::string lines;
+    for (int i = 0; i < 30000; ++i)
+        lines += "  1,\n";
+    const std::string path = testing::TempDir() + "/astra_json_reader.json";
+    for (const std::string &bad :
+         {"[" + lines + "tru]", "[" + lines + " 1e]", "[" + lines,
+          "[1]" + lines + "x",
+          "[\n" + std::string(Reader::kBufferBytes + 99, ' ') + "x]"}) {
+        std::string from_text = errorOf([&] { parse(bad); });
+        ASSERT_NE(from_text.find("json parse error at line"),
+                  std::string::npos);
+        EXPECT_EQ(errorOf([&] { parseViaFile(bad); }),
+                  path + ": " + from_text);
+    }
 }
 
 } // namespace

@@ -30,6 +30,7 @@
 #include "collective/engine.h"
 #include "common/json.h"
 #include "common/logging.h"
+#include "common/output_file.h"
 #include "common/units.h"
 #include "event/event_queue.h"
 #include "network/network_api.h"
@@ -484,6 +485,45 @@ TEST(AnalysisLoader, ChromeFileRoundTripsToTheSameAnalysis)
         EXPECT_EQ(row.countA, row.countB) << row.kind;
         EXPECT_NEAR(row.deltaNs, 0.0, 1e-3) << row.kind;
     }
+}
+
+TEST(AnalysisLoader, ChromeFileTakesAnObjectOrABareArray)
+{
+    const std::string events =
+        R"([{"ph": "M", "name": "thread_name", "pid": 0, "tid": 1048576,
+              "args": {"name": "link 0"}},
+             {"ph": "X", "cat": "net", "name": "msg 0->1 d0", "pid": 0,
+              "tid": 0, "ts": 2.5, "dur": 1},
+             {"ph": "i", "name": "mark", "pid": 0, "tid": 0, "ts": 0},
+             {"ph": "X", "cat": "compute", "name": "fwd", "pid": 0,
+              "tid": 1, "ts": 1, "dur": 0.5}])";
+    const std::string path = testing::TempDir() + "/astra_chrome.json";
+    auto load = [&](const std::string &text) {
+        OutputFile::write(path, "trace file", text);
+        return TraceData::fromChromeFile(path);
+    };
+    TraceData bare = load(events);
+    TraceData wrapped = load(R"({"displayTimeUnit": "ns", "traceEvents": )" +
+                             events + R"(, "otherData": {"v": [1]}})");
+    ASSERT_EQ(bare.spans.size(), 2u);
+    ASSERT_EQ(wrapped.spans.size(), 2u);
+    for (const TraceData *d : {&bare, &wrapped}) {
+        EXPECT_EQ(d->spans[0].name, "fwd");
+        EXPECT_EQ(d->spans[1].peerDst, 1);
+        EXPECT_DOUBLE_EQ(d->endNs, 3500.0);
+        ASSERT_EQ(d->links.size(), 1u);
+        EXPECT_EQ(d->links[0].label, "link 0");
+    }
+    EXPECT_THROW(load(R"({"events": []})"), FatalError);
+    EXPECT_THROW(load(R"({"traceEvents": [], "traceEvents": []})"),
+                 FatalError);
+    // Digit runs too long for their field are not peers or a dim.
+    TraceData huge = load(R"([{"ph": "X", "cat": "net", "pid": 0,
+        "tid": 0, "ts": 0, "dur": 1,
+        "name": "msg 1->99999999999999999999 d99999999999"}])");
+    ASSERT_EQ(huge.spans.size(), 1u);
+    EXPECT_EQ(huge.spans[0].peerSrc, -1);
+    EXPECT_EQ(huge.spans[0].dim, -1);
 }
 
 TEST(RateEpsilon, TighterEpsilonEmitsAtLeastAsManySegments)

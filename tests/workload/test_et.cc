@@ -47,12 +47,12 @@ tinyWorkload(int npus)
 EtGraph
 idGraph(int a_id, int b_id, std::initializer_list<int> b_deps)
 {
-    IdGraphBuilder b(0);
+    IdGraphBuilder b;
     b.add(a_id, EtNode::compute(1e6, 0.0));
     b.add(b_id, EtNode::compute(1e6, 0.0));
     for (int d : b_deps)
         b.dep(d);
-    return std::move(b).finish();
+    return std::move(b).finish(0);
 }
 
 TEST(Et, ValidWorkloadPasses)
@@ -120,13 +120,13 @@ TEST(Et, SelfDependencyRejected)
 TEST(Et, CycleRejected)
 {
     // 0 -> 1 -> 0 through a forward reference.
-    IdGraphBuilder b(0);
+    IdGraphBuilder b;
     b.add(0, EtNode::compute(1e6, 0.0));
     b.dep(1);
     b.add(1, EtNode::compute(1e6, 0.0));
     b.dep(0);
     Workload wl;
-    wl.graphs.push_back(std::move(b).finish());
+    wl.graphs.push_back(std::move(b).finish(0));
     expectRejects([&] { validateWorkload(wl, 1); },
                   "NPU 0: dependency cycle in execution trace");
 }
@@ -143,13 +143,13 @@ TEST(Et, ForwardReferencesResolve)
 {
     // Ids listed out of order; node 10 depends on node 30, listed
     // after it. The graph is acyclic, so validation accepts it.
-    IdGraphBuilder b(0);
+    IdGraphBuilder b;
     b.add(20, EtNode::compute(1e6, 0.0));
     b.add(10, EtNode::compute(1e6, 0.0));
     b.dep(30);
     b.add(30, EtNode::compute(1e6, 0.0));
     b.dep(20);
-    EtGraph g = std::move(b).finish();
+    EtGraph g = std::move(b).finish(0);
     ASSERT_EQ(g.deps.size(), 2u);
     EXPECT_EQ(g.depsOf(1)[0], 2u);
     EXPECT_EQ(g.depsOf(2)[0], 0u);

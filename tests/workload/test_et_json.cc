@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/output_file.h"
 #include "workload/builders.h"
@@ -62,19 +63,19 @@ expectRejects(Fn fn, const std::string &what)
 
 /** A one-graph document whose only node is `node`, plus a compute
  *  node 0 it may depend on. */
-json::Value
+std::string
 oneNodeDoc(const std::string &node)
 {
-    return json::parse(R"({"schema": "astra-sim-et-v2", "npus": 1,
+    return R"({"schema": "astra-sim-et-v2", "npus": 1,
         "graphs": [{"npu": 0, "nodes": [
           {"id": 0, "type": "compute"}, )" +
-                       node + "]}]}");
+           node + "]}]}";
 }
 
 TEST(EtJson, RoundTripPreservesEverything)
 {
     Workload wl = richWorkload();
-    Workload back = workloadFromJson(workloadToJson(wl));
+    Workload back = workloadFromText(workloadToText(wl));
     ASSERT_EQ(back.graphs.size(), wl.graphs.size());
     EXPECT_EQ(back.name, wl.name);
     for (size_t g = 0; g < wl.graphs.size(); ++g) {
@@ -114,7 +115,7 @@ TEST(EtJson, FileRoundTrip)
     Workload wl = richWorkload();
     saveWorkload(path, wl);
     Workload back = loadWorkload(path);
-    EXPECT_EQ(workloadToJson(back).dump(), workloadToJson(wl).dump());
+    EXPECT_EQ(workloadToText(back), workloadToText(wl));
 }
 
 TEST(EtJson, BuilderWorkloadsRoundTrip)
@@ -125,19 +126,56 @@ TEST(EtJson, BuilderWorkloadsRoundTrip)
     opts.mp = 2;
     Workload wl =
         buildHybridTransformer(topo, gpt3(), opts);
-    Workload back = workloadFromJson(workloadToJson(wl));
-    EXPECT_EQ(workloadToJson(back).dump(), workloadToJson(wl).dump());
+    Workload back = workloadFromText(workloadToText(wl));
+    EXPECT_EQ(workloadToText(back), workloadToText(wl));
     EXPECT_NO_THROW(validateWorkload(back, topo.npus()));
+}
+
+TEST(EtJson, LoadedWorkloadIsAsLargeAsBuilt)
+{
+    Topology topo({{BlockType::Ring, 4, 100.0, 100.0}});
+    PipelineOptions opts;
+    opts.microbatches = 8;
+    Workload wl = buildPipelineParallel(topo, gpt3(), opts);
+    std::string path = testing::TempDir() + "/astra_et_size.json";
+    saveWorkload(path, wl);
+    EXPECT_EQ(loadWorkload(path).bytesInUse(), wl.bytesInUse());
+}
+
+TEST(EtJson, KeysLoadInAnyOrder)
+{
+    // The writer sorts the keys; a file listing the header and each
+    // graph's npu first is the same workload.
+    std::string sorted = R"({"graphs": [{"nodes": [
+        {"flops": 0, "id": 0, "tensor_bytes": 0, "type": "compute"},
+        {"deps": [0], "id": 1, "peer": 0, "tag": 0, "type": "comm_recv"}],
+        "npu": 1}, {"nodes": [], "npu": 0}],
+      "name": "x", "npus": 2, "schema": "astra-sim-et-v2"})";
+    std::string reordered = R"({"schema": "astra-sim-et-v2", "npus": 2,
+      "name": "x", "graphs": [{"npu": 1, "nodes": [
+        {"type": "compute", "id": 0},
+        {"type": "comm_recv", "peer": 0, "id": 1, "deps": [0]}]},
+        {"npu": 0, "nodes": []}]})";
+    std::string text = workloadToText(workloadFromText(sorted));
+    EXPECT_EQ(workloadToText(workloadFromText(reordered)), text);
+    EXPECT_EQ(text, json::parse(sorted).dump(2) + "\n");
+}
+
+TEST(EtJson, DuplicateStreamedKeysRejected)
+{
+    expectRejects([] { workloadFromText(R"({"graphs": [], "graphs": []})"); },
+                  "duplicate key 'graphs'");
+    expectRejects([] { workloadFromText(R"({"graphs": [
+                           {"nodes": [], "nodes": [], "npu": 0}]})"); },
+                  "duplicate key 'nodes'");
 }
 
 TEST(EtJson, RejectsWrongSchema)
 {
-    EXPECT_THROW(
-        workloadFromJson(json::parse(R"({"schema":"pytorch-et"})")),
-        FatalError);
-    EXPECT_THROW(workloadFromJson(json::parse(
-                     R"({"schema":"astra-sim-et-v2","npus":2,
-                         "graphs":[]})")),
+    EXPECT_THROW(workloadFromText(R"({"schema":"pytorch-et"})"),
+                 FatalError);
+    EXPECT_THROW(workloadFromText(R"({"schema":"astra-sim-et-v2","npus":2,
+                                      "graphs":[]})"),
                  FatalError);
 }
 
@@ -174,10 +212,10 @@ TEST(EtJson, SparseOutOfOrderIdsRoundTripByteForByte)
 
 TEST(EtJson, DuplicateAndMissingIdsRejected)
 {
-    expectRejects([] { workloadFromJson(oneNodeDoc(
+    expectRejects([] { workloadFromText(oneNodeDoc(
                            R"({"id": 0, "type": "compute"})")); },
                   "NPU 0: duplicate node id 0");
-    expectRejects([] { workloadFromJson(oneNodeDoc(
+    expectRejects([] { workloadFromText(oneNodeDoc(
                            R"({"id": 5, "type": "compute",
                                "deps": [3]})")); },
                   "NPU 0 node 5: missing dependency 3");
@@ -185,10 +223,10 @@ TEST(EtJson, DuplicateAndMissingIdsRejected)
 
 TEST(EtJson, OutOfRangeIdRejected)
 {
-    expectRejects([] { workloadFromJson(oneNodeDoc(
+    expectRejects([] { workloadFromText(oneNodeDoc(
                            R"({"id": 4294967296, "type": "compute"})")); },
                   "graphs[0].nodes[1].id: expected an integer");
-    expectRejects([] { workloadFromJson(oneNodeDoc(
+    expectRejects([] { workloadFromText(oneNodeDoc(
                            R"({"id": 1.5, "type": "compute"})")); },
                   "graphs[0].nodes[1].id: expected an integer");
 }
@@ -196,7 +234,7 @@ TEST(EtJson, OutOfRangeIdRejected)
 TEST(EtJson, OutOfRangeDependencyRejected)
 {
     // 4294967296 used to wrap to id 0 and load without complaint.
-    expectRejects([] { workloadFromJson(oneNodeDoc(
+    expectRejects([] { workloadFromText(oneNodeDoc(
                            R"({"id": 1, "type": "compute",
                                "deps": [4294967296]})")); },
                   "graphs[0].nodes[1].deps[0]: expected an integer");
@@ -204,7 +242,7 @@ TEST(EtJson, OutOfRangeDependencyRejected)
 
 TEST(EtJson, OutOfRangePeerRejected)
 {
-    expectRejects([] { workloadFromJson(oneNodeDoc(
+    expectRejects([] { workloadFromText(oneNodeDoc(
                            R"({"id": 1, "type": "comm_recv",
                                "peer": 4294967297})")); },
                   "graphs[0].nodes[1].peer: expected an integer");
@@ -212,10 +250,10 @@ TEST(EtJson, OutOfRangePeerRejected)
 
 TEST(EtJson, OutOfRangeNpuRejected)
 {
-    expectRejects([] { workloadFromJson(json::parse(
+    expectRejects([] { workloadFromText(
                            R"({"schema": "astra-sim-et-v2", "npus": 1,
                                "graphs": [{"npu": 4294967296,
-                                           "nodes": []}]})")); },
+                                           "nodes": []}]})"); },
                   "graphs[0].npu: expected an integer");
 }
 
@@ -225,7 +263,7 @@ TEST(EtJson, OutOfRangeGroupFieldsRejected)
         std::string node = R"({"id": 1, "type": "comm_coll",
             "coll": "all_reduce", "groups": [{"dim": 0, ")" +
                            std::string(field) + R"(": 1e10}]})";
-        expectRejects([&] { workloadFromJson(oneNodeDoc(node)); },
+        expectRejects([&] { workloadFromText(oneNodeDoc(node)); },
                       "graphs[0].nodes[1].groups[0]." +
                           std::string(field) + ": expected an integer");
     }
@@ -234,7 +272,7 @@ TEST(EtJson, OutOfRangeGroupFieldsRejected)
 TEST(EtJson, OutOfRangeKeyRejected)
 {
     for (const char *key : {"-1", "9007199254740992", "0.5"})
-        expectRejects([&] { workloadFromJson(oneNodeDoc(
+        expectRejects([&] { workloadFromText(oneNodeDoc(
                                 R"({"id": 1, "type": "comm_coll",
                                     "coll": "all_reduce", "key": )" +
                                 std::string(key) + "}")); },
@@ -247,7 +285,7 @@ TEST(EtJson, OutOfRangeTagRejected)
     // A negative tag used to be undefined behaviour: the send and the
     // recv could end up with different tags and deadlock.
     for (const char *type : {"comm_send", "comm_recv"})
-        expectRejects([&] { workloadFromJson(oneNodeDoc(
+        expectRejects([&] { workloadFromText(oneNodeDoc(
                                 R"({"id": 1, "type": ")" +
                                 std::string(type) +
                                 R"(", "peer": 0, "tag": -1})")); },

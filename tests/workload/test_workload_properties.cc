@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "astra/simulator.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "workload/builders.h"
@@ -145,8 +146,8 @@ TEST(WorkloadProperty, BuilderTracesSurviveJsonRoundTrip)
     p.microbatches = 2;
     traces.push_back(buildPipelineParallel(topo, gpt3(), p));
     for (const Workload &wl : traces) {
-        Workload back = workloadFromJson(workloadToJson(wl));
-        EXPECT_EQ(workloadToJson(back).dump(), workloadToJson(wl).dump())
+        Workload back = workloadFromText(workloadToText(wl));
+        EXPECT_EQ(workloadToText(back), workloadToText(wl))
             << wl.name;
     }
 }
@@ -160,7 +161,7 @@ TEST(WorkloadFailureInjection, CorruptedTracesAreRejectedNotCrashed)
     opts.mp = 1;
     opts.simLayers = 1;
     Workload wl = buildHybridTransformer(topo, gpt3(), opts);
-    std::string good = workloadToJson(wl).dump();
+    std::string good = json::parse(workloadToText(wl)).dump();
 
     Rng rng(7);
     int rejected = 0, accepted = 0;
@@ -184,7 +185,7 @@ TEST(WorkloadFailureInjection, CorruptedTracesAreRejectedNotCrashed)
             }
         }
         try {
-            Workload back = workloadFromJson(json::parse(mutated));
+            Workload back = workloadFromText(mutated);
             validateWorkload(back, topo.npus());
             ++accepted; // harmless mutation (e.g., inside a name).
         } catch (const FatalError &) {
