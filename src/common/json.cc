@@ -282,11 +282,9 @@ Reader::value()
 Value
 Reader::literal(std::string_view lit, Value v)
 {
-    for (char c : lit) {
-        if (peek() != c)
+    for (char c : lit)
+        if (get() != c)
             error("invalid literal");
-        ++pos_;
-    }
     return v;
 }
 
