@@ -14,9 +14,14 @@ namespace analysis {
 const char *
 trackClassName(TrackClass c)
 {
-    constexpr const char *kNames[] = {"rank", "lifecycle", "link", "flow",
-                                      "coll"};
-    return kNames[int(c)];
+    switch (c) {
+      case TrackClass::Rank:      return "rank";
+      case TrackClass::Lifecycle: return "lifecycle";
+      case TrackClass::Link:      return "link";
+      case TrackClass::Flow:      return "flow";
+      case TrackClass::Coll:      return "coll";
+    }
+    return "?";
 }
 
 TrackClass
@@ -35,34 +40,56 @@ trackClassOf(int32_t tid)
 
 namespace {
 
+bool
+allDigits(const std::string &s, size_t from, size_t to)
+{
+    if (from >= to)
+        return false;
+    for (size_t i = from; i < to; ++i)
+        if (!std::isdigit(static_cast<unsigned char>(s[i])))
+            return false;
+    return true;
+}
+
+/** The digits s[from, to) into `out`; false if they overflow it. */
+template <typename T>
+bool
+parseDigits(const std::string &s, size_t from, size_t to, T &out)
+{
+    return std::from_chars(s.data() + from, s.data() + to, out).ec ==
+           std::errc();
+}
+
 /** Parse the structured name tokens into the span: an "a->b" peer
  *  pair anywhere, and a trailing " d<k>" dimension token. A number
  *  too large for its field leaves the field unset. */
 void
 parseNameTokens(Span &s)
 {
-    constexpr const char *kDigits = "0123456789";
     const std::string &n = s.name;
-    // The digits n[from, to) into `out`; false if none or too large.
-    auto digits = [&n](size_t from, size_t to, auto &out) {
-        return from < to && std::from_chars(n.data() + from, n.data() + to,
-                                            out).ec == std::errc();
-    };
-    if (size_t arrow = n.find("->"); arrow != std::string::npos) {
-        size_t lo =
-            arrow == 0 ? 0 : n.find_last_not_of(kDigits, arrow - 1) + 1;
-        size_t hi = std::min(n.find_first_not_of(kDigits, arrow + 2),
-                             n.size());
-        int64_t src = -1, dst = -1;
-        if (digits(lo, arrow, src) && digits(arrow + 2, hi, dst)) {
+    size_t arrow = n.find("->");
+    if (arrow != std::string::npos) {
+        size_t lo = arrow;
+        while (lo > 0 &&
+               std::isdigit(static_cast<unsigned char>(n[lo - 1])))
+            --lo;
+        size_t hi = arrow + 2;
+        size_t hi_end = hi;
+        while (hi_end < n.size() &&
+               std::isdigit(static_cast<unsigned char>(n[hi_end])))
+            ++hi_end;
+        int64_t src = 0, dst = 0;
+        if (lo < arrow && hi_end > hi && parseDigits(n, lo, arrow, src) &&
+            parseDigits(n, hi, hi_end, dst)) {
             s.peerSrc = src;
             s.peerDst = dst;
         }
     }
-    size_t tok = n.rfind(' ') + 1; // 0 when there is no space.
+    size_t sp = n.rfind(' ');
+    size_t tok = sp == std::string::npos ? 0 : sp + 1;
     if (tok < n.size() && n[tok] == 'd' &&
-        n.find_first_not_of(kDigits, tok + 1) == std::string::npos)
-        digits(tok + 1, n.size(), s.dim);
+        allDigits(n, tok + 1, n.size()))
+        parseDigits(n, tok + 1, n.size(), s.dim);
 }
 
 /** "flow a->b" message spans (flow backend) carry the same meaning as
@@ -168,12 +195,14 @@ TraceData::fromChromeFile(const std::string &path)
             if (ev.getString("name", "") != "thread_name")
                 return;
             int32_t tid = static_cast<int32_t>(ev.getInt("tid", 0));
-            if (trackClassOf(tid) != TrackClass::Link || !ev.has("args"))
+            if (trackClassOf(tid) != TrackClass::Link ||
+                !ev.has("args"))
                 return;
             size_t index = size_t(tid - Tracer::kLinkTidBase);
             if (index >= data.links.size())
                 data.links.resize(index + 1);
-            data.links[index].label = ev.at("args").getString("name", "");
+            data.links[index].label =
+                ev.at("args").getString("name", "");
             return;
         }
         if (ph != "X")
@@ -210,7 +239,9 @@ TraceData::fromChromeFile(const std::string &path)
     r.end();
     ASTRA_USER_CHECK(found, "%s: no traceEvents array", path.c_str());
     std::stable_sort(data.spans.begin(), data.spans.end(),
-                     [](const Span &a, const Span &b) { return a.ts < b.ts; });
+                     [](const Span &a, const Span &b) {
+                         return a.ts < b.ts;
+                     });
     for (const Span &s : data.spans)
         data.endNs = std::max(data.endNs, s.end());
     return data;

@@ -517,10 +517,15 @@ TEST(AnalysisLoader, ChromeFileTakesAnObjectOrABareArray)
     EXPECT_THROW(load(R"({"events": []})"), FatalError);
     EXPECT_THROW(load(R"({"traceEvents": [], "traceEvents": []})"),
                  FatalError);
-    // Digit runs too long for their field are not peers or a dim.
-    TraceData huge = load(R"([{"ph": "X", "cat": "net", "pid": 0,
-        "tid": 0, "ts": 0, "dur": 1,
+}
+
+TEST(AnalysisLoader, NameNumbersTooLargeForTheirFieldAreLeftUnset)
+{
+    const std::string path = testing::TempDir() + "/astra_chrome.json";
+    OutputFile::write(path, "trace file", R"([{"ph": "X", "cat": "net",
+        "pid": 0, "tid": 0, "ts": 0, "dur": 1,
         "name": "msg 1->99999999999999999999 d99999999999"}])");
+    TraceData huge = TraceData::fromChromeFile(path);
     ASSERT_EQ(huge.spans.size(), 1u);
     EXPECT_EQ(huge.spans[0].peerSrc, -1);
     EXPECT_EQ(huge.spans[0].dim, -1);
