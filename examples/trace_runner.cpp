@@ -39,7 +39,8 @@ run(const CommandLine &cl)
             std::printf("wrote %s\n", path.c_str());
             return 0;
         }
-        // Round-trip through ET text, read as an external trace is.
+        // Round-trip through the serialized form to exercise the
+        // parser exactly as an external trace would.
         wl = workloadFromText(workloadToText(wl));
     }
 

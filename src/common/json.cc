@@ -1,10 +1,8 @@
 #include "common/json.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <iterator>
 
@@ -14,13 +12,38 @@
 namespace astra {
 namespace json {
 
-void
-Value::kindError(Kind expected) const
+namespace {
+
+const char *
+kindName(Kind k)
 {
-    constexpr const char *kNames[] = {"null",   "bool",  "number",
-                                      "string", "array", "object"};
-    fatal("json: expected %s, got %s", kNames[int(expected)],
-          kNames[int(kind_)]);
+    switch (k) {
+      case Kind::Null: return "null";
+      case Kind::Bool: return "bool";
+      case Kind::Number: return "number";
+      case Kind::String: return "string";
+      case Kind::Array: return "array";
+      case Kind::Object: return "object";
+    }
+    return "?";
+}
+
+} // namespace
+
+bool
+Value::asBool() const
+{
+    ASTRA_USER_CHECK(kind_ == Kind::Bool,
+                     "json: expected bool, got %s", kindName(kind_));
+    return bool_;
+}
+
+double
+Value::asNumber() const
+{
+    ASTRA_USER_CHECK(kind_ == Kind::Number,
+                     "json: expected number, got %s", kindName(kind_));
+    return num_;
 }
 
 void
@@ -29,6 +52,36 @@ badInt(const std::string &path, const Value &v, int64_t lo, int64_t hi)
     fatal("%s: expected an integer in [%lld, %lld], got %s", path.c_str(),
           static_cast<long long>(lo), static_cast<long long>(hi),
           v.dump().c_str());
+}
+
+int64_t
+Value::asInt() const
+{
+    return static_cast<int64_t>(std::llround(asNumber()));
+}
+
+const std::string &
+Value::asString() const
+{
+    ASTRA_USER_CHECK(kind_ == Kind::String,
+                     "json: expected string, got %s", kindName(kind_));
+    return str_;
+}
+
+const Array &
+Value::asArray() const
+{
+    ASTRA_USER_CHECK(kind_ == Kind::Array,
+                     "json: expected array, got %s", kindName(kind_));
+    return *arr_;
+}
+
+const Object &
+Value::asObject() const
+{
+    ASTRA_USER_CHECK(kind_ == Kind::Object,
+                     "json: expected object, got %s", kindName(kind_));
+    return *obj_;
 }
 
 Array &
@@ -58,6 +111,36 @@ Value::at(const std::string &key) const
     auto it = obj.find(key);
     ASTRA_USER_CHECK(it != obj.end(), "json: missing key '%s'", key.c_str());
     return it->second;
+}
+
+bool
+Value::has(const std::string &key) const
+{
+    return kind_ == Kind::Object && obj_->count(key) > 0;
+}
+
+double
+Value::getNumber(const std::string &key, double dflt) const
+{
+    return has(key) ? at(key).asNumber() : dflt;
+}
+
+int64_t
+Value::getInt(const std::string &key, int64_t dflt) const
+{
+    return has(key) ? at(key).asInt() : dflt;
+}
+
+bool
+Value::getBool(const std::string &key, bool dflt) const
+{
+    return has(key) ? at(key).asBool() : dflt;
+}
+
+std::string
+Value::getString(const std::string &key, const std::string &dflt) const
+{
+    return has(key) ? at(key).asString() : dflt;
 }
 
 namespace {
@@ -381,25 +464,19 @@ Reader::string()
 Value
 Reader::number()
 {
-    token_.clear();
+    std::string tok;
     for (char c = peek(); c && std::strchr("+-.0123456789Ee", c); c = peek())
-        token_ += buf_[pos_++];
-    if (token_.empty() || token_[0] == '+')
+        tok += buf_[pos_++];
+    if (tok.empty() || tok[0] == '+')
         error("invalid number");
-    // Up to 15 digits alone are exact as an integer.
-    const size_t sign = token_[0] == '-';
-    const char *end = token_.data() + token_.size();
-    uint64_t m = 0;
-    auto [used, ec] = std::from_chars(token_.data() + sign, end, m);
-    if (token_.size() - sign <= 15 && ec == std::errc() && used == end)
-        return Value(sign ? -double(m) : double(m));
-    // Else strtod as std::stod used it: a partial conversion or ERANGE
-    // (subnormals included) is invalid.
-    errno = 0;
-    char *stop = nullptr;
-    double v = std::strtod(token_.c_str(), &stop);
-    if (stop != end || errno == ERANGE)
-        error("invalid number '" + token_ + "'");
+    // Out of range, subnormals included, is invalid, as it was for
+    // std::stod.
+    double v = 0;
+    const char *end = tok.data() + tok.size();
+    auto [stop, ec] = std::from_chars(tok.data(), end, v);
+    if (ec != std::errc() || stop != end ||
+        std::fpclassify(v) == FP_SUBNORMAL)
+        error("invalid number '" + tok + "'");
     return Value(v);
 }
 

@@ -10,7 +10,6 @@
 #ifndef ASTRA_COMMON_JSON_H_
 #define ASTRA_COMMON_JSON_H_
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <initializer_list>
@@ -63,12 +62,12 @@ class Value
     bool isObject() const { return kind_ == Kind::Object; }
 
     /** Checked accessors; fatal() on kind mismatch. */
-    bool asBool() const { return checked(Kind::Bool).bool_; }
-    double asNumber() const { return checked(Kind::Number).num_; }
-    int64_t asInt() const { return int64_t(std::llround(asNumber())); }
-    const std::string &asString() const { return checked(Kind::String).str_; }
-    const Array &asArray() const { return *checked(Kind::Array).arr_; }
-    const Object &asObject() const { return *checked(Kind::Object).obj_; }
+    bool asBool() const;
+    double asNumber() const;
+    int64_t asInt() const;
+    const std::string &asString() const;
+    const Array &asArray() const;
+    const Object &asObject() const;
 
     /** Mutable access (copy-on-write is not needed; shared for cheap copy,
      *  callers building documents own the unique reference). */
@@ -78,29 +77,14 @@ class Value
     /** Object member lookup; fatal() if not an object or key missing. */
     const Value &at(const std::string &key) const;
     /** True if this is an object containing key. */
-    bool has(const std::string &key) const
-    {
-        return kind_ == Kind::Object && obj_->count(key) > 0;
-    }
+    bool has(const std::string &key) const;
 
     /** Lookup with defaults (no error if missing). */
-    double getNumber(const std::string &key, double dflt) const
-    {
-        return has(key) ? at(key).asNumber() : dflt;
-    }
-    int64_t getInt(const std::string &key, int64_t dflt) const
-    {
-        return has(key) ? at(key).asInt() : dflt;
-    }
-    bool getBool(const std::string &key, bool dflt) const
-    {
-        return has(key) ? at(key).asBool() : dflt;
-    }
-    std::string
-    getString(const std::string &key, const std::string &dflt) const
-    {
-        return has(key) ? at(key).asString() : dflt;
-    }
+    double getNumber(const std::string &key, double dflt) const;
+    int64_t getInt(const std::string &key, int64_t dflt) const;
+    bool getBool(const std::string &key, bool dflt) const;
+    std::string getString(const std::string &key,
+                          const std::string &dflt) const;
 
     /**
      * Deep copy. Copy construction shares arrays/objects (cheap value
@@ -117,14 +101,6 @@ class Value
     void dumpTo(std::string &out, int indent, int depth) const;
 
   private:
-    const Value &checked(Kind k) const
-    {
-        if (kind_ != k)
-            kindError(k);
-        return *this;
-    }
-    [[noreturn]] void kindError(Kind expected) const;
-
     Kind kind_;
     bool bool_ = false;
     double num_ = 0.0;
@@ -196,7 +172,6 @@ class Reader
     size_t pos_ = 0, end_;
     /** Bytes before buf_, their newlines, and where the line began. */
     size_t dropped_ = 0, lines_ = 0, lineStart_ = 0;
-    std::string token_; //!< number scratch.
 };
 
 /** Parse a JSON document; fatal() with line/column info on syntax error. */
