@@ -91,11 +91,11 @@ benchSingleVsPlain()
 
     Scenario s;
     s.name = "single_vs_plain";
-    s.simTimeNs = report.makespan;
-    s.events = report.totalEvents;
-    s.identical = report.makespan == plain_report.totalTime &&
-                  report.totalEvents == plain_report.events &&
-                  report.totalMessages == plain_report.messages;
+    s.simTimeNs = report.aggregate.totalTime;
+    s.events = report.aggregate.events;
+    s.identical = report.aggregate.totalTime == plain_report.totalTime &&
+                  report.aggregate.events == plain_report.events &&
+                  report.aggregate.messages == plain_report.messages;
     s.wallSeconds = bench::wallSince(start);
     return s;
 }
@@ -113,9 +113,9 @@ benchPlacementPair(const char *name, PlacementPolicy placement)
 
     Scenario s;
     s.name = name;
-    s.simTimeNs = report.makespan;
-    s.events = report.totalEvents;
-    s.interferenceSlowdown = report.meanInterferenceSlowdown();
+    s.simTimeNs = report.aggregate.totalTime;
+    s.events = report.aggregate.events;
+    s.interferenceSlowdown = report.aggregate.interferenceSlowdown;
     s.wallSeconds = bench::wallSince(start);
     return s;
 }
@@ -145,9 +145,9 @@ benchQueuedMix(const char *name, AdmissionPolicy admission)
 
     Scenario s;
     s.name = name;
-    s.simTimeNs = report.makespan;
-    s.events = report.totalEvents;
-    s.queueingDelayNs = report.meanQueueingDelay();
+    s.simTimeNs = report.aggregate.totalTime;
+    s.events = report.aggregate.events;
+    s.queueingDelayNs = report.aggregate.queueingDelayNs;
     s.wallSeconds = bench::wallSince(start);
     return s;
 }

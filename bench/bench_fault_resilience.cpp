@@ -104,11 +104,11 @@ benchZeroFaultIdentity()
 
     Scenario s;
     s.name = "zero_fault_identity";
-    s.simTimeNs = with.makespan;
-    s.events = with.totalEvents;
-    s.identical = with.makespan == base.makespan &&
-                  with.totalEvents == base.totalEvents &&
-                  with.totalMessages == base.totalMessages &&
+    s.simTimeNs = with.aggregate.totalTime;
+    s.events = with.aggregate.events;
+    s.identical = with.aggregate.totalTime == base.aggregate.totalTime &&
+                  with.aggregate.events == base.aggregate.events &&
+                  with.aggregate.messages == base.aggregate.messages &&
                   with.jobsCsv() == base.jobsCsv();
     s.wallSeconds = bench::wallSince(start);
     return s;
@@ -186,12 +186,12 @@ benchGoodputPoint(const std::string &name, TimeNs npu_mtbf,
                     report.jobsCsv().c_str());
     Scenario s;
     s.name = name;
-    s.simTimeNs = report.makespan;
-    s.events = report.totalEvents;
-    s.numFaults = job.numFaults;
-    s.lostWorkNs = job.lostWork;
-    s.recoveryNs = job.recovery;
-    s.goodput = job.goodput;
+    s.simTimeNs = report.aggregate.totalTime;
+    s.events = report.aggregate.events;
+    s.numFaults = job.report.numFaults;
+    s.lostWorkNs = job.report.lostWorkNs;
+    s.recoveryNs = job.report.recoveryTimeNs;
+    s.goodput = job.report.goodput;
     s.identical = !job.failed;
     s.wallSeconds = bench::wallSince(start);
     return s;

@@ -180,9 +180,12 @@ run(const CommandLine &cli)
         info.kind = "sweep";
         info.configHash =
             configHash(json::parseFile(cli.positional()[0]));
-        info.wallSeconds = batch_wall;
         info.wallBreakdown.emplace_back("batch", batch_wall);
-        info.peakRssBytes = telemetry::peakRssBytes();
+        // The batch has no simulated results: its Report holds only
+        // the host's wall time and peak RSS.
+        Report batch;
+        batch.wallSeconds = batch_wall;
+        batch.peakRssBytes = telemetry::peakRssBytes();
         if (!opts.telemetry.file.empty())
             info.outputs.push_back(opts.telemetry.file);
         if (!opts.manifestDir.empty())
@@ -195,7 +198,7 @@ run(const CommandLine &cli)
             info.outputs.push_back(json_path);
         if (!cache_path.empty())
             info.outputs.push_back(cache_path);
-        telemetry::writeManifest(manifest_path, info);
+        telemetry::writeManifest(manifest_path, info, batch);
         std::printf("wrote %s\n", manifest_path.c_str());
     }
     // The outputs above still record every row; a failed row makes

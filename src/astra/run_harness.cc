@@ -20,6 +20,19 @@ RunConfig::outputFiles() const
     return files;
 }
 
+telemetry::ManifestInfo
+runIdentity(const char *kind, const Topology &topo, const RunConfig &cfg)
+{
+    telemetry::ManifestInfo info;
+    info.kind = kind;
+    info.configHash = cfg.telemetry.configHash;
+    info.backend = backendName(cfg.backend);
+    info.topology = telemetry::topologyNotation(topo);
+    info.npus = topo.npus();
+    info.seed = cfg.fault ? cfg.fault->seed : 0;
+    return info;
+}
+
 RunHarness::RunHarness(Topology topo, RunConfig cfg)
     : topo_(std::move(topo)), cfg_(std::move(cfg)),
       net_(makeNetwork(cfg_.backend, eq_, topo_))
@@ -188,17 +201,10 @@ RunHarness::writeManifest(const char *kind, const Report &report) const
 {
     if (cfg_.telemetry.manifest.empty())
         return;
-    telemetry::ManifestInfo info;
-    info.kind = kind;
-    info.configHash = cfg_.telemetry.configHash;
-    info.backend = backendName(cfg_.backend);
-    info.topology = telemetry::topologyNotation(topo_);
-    info.npus = topo_.npus();
-    info.seed = cfg_.fault ? cfg_.fault->seed : 0;
-    telemetry::fillManifestFromReport(info, report);
+    telemetry::ManifestInfo info = runIdentity(kind, topo_, cfg_);
     info.wallBreakdown.emplace_back("run", report.wallSeconds);
     info.outputs = cfg_.outputFiles();
-    telemetry::writeManifest(cfg_.telemetry.manifest, info);
+    telemetry::writeManifest(cfg_.telemetry.manifest, info, report);
 }
 
 } // namespace astra

@@ -54,6 +54,11 @@ struct RunConfig
     std::vector<std::string> outputFiles() const;
 };
 
+/** The manifest fields that name a run of `kind` on `topo` under
+ *  `cfg`: config hash, backend, topology notation, NPUs, fault seed. */
+telemetry::ManifestInfo runIdentity(const char *kind, const Topology &topo,
+                                    const RunConfig &cfg);
+
 /** Live-state providers the owner hands to observe(). */
 struct RunProbes
 {

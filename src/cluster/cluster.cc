@@ -357,9 +357,6 @@ ClusterSimulator::finalizeJob(JobRuntime &job)
     r.size = job.jobTopo.npus();
     r.placement = job.placement ? job.placement->describe() : "-";
     r.arrival = job.spec.arrival;
-    r.numFaults = job.faults;
-    r.lostWork = job.lostWork;
-    r.recovery = job.recovery;
     r.restarts = job.restarts;
     r.failed = job.failed;
     r.error = job.error;
@@ -381,25 +378,25 @@ ClusterSimulator::finalizeJob(JobRuntime &job)
 
     Report &rep = r.report;
     rep.workload = job.wl.name;
-    rep.numFaults = r.numFaults;
-    rep.lostWorkNs = r.lostWork;
-    rep.recoveryTimeNs = r.recovery;
+    rep.numFaults = job.faults;
+    rep.lostWorkNs = job.lostWork;
+    rep.recoveryTimeNs = job.recovery;
     if (job.failed)
         return r; // never finished: timing/goodput fields stay 0.
 
     r.admitted = job.admitted;
     r.finished = job.finished;
-    r.queueingDelay = job.admitted - job.spec.arrival;
     r.duration = job.finished - job.admitted;
     r.isolatedDuration = job.isolated;
-    r.interferenceSlowdown =
+    rep.queueingDelayNs = job.admitted - job.spec.arrival;
+    rep.interferenceSlowdown =
         job.isolated > 0.0 ? r.duration / job.isolated : 0.0;
-    r.goodput = job.isolated > 0.0 && r.duration > 0.0
-                    ? job.isolated / r.duration
-                    : 0.0;
-    r.availability =
+    rep.goodput = job.isolated > 0.0 && r.duration > 0.0
+                      ? job.isolated / r.duration
+                      : 0.0;
+    rep.availability =
         r.duration > 0.0
-            ? std::max(0.0, 1.0 - r.recovery / r.duration)
+            ? std::max(0.0, 1.0 - job.recovery / r.duration)
             : 0.0;
 
     rep.totalTime = r.duration;
@@ -427,10 +424,6 @@ ClusterSimulator::finalizeJob(JobRuntime &job)
         rep.busyTimePerDim[d] -= job.busyAtAdmit[d];
     rep.linksPerDim = net_.stats().linksPerDim;
     rep.maxLinkBusyNs = job.maxLinkAtFinish;
-    rep.queueingDelayNs = r.queueingDelay;
-    rep.interferenceSlowdown = r.interferenceSlowdown;
-    rep.goodput = r.goodput;
-    rep.availability = r.availability;
     return r;
 }
 
@@ -614,12 +607,11 @@ ClusterSimulator::run()
     harness_.stopHeartbeats();
 
     ClusterReport report;
+    Report &agg = report.aggregate;
     // With fault events or checkpoint timers in flight, the drained
     // queue's clock can sit on a stale no-op tail event past the
     // last completion; the makespan is the last job finish then.
-    report.makespan = timed_tail ? lastFinish_ : eq_.now();
-    report.totalEvents = eq_.executedEvents();
-    report.totalMessages = net_.stats().messages;
+    agg.totalTime = timed_tail ? lastFinish_ : eq_.now();
 
     for (auto &job : jobs_) {
         if (!job->done && !job->failed) {
@@ -660,40 +652,50 @@ ClusterSimulator::run()
         report.jobs.push_back(finalizeJob(*job));
     }
 
-    // Cluster-aggregate report (the sweep-facing row).
-    Report &agg = report.aggregate;
+    // Cluster-aggregate report (the sweep-facing row): queueing delay
+    // and slowdown averaged over every job, goodput and availability
+    // over the jobs that measured one, lost work and recovery summed
+    // (the harness counts injected events of all fault kinds).
     char label[64];
     std::snprintf(label, sizeof(label), "cluster(%zu jobs)",
                   jobs_.size());
     agg.workload = label;
-    agg.totalTime = report.makespan;
     agg.perNpu.assign(static_cast<size_t>(topo_.npus()),
                       RuntimeBreakdown{});
+    int goodputs = 0;
+    int availabilities = 0;
     for (const JobResult &jr : report.jobs) {
+        const Report &r = jr.report;
+        agg.queueingDelayNs += r.queueingDelayNs;
+        agg.interferenceSlowdown += r.interferenceSlowdown;
+        agg.lostWorkNs += r.lostWorkNs;
+        agg.recoveryTimeNs += r.recoveryTimeNs;
+        if (r.goodput > 0.0) {
+            agg.goodput += r.goodput;
+            ++goodputs;
+        }
+        if (r.availability > 0.0) {
+            agg.availability += r.availability;
+            ++availabilities;
+        }
         if (jr.failed)
             continue; // no residency interval to attribute.
         const JobPlacement &pl = *jobs_[static_cast<size_t>(jr.id)]
                                       ->placement;
-        for (size_t l = 0; l < jr.report.perNpu.size(); ++l)
+        for (size_t l = 0; l < r.perNpu.size(); ++l)
             agg.perNpu[static_cast<size_t>(pl.globalOf[l])] +=
-                jr.report.perNpu[l];
+                r.perNpu[l];
     }
+    agg.queueingDelayNs /= double(report.jobs.size());
+    agg.interferenceSlowdown /= double(report.jobs.size());
+    if (goodputs > 0)
+        agg.goodput /= double(goodputs);
+    if (availabilities > 0)
+        agg.availability /= double(availabilities);
     for (const RuntimeBreakdown &b : agg.perNpu)
         agg.average += b;
     agg.average = agg.average.scaled(1.0 / double(topo_.npus()));
-    agg.queueingDelayNs = report.meanQueueingDelay();
-    agg.interferenceSlowdown =
-        cfg_.isolatedBaselines ? report.meanInterferenceSlowdown() : 0.0;
-    // Failure-resilience aggregates: lost work / recovery summed over
-    // jobs, goodput averaged over the jobs that measured one (the
-    // harness counts injected events of all fault kinds).
-    for (const JobResult &jr : report.jobs) {
-        agg.lostWorkNs += jr.lostWork;
-        agg.recoveryTimeNs += jr.recovery;
-    }
-    agg.goodput = report.meanGoodput();
-    agg.availability = report.meanAvailability();
-    finishResilience(report);
+    finishResilience(agg);
 
     // Trace analysis follows the job that set the makespan.
     int32_t analysis_pid = 0;
@@ -706,101 +708,47 @@ ClusterSimulator::run()
     return report;
 }
 
-double
-ClusterReport::meanGoodput() const
-{
-    double sum = 0.0;
-    int n = 0;
-    for (const JobResult &j : jobs) {
-        if (j.goodput > 0.0) {
-            sum += j.goodput;
-            ++n;
-        }
-    }
-    return n > 0 ? sum / double(n) : 0.0;
-}
-
-double
-ClusterReport::meanAvailability() const
-{
-    double sum = 0.0;
-    int n = 0;
-    for (const JobResult &j : jobs) {
-        if (j.availability > 0.0) {
-            sum += j.availability;
-            ++n;
-        }
-    }
-    return n > 0 ? sum / double(n) : 0.0;
-}
-
-double
-ClusterReport::meanQueueingDelay() const
-{
-    if (jobs.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (const JobResult &j : jobs)
-        sum += j.queueingDelay;
-    return sum / double(jobs.size());
-}
-
-double
-ClusterReport::meanInterferenceSlowdown() const
-{
-    if (jobs.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (const JobResult &j : jobs)
-        sum += j.interferenceSlowdown;
-    return sum / double(jobs.size());
-}
-
-double
-ClusterReport::maxInterferenceSlowdown() const
-{
-    double best = 0.0;
-    for (const JobResult &j : jobs)
-        best = std::max(best, j.interferenceSlowdown);
-    return best;
-}
-
 std::string
 ClusterReport::summary() const
 {
+    const Report &agg = aggregate;
+    double max_slowdown = 0.0;
+    uint64_t total_faults = 0;
+    for (const JobResult &j : jobs) {
+        max_slowdown = std::max(max_slowdown, j.report.interferenceSlowdown);
+        total_faults += j.report.numFaults;
+    }
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "cluster: %zu jobs, makespan %.3f ms, %llu events, "
                   "%llu messages\n"
                   "mean queueing delay %.3f ms, mean interference "
                   "slowdown %.3fx (max %.3fx)\n",
-                  jobs.size(), makespan / kMs,
-                  static_cast<unsigned long long>(totalEvents),
-                  static_cast<unsigned long long>(totalMessages),
-                  meanQueueingDelay() / kMs, meanInterferenceSlowdown(),
-                  maxInterferenceSlowdown());
+                  jobs.size(), agg.totalTime / kMs,
+                  static_cast<unsigned long long>(agg.events),
+                  static_cast<unsigned long long>(agg.messages),
+                  agg.queueingDelayNs / kMs, agg.interferenceSlowdown,
+                  max_slowdown);
     std::string out = buf;
-    uint64_t total_faults = 0;
-    for (const JobResult &j : jobs)
-        total_faults += j.numFaults;
-    if (total_faults > 0 || meanGoodput() > 0.0) {
+    if (total_faults > 0 || agg.goodput > 0.0) {
         std::snprintf(buf, sizeof(buf),
                       "job NPU faults: %llu, mean goodput %.3f, mean "
                       "availability %.3f\n",
                       static_cast<unsigned long long>(total_faults),
-                      meanGoodput(), meanAvailability());
+                      agg.goodput, agg.availability);
         out += buf;
     }
-    if (blastRadius > 0.0) {
+    if (agg.blastRadius > 0.0) {
         std::snprintf(buf, sizeof(buf),
                       "blast radius %.2f jobs/incident, recovery p50 "
                       "%.3f ms / p95 %.3f ms\n",
-                      blastRadius, recoveryP50 / kMs, recoveryP95 / kMs);
+                      agg.blastRadius, agg.recoveryP50Ns / kMs,
+                      agg.recoveryP95Ns / kMs);
         out += buf;
     }
-    if (spareUtilization > 0.0) {
+    if (agg.spareUtilization > 0.0) {
         std::snprintf(buf, sizeof(buf), "spare utilization %.1f%%\n",
-                      spareUtilization * 100.0);
+                      agg.spareUtilization * 100.0);
         out += buf;
     }
     for (const JobResult &j : jobs) {
@@ -816,56 +764,82 @@ ClusterReport::summary() const
             "  [%d] %-12s %4d NPUs %-20s arrive %.3f ms, wait %.3f "
             "ms, run %.3f ms, slowdown %.3fx\n",
             j.id, j.name.c_str(), j.size, j.placement.c_str(),
-            j.arrival / kMs, j.queueingDelay / kMs, j.duration / kMs,
-            j.interferenceSlowdown);
+            j.arrival / kMs, j.report.queueingDelayNs / kMs,
+            j.duration / kMs, j.report.interferenceSlowdown);
         out += buf;
     }
     return out;
 }
 
+namespace {
+
+/** One scalar column of a job row: its JSON key and CSV header, its
+ *  CSV format (nullptr: a quoted text cell), and its value. */
+struct JobColumn
+{
+    const char *name;
+    const char *format;
+    json::Value (*get)(const JobResult &);
+};
+
+#define ASTRA_JOB_COLUMN(name, format, expr)                            \
+    {name, format, [](const JobResult &j) { return json::Value(expr); }}
+
+/** The scalar job-row columns, in CSV order. Integers print through
+ *  "%.0f": every count here is far below 2^53. */
+const JobColumn kJobColumns[] = {
+    ASTRA_JOB_COLUMN("id", "%.0f", j.id),
+    ASTRA_JOB_COLUMN("name", nullptr, j.name),
+    ASTRA_JOB_COLUMN("size", "%.0f", j.size),
+    ASTRA_JOB_COLUMN("placement", nullptr, j.placement),
+    ASTRA_JOB_COLUMN("arrival_ns", "%.3f", j.arrival),
+    ASTRA_JOB_COLUMN("admitted_ns", "%.3f", j.admitted),
+    ASTRA_JOB_COLUMN("finished_ns", "%.3f", j.finished),
+    ASTRA_JOB_COLUMN("queueing_delay_ns", "%.3f", j.report.queueingDelayNs),
+    ASTRA_JOB_COLUMN("duration_ns", "%.3f", j.duration),
+    ASTRA_JOB_COLUMN("isolated_duration_ns", "%.3f", j.isolatedDuration),
+    ASTRA_JOB_COLUMN("interference_slowdown", "%.6f",
+                     j.report.interferenceSlowdown),
+    ASTRA_JOB_COLUMN("num_faults", "%.0f", j.report.numFaults),
+    ASTRA_JOB_COLUMN("lost_work_ns", "%.3f", j.report.lostWorkNs),
+    ASTRA_JOB_COLUMN("recovery_time_ns", "%.3f", j.report.recoveryTimeNs),
+    ASTRA_JOB_COLUMN("restarts", "%.0f", j.restarts),
+    ASTRA_JOB_COLUMN("goodput", "%.6f", j.report.goodput),
+    ASTRA_JOB_COLUMN("availability", "%.6f", j.report.availability),
+};
+
+#undef ASTRA_JOB_COLUMN
+
+} // namespace
+
 json::Value
 ClusterReport::toJson() const
 {
+    const Report &agg = aggregate;
     json::Object doc;
-    doc["makespan_ns"] = json::Value(makespan);
-    doc["events"] = json::Value(totalEvents);
-    doc["messages"] = json::Value(totalMessages);
-    doc["mean_queueing_delay_ns"] = json::Value(meanQueueingDelay());
+    doc["makespan_ns"] = json::Value(agg.totalTime);
+    doc["events"] = json::Value(agg.events);
+    doc["messages"] = json::Value(agg.messages);
+    doc["mean_queueing_delay_ns"] = json::Value(agg.queueingDelayNs);
     doc["mean_interference_slowdown"] =
-        json::Value(meanInterferenceSlowdown());
-    doc["mean_goodput"] = json::Value(meanGoodput());
-    doc["mean_availability"] = json::Value(meanAvailability());
-    if (blastRadius > 0.0)
-        doc["blast_radius"] = json::Value(blastRadius);
-    if (recoveryP50 > 0.0 || recoveryP95 > 0.0) {
-        doc["recovery_p50_ns"] = json::Value(recoveryP50);
-        doc["recovery_p95_ns"] = json::Value(recoveryP95);
+        json::Value(agg.interferenceSlowdown);
+    doc["mean_goodput"] = json::Value(agg.goodput);
+    doc["mean_availability"] = json::Value(agg.availability);
+    if (agg.blastRadius > 0.0)
+        doc["blast_radius"] = json::Value(agg.blastRadius);
+    if (agg.recoveryP50Ns > 0.0 || agg.recoveryP95Ns > 0.0) {
+        doc["recovery_p50_ns"] = json::Value(agg.recoveryP50Ns);
+        doc["recovery_p95_ns"] = json::Value(agg.recoveryP95Ns);
     }
-    if (spareUtilization > 0.0)
-        doc["spare_utilization"] = json::Value(spareUtilization);
-    doc["aggregate"] = reportToJson(aggregate);
+    if (agg.spareUtilization > 0.0)
+        doc["spare_utilization"] = json::Value(agg.spareUtilization);
+    doc["aggregate"] = reportToJson(agg);
     json::Array rows;
     rows.reserve(jobs.size());
     for (const JobResult &j : jobs) {
         json::Object row;
-        row["id"] = json::Value(j.id);
-        row["name"] = json::Value(j.name);
-        row["size"] = json::Value(j.size);
-        row["placement"] = json::Value(j.placement);
-        row["arrival_ns"] = json::Value(j.arrival);
-        row["admitted_ns"] = json::Value(j.admitted);
-        row["finished_ns"] = json::Value(j.finished);
-        row["queueing_delay_ns"] = json::Value(j.queueingDelay);
-        row["duration_ns"] = json::Value(j.duration);
-        row["isolated_duration_ns"] = json::Value(j.isolatedDuration);
-        row["interference_slowdown"] =
-            json::Value(j.interferenceSlowdown);
-        row["num_faults"] = json::Value(j.numFaults);
-        row["lost_work_ns"] = json::Value(j.lostWork);
-        row["recovery_time_ns"] = json::Value(j.recovery);
-        row["restarts"] = json::Value(j.restarts);
-        row["goodput"] = json::Value(j.goodput);
-        row["availability"] = json::Value(j.availability);
+        for (const JobColumn &c : kJobColumns)
+            row[c.name] = c.get(j);
         row["failed"] = json::Value(j.failed);
         if (j.failed)
             row["error"] = json::Value(j.error);
@@ -884,30 +858,22 @@ ClusterReport::toJson() const
 std::string
 ClusterReport::jobsCsv() const
 {
-    std::string out =
-        "id,name,size,placement,arrival_ns,admitted_ns,finished_ns,"
-        "queueing_delay_ns,duration_ns,isolated_duration_ns,"
-        "interference_slowdown,num_faults,lost_work_ns,"
-        "recovery_time_ns,restarts,goodput,availability,"
-        "own_busy_per_dim_ns,status\n";
-    char buf[256];
+    std::string out;
+    for (const JobColumn &c : kJobColumns)
+        out += c.name + std::string(",");
+    out += "own_busy_per_dim_ns,status\n";
+    char buf[64];
     for (const JobResult &j : jobs) {
-        std::snprintf(buf, sizeof(buf), "%d,", j.id);
-        out += buf;
-        out += csvField(j.name) + ',';
-        std::snprintf(buf, sizeof(buf), "%d,", j.size);
-        out += buf;
-        out += csvField(j.placement);
-        std::snprintf(buf, sizeof(buf),
-                      ",%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.6f,%llu,"
-                      "%.3f,%.3f,%d,%.6f,%.6f,",
-                      j.arrival, j.admitted, j.finished,
-                      j.queueingDelay, j.duration, j.isolatedDuration,
-                      j.interferenceSlowdown,
-                      static_cast<unsigned long long>(j.numFaults),
-                      j.lostWork, j.recovery, j.restarts, j.goodput,
-                      j.availability);
-        out += buf;
+        for (const JobColumn &c : kJobColumns) {
+            json::Value v = c.get(j);
+            if (c.format == nullptr) {
+                out += csvField(v.asString());
+            } else {
+                std::snprintf(buf, sizeof(buf), c.format, v.asNumber());
+                out += buf;
+            }
+            out += ',';
+        }
         // Per-dim own-busy as a semicolon-joined list (one CSV cell).
         std::string own;
         for (size_t d = 0; d < j.ownBusyPerDim.size(); ++d) {

@@ -123,7 +123,11 @@ struct JobSpec
     TimeNs estimatedDuration = 0.0;
 };
 
-/** Per-job outcome. */
+/**
+ * Per-job outcome. The job's metrics (queueing delay, interference
+ * slowdown, failure-resilience outcome) live in `report`; the fields
+ * here are what only a job has: its identity, timeline and restarts.
+ */
 struct JobResult
 {
     int id = -1;
@@ -133,33 +137,13 @@ struct JobResult
     TimeNs arrival = 0.0;
     TimeNs admitted = 0.0;  //!< placement granted, execution started.
     TimeNs finished = 0.0;  //!< last workload node completed.
-    TimeNs queueingDelay = 0.0;     //!< admitted - arrival.
     TimeNs duration = 0.0;          //!< finished - admitted.
     TimeNs isolatedDuration = 0.0;  //!< 0 when baselines disabled.
-    /** duration / isolatedDuration (0 when baselines disabled). */
-    double interferenceSlowdown = 0.0;
-    /**
-     * Failure-resilience outcome (docs/fault.md). `numFaults` counts
-     * the NPU failures that hit this job; `lostWork` sums the
-     * simulated time rolled back to the last checkpoint on each
-     * failure; `recovery` sums failure-to-restart gaps; `restarts`
-     * counts re-executions (checkpoint-resume or from scratch);
-     * `goodput` = isolatedDuration / duration — the fraction of the
-     * job's wall time that was ideal fault-free progress (0 when
-     * baselines are disabled). A `failed` job never finished (its
-     * NPUs never recovered, it could not be re-placed, or its
-     * workload deadlocked); `error` carries the diagnostic and the
-     * timing/goodput fields are left 0.
-     */
-    uint64_t numFaults = 0;
-    TimeNs lostWork = 0.0;
-    TimeNs recovery = 0.0;
+    /** Re-executions (checkpoint-resume or from scratch). */
     int restarts = 0;
-    double goodput = 0.0;
-    /** Fraction of the job's wall time it was making (or able to
-     *  make) progress: 1 - recovery / duration. 1.0 for an
-     *  undisturbed job, 0 when it never finished. */
-    double availability = 0.0;
+    /** A `failed` job never finished (its NPUs never recovered, it
+     *  could not be re-placed, or its workload deadlocked); `error`
+     *  carries the diagnostic and the timing fields are left 0. */
     bool failed = false;
     std::string error;
     /** This job's own link-busy ns per cluster dimension (separable
@@ -171,50 +155,38 @@ struct JobResult
      * messages/bytesPerDim = this job's own traffic (cluster dims);
      * busyTimePerDim = fabric busy accrued during the residency
      * (all tenants); maxLinkBusyNs = fabric value at finish.
+     * queueingDelayNs = admitted - arrival; interferenceSlowdown =
+     * duration / isolatedDuration; numFaults counts the NPU failures
+     * that hit this job, lostWorkNs the time rolled back to the last
+     * checkpoint, recoveryTimeNs the failure-to-restart gaps; goodput
+     * = isolatedDuration / duration and availability = 1 - recovery /
+     * duration (docs/fault.md). Slowdown and goodput are 0 when
+     * baselines are disabled; all but the fault counters are 0 for a
+     * failed job.
      */
     Report report;
 };
 
-/** Whole-cluster outcome. */
+/**
+ * Whole-cluster outcome. `aggregate` is the cluster-aggregate Report
+ * (what a cluster config yields inside a sweep): totalTime = makespan,
+ * events and messages over the whole fabric, per-NPU breakdowns summed
+ * over the jobs resident on each cluster NPU, the means of the per-job
+ * queueing delay and interference slowdown (over all jobs) and of
+ * goodput and availability (over the jobs that measured one), lost
+ * work and recovery summed over jobs, numFaults = injected fault
+ * events of every kind, and the failure-domain metrics (blast radius,
+ * recovery percentiles, spare utilization; all 0 on fault-free runs).
+ */
 struct ClusterReport
 {
-    TimeNs makespan = 0.0;   //!< final simulated time (queue drained).
-    uint64_t totalEvents = 0;
-    uint64_t totalMessages = 0;
     std::vector<JobResult> jobs;
-    /**
-     * Cluster-aggregate Report (what a cluster config yields inside a
-     * sweep): totalTime = makespan, per-NPU breakdowns summed over
-     * the jobs resident on each cluster NPU, fabric-level traffic
-     * stats, and the means of the per-job queueing delay /
-     * interference slowdown.
-     */
     Report aggregate;
-
-    // -- Failure-resilience aggregates (docs/fault.md). All stay 0 on
-    //    fault-free runs so serialized reports are unchanged.
-    /** Mean jobs disrupted per fail incident (an NpuFail root or one
-     *  whole DomainFail counts as a single incident). */
-    double blastRadius = 0.0;
-    /** Busy fraction of the reserved spare pool over the makespan. */
-    double spareUtilization = 0.0;
-    /** Nearest-rank percentiles of the failure-to-restart gaps. */
-    TimeNs recoveryP50 = 0.0;
-    TimeNs recoveryP95 = 0.0;
-
-    double meanQueueingDelay() const;
-    double meanInterferenceSlowdown() const;
-    double maxInterferenceSlowdown() const;
-    /** Mean goodput over the jobs that measured one (finished with
-     *  isolated baselines enabled); 0 when none did. */
-    double meanGoodput() const;
-    /** Mean availability over the finished jobs; 0 when none did. */
-    double meanAvailability() const;
 
     std::string summary() const;
     json::Value toJson() const;
-    /** Tidy per-job CSV (incl. queueing_delay_ns and
-     *  interference_slowdown columns). */
+    /** Tidy per-job CSV: the columns of the JSON job rows, in the
+     *  same formats. */
     std::string jobsCsv() const;
 };
 
@@ -292,8 +264,9 @@ class ClusterSimulator
      *  fault injector; runs before the first admission. */
     void startResilience();
     /** Fill the domain/spare aggregates (blast radius, recovery
-     *  percentiles, spare utilization) once the makespan is known. */
-    void finishResilience(ClusterReport &report);
+     *  percentiles, spare utilization) once the makespan
+     *  (`agg.totalTime`) is known. */
+    void finishResilience(Report &agg);
     void scheduleCheckpoint(size_t index);
     void resolveAutoInterval(JobRuntime &job);
     void onStraggler(NpuId global, double compute_scale);

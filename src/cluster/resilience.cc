@@ -73,7 +73,7 @@ ClusterSimulator::startResilience()
 }
 
 void
-ClusterSimulator::finishResilience(ClusterReport &report)
+ClusterSimulator::finishResilience(Report &agg)
 {
     // All stay 0 (and are elided from serialized reports) on
     // fault-free runs.
@@ -81,7 +81,7 @@ ClusterSimulator::finishResilience(ClusterReport &report)
     for (uint8_t f : incidentFired_)
         incidents += f;
     if (incidents > 0)
-        report.blastRadius = double(disruptions_) / double(incidents);
+        agg.blastRadius = double(disruptions_) / double(incidents);
     if (!recoveryGaps_.empty()) {
         std::vector<TimeNs> gaps = recoveryGaps_;
         std::sort(gaps.begin(), gaps.end());
@@ -90,26 +90,21 @@ ClusterSimulator::finishResilience(ClusterReport &report)
                 std::ceil(p * double(gaps.size())));
             return gaps[idx > 0 ? idx - 1 : 0];
         };
-        report.recoveryP50 = rank(0.50);
-        report.recoveryP95 = rank(0.95);
+        agg.recoveryP50Ns = rank(0.50);
+        agg.recoveryP95Ns = rank(0.95);
     }
-    if (initialSpareCount_ > 0 && report.makespan > 0.0) {
+    TimeNs makespan = agg.totalTime;
+    if (initialSpareCount_ > 0 && makespan > 0.0) {
         // Spares still held at the end accrue to the makespan.
         for (size_t id = 0; id < spareClaimedAt_.size(); ++id)
             if (spareClaimedAt_[id] >= 0.0) {
-                spareBusyNs_ += std::max(
-                    0.0, report.makespan - spareClaimedAt_[id]);
+                spareBusyNs_ +=
+                    std::max(0.0, makespan - spareClaimedAt_[id]);
                 spareClaimedAt_[id] = -1.0;
             }
-        report.spareUtilization =
-            spareBusyNs_ /
-            (double(initialSpareCount_) * report.makespan);
+        agg.spareUtilization =
+            spareBusyNs_ / (double(initialSpareCount_) * makespan);
     }
-    Report &agg = report.aggregate;
-    agg.blastRadius = report.blastRadius;
-    agg.spareUtilization = report.spareUtilization;
-    agg.recoveryP50Ns = report.recoveryP50;
-    agg.recoveryP95Ns = report.recoveryP95;
 }
 
 void
@@ -188,9 +183,7 @@ ClusterSimulator::resolveAutoInterval(JobRuntime &job)
             if (counted[static_cast<size_t>(d)])
                 continue;
             counted[static_cast<size_t>(d)] = 1;
-            TimeNs mtbf = domains_[static_cast<size_t>(d)].mtbfNs > 0.0
-                              ? domains_[static_cast<size_t>(d)].mtbfNs
-                              : cfg_.fault->domainMtbfNs;
+            TimeNs mtbf = domains_[static_cast<size_t>(d)].mtbfNs;
             if (mtbf > 0.0)
                 rate += 1.0 / mtbf;
         }
@@ -302,11 +295,8 @@ ClusterSimulator::sliceScorer(PlacementPolicy policy)
                 for (NpuId id : dom.npus)
                     if (placer_.isFaulted(id))
                         ++down;
-                TimeNs mtbf = dom.mtbfNs > 0.0
-                                  ? dom.mtbfNs
-                                  : cfg_.fault->domainMtbfNs;
-                double intensity = mtbf > 0.0 && horizon > 0.0
-                                       ? horizon / mtbf
+                double intensity = dom.mtbfNs > 0.0 && horizon > 0.0
+                                       ? horizon / dom.mtbfNs
                                        : 0.0;
                 score += double(overlap[d]) *
                          ((down > 0 ? 1000.0 : 0.0) + intensity);

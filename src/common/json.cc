@@ -377,8 +377,12 @@ Reader::begin(char open, char close)
     next();
     if (get() != open)
         error(std::string("expected '") + open + "'");
-    if (next() != close)
+    if (next() != close) {
+        if (++depth_ > kMaxDepth)
+            error("nesting deeper than " + std::to_string(kMaxDepth) +
+                  " levels");
         return true;
+    }
     ++pos_;
     return false;
 }
@@ -403,7 +407,10 @@ Reader::more(char close)
     if (c != ',' && c != close)
         error(close == '}' ? "expected ',' or '}' in object"
                            : "expected ',' or ']' in array");
-    return c == ',';
+    if (c == ',')
+        return true;
+    --depth_;
+    return false;
 }
 
 void

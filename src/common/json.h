@@ -121,6 +121,9 @@ class Reader
   public:
     /** Bytes read from a file at a time. */
     static constexpr size_t kBufferBytes = size_t(1) << 16;
+    /** Deepest container nesting read; deeper is a syntax error, not
+     *  a stack overflow in value(). */
+    static constexpr size_t kMaxDepth = 1000;
 
     /** Read `text`, which must outlive the reader. */
     explicit Reader(std::string_view text) : buf_(text.data()),
@@ -170,6 +173,7 @@ class Reader
     std::unique_ptr<char[]> storage_;
     const char *buf_;
     size_t pos_ = 0, end_;
+    size_t depth_ = 0; //!< containers opened and not yet closed.
     /** Bytes before buf_, their newlines, and where the line began. */
     size_t dropped_ = 0, lines_ = 0, lineStart_ = 0;
 };

@@ -392,6 +392,12 @@ resolveDomains(const FaultConfig &cfg, const Topology &topo)
             out.push_back(std::move(d));
         }
     }
+    for (FailureDomain &d : out) {
+        if (d.mtbfNs <= 0.0)
+            d.mtbfNs = cfg.domainMtbfNs;
+        if (d.mttrNs <= 0.0)
+            d.mttrNs = cfg.domainMttrNs;
+    }
     for (size_t a = 0; a < out.size(); ++a)
         for (size_t b = a + 1; b < out.size(); ++b)
             ASTRA_USER_CHECK(out[a].name != out[b].name,
@@ -547,16 +553,14 @@ buildTimeline(const FaultConfig &cfg, const Topology &topo)
     std::vector<FailureDomain> domains = resolveDomains(cfg, topo);
     for (size_t i = 0; i < domains.size(); ++i) {
         const FailureDomain &d = domains[i];
-        TimeNs mtbf = d.mtbfNs > 0.0 ? d.mtbfNs : cfg.domainMtbfNs;
-        if (mtbf <= 0.0)
+        if (d.mtbfNs <= 0.0)
             continue;
-        TimeNs mttr = d.mttrNs > 0.0 ? d.mttrNs : cfg.domainMttrNs;
-        ASTRA_USER_CHECK(mttr > 0.0,
+        ASTRA_USER_CHECK(d.mttrNs > 0.0,
                          "fault.domain_mttr_ns: domain fault "
                          "generation needs a positive MTTR (domain "
                          "'%s')", d.name.c_str());
         Rng rng = componentRng(cfg.seed, 3, uint64_t(i));
-        TimeNs t = expSample(rng, mtbf);
+        TimeNs t = expSample(rng, d.mtbfNs);
         while (t < cfg.horizonNs) {
             FaultEvent fail;
             fail.at = t;
@@ -564,12 +568,12 @@ buildTimeline(const FaultConfig &cfg, const Topology &topo)
             fail.domain = static_cast<int>(i);
             fail.domainName = d.name;
             roots.push_back(fail);
-            t += expSample(rng, mttr);
+            t += expSample(rng, d.mttrNs);
             FaultEvent recover = fail;
             recover.at = t;
             recover.kind = FaultKind::DomainRecover;
             roots.push_back(recover);
-            t += expSample(rng, mtbf);
+            t += expSample(rng, d.mtbfNs);
         }
     }
 

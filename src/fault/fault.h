@@ -104,7 +104,9 @@ struct FaultEvent
  *
  * `mtbfNs`/`mttrNs` override the scenario-wide domain means for this
  * spec (0 = inherit), so one flaky rack can fail faster than its
- * peers — exactly what fault-aware placement scores against.
+ * peers — exactly what fault-aware placement scores against. A
+ * resolved domain (resolveDomains) holds its effective means: the
+ * inherited ones are filled in.
  */
 struct FailureDomain
 {
@@ -213,7 +215,8 @@ CheckpointPolicy checkpointFromJson(const json::Value &doc,
 /**
  * Resolve the config's domain specs against `topo`: expand
  * all-instances level specs into one FailureDomain per block, fill in
- * slice members, validate explicit member ids, and require unique
+ * slice members and inherited MTBF/MTTR means, validate explicit
+ * member ids, and require unique
  * names (schedule entries and diagnostics reference domains by name).
  * Deterministic; fatal() on invalid specs.
  */

@@ -78,11 +78,9 @@ youngDalySeed(const json::Value &clusterDoc)
     if (fc.npuMtbfNs > 0.0)
         rate += double(largest) / fc.npuMtbfNs;
     for (const fault::FailureDomain &d :
-         fault::resolveDomains(fc, sc.topo)) {
-        TimeNs mtbf = d.mtbfNs > 0.0 ? d.mtbfNs : fc.domainMtbfNs;
-        if (mtbf > 0.0)
-            rate += 1.0 / mtbf;
-    }
+         fault::resolveDomains(fc, sc.topo))
+        if (d.mtbfNs > 0.0)
+            rate += 1.0 / d.mtbfNs;
     ASTRA_USER_CHECK(rate > 0.0,
                      "resilience tuner: needs MTBF-based fault "
                      "generation (fault.npu_mtbf_ns or fault.domains "

@@ -6,12 +6,12 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <optional>
 #include <thread>
 #include <utility>
 
+#include "astra/config.h"
 #include "cluster/config.h"
 #include "common/logging.h"
 #include "common/output_file.h"
@@ -27,47 +27,6 @@ parseHashKey(const std::string &key)
 {
     return std::strtoull(key.c_str(), nullptr, 16);
 }
-
-/**
- * Per-worker deque of configuration indices. Owners pop the front of
- * their shard (preserving the cheap cache-friendly in-order walk);
- * thieves take from the back, so an owner and a thief only collide on
- * the last element.
- */
-struct WorkDeque
-{
-    std::mutex mutex;
-    std::deque<size_t> items;
-
-    bool
-    popFront(size_t *out)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (items.empty())
-            return false;
-        *out = items.front();
-        items.pop_front();
-        return true;
-    }
-
-    bool
-    stealBack(size_t *out)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (items.empty())
-            return false;
-        *out = items.back();
-        items.pop_back();
-        return true;
-    }
-
-    size_t
-    size()
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        return items.size();
-    }
-};
 
 /**
  * Batch heartbeat emitter (docs/observability.md). A dedicated
@@ -216,23 +175,15 @@ void
 writeRowManifest(const json::Value &doc, SweepResult &slot,
                  const std::string &dir)
 {
-    telemetry::ManifestInfo info;
-    info.kind = "sweep-row";
-    info.configHash = slot.config.hash;
+    RunBlocks run = runBlocksFromJson(doc);
+    telemetry::ManifestInfo info = runIdentity("sweep-row", run.topo,
+                                               run.cfg);
     info.fromCache = slot.fromCache;
-    info.backend = doc.getString("backend", "analytical");
-    Topology topo = topologyFromSpec(doc.at("topology"));
-    info.topology = telemetry::topologyNotation(topo);
-    info.npus = topo.npus();
-    if (doc.has("fault"))
-        info.seed = static_cast<uint64_t>(
-            doc.at("fault").getNumber("seed", 1.0));
-    telemetry::fillManifestFromReport(info, slot.report);
     info.wallBreakdown.emplace_back("run", slot.report.wallSeconds);
     std::string path =
         dir + "/manifest-" + configHashString(slot.config.hash) +
         ".json";
-    telemetry::writeManifest(path, info);
+    telemetry::writeManifest(path, info, slot.report);
     slot.manifest = path;
 }
 
@@ -448,93 +399,36 @@ runBatch(const SweepSpec &spec, const BatchOptions &opts)
     std::unique_ptr<SweepPulse> pulse;
     if (opts.telemetry.heartbeatsEnabled())
         pulse = std::make_unique<SweepPulse>(opts.telemetry, n, threads);
-    // A row's own errors fail only that row (runOne). What else
-    // escapes, a row manifest that cannot be written, is raised after
-    // the batch: thrown on a worker it would terminate the process.
+    // Rows are whole simulations, so workers claim them one at a time
+    // from a shared index; each result lands in its configuration's
+    // slot, whichever worker ran it. A row's own errors fail only that
+    // row (runOne). What else escapes, a row manifest that cannot be
+    // written, is raised after the batch: thrown on a worker it would
+    // terminate the process.
+    std::atomic<size_t> next{0};
     std::mutex failure_mutex;
     std::exception_ptr failure;
-    auto run_slot = [&](int worker, size_t index) {
-        if (pulse)
-            pulse->markBusy(worker, true);
-        try {
-            runOne(spec, index, opts, out.results[index]);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(failure_mutex);
-            if (!failure)
-                failure = std::current_exception();
-        }
-        if (pulse) {
-            pulse->markBusy(worker, false);
-            pulse->rowDone(out.results[index].fromCache,
-                           out.results[index].failed);
+    auto worker = [&](int id) {
+        for (size_t index; (index = next.fetch_add(1)) < n;) {
+            if (pulse)
+                pulse->markBusy(id, true);
+            try {
+                runOne(spec, index, opts, out.results[index]);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(failure_mutex);
+                if (!failure)
+                    failure = std::current_exception();
+            }
+            if (pulse) {
+                pulse->markBusy(id, false);
+                pulse->rowDone(out.results[index].fromCache,
+                               out.results[index].failed);
+            }
         }
     };
-
     if (threads == 1) {
-        for (size_t i = 0; i < n; ++i)
-            run_slot(0, i);
-        out.workerPoolStats.push_back(CallbackPool::stats());
+        worker(0);
     } else {
-        // Deal contiguous shards: worker w owns [w*n/T, (w+1)*n/T).
-        std::vector<WorkDeque> shards(static_cast<size_t>(threads));
-        for (int w = 0; w < threads; ++w) {
-            size_t lo = n * static_cast<size_t>(w) /
-                        static_cast<size_t>(threads);
-            size_t hi = n * static_cast<size_t>(w + 1) /
-                        static_cast<size_t>(threads);
-            for (size_t i = lo; i < hi; ++i)
-                shards[static_cast<size_t>(w)].items.push_back(i);
-        }
-
-        out.workerPoolStats.resize(static_cast<size_t>(threads));
-        auto worker = [&](int id) {
-            WorkDeque &own = shards[static_cast<size_t>(id)];
-            size_t index;
-            for (;;) {
-                if (own.popFront(&index)) {
-                    run_slot(id, index);
-                    continue;
-                }
-                // Own shard drained: steal from the most loaded
-                // victim. A failed steal (victim emptied between the
-                // size probe and the pop) rescans the other deques
-                // rather than retiring the worker — queued work may
-                // still sit behind a busy owner. The rescan loop
-                // terminates because the global item count only ever
-                // shrinks; a pass that observes every deque empty
-                // means all remaining work is already claimed.
-                bool stole = false;
-                for (;;) {
-                    int victim = -1;
-                    size_t victim_load = 0;
-                    for (int v = 0; v < threads; ++v) {
-                        if (v == id)
-                            continue;
-                        size_t load =
-                            shards[static_cast<size_t>(v)].size();
-                        if (load > victim_load) {
-                            victim_load = load;
-                            victim = v;
-                        }
-                    }
-                    if (victim < 0)
-                        break; // every deque observed empty.
-                    if (shards[static_cast<size_t>(victim)].stealBack(
-                            &index)) {
-                        stole = true;
-                        break;
-                    }
-                }
-                if (!stole)
-                    break;
-                run_slot(id, index);
-            }
-            // Snapshot this worker's thread_local pool counters while
-            // the thread is still alive.
-            out.workerPoolStats[static_cast<size_t>(id)] =
-                CallbackPool::stats();
-        };
-
         std::vector<std::thread> pool;
         pool.reserve(static_cast<size_t>(threads));
         for (int w = 0; w < threads; ++w)

@@ -8,13 +8,12 @@
  * contract in src/event/inline_event.h) — so a batch is embarrassingly
  * parallel. The runner places whole simulations on worker threads:
  *
- *  - Work-stealing pool: configurations are dealt to per-worker deques
- *    in contiguous shards; a worker drains its own shard front-to-back
- *    and, when empty, steals from the *back* of the most loaded
- *    victim. Stealing granularity is one configuration — tasks are
- *    whole simulations (milliseconds to seconds), so the deque mutexes
- *    are uncontended and imbalance (sweeps mixing cheap and expensive
- *    grid points) is absorbed.
+ *  - Shared index: each worker claims the next unclaimed configuration
+ *    from one atomic counter until none are left. Tasks are whole
+ *    simulations (milliseconds to seconds), so the counter is
+ *    uncontended and imbalance (sweeps mixing cheap and expensive
+ *    grid points) is absorbed one configuration at a time. With one
+ *    thread the same loop runs on the calling thread.
  *  - Deterministic results: every result is written to the slot of its
  *    configuration index, so the outcome is ordered by grid position
  *    regardless of which thread finished first, and — because each
@@ -40,7 +39,6 @@
 #include <vector>
 
 #include "astra/report.h"
-#include "event/inline_event.h"
 #include "sweep/spec.h"
 
 namespace astra {
@@ -138,9 +136,6 @@ struct BatchOutcome
     double wallSeconds = 0.0; //!< host wall-clock of the batch.
     size_t cacheHits = 0;
     size_t failures = 0;
-    /** Per-worker callback-pool counters (thread_local pools; index =
-     *  worker id, worker 0 is the calling thread when threads == 1). */
-    std::vector<CallbackPool::Stats> workerPoolStats;
 };
 
 /** Run every configuration of `spec`; see file comment. */

@@ -263,7 +263,7 @@ topologyNotation(const Topology &topo)
 }
 
 json::Value
-manifestToJson(const ManifestInfo &info)
+manifestToJson(const ManifestInfo &info, const Report &report)
 {
     json::Object doc;
     doc["kind"] = json::Value("astra-run-manifest");
@@ -283,18 +283,18 @@ manifestToJson(const ManifestInfo &info)
     if (info.fromCache)
         doc["from_cache"] = json::Value(true);
     doc["peak_footprint_bytes"] =
-        json::Value(uint64_t(info.peakFootprintBytes));
-    if (!info.footprint.empty()) {
+        json::Value(uint64_t(report.peakFootprintBytes));
+    if (!report.footprintBySubsystem.empty()) {
         json::Object fp;
-        for (const auto &[name, bytes] : info.footprint)
+        for (const auto &[name, bytes] : report.footprintBySubsystem)
             fp[name] = json::Value(uint64_t(bytes));
         doc["footprint"] = json::Value(std::move(fp));
     }
-    doc["bytes_per_flow"] = json::Value(info.bytesPerFlow);
-    doc["bytes_per_npu"] = json::Value(info.bytesPerNpu);
-    doc["heartbeats"] = json::Value(info.heartbeats);
-    doc["peak_rss_bytes"] = json::Value(uint64_t(info.peakRssBytes));
-    doc["wall_seconds"] = json::Value(info.wallSeconds);
+    doc["bytes_per_flow"] = json::Value(report.bytesPerFlow);
+    doc["bytes_per_npu"] = json::Value(report.bytesPerNpu);
+    doc["heartbeats"] = json::Value(report.telemetryHeartbeats);
+    doc["peak_rss_bytes"] = json::Value(uint64_t(report.peakRssBytes));
+    doc["wall_seconds"] = json::Value(report.wallSeconds);
     if (!info.wallBreakdown.empty()) {
         json::Object wall;
         for (const auto &[name, seconds] : info.wallBreakdown)
@@ -309,23 +309,12 @@ manifestToJson(const ManifestInfo &info)
 }
 
 void
-writeManifest(const std::string &path, const ManifestInfo &info)
+writeManifest(const std::string &path, const ManifestInfo &info,
+              const Report &report)
 {
     OutputFile::write(path, "run manifest",
-                      manifestToJson(info).dump(2) + "\n");
+                      manifestToJson(info, report).dump(2) + "\n");
     debugT("telemetry", "wrote run manifest %s", path.c_str());
-}
-
-void
-fillManifestFromReport(ManifestInfo &info, const Report &report)
-{
-    info.peakFootprintBytes = report.peakFootprintBytes;
-    info.footprint = report.footprintBySubsystem;
-    info.peakRssBytes = report.peakRssBytes;
-    info.bytesPerFlow = report.bytesPerFlow;
-    info.bytesPerNpu = report.bytesPerNpu;
-    info.heartbeats = report.telemetryHeartbeats;
-    info.wallSeconds = report.wallSeconds;
 }
 
 } // namespace telemetry

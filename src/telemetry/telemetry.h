@@ -256,9 +256,11 @@ size_t peakRssBytes();
 double wallNow();
 
 /**
- * Run-manifest inputs. The writer combines these with the ambient
- * schema/fingerprint constants (sweep::cacheFingerprint,
- * kSpecSchemaVersion) into one provenance JSON document.
+ * Run-manifest inputs besides the run's Report: what names the run.
+ * The writer combines these with the Report's footprint, heartbeat,
+ * RSS and wall-time fields and the ambient schema/fingerprint
+ * constants (sweep::cacheFingerprint, kSpecSchemaVersion) into one
+ * provenance JSON document.
  */
 struct ManifestInfo
 {
@@ -269,13 +271,6 @@ struct ManifestInfo
     int npus = 0;
     uint64_t seed = 0;     //!< fault seed (0 = none).
     bool fromCache = false; //!< sweep rows served from the ResultCache.
-    size_t peakFootprintBytes = 0;
-    std::vector<std::pair<std::string, size_t>> footprint;
-    size_t peakRssBytes = 0;
-    double bytesPerFlow = 0.0;
-    double bytesPerNpu = 0.0;
-    uint64_t heartbeats = 0;
-    double wallSeconds = 0.0;
     /** Named wall-time slices ("run", "trace_write", ...). */
     std::vector<std::pair<std::string, double>> wallBreakdown;
     /** Output files this run produced (heartbeat NDJSON, trace JSON,
@@ -290,15 +285,13 @@ constexpr int kManifestSchemaVersion = 1;
  *  for the manifest's `topology` field. */
 std::string topologyNotation(const Topology &topo);
 
-/** Build the manifest document (exposed for tests). */
-json::Value manifestToJson(const ManifestInfo &info);
+/** Build the manifest document of the run `info` names, which
+ *  produced `report` (exposed for tests). */
+json::Value manifestToJson(const ManifestInfo &info, const Report &report);
 
 /** Write `manifest.json` to `path`. */
-void writeManifest(const std::string &path, const ManifestInfo &info);
-
-/** Convenience: fill the footprint/RSS fields of `info` from a
- *  finished Report. */
-void fillManifestFromReport(ManifestInfo &info, const Report &report);
+void writeManifest(const std::string &path, const ManifestInfo &info,
+                   const Report &report);
 
 } // namespace telemetry
 } // namespace astra

@@ -115,9 +115,9 @@ TEST_P(SingleJobEquivalence, MatchesPlainSimulatorByteForByte)
     ClusterReport report = cluster.run();
 
     // Cluster aggregate vs plain report: identical simulated results.
-    EXPECT_EQ(report.makespan, expect.totalTime);
-    EXPECT_EQ(report.totalEvents, expect.events);
-    EXPECT_EQ(report.totalMessages, expect.messages);
+    EXPECT_EQ(report.aggregate.totalTime, expect.totalTime);
+    EXPECT_EQ(report.aggregate.events, expect.events);
+    EXPECT_EQ(report.aggregate.messages, expect.messages);
     const Report &agg = report.aggregate;
     EXPECT_EQ(agg.totalTime, expect.totalTime);
     EXPECT_EQ(agg.events, expect.events);
@@ -138,13 +138,13 @@ TEST_P(SingleJobEquivalence, MatchesPlainSimulatorByteForByte)
     // Per-job view of the same run.
     ASSERT_EQ(report.jobs.size(), 1u);
     const JobResult &job = report.jobs[0];
-    EXPECT_EQ(job.queueingDelay, 0.0);
+    EXPECT_EQ(job.report.queueingDelayNs, 0.0);
     EXPECT_EQ(job.admitted, 0.0);
     EXPECT_EQ(job.finished, expect.totalTime);
     EXPECT_EQ(job.report.messages, expect.messages);
     // The isolated baseline is the same single-tenant run again.
     EXPECT_EQ(job.isolatedDuration, job.duration);
-    EXPECT_EQ(job.interferenceSlowdown, 1.0);
+    EXPECT_EQ(job.report.interferenceSlowdown, 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -180,11 +180,11 @@ TEST_P(DisjointIsolation, ContiguousJobsMatchTheirIsolatedRuns)
 
     ASSERT_EQ(report.jobs.size(), 2u);
     for (const JobResult &job : report.jobs) {
-        EXPECT_EQ(job.queueingDelay, 0.0) << job.name;
+        EXPECT_EQ(job.report.queueingDelayNs, 0.0) << job.name;
         // Contiguous ring slices share no links: the co-executed
         // duration is bit-identical to the isolated baseline.
         EXPECT_EQ(job.duration, job.isolatedDuration) << job.name;
-        EXPECT_EQ(job.interferenceSlowdown, 1.0) << job.name;
+        EXPECT_EQ(job.report.interferenceSlowdown, 1.0) << job.name;
     }
 }
 
@@ -218,10 +218,10 @@ TEST(Interference, StripedJobsContendUnderTheFlowBackend)
     // traverses two physical links shared with the other tenant, so
     // max-min fair sharing must slow both jobs down measurably.
     for (const JobResult &job : report.jobs) {
-        EXPECT_GT(job.interferenceSlowdown, 1.05) << job.name;
+        EXPECT_GT(job.report.interferenceSlowdown, 1.05) << job.name;
         EXPECT_GT(job.duration, job.isolatedDuration) << job.name;
     }
-    EXPECT_GT(report.meanInterferenceSlowdown(), 1.05);
+    EXPECT_GT(report.aggregate.interferenceSlowdown, 1.05);
 }
 
 TEST(Interference, AnalyticalBackendCannotSeeStripedContention)
@@ -238,7 +238,7 @@ TEST(Interference, AnalyticalBackendCannotSeeStripedContention)
         collectiveJob("b", 8, 1 << 22, PlacementPolicy::Spread));
     ClusterReport report = cluster.run();
     for (const JobResult &job : report.jobs)
-        EXPECT_EQ(job.interferenceSlowdown, 1.0) << job.name;
+        EXPECT_EQ(job.report.interferenceSlowdown, 1.0) << job.name;
 }
 
 TEST(Admission, FifoQueuesWhenTheClusterIsFull)
@@ -252,21 +252,22 @@ TEST(Admission, FifoQueuesWhenTheClusterIsFull)
 
     const JobResult &first = report.jobs[0];
     const JobResult &second = report.jobs[1];
-    EXPECT_EQ(first.queueingDelay, 0.0);
-    EXPECT_GT(second.queueingDelay, 0.0);
+    EXPECT_EQ(first.report.queueingDelayNs, 0.0);
+    EXPECT_GT(second.report.queueingDelayNs, 0.0);
     // Admission happens at the head job's finish time.
     EXPECT_EQ(second.admitted, first.finished);
-    EXPECT_GE(report.makespan, second.finished);
+    EXPECT_GE(report.aggregate.totalTime, second.finished);
     // Back-to-back runs of the same job see no contention. The
     // second job executes at an admission-time offset, so its
     // duration may differ from the t=0 isolated baseline in the last
     // floating-point bits (absolute-time arithmetic) — hence
     // near-equality here, vs the bit-exact checks for t=0 jobs.
-    EXPECT_EQ(first.interferenceSlowdown, 1.0);
-    EXPECT_DOUBLE_EQ(second.interferenceSlowdown, 1.0);
+    EXPECT_EQ(first.report.interferenceSlowdown, 1.0);
+    EXPECT_DOUBLE_EQ(second.report.interferenceSlowdown, 1.0);
     // The aggregate report carries the queueing mean for sweeps.
     EXPECT_EQ(report.aggregate.queueingDelayNs,
-              (first.queueingDelay + second.queueingDelay) / 2.0);
+              (first.report.queueingDelayNs +
+               second.report.queueingDelayNs) / 2.0);
 }
 
 TEST(Admission, BackfillLetsSmallJobsJumpTheBlockedHead)
@@ -297,7 +298,7 @@ TEST(Admission, BackfillLetsSmallJobsJumpTheBlockedHead)
     EXPECT_EQ(backfill.jobs[2].admitted, 2.0);
     // FIFO: "small" waits until after "huge" got placed.
     EXPECT_GT(fifo.jobs[2].admitted, fifo.jobs[1].admitted);
-    EXPECT_GT(fifo.jobs[2].queueingDelay, 0.0);
+    EXPECT_GT(fifo.jobs[2].report.queueingDelayNs, 0.0);
     // Both keep "huge" waiting for the full cluster.
     EXPECT_GE(fifo.jobs[1].admitted, fifo.jobs[0].finished);
     EXPECT_GE(backfill.jobs[1].admitted, backfill.jobs[0].finished);
@@ -341,7 +342,7 @@ TEST(ExplicitPlacement, RunsOnAnArbitraryNpuSet)
     EXPECT_EQ(report.jobs[0].size, 4);
     EXPECT_GT(report.jobs[0].duration, 0.0);
     // Alone on the fabric: explicit placement still measures 1.0x.
-    EXPECT_EQ(report.jobs[0].interferenceSlowdown, 1.0);
+    EXPECT_EQ(report.jobs[0].report.interferenceSlowdown, 1.0);
 }
 
 TEST(TagNamespacing, StaleDeliveriesNeverMatchASuccessorTenant)
@@ -388,7 +389,7 @@ TEST(TagNamespacing, StaleDeliveriesNeverMatchASuccessorTenant)
     // B's co-executed run (after A fully finished, same NPUs) must
     // match its isolated baseline — a faster run would mean its recv
     // consumed A's stale message.
-    EXPECT_DOUBLE_EQ(report.jobs[1].interferenceSlowdown, 1.0);
+    EXPECT_DOUBLE_EQ(report.jobs[1].report.interferenceSlowdown, 1.0);
     EXPECT_GE(report.jobs[1].duration,
               report.jobs[1].isolatedDuration * (1.0 - 1e-9));
 }
@@ -448,7 +449,7 @@ TEST(Admission, EasyBackfillRespectsTheHeadsReservation)
     // head's shadow start, so it must wait its turn behind the head.
     ClusterReport blocked = build(60000.0);
     EXPECT_GE(blocked.jobs[2].admitted, blocked.jobs[1].finished);
-    EXPECT_GT(blocked.jobs[2].queueingDelay, 0.0);
+    EXPECT_GT(blocked.jobs[2].report.queueingDelayNs, 0.0);
 
     // No estimate at all: never allowed past a reserved head.
     ClusterReport unknown = build(0.0);

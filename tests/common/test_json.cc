@@ -244,6 +244,30 @@ TEST(JsonReader, ErrorsAfterARefillReportTheSamePosition)
     }
 }
 
+TEST(JsonReader, NestingPastTheLimitIsASyntaxError)
+{
+    // Objects and arrays count alike: kMaxDepth levels parse, one more
+    // fails with the position just past the bracket that went too
+    // deep, and a million levels fail the same way instead of
+    // overflowing the stack.
+    std::string open, close;
+    for (size_t d = 0; d < Reader::kMaxDepth; ++d) {
+        open += d % 2 ? "[" : "{\"k\":";
+        close.insert(0, d % 2 ? "]" : "}");
+    }
+    EXPECT_NO_THROW(parse(open + "1" + close));
+    EXPECT_EQ(errorOf([&] { parse(open + "[1]" + close); }),
+              "json parse error at line 1 col " +
+                  std::to_string(open.size() + 2) +
+                  ": nesting deeper than 1000 levels");
+    // Empty containers open nothing to recurse into.
+    EXPECT_NO_THROW(parse(open + "[]" + close));
+    const std::string path = testing::TempDir() + "/astra_json_reader.json";
+    EXPECT_EQ(errorOf([&] { parseViaFile(std::string(1000000, '[')); }),
+              path + ": json parse error at line 1 col 1002: nesting "
+                     "deeper than 1000 levels");
+}
+
 } // namespace
 } // namespace json
 } // namespace astra

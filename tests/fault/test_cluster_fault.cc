@@ -73,25 +73,26 @@ TEST(CheckpointRestart, FailureRollsBackAndRestartsInPlace)
     ASSERT_EQ(report.jobs.size(), 1u);
     const JobResult &job = report.jobs[0];
     EXPECT_FALSE(job.failed) << job.error;
-    EXPECT_EQ(job.numFaults, 1u);
+    EXPECT_EQ(job.report.numFaults, 1u);
     EXPECT_EQ(job.restarts, 1);
     // Rolled back from the failure at 31 us to the 30 us snapshot.
-    EXPECT_NEAR(job.lostWork, 1000.0, 1.0);
+    EXPECT_NEAR(job.report.lostWorkNs, 1000.0, 1.0);
     // Down from the failure until recovery + restart delay.
-    EXPECT_NEAR(job.recovery, 35000.0 + 500.0 - 31000.0, 1.0);
+    EXPECT_NEAR(job.report.recoveryTimeNs, 35000.0 + 500.0 - 31000.0,
+                1.0);
     // The restarted job finishes after the restart point and pays the
     // outage: goodput is a real fraction in (0, 1).
     EXPECT_GT(job.finished, 35500.0);
-    EXPECT_GT(job.goodput, 0.0);
-    EXPECT_LT(job.goodput, 1.0);
+    EXPECT_GT(job.report.goodput, 0.0);
+    EXPECT_LT(job.report.goodput, 1.0);
     EXPECT_GT(job.duration, job.isolatedDuration);
 
     // Aggregate plumbing for sweeps.
     EXPECT_EQ(report.aggregate.numFaults, 2u); // fail + recover fired.
-    EXPECT_EQ(report.aggregate.lostWorkNs, job.lostWork);
-    EXPECT_EQ(report.aggregate.recoveryTimeNs, job.recovery);
-    EXPECT_EQ(report.aggregate.goodput, job.goodput);
-    EXPECT_EQ(report.makespan, job.finished);
+    EXPECT_EQ(report.aggregate.lostWorkNs, job.report.lostWorkNs);
+    EXPECT_EQ(report.aggregate.recoveryTimeNs, job.report.recoveryTimeNs);
+    EXPECT_EQ(report.aggregate.goodput, job.report.goodput);
+    EXPECT_EQ(report.aggregate.totalTime, job.finished);
 }
 
 TEST(CheckpointRestart, NoCheckpointMeansRestartFromScratch)
@@ -109,8 +110,8 @@ TEST(CheckpointRestart, NoCheckpointMeansRestartFromScratch)
     const JobResult &job = report.jobs[0];
     EXPECT_FALSE(job.failed) << job.error;
     EXPECT_EQ(job.restarts, 1);
-    EXPECT_NEAR(job.lostWork, 31000.0, 1.0);
-    EXPECT_LT(job.goodput, 1.0);
+    EXPECT_NEAR(job.report.lostWorkNs, 31000.0, 1.0);
+    EXPECT_LT(job.report.goodput, 1.0);
 }
 
 TEST(CheckpointRestart, RequeuePlacesAroundTheFaultedNpu)
@@ -152,7 +153,7 @@ TEST(CheckpointRestart, StrandedJobFailsInIsolation)
     const JobResult &job = report.jobs[0];
     EXPECT_TRUE(job.failed);
     EXPECT_FALSE(job.error.empty());
-    EXPECT_EQ(job.numFaults, 1u);
+    EXPECT_EQ(job.report.numFaults, 1u);
     // Failed rows render in every report surface.
     EXPECT_NE(report.summary().find("FAILED"), std::string::npos);
     EXPECT_NE(report.jobsCsv().find("failed"), std::string::npos);
@@ -176,9 +177,9 @@ TEST(ClusterFaults, EmptyScenarioIsBitExact)
     };
     ClusterReport base = run(false);
     ClusterReport with = run(true);
-    EXPECT_EQ(with.makespan, base.makespan);
-    EXPECT_EQ(with.totalEvents, base.totalEvents);
-    EXPECT_EQ(with.totalMessages, base.totalMessages);
+    EXPECT_EQ(with.aggregate.totalTime, base.aggregate.totalTime);
+    EXPECT_EQ(with.aggregate.events, base.aggregate.events);
+    EXPECT_EQ(with.aggregate.messages, base.aggregate.messages);
     EXPECT_EQ(with.jobsCsv(), base.jobsCsv());
 }
 
@@ -202,8 +203,8 @@ TEST(ClusterFaults, FixedSeedReproducesIdenticalMetrics)
     ClusterReport a = run();
     ClusterReport b = run();
     EXPECT_GT(a.aggregate.numFaults, 0u);
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.totalEvents, b.totalEvents);
+    EXPECT_EQ(a.aggregate.totalTime, b.aggregate.totalTime);
+    EXPECT_EQ(a.aggregate.events, b.aggregate.events);
     EXPECT_EQ(a.jobsCsv(), b.jobsCsv());
     EXPECT_EQ(a.toJson().dump(), b.toJson().dump());
 }
@@ -226,7 +227,7 @@ TEST(ClusterFaults, StragglerSlowsTheResidentJob)
         }
         ClusterSimulator cluster(parseTopology("Ring(4,100)"), cfg);
         cluster.addJob(collectiveJob("a", 4, 1 << 22));
-        return cluster.run().makespan;
+        return cluster.run().aggregate.totalTime;
     };
     EXPECT_GT(makespan(4.0), makespan(1.0) * 1.5);
 }
@@ -284,9 +285,8 @@ TEST(CheckpointRestart, SpareSwapPatchesTheFailedPlacement)
     EXPECT_FALSE(job.failed) << job.error;
     EXPECT_EQ(job.restarts, 1);
     // Snapshot-resume: only the work past the 30 us snapshot is lost.
-    EXPECT_NEAR(job.lostWork, 1000.0, 1.0);
+    EXPECT_NEAR(job.report.lostWorkNs, 1000.0, 1.0);
     // The consumed spare shows up in the pool-utilization aggregate.
-    EXPECT_GT(report.spareUtilization, 0.0);
     EXPECT_GT(report.aggregate.spareUtilization, 0.0);
 }
 
@@ -313,10 +313,11 @@ TEST(CheckpointRestart, MigrateResumesSnapshotWhereRequeueIsCold)
     ASSERT_FALSE(migrate.jobs[0].failed) << migrate.jobs[0].error;
     ASSERT_FALSE(requeue.jobs[0].failed) << requeue.jobs[0].error;
     // Migrate: rolled back to the 30 us snapshot.
-    EXPECT_NEAR(migrate.jobs[0].lostWork, 1000.0, 1.0);
+    EXPECT_NEAR(migrate.jobs[0].report.lostWorkNs, 1000.0, 1.0);
     // Requeue: everything up to the failure is lost.
-    EXPECT_NEAR(requeue.jobs[0].lostWork, 31000.0, 1.0);
-    EXPECT_GT(requeue.jobs[0].lostWork, migrate.jobs[0].lostWork);
+    EXPECT_NEAR(requeue.jobs[0].report.lostWorkNs, 31000.0, 1.0);
+    EXPECT_GT(requeue.jobs[0].report.lostWorkNs,
+              migrate.jobs[0].report.lostWorkNs);
     // Both re-place around the dead NPU 1.
     EXPECT_EQ(migrate.jobs[0].placement.find("1"), std::string::npos)
         << migrate.jobs[0].placement;
@@ -353,14 +354,14 @@ TEST(ClusterFaults, AvoidDegradedSteersAwayFromTheFlakyRack)
     ClusterReport aware = run(PlacementPolicy::AvoidDegraded);
     ASSERT_FALSE(aware.jobs[0].failed) << aware.jobs[0].error;
     // Placed on the stable rack {4..7}: zero faults ever hit it.
-    EXPECT_EQ(aware.jobs[0].numFaults, 0u);
+    EXPECT_EQ(aware.jobs[0].report.numFaults, 0u);
     EXPECT_NE(aware.jobs[0].placement.find("avoid_degraded"),
               std::string::npos)
         << aware.jobs[0].placement;
 
     // The oblivious contiguous placement lands on the flaky rack.
     ClusterReport oblivious = run(PlacementPolicy::Contiguous);
-    EXPECT_GT(oblivious.jobs[0].numFaults, 0u);
+    EXPECT_GT(oblivious.jobs[0].report.numFaults, 0u);
 }
 
 TEST(ClusterFaults, AutoIntervalResolvesViaYoungDaly)
@@ -422,7 +423,7 @@ TEST(ClusterFaults, WholeRackStrandNamesTheDomainAndWatermark)
         << job.error;
     // One disruption: the first member fail-stop takes the job down;
     // the rest of the rack hits an already-down job.
-    EXPECT_EQ(job.numFaults, 1u);
+    EXPECT_EQ(job.report.numFaults, 1u);
 }
 
 TEST(ClusterFaults, ScenarioJsonEndToEnd)
@@ -452,7 +453,7 @@ TEST(ClusterFaults, ScenarioJsonEndToEnd)
     ASSERT_EQ(report.jobs.size(), 1u);
     EXPECT_FALSE(report.jobs[0].failed) << report.jobs[0].error;
     EXPECT_EQ(report.jobs[0].restarts, 1);
-    EXPECT_GT(report.jobs[0].lostWork, 0.0);
+    EXPECT_GT(report.jobs[0].report.lostWorkNs, 0.0);
     EXPECT_GT(report.aggregate.numFaults, 0u);
 }
 

@@ -341,13 +341,12 @@ TEST_P(DomainOutage, RollsBackRestartsAndReproduces)
     const cluster::JobResult &job = report.jobs[0];
     EXPECT_FALSE(job.failed) << job.error;
     EXPECT_EQ(job.restarts, 1);
-    EXPECT_GT(job.lostWork, 0.0);
+    EXPECT_GT(job.report.lostWorkNs, 0.0);
     // Whole-rack outage = ONE incident disrupting one job.
-    EXPECT_DOUBLE_EQ(report.blastRadius, 1.0);
     EXPECT_DOUBLE_EQ(report.aggregate.blastRadius, 1.0);
     EXPECT_GT(report.aggregate.recoveryP95Ns, 0.0);
-    EXPECT_GT(job.availability, 0.0);
-    EXPECT_LT(job.availability, 1.0);
+    EXPECT_GT(job.report.availability, 0.0);
+    EXPECT_LT(job.report.availability, 1.0);
 
     // Byte-identical across repeated runs.
     cluster::ClusterReport again = run();

@@ -395,18 +395,19 @@ TEST(Telemetry, ManifestRoundTrip)
     info.topology = "Ring(4,100,500)";
     info.npus = 4;
     info.seed = 7;
-    info.peakFootprintBytes = 4096;
-    info.footprint = {{"event_queue", 1024}, {"network", 3072}};
-    info.bytesPerFlow = 96.5;
-    info.bytesPerNpu = 1024.0;
-    info.heartbeats = 12;
-    info.peakRssBytes = 1 << 20;
-    info.wallSeconds = 0.25;
     info.wallBreakdown = {{"run", 0.2}, {"trace_write", 0.05}};
     info.outputs = {"beats.ndjson", "out.csv"};
+    Report report;
+    report.peakFootprintBytes = 4096;
+    report.footprintBySubsystem = {{"event_queue", 1024}, {"network", 3072}};
+    report.bytesPerFlow = 96.5;
+    report.bytesPerNpu = 1024.0;
+    report.telemetryHeartbeats = 12;
+    report.peakRssBytes = 1 << 20;
+    report.wallSeconds = 0.25;
 
     std::string path = "telemetry_manifest_test.json";
-    writeManifest(path, info);
+    writeManifest(path, info, report);
     json::Value doc = json::parseFile(path);
     std::remove(path.c_str());
 
@@ -442,7 +443,8 @@ TEST(Telemetry, ManifestRoundTrip)
     // An unknown hash serializes as the empty string, not "0...0".
     ManifestInfo anon;
     anon.kind = "sweep";
-    EXPECT_EQ(manifestToJson(anon).at("config_hash").asString(), "");
+    EXPECT_EQ(manifestToJson(anon, Report{}).at("config_hash").asString(),
+              "");
 }
 
 TEST(Telemetry, SimulatorWritesManifestTiedToConfigHash)
