@@ -216,9 +216,9 @@ CheckpointPolicy checkpointFromJson(const json::Value &doc,
  * Resolve the config's domain specs against `topo`: expand
  * all-instances level specs into one FailureDomain per block, fill in
  * slice members and inherited MTBF/MTTR means, validate explicit
- * member ids, and require unique
- * names (schedule entries and diagnostics reference domains by name).
- * Deterministic; fatal() on invalid specs.
+ * member ids, and require unique names (schedule entries and
+ * diagnostics reference domains by name). Deterministic; fatal() on
+ * invalid specs.
  */
 std::vector<FailureDomain> resolveDomains(const FaultConfig &cfg,
                                           const Topology &topo);
