@@ -84,6 +84,7 @@ runDemo(const std::string &backend, const CommandLine &cli)
         for (JobSpec &job : scenario.jobs)
             sim.addJob(std::move(job));
         ClusterReport report = sim.run();
+        sim.writeManifest(report);
         std::printf("placement: %s\n%s\n", placement,
                     report.summary().c_str());
         for (const std::string &out : scenario.cfg.outputFiles())
@@ -126,17 +127,22 @@ run(const CommandLine &cli)
     ClusterReport report = sim.run();
     std::printf("%s", report.summary().c_str());
 
+    // The manifest comes last, so it lists the report files too.
+    std::vector<std::string> report_files;
     std::string csv_path = cli.getString("csv", "");
     if (!csv_path.empty()) {
         OutputFile::write(csv_path, "CSV file", report.jobsCsv());
         std::printf("wrote %s\n", csv_path.c_str());
+        report_files.push_back(csv_path);
     }
     std::string json_path = cli.getString("json", "");
     if (!json_path.empty()) {
         OutputFile::write(json_path, "JSON file",
                           report.toJson().dump(2) + "\n");
         std::printf("wrote %s\n", json_path.c_str());
+        report_files.push_back(json_path);
     }
+    sim.writeManifest(report, report_files);
     for (const std::string &out : scenario.cfg.outputFiles())
         std::printf("wrote %s\n", out.c_str());
     if (!scenario.cfg.telemetry.manifest.empty())

@@ -197,13 +197,16 @@ RunHarness::finishReport(Report &report, int32_t analysis_pid)
 }
 
 void
-RunHarness::writeManifest(const char *kind, const Report &report) const
+RunHarness::writeManifest(const char *kind, const Report &report,
+                          const std::vector<std::string> &report_files) const
 {
     if (cfg_.telemetry.manifest.empty())
         return;
     telemetry::ManifestInfo info = runIdentity(kind, topo_, cfg_);
     info.wallBreakdown.emplace_back("run", report.wallSeconds);
     info.outputs = cfg_.outputFiles();
+    info.outputs.insert(info.outputs.end(), report_files.begin(),
+                        report_files.end());
     telemetry::writeManifest(cfg_.telemetry.manifest, info, report);
 }
 

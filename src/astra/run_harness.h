@@ -110,8 +110,10 @@ class RunHarness
      *  rollup, heartbeat count and peak RSS. Call after observe(). */
     void finishReport(Report &report, int32_t analysis_pid);
 
-    /** Write the run manifest, if configured. */
-    void writeManifest(const char *kind, const Report &report) const;
+    /** Write the run manifest, if configured, listing outputFiles()
+     *  and then `report_files`, which the caller wrote from `report`. */
+    void writeManifest(const char *kind, const Report &report,
+                       const std::vector<std::string> &report_files) const;
 
   private:
     Topology topo_;

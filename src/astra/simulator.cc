@@ -93,7 +93,7 @@ Simulator::run(const Workload &wl)
     report.wallSeconds =
         std::chrono::duration<double>(host_end - host_start).count();
     harness_.finishReport(report, /*analysis_pid=*/0);
-    harness_.writeManifest("simulator", report);
+    harness_.writeManifest("simulator", report, {});
     return report;
 }
 

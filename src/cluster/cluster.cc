@@ -704,8 +704,14 @@ ClusterSimulator::run()
             analysis_pid = job->id + 1;
     harness_.finishReport(agg, analysis_pid);
     agg.wallSeconds = telemetry::wallNow() - host_start;
-    harness_.writeManifest("cluster", agg);
     return report;
+}
+
+void
+ClusterSimulator::writeManifest(const ClusterReport &report,
+                                const std::vector<std::string> &files) const
+{
+    harness_.writeManifest("cluster", report.aggregate, files);
 }
 
 std::string

@@ -210,6 +210,10 @@ class ClusterSimulator
 
     /** Admit + co-execute every registered job; callable once. */
     ClusterReport run();
+    /** Write the run manifest, if configured: after run() and after
+     *  the files written from `report`, which `files` lists. */
+    void writeManifest(const ClusterReport &report,
+                       const std::vector<std::string> &files = {}) const;
 
     const Topology &topology() const { return topo_; }
     EventQueue &eventQueue() { return eq_; }

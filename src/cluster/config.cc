@@ -173,7 +173,9 @@ runClusterScenario(const json::Value &doc)
     ClusterSimulator sim(std::move(scenario.topo), scenario.cfg);
     for (JobSpec &job : scenario.jobs)
         sim.addJob(std::move(job));
-    return sim.run();
+    ClusterReport report = sim.run();
+    sim.writeManifest(report);
+    return report;
 }
 
 Report

@@ -40,9 +40,9 @@
  *    thread than the one that created it would migrate the block and
  *    corrupt both threads' counters.
  *  - Pool counters (outstanding/heapAllocs/cached, or the combined
- *    stats() snapshot) report the *calling thread's* pool only. The
- *    sweep batch runner snapshots each worker's stats after its last
- *    simulation and surfaces them per thread in the batch outcome.
+ *    stats() snapshot) report the *calling thread's* pool only. Only
+ *    tests read them: the event tests check that captures are pooled,
+ *    returned, and kept apart per worker thread.
  *  - Blocks cached by a worker thread are released when the thread
  *    exits (thread_local destructor), not at process exit.
  */
@@ -126,8 +126,8 @@ class CallbackPool
         return n;
     }
 
-    /** Per-thread counter snapshot (surfaced by the sweep batch runner
-     *  as per-worker stats). */
+    /** Per-thread counter snapshot (read by the event tests, e.g. on
+     *  a worker thread around an event's destruction). */
     struct Stats
     {
         size_t outstanding = 0;

@@ -160,8 +160,8 @@ FlowNetwork::integrateFlow(Flow &flow, TimeNs t)
         }
         if (tracer_) {
             // A lazy integration stretch is one constant-rate segment
-            // of the flow: feed the utilization series with the
-            // fractional busy share per link, and at full detail
+            // of the flow: feed link busy time (series, totals) with
+            // the fractional busy share per link, and at full detail
             // grow the coalesced rate segment on the source's flow
             // track. Stretches within rate_epsilon (relative, default
             // 25%) of the open segment's rate extend it rather than
@@ -169,7 +169,7 @@ FlowNetwork::integrateFlow(Flow &flow, TimeNs t)
             // constantly, and one event per re-rate would double the
             // trace for no visual gain; small rate wiggles are
             // invisible on a timeline (docs/trace.md).
-            if (tracer_->utilization())
+            if (tracer_->readsLinkBusy())
                 for (LinkId l : *flow.path)
                     tracer_->linkBusy(
                         l, flow.lastUpdate, t,

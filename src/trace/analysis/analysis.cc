@@ -222,36 +222,15 @@ extractCriticalPath(const TraceData &data, int32_t pid)
 std::vector<LinkShare>
 rankLinks(const TraceData &data, size_t top_k)
 {
-    // Busy integrals: the sampled utilization series is the
-    // quantitative source when present (it sees fractional flow
-    // rates); otherwise fall back to the 0/1 occupancy spans on the
-    // link tracks.
-    std::vector<double> busy(data.links.size(), 0.0);
-    bool have_series = false;
-    for (size_t i = 0; i < data.links.size(); ++i) {
-        for (double ns : data.links[i].busyNs) {
-            busy[i] += ns;
-            have_series = true;
-        }
-    }
-    if (!have_series) {
-        for (const Span &s : data.spans) {
-            if (s.track != TrackClass::Link)
-                continue;
-            size_t index = size_t(s.tid - Tracer::kLinkTidBase);
-            if (index >= busy.size())
-                busy.resize(index + 1, 0.0);
-            busy[index] += s.dur;
-        }
-    }
+    const std::vector<LinkBusy> &links = data.links;
     std::vector<size_t> order;
-    for (size_t i = 0; i < busy.size(); ++i)
-        if (busy[i] > 0.0)
+    for (size_t i = 0; i < links.size(); ++i)
+        if (links[i].busyNs > 0.0)
             order.push_back(i);
     std::stable_sort(order.begin(), order.end(),
                      [&](size_t a, size_t b) {
-                         if (busy[a] != busy[b])
-                             return busy[a] > busy[b];
+                         if (links[a].busyNs != links[b].busyNs)
+                             return links[a].busyNs > links[b].busyNs;
                          return a < b;
                      });
     if (order.size() > top_k)
@@ -260,11 +239,10 @@ rankLinks(const TraceData &data, size_t top_k)
     out.reserve(order.size());
     for (size_t i : order) {
         LinkShare row;
-        row.link = i < data.links.size() && !data.links[i].label.empty()
-                       ? data.links[i].label
-                       : "link " + std::to_string(i);
-        row.busyNs = busy[i];
-        row.share = data.endNs > 0.0 ? busy[i] / data.endNs : 0.0;
+        row.link = links[i].label.empty() ? "link " + std::to_string(i)
+                                          : links[i].label;
+        row.busyNs = links[i].busyNs;
+        row.share = data.endNs > 0.0 ? row.busyNs / data.endNs : 0.0;
         out.push_back(std::move(row));
     }
     return out;

@@ -15,8 +15,8 @@
  * as per-kind slack (recorded − on-path time): spans fully overlapped
  * by the chain elsewhere did not gate the run.
  *
- * Bottleneck attribution — per-link busy-share ranking (utilization-
- * series integrals when sampled, occupancy-span integrals otherwise),
+ * Bottleneck attribution — per-link busy-share ranking (each link's
+ * busy total over the trace end),
  * per-dimension exposed vs overlapped communication (chunk-phase time
  * minus the portion covered by compute/memory node spans on the same
  * rank), and the stretch table: span kinds whose total duration most

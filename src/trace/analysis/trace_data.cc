@@ -173,14 +173,12 @@ TraceData::fromTracer(Tracer &tracer)
         s.ts = ev.ts;
         s.dur = ev.dur;
         parseNameTokens(s);
+        data.endNs = std::max(data.endNs, s.end());
         data.spans.push_back(std::move(s));
     }); // visited in (ts, recording order): no sort needed.
-    for (const Span &s : data.spans)
-        data.endNs = std::max(data.endNs, s.end());
-    data.bucketNs = tracer.config().utilizationBucketNs;
     for (size_t i = 0; i < tracer.linkCount(); ++i)
         data.links.push_back(
-            LinkSeries{tracer.linkLabel(i), tracer.linkBusyNs(i)});
+            LinkBusy{tracer.linkLabel(i), tracer.linkBusyTotalNs(i)});
     return data;
 }
 
@@ -242,8 +240,15 @@ TraceData::fromChromeFile(const std::string &path)
                      [](const Span &a, const Span &b) {
                          return a.ts < b.ts;
                      });
-    for (const Span &s : data.spans)
+    for (const Span &s : data.spans) {
         data.endNs = std::max(data.endNs, s.end());
+        if (s.track != TrackClass::Link)
+            continue;
+        size_t index = size_t(s.tid - Tracer::kLinkTidBase);
+        if (index >= data.links.size())
+            data.links.resize(index + 1);
+        data.links[index].busyNs += s.dur;
+    }
     return data;
 }
 

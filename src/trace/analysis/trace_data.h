@@ -6,8 +6,8 @@
  * A TraceData is the analyzer-facing view of one run's timeline:
  * every recorded span with its track class resolved from the tid
  * namespace, message peers ("src->dst") and dimension ("d<k>") parsed
- * out of the name, plus the per-link utilization series when it was
- * sampled. It is built either directly from an in-memory Tracer (the
+ * out of the name, plus each link's total busy time. It is built
+ * either directly from an in-memory Tracer (the
  * no-reparse path Simulator uses) or by loading an exported Chrome
  * trace-event JSON file (the trace_analyze CLI path) — both yield the
  * same model, so every analyzer works on live and archived traces
@@ -60,11 +60,11 @@ struct Span
     double end() const { return ts + dur; }
 };
 
-/** Per-link utilization series (bucket width = TraceData::bucketNs). */
-struct LinkSeries
+/** One fabric link's label and total busy time. */
+struct LinkBusy
 {
     std::string label;
-    std::vector<double> busyNs;
+    double busyNs = 0.0;
 };
 
 /** See file comment. */
@@ -74,18 +74,17 @@ struct TraceData
      *  (never-closed) spans and instant markers are dropped — same
      *  policy as the Chrome export. */
     std::vector<Span> spans;
-    double bucketNs = 0.0;         //!< 0 = no utilization series.
-    std::vector<LinkSeries> links; //!< empty entries for idle links.
-    double endNs = 0.0;            //!< max span end (0 if no spans).
+    std::vector<LinkBusy> links; //!< indexed by fabric link id.
+    double endNs = 0.0;          //!< max span end (0 if no spans).
 
     /** Ingest an in-memory tracer (flushes pending link occupancy
      *  first; purely observational otherwise). */
     static TraceData fromTracer(Tracer &tracer);
     /** Load an exported Chrome trace-event JSON file. Link-track
-     *  labels are recovered from thread_name metadata; the
-     *  utilization series is not part of the Chrome format, so
-     *  `links` stays empty (link ranking falls back to occupancy
-     *  spans). fatal() on unreadable/malformed files. */
+     *  labels are recovered from thread_name metadata, and busy time
+     *  is the sum of each link track's occupancy spans (fractional
+     *  flow rates leave none). fatal() on unreadable/malformed
+     *  files. */
     static TraceData fromChromeFile(const std::string &path);
 };
 

@@ -124,11 +124,8 @@ traceConfigFromCli(const CommandLine &cl, const char *file_flag,
 
 Tracer::Tracer(TraceConfig cfg) : cfg_(std::move(cfg))
 {
-    // A utilization file needs the series. Analysis ranks links by
-    // busy-share integrals from it too: the flow backend has no other
-    // busy source (fractional rates never emit occupancy spans).
-    if ((cfg_.analysis || !cfg_.utilizationFile.empty()) &&
-        cfg_.utilizationBucketNs <= 0.0)
+    // A utilization file needs the series.
+    if (!cfg_.utilizationFile.empty() && cfg_.utilizationBucketNs <= 0.0)
         cfg_.utilizationBucketNs = 1000.0;
 }
 
@@ -201,16 +198,6 @@ Tracer::newBlock()
 }
 
 void
-Tracer::pushEvent(int32_t pid, int32_t tid, const char *cat,
-                  const char *fmt, double ts, double dur, long long a0,
-                  long long a1, long long a2)
-{
-    if (cur_ == curEnd_)
-        newBlock();
-    *cur_++ = Event{ts, dur, pid, tid, cat, fmt, a0, a1, a2};
-}
-
-void
 Tracer::spanStr(int32_t pid, int32_t tid, const char *cat,
                 std::string_view name, TimeNs ts, TimeNs dur)
 {
@@ -221,16 +208,15 @@ void
 Tracer::instantStr(int32_t pid, int32_t tid, const char *cat,
                    std::string_view name, TimeNs ts)
 {
-    pushEvent(pid, tid, cat, nullptr, ts, kInstant,
-              (long long)internName(name), 0, 0);
+    instant(pid, tid, cat, nullptr, ts, (long long)internName(name));
 }
 
 Tracer::SpanId
 Tracer::beginSpan(int32_t pid, int32_t tid, const char *cat,
                   std::string_view name, TimeNs ts)
 {
-    pushEvent(pid, tid, cat, nullptr, ts, kOpen,
-              (long long)internName(name), 0, 0);
+    spanName(pid, tid, cat, internName(name), ts, 0.0);
+    cur_[-1].dur = kOpen; // until endSpan().
     return SpanId(eventCount() - 1);
 }
 
@@ -240,7 +226,8 @@ Tracer::bytesInUse() const
     size_t bytes = blocks_.size() * kBlockSize * sizeof(Event) +
                    blocks_.capacity() * sizeof(void *) +
                    names_.bytesInUse() +
-                   links_.capacity() * sizeof(LinkState);
+                   links_.capacity() * sizeof(LinkState) +
+                   busyTotalNs_.capacity() * sizeof(double);
     for (const LinkState &ls : links_)
         bytes += ls.busyNs.capacity() * sizeof(double);
     return bytes;
@@ -301,6 +288,10 @@ Tracer::linkBusy(uint32_t index, TimeNs t0, TimeNs t1, double fraction)
     if (index >= links_.size())
         links_.resize(index + 1);
     LinkState &ls = links_[index];
+    if (cfg_.analysis) {
+        busyTotalNs_.resize(links_.size());
+        busyTotalNs_[index] += (t1 - t0) * fraction;
+    }
     if (utilization())
         accumulateBuckets(ls, t0, t1, fraction);
     if (full() && fraction >= 1.0) {
@@ -320,7 +311,7 @@ Tracer::linkBusy(uint32_t index, TimeNs t0, TimeNs t1, double fraction)
 }
 
 void
-Tracer::flushOpenOccupancy()
+Tracer::closeOccupancy()
 {
     for (uint32_t i = 0; i < links_.size(); ++i) {
         LinkState &ls = links_[i];
@@ -473,7 +464,7 @@ Tracer::visitEvents(
 void
 Tracer::writeChromeTrace(const std::string &path)
 {
-    flushOpenOccupancy();
+    closeOccupancy();
     for (uint32_t i = 0; i < links_.size(); ++i)
         if (!links_[i].label.empty())
             threadName(0, kLinkTidBase + int32_t(i), links_[i].label);

@@ -67,8 +67,9 @@ struct TraceConfig
     std::string file;          //!< Chrome trace JSON path ("" = none).
     Detail detail = Detail::Off;
     /** Utilization time-series bucket width; 0 disables sampling,
-     *  unless a utilization file or analysis asks for the series: the
-     *  Tracer then samples 1000 ns buckets. */
+     *  unless a utilization file asks for the series: the Tracer then
+     *  samples 1000 ns buckets. Analysis reads exact per-link totals
+     *  and never needs the series. */
     double utilizationBucketNs = 0.0;
     /** Utilization series output (".csv" or ".json"; "" = none). */
     std::string utilizationFile;
@@ -181,6 +182,9 @@ class Tracer
     bool spans() const { return cfg_.detail != Detail::Off; }
     bool full() const { return cfg_.detail == Detail::Full; }
     bool utilization() const { return cfg_.utilizationBucketNs > 0.0; }
+    /** True if the series or analysis reads linkBusy(). The flow
+     *  backend's calls cost work of their own, so it checks first. */
+    bool readsLinkBusy() const { return utilization() || cfg_.analysis; }
 
     // ---- timeline recording -------------------------------------
     // Fast path: `cat` and `fmt` must be string literals (or anything
@@ -246,13 +250,13 @@ class Tracer
      *  with a display label; idempotent. */
     void registerLink(uint32_t index, std::string label);
     /**
-     * Account `fraction` of [t0, t1) as busy on link `index`:
-     * accumulates into the sampled utilization series (when
-     * utilization_bucket_ns > 0) and, at detail full with
-     * fraction == 1, coalesces contiguous busy intervals into
-     * occupancy spans on the link's track. Fractional rates (flow
-     * backend) only feed the series — per-flow rate segments already
-     * tell that story on the timeline.
+     * Account `fraction` of [t0, t1) as busy on link `index`: adds it
+     * to the link's busy total (analysis only), to the sampled
+     * utilization series (when utilization_bucket_ns > 0) and, at
+     * detail full with fraction == 1, coalesces contiguous busy
+     * intervals into occupancy spans on the link's track. Fractional
+     * rates (flow backend) only feed the total and the series —
+     * per-flow rate segments already tell that story on the timeline.
      */
     void linkBusy(uint32_t index, TimeNs t0, TimeNs t1,
                   double fraction = 1.0);
@@ -302,21 +306,20 @@ class Tracer
         const std::function<void(const ResolvedEvent &)> &fn) const;
     /** Flush still-open coalesced link occupancy intervals into spans
      *  (idempotent; writeChromeTrace does this implicitly). */
-    void closeOccupancy() { flushOpenOccupancy(); }
+    void closeOccupancy();
 
     /** Registered link tracks (index = fabric link id). Labels are ""
-     *  for ids never registered; the busy series is empty unless
-     *  utilization sampling was on. */
+     *  for ids never registered. */
     size_t linkCount() const { return links_.size(); }
     const std::string &linkLabel(size_t index) const
     {
         return links_[index].label;
     }
-    /** Per-bucket busy ns of link `index` (bucket width =
-     *  config().utilizationBucketNs). */
-    const std::vector<double> &linkBusyNs(size_t index) const
+    /** Busy ns of link `index` summed over every linkBusy() call; 0
+     *  unless analysis is on. */
+    double linkBusyTotalNs(size_t index) const
     {
-        return links_[index].busyNs;
+        return index < busyTotalNs_.size() ? busyTotalNs_[index] : 0.0;
     }
 
     // ---- export -------------------------------------------------
@@ -363,9 +366,6 @@ class Tracer
         double openT0 = 0.0, openT1 = -1.0;  //!< coalesced occupancy.
     };
 
-    void pushEvent(int32_t pid, int32_t tid, const char *cat,
-                   const char *fmt, double ts, double dur, long long a0,
-                   long long a1, long long a2);
     /** Open a fresh storage block (out of line; see blocks_). */
     void newBlock();
     /** Per-thread pool of retired blocks (pages resident) that
@@ -385,7 +385,6 @@ class Tracer
     }
     void accumulateBuckets(LinkState &ls, TimeNs t0, TimeNs t1,
                            double fraction);
-    void flushOpenOccupancy();
     /** Formatted fmt names are cut at 127 bytes, as snprintf into
      *  this buffer cuts them. */
     using NameBuffer = char[128];
@@ -411,6 +410,9 @@ class Tracer
     Event *curEnd_ = nullptr; //!< end of blocks_.back().
     StringTable names_; //!< dynamic names; events hold their ids.
     std::vector<LinkState> links_;
+    /** Per link, only for analysis (in LinkState, it would grow every
+     *  traced run's footprint). */
+    std::vector<double> busyTotalNs_;
     std::map<int32_t, std::string> processNames_;
     std::map<std::pair<int32_t, int32_t>, std::string> threadNames_;
     Counters counters_;

@@ -100,6 +100,7 @@ runPair(NetworkBackendKind backend, const RunConfig &run)
     spec.workload = wl;
     sim.addJob(std::move(spec));
     out.cluster = sim.run();
+    sim.writeManifest(out.cluster);
     if (sim.monitor() != nullptr)
         out.clusterBeats = sim.monitor()->records();
     return out;

@@ -16,7 +16,8 @@
  *    results bit-identical on all three backends.
  *  - Edge cases: empty traces, zero-length spans, unclosed-span
  *    drops, single-rank runs, utilization buckets larger than the
- *    whole simulation, and the Chrome-file loader round trip.
+ *    whole simulation, link ranking with no utilization series (the
+ *    tracer stays small), and the Chrome-file loader round trip.
  *  - Flow rate-segment coalescing epsilon: configurable, validated,
  *    and monotone (tighter epsilon => at least as many segments).
  */
@@ -105,9 +106,10 @@ expectTiles(const CriticalPath &path)
         const PathSegment &seg = path.segments[i];
         EXPECT_GE(seg.durNs(), 0.0);
         sum += seg.durNs();
-        if (i > 0)
+        if (i > 0) {
             EXPECT_NEAR(seg.startNs, path.segments[i - 1].endNs, 1e-3)
                 << "gap/overlap before segment " << i;
+        }
     }
     EXPECT_NEAR(sum, path.lengthNs, 1e-3);
 }
@@ -448,6 +450,45 @@ TEST(AnalysisEdgeCases, UtilizationBucketLargerThanTheRun)
         EXPECT_LE(row.share, 1.0 + 1e-9);
     }
     EXPECT_GT(report.criticalPathNs, 0.0);
+}
+
+TEST(AnalysisEdgeCases, LinkRankingNeedsNoUtilizationSeries)
+{
+    // A 1 GB all-reduce at 1 GB/s: over a second of simulated time.
+    // Analysis ranks links from one busy total per link, so its tracer
+    // holds one event block and 8 B per link, not a 1 us series per
+    // link; asking for that series leaves the ranking as it was.
+    Topology topo({{BlockType::Ring, 4, 1.0, 300.0}});
+    Workload wl =
+        buildSingleCollective(topo, CollectiveType::AllReduce, 1e9);
+    auto run = [&](bool analysis, double bucket_ns, size_t *bytes) {
+        SimulatorConfig cfg;
+        cfg.trace.detail = Detail::Full;
+        cfg.trace.analysis = analysis;
+        cfg.trace.utilizationBucketNs = bucket_ns;
+        Simulator sim(topo, cfg);
+        Report report = sim.run(wl);
+        EXPECT_GT(report.totalTime, 1e9);
+        *bytes = sim.tracer()->bytesInUse();
+        return rankLinks(TraceData::fromTracer(*sim.tracer()), 1000);
+    };
+    size_t plain_bytes = 0, analysis_bytes = 0, series_bytes = 0;
+    run(false, 0.0, &plain_bytes);
+    std::vector<LinkShare> totals = run(true, 0.0, &analysis_bytes);
+    EXPECT_LE(analysis_bytes, plain_bytes + 1024);
+    // One 4 MiB event block, plus under 1 MiB for the rest.
+    EXPECT_LT(analysis_bytes, size_t(5) << 20);
+
+    std::vector<LinkShare> series = run(true, 1000.0, &series_bytes);
+    EXPECT_GT(series_bytes, size_t(8) << 20); // the series is sampled.
+    ASSERT_FALSE(totals.empty());
+    ASSERT_EQ(series.size(), totals.size());
+    for (size_t i = 0; i < totals.size(); ++i) {
+        EXPECT_EQ(series[i].link, totals[i].link) << i;
+        EXPECT_NEAR(series[i].busyNs, totals[i].busyNs,
+                    1e-12 * totals[i].busyNs)
+            << totals[i].link;
+    }
 }
 
 TEST(AnalysisLoader, ChromeFileRoundTripsToTheSameAnalysis)

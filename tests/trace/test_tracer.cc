@@ -187,8 +187,9 @@ TEST(ChromeTraceExport, CollectiveSpansNest)
         for (const auto &span : kv.second) {
             while (!stack.empty() && stack.back() <= span.first + 1e-9)
                 stack.pop_back();
-            if (!stack.empty())
+            if (!stack.empty()) {
                 EXPECT_LE(span.second, stack.back() + 1e-6);
+            }
             stack.push_back(span.second);
         }
     }
