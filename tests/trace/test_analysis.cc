@@ -521,6 +521,10 @@ TEST(AnalysisLoader, ChromeFileRoundTripsToTheSameAnalysis)
     EXPECT_NEAR(p_loaded.lengthNs, p_live.lengthNs, 1e-3);
     EXPECT_EQ(p_loaded.segments.size(), p_live.segments.size());
     // Link labels come back via thread_name metadata.
+    for (size_t i = 0; i < live.spans.size(); ++i) {
+        EXPECT_EQ(spanKind(loaded.spans[i]), spanKind(live.spans[i])) << i;
+        EXPECT_EQ(alignKey(loaded.spans[i]), alignKey(live.spans[i])) << i;
+    }
     TraceDiff diff = diffTraces(live, loaded);
     for (const DiffKindRow &row : diff.kinds) {
         EXPECT_EQ(row.countA, row.countB) << row.kind;
@@ -555,6 +559,27 @@ TEST(AnalysisLoader, ChromeFileTakesAnObjectOrABareArray)
         ASSERT_EQ(d->links.size(), 1u);
         EXPECT_EQ(d->links[0].label, "link 0");
     }
+    // Keys in any order (args before ph), a duplicated ts (the last
+    // wins), unknown keys, and a link named after its spans.
+    TraceData quirky = load(R"([
+        {"args": {"bytes": 8}, "ph": "X", "cat": "net", "ts": 9,
+         "name": "msg 0->1 d0", "pid": 0, "tid": 0, "ts": 2.5, "dur": 1,
+         "id": "0x1", "flow": {"in": [1, {"out": null}]}},
+        {"ph": "X", "cat": "link", "name": "busy", "pid": 0,
+         "tid": 1048577, "ts": 2.5, "dur": 1},
+        {"ph": "X", "cat": "compute", "name": "fwd", "pid": 0, "tid": 1,
+         "ts": 1, "dur": 0.5, "sf": 7},
+        {"args": {"name": "link 1"}, "ph": "M", "name": "thread_name",
+         "pid": 0, "tid": 1048577}])");
+    ASSERT_EQ(quirky.spans.size(), 3u);
+    EXPECT_EQ(quirky.spans[0].name, "fwd");
+    EXPECT_EQ(quirky.spans[1].peerDst, 1);
+    EXPECT_DOUBLE_EQ(quirky.spans[1].ts, 2500.0);
+    EXPECT_DOUBLE_EQ(quirky.endNs, 3500.0);
+    ASSERT_EQ(quirky.links.size(), 2u);
+    EXPECT_EQ(quirky.links[0].label, "");
+    EXPECT_EQ(quirky.links[1].label, "link 1");
+    EXPECT_DOUBLE_EQ(quirky.links[1].busyNs, 1000.0);
     EXPECT_THROW(load(R"({"events": []})"), FatalError);
     EXPECT_THROW(load(R"({"traceEvents": [], "traceEvents": []})"),
                  FatalError);

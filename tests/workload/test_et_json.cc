@@ -156,8 +156,19 @@ TEST(EtJson, KeysLoadInAnyOrder)
         {"type": "compute", "id": 0},
         {"type": "comm_recv", "peer": 0, "id": 1, "deps": [0]}]},
         {"npu": 0, "nodes": []}]})";
+    // The type named last, keys the type ignores ("peer" on a compute
+    // node), unknown keys with nested values, and duplicated keys,
+    // where the last one wins.
+    std::string quirky = R"({"npus": 2, "schema": "astra-sim-et-v2",
+      "graphs": [{"npu": 1, "nodes": [
+        {"id": 0, "peer": 3, "extra": {"a": [1, {"b": null}]}, "flops": 7,
+         "flops": 0, "type": "comm_send", "type": "compute"},
+        {"deps": [5], "peer": 0, "tag": 4, "id": 1, "tag": 0,
+         "more": [[], {}], "deps": [0], "type": "comm_recv"}]},
+        {"nodes": [], "npu": 0}], "name": "y", "name": "x"})";
     std::string text = workloadToText(workloadFromText(sorted));
     EXPECT_EQ(workloadToText(workloadFromText(reordered)), text);
+    EXPECT_EQ(workloadToText(workloadFromText(quirky)), text);
     EXPECT_EQ(text, json::parse(sorted).dump(2) + "\n");
 }
 
