@@ -125,7 +125,7 @@ runOnce(trace::Detail detail, const std::string &trace_path)
  *  immune to machine-wide drift across the bench's lifetime (CPU
  *  steal, thermal, page cache), which on small boxes dwarfs the
  *  effect being measured. Deterministic fields are asserted identical
- *  across repeats; the export is timed on the first repeat only. */
+ *  across repeats; the export is timed min-of-kReps too. */
 void
 runInterleaved(RunResult &off, RunResult &spans, RunResult &full,
                const std::string &trace_path)
@@ -144,7 +144,7 @@ runInterleaved(RunResult &off, RunResult &spans, RunResult &full,
     };
     for (int i = 0; i < kReps; ++i) {
         for (const Config &c : configs) {
-            RunResult r = runOnce(c.detail, i == 0 ? *c.path : "");
+            RunResult r = runOnce(c.detail, *c.path);
             if (i == 0) {
                 *c.out = r;
                 continue;
@@ -155,6 +155,8 @@ runInterleaved(RunResult &off, RunResult &spans, RunResult &full,
                          "nondeterministic across repeats");
             c.out->wallSeconds =
                 std::min(c.out->wallSeconds, r.wallSeconds);
+            c.out->writeSeconds =
+                std::min(c.out->writeSeconds, r.writeSeconds);
         }
     }
 }

@@ -15,7 +15,8 @@ RunConfig::outputFiles() const
     std::vector<std::string> files;
     for (const std::string *f : {&telemetry.file, &trace.file,
                                  &trace.utilizationFile, &trace.analysisFile})
-        if (!f->empty())
+        // Detail "off" records nothing, so writes no trace file.
+        if (!f->empty() && (f == &telemetry.file || trace.enabled()))
             files.push_back(*f);
     return files;
 }

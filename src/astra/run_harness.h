@@ -50,7 +50,7 @@ struct RunConfig
 
     /** Files the run writes besides the manifest, in manifest order:
      *  heartbeat stream, trace, utilization series, analysis report
-     *  (unset ones omitted). */
+     *  (unset ones omitted, and the trace files when detail is off). */
     std::vector<std::string> outputFiles() const;
 };
 

@@ -143,6 +143,16 @@ Value::getString(const std::string &key, const std::string &dflt) const
     return has(key) ? at(key).asString() : dflt;
 }
 
+const Value &
+Fields::at(size_t k) const
+{
+    if (!isObject_)
+        whole_.asObject();
+    ASTRA_USER_CHECK(has(k), "json: missing key '%.*s'",
+                     int(keys_[k].size()), keys_[k].data());
+    return slots_[k].value;
+}
+
 namespace {
 
 /** `s` as a quoted JSON string. Escaped a slice at a time through a

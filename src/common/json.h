@@ -10,6 +10,7 @@
 #ifndef ASTRA_COMMON_JSON_H_
 #define ASTRA_COMMON_JSON_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <initializer_list>
@@ -176,6 +177,97 @@ class Reader
     size_t depth_ = 0; //!< containers opened and not yet closed.
     /** Bytes before buf_, their newlines, and where the line began. */
     size_t dropped_ = 0, lines_ = 0, lineStart_ = 0;
+};
+
+/**
+ * One record read field by field, for loaders of files with a record
+ * per node or event: the record type names its keys once, in a key
+ * table, and read() keeps the member with key keys[k] in slot k, so no
+ * Value tree is built per record. As in a parsed Value, the last of a
+ * duplicated key wins, other keys are read and dropped, and a record
+ * that is not an object is kept whole (has() is false, at() fails as
+ * on that Value). The accessors are Value's, messages included. A
+ * loader reuses one Fields for every record of a type.
+ */
+class Fields
+{
+  public:
+    /** `keys` is the key table and must outlive the Fields. */
+    template <size_t N>
+    explicit Fields(const std::string_view (&keys)[N])
+        : keys_(keys), slots_(N)
+    {
+    }
+
+    /** Read the next value. `take(k)` runs first for each member with
+     *  key keys[k], while has(k) tells whether an earlier member had
+     *  it; if it returns true it has consumed the value itself (say, an
+     *  array read an element at a time) and taken(k) is true, else the
+     *  value goes into slot k. */
+    template <typename F>
+    void
+    read(Reader &r, F &&take)
+    {
+        if (r.next() == '{')
+            return readObject(r, take);
+        for (Slot &s : slots_)
+            s.present = false;
+        isObject_ = false;
+        whole_ = r.value();
+    }
+    void read(Reader &r) { read(r, [](size_t) { return false; }); }
+    /** read() for a value that must be an object: anything else is a
+     *  syntax error, as in Reader::object. */
+    template <typename F>
+    void
+    readObject(Reader &r, F &&take)
+    {
+        for (Slot &s : slots_)
+            s.present = false;
+        isObject_ = true;
+        r.object([&](const std::string &key) {
+            size_t k = std::find(keys_, keys_ + slots_.size(), key) - keys_;
+            if (k == slots_.size())
+                return void(r.value()); // not a key of the record.
+            Slot &s = slots_[k];
+            s.taken = take(k);
+            if (!s.taken)
+                s.value = r.value();
+            s.present = true;
+        });
+    }
+
+    bool has(size_t k) const { return slots_[k].present; }
+    bool taken(size_t k) const { return slots_[k].taken; }
+    /** Slot k's value; fatal() if this is not an object or the key is
+     *  missing. Not for a taken slot. */
+    const Value &at(size_t k) const;
+
+    double getNumber(size_t k, double d) const
+    {
+        return has(k) ? at(k).asNumber() : d;
+    }
+    int64_t getInt(size_t k, int64_t d) const
+    {
+        return has(k) ? at(k).asInt() : d;
+    }
+    bool getBool(size_t k, bool d) const { return has(k) ? at(k).asBool() : d; }
+    std::string_view getString(size_t k, std::string_view d) const
+    {
+        return has(k) ? std::string_view(at(k).asString()) : d;
+    }
+
+  private:
+    struct Slot
+    {
+        bool present = false, taken = false;
+        Value value;
+    };
+
+    const std::string_view *keys_;
+    std::vector<Slot> slots_;
+    bool isObject_ = true;
+    Value whole_; //!< the record when it is not an object.
 };
 
 /** Parse a JSON document; fatal() with line/column info on syntax error. */

@@ -87,23 +87,21 @@ extractCriticalPath(const TraceData &data, int32_t pid)
     std::map<int32_t, std::vector<size_t>> arrivals;
     double t_end = 0.0;
     int32_t end_tid = -1;
-    size_t end_index = size_t(-1);
     for (size_t i = 0; i < spans.size(); ++i) {
         const Span &s = spans[i];
         if (s.pid != pid || s.track != TrackClass::Rank)
             continue;
-        bool is_msg = s.cat == "net" && s.peerDst >= 0;
+        const SpanName &name = data.nameOf(s);
+        bool is_msg = name.cat == "net" && name.peerDst >= 0;
         if (is_msg)
-            arrivals[int32_t(s.peerDst)].push_back(i);
+            arrivals[int32_t(name.peerDst)].push_back(i);
         else
             local[s.tid].push_back(i);
         if (s.end() > t_end) {
             t_end = s.end();
-            end_tid = is_msg ? int32_t(s.peerDst) : s.tid;
-            end_index = i;
+            end_tid = is_msg ? int32_t(name.peerDst) : s.tid;
         }
     }
-    (void)end_index;
     if (end_tid < 0)
         return path; // empty trace: zero-length path.
     for (auto &[tid, v] : local)
@@ -138,8 +136,9 @@ extractCriticalPath(const TraceData &data, int32_t pid)
         }
         if (best != size_t(-1)) {
             const Span &s = spans[best];
-            path.segments.push_back(PathSegment{
-                best, spanKind(s), s.tid, s.dim, s.ts, t});
+            path.segments.push_back(PathSegment{best, data.nameOf(s).kind,
+                                                s.tid, data.nameOf(s).dim,
+                                                s.ts, t});
             cur = s.tid; // the source rank.
             t = s.ts;
             continue;
@@ -154,8 +153,8 @@ extractCriticalPath(const TraceData &data, int32_t pid)
             if (best == size_t(-1))
                 best = i;
             else {
-                bool coll_i = spans[i].cat == "coll";
-                bool coll_b = spans[best].cat == "coll";
+                bool coll_i = data.nameOf(spans[i]).cat == "coll";
+                bool coll_b = data.nameOf(spans[best]).cat == "coll";
                 if (coll_i != coll_b) {
                     if (coll_i)
                         best = i;
@@ -167,8 +166,9 @@ extractCriticalPath(const TraceData &data, int32_t pid)
         }
         if (best != size_t(-1)) {
             const Span &s = spans[best];
-            path.segments.push_back(PathSegment{
-                best, spanKind(s), cur, s.dim, s.ts, t});
+            path.segments.push_back(PathSegment{best, data.nameOf(s).kind,
+                                                cur, data.nameOf(s).dim,
+                                                s.ts, t});
             t = s.ts;
             continue;
         }
@@ -191,7 +191,7 @@ extractCriticalPath(const TraceData &data, int32_t pid)
         const Span &s = spans[i];
         if (s.pid != pid || s.track != TrackClass::Rank)
             continue;
-        KindRollup &row = kinds[spanKind(s)];
+        KindRollup &row = kinds[data.nameOf(s).kind];
         ++row.count;
         row.totalNs += s.dur;
     }
@@ -261,12 +261,13 @@ dimCommBreakdown(const TraceData &data, int32_t pid)
     for (const Span &s : data.spans) {
         if (s.pid != pid || s.track != TrackClass::Rank)
             continue;
-        if (s.cat == "compute" || s.cat == "memory") {
+        const SpanName &name = data.nameOf(s);
+        if (name.cat == "compute" || name.cat == "memory") {
             work[s.tid].emplace_back(s.ts, s.end());
-        } else if (s.dim >= 0) {
-            if (s.cat == "coll")
+        } else if (name.dim >= 0) {
+            if (name.cat == "coll")
                 chunk.push_back(&s);
-            else if (s.cat == "net")
+            else if (name.cat == "net")
                 net.push_back(&s);
         }
     }
@@ -304,17 +305,18 @@ dimCommBreakdown(const TraceData &data, int32_t pid)
 
     std::map<int, DimCommRow> rows;
     std::map<int, bool> has_chunk;
+    auto dim = [&](const Span *s) { return data.nameOf(*s).dim; };
     for (const Span *s : chunk)
-        has_chunk[s->dim] = true;
+        has_chunk[dim(s)] = true;
     for (const Span *s : chunk) {
-        DimCommRow &row = rows[s->dim];
+        DimCommRow &row = rows[dim(s)];
         row.totalNs += s->dur;
         row.exposedNs += s->dur - overlap(*s);
     }
     for (const Span *s : net) {
-        if (has_chunk[s->dim])
+        if (has_chunk[dim(s)])
             continue;
-        DimCommRow &row = rows[s->dim];
+        DimCommRow &row = rows[dim(s)];
         row.totalNs += s->dur;
         row.exposedNs += s->dur - overlap(*s);
     }
@@ -337,7 +339,7 @@ stretchTable(const TraceData &data, size_t top_k)
             continue;
         if (s.dur <= 0.0)
             continue;
-        StretchRow &row = kinds[spanKind(s)];
+        StretchRow &row = kinds[data.nameOf(s).kind];
         ++row.count;
         row.totalNs += s.dur;
         row.minNs = row.count == 1 ? s.dur : std::min(row.minNs, s.dur);

@@ -45,7 +45,7 @@ struct PathSegment
 {
     /** Index into TraceData::spans, or SIZE_MAX for a wait segment. */
     size_t spanIndex = size_t(-1);
-    std::string kind; //!< spanKind() of the span, or "wait".
+    std::string kind; //!< the span's SpanName::kind, or "wait".
     int32_t tid = -1; //!< rank track the segment lies on.
     int dim = -1;     //!< network dimension (message/phase segments).
     double startNs = 0.0;

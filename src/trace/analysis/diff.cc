@@ -31,7 +31,7 @@ groupByKey(const TraceData &data)
         // shape dominate a cross-backend diff.
         if (s.track != TrackClass::Rank && s.track != TrackClass::Coll)
             continue;
-        out[alignKey(s)].push_back(&s);
+        out[alignKey(data, s)].push_back(&s);
     }
     return out;
 }
@@ -49,15 +49,12 @@ diffTraces(const TraceData &a, const TraceData &b)
     auto ga = groupByKey(a);
     auto gb = groupByKey(b);
     std::map<std::string, DiffKindRow> kinds;
-    auto rowFor = [&](const Span &s) -> DiffKindRow & {
-        return kinds[spanKind(s)];
-    };
     for (const auto &[key, sa] : ga) {
         auto it = gb.find(key);
         const std::vector<const Span *> empty;
         const std::vector<const Span *> &sb =
             it == gb.end() ? empty : it->second;
-        DiffKindRow &row = rowFor(*sa.front());
+        DiffKindRow &row = kinds[a.nameOf(*sa.front()).kind];
         size_t matched = std::min(sa.size(), sb.size());
         row.matched += matched;
         for (size_t i = 0; i < matched; ++i)
@@ -74,7 +71,7 @@ diffTraces(const TraceData &a, const TraceData &b)
     for (const auto &[key, sb] : gb) {
         if (ga.count(key))
             continue; // handled above.
-        DiffKindRow &row = rowFor(*sb.front());
+        DiffKindRow &row = kinds[b.nameOf(*sb.front()).kind];
         for (const Span *s : sb) {
             ++row.countB;
             row.totalBNs += s->dur;

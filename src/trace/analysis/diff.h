@@ -7,9 +7,9 @@
  * key, by ordinal: the i-th occurrence in time order on side A pairs
  * with the i-th on side B. Matched pairs contribute their duration
  * delta; unmatched spans (count changes) contribute whole durations.
- * Rows aggregate per spanKind() and sort by |delta| descending, so
- * the top row names the span population that explains most of the
- * total-time difference between the runs.
+ * Rows aggregate per span kind (SpanName::kind) and sort by |delta|
+ * descending, so the top row names the span population that explains
+ * most of the total-time difference between the runs.
  */
 #ifndef ASTRA_TRACE_ANALYSIS_DIFF_H_
 #define ASTRA_TRACE_ANALYSIS_DIFF_H_
@@ -27,7 +27,7 @@ namespace analysis {
 /** Per-kind aggregate of aligned span deltas. */
 struct DiffKindRow
 {
-    std::string kind;      //!< spanKind() both sides share.
+    std::string kind;      //!< SpanName::kind both sides share.
     uint64_t countA = 0;   //!< spans of this kind in run A.
     uint64_t countB = 0;
     double totalANs = 0.0; //!< duration sums.

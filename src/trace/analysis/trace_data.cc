@@ -6,6 +6,7 @@
 
 #include "common/json.h"
 #include "common/logging.h"
+#include "common/string_table.h"
 
 namespace astra {
 namespace trace {
@@ -40,17 +41,6 @@ trackClassOf(int32_t tid)
 
 namespace {
 
-bool
-allDigits(const std::string &s, size_t from, size_t to)
-{
-    if (from >= to)
-        return false;
-    for (size_t i = from; i < to; ++i)
-        if (!std::isdigit(static_cast<unsigned char>(s[i])))
-            return false;
-    return true;
-}
-
 /** The digits s[from, to) into `out`; false if they overflow it. */
 template <typename T>
 bool
@@ -60,11 +50,11 @@ parseDigits(const std::string &s, size_t from, size_t to, T &out)
            std::errc();
 }
 
-/** Parse the structured name tokens into the span: an "a->b" peer
+/** Parse the structured name tokens into the entry: an "a->b" peer
  *  pair anywhere, and a trailing " d<k>" dimension token. A number
  *  too large for its field leaves the field unset. */
 void
-parseNameTokens(Span &s)
+parseNameTokens(SpanName &s)
 {
     const std::string &n = s.name;
     size_t arrow = n.find("->");
@@ -87,34 +77,21 @@ parseNameTokens(Span &s)
     }
     size_t sp = n.rfind(' ');
     size_t tok = sp == std::string::npos ? 0 : sp + 1;
-    if (tok < n.size() && n[tok] == 'd' &&
-        allDigits(n, tok + 1, n.size()))
+    if (tok + 1 < n.size() && n[tok] == 'd' &&
+        n.find_first_not_of("0123456789", tok + 1) == std::string::npos)
         parseDigits(n, tok + 1, n.size(), s.dim);
 }
 
-/** "flow a->b" message spans (flow backend) carry the same meaning as
- *  the other backends' "msg a->b"; unify so kinds and alignment keys
- *  agree across backends. */
+/** See SpanName::kind. */
 std::string
-unifiedName(const Span &s)
+kindOf(const SpanName &s)
 {
-    if (s.cat == "net" && s.name.rfind("flow ", 0) == 0)
-        return "msg " + s.name.substr(5);
-    return s.name;
-}
-
-} // namespace
-
-std::string
-spanKind(const Span &span)
-{
-    std::string name = unifiedName(span);
     std::string out;
-    out.reserve(span.cat.size() + name.size() + 1);
-    out += span.cat;
+    out.reserve(s.cat.size() + s.unified.size() + 1);
+    out += s.cat;
     out += ':';
     bool in_digits = false;
-    for (char c : name) {
+    for (char c : s.unified) {
         if (std::isdigit(static_cast<unsigned char>(c))) {
             if (!in_digits)
                 out += '#';
@@ -126,17 +103,62 @@ spanKind(const Span &span)
     }
     // Keep the parsed dimension literal so kinds aggregate per dim
     // ("coll:c# p# d1", "net:msg #-># d0").
-    if (span.dim >= 0 && out.size() >= 2 &&
+    if (s.dim >= 0 && out.size() >= 2 &&
         out.compare(out.size() - 2, 2, "d#") == 0) {
         out.erase(out.size() - 1);
-        out += std::to_string(span.dim);
+        out += std::to_string(s.dim);
     }
     return out;
 }
 
-std::string
-alignKey(const Span &span)
+/** Interns (cat, name) pairs into a TraceData's name table, parsing
+ *  each distinct pair once. */
+struct NameIndex
 {
+    std::vector<SpanName> &names;
+    StringTable index;
+    std::string key;
+
+    uint32_t
+    intern(std::string_view cat, std::string_view name)
+    {
+        // The category's length first keeps the pairs apart.
+        const size_t cat_size = cat.size();
+        key.assign(reinterpret_cast<const char *>(&cat_size),
+                   sizeof cat_size);
+        key += cat;
+        key += name;
+        const uint32_t id = index.intern(key);
+        if (id < names.size())
+            return id;
+        SpanName &s = names.emplace_back();
+        s.cat = cat;
+        s.name = name;
+        parseNameTokens(s);
+        // "flow a->b" message spans (flow backend) carry the same
+        // meaning as the other backends' "msg a->b".
+        s.unified = s.cat == "net" && s.name.rfind("flow ", 0) == 0
+                        ? "msg " + s.name.substr(5)
+                        : s.name;
+        s.kind = kindOf(s);
+        return id;
+    }
+};
+
+/** The keys of a trace event and of its args, each table in its
+ *  enum's order. */
+constexpr std::string_view kEventKeys[] = {"ph", "name", "cat", "pid",
+                                           "tid", "ts", "dur", "args"};
+enum { kPh, kName, kCat, kPid, kTid, kTs, kDur, kArgs };
+constexpr std::string_view kArgKeys[] = {"name"};
+enum { kArgName };
+
+} // namespace
+
+std::string
+alignKey(const TraceData &data, const Span &span)
+{
+    const SpanName &name = data.nameOf(span);
     std::string key = trackClassName(span.track);
     key += '|';
     key += std::to_string(span.pid);
@@ -149,9 +171,9 @@ alignKey(const Span &span)
         key += std::to_string(span.tid);
         key += '|';
     }
-    key += span.cat;
+    key += name.cat;
     key += '|';
-    key += unifiedName(span);
+    key += name.unified;
     return key;
 }
 
@@ -159,22 +181,21 @@ TraceData
 TraceData::fromTracer(Tracer &tracer)
 {
     TraceData data;
+    NameIndex names{data.names, {}, {}};
     tracer.closeOccupancy();
     data.spans.reserve(tracer.eventCount());
     tracer.visitEvents([&](const Tracer::ResolvedEvent &ev) {
         if (ev.instant || ev.open)
             return; // same drop policy as the Chrome export.
         Span s;
-        s.pid = ev.pid;
-        s.tid = ev.tid;
-        s.track = trackClassOf(ev.tid);
-        s.cat = ev.cat;
-        s.name = ev.name;
         s.ts = ev.ts;
         s.dur = ev.dur;
-        parseNameTokens(s);
+        s.pid = ev.pid;
+        s.tid = ev.tid;
+        s.name = names.intern(ev.cat, ev.name);
+        s.track = trackClassOf(ev.tid);
         data.endNs = std::max(data.endNs, s.end());
-        data.spans.push_back(std::move(s));
+        data.spans.push_back(s);
     }); // visited in (ts, recording order): no sort needed.
     for (size_t i = 0; i < tracer.linkCount(); ++i)
         data.links.push_back(
@@ -186,44 +207,49 @@ TraceData
 TraceData::fromChromeFile(const std::string &path)
 {
     TraceData data;
-    auto add = [&](const json::Value &ev) {
-        std::string ph = ev.getString("ph", "");
+    NameIndex names{data.names, {}, {}};
+    json::Reader r = json::Reader::open(path);
+    json::Fields ev(kEventKeys), args(kArgKeys);
+    auto add = [&] {
+        ev.read(r, [&](size_t k) {
+            if (k == kArgs)
+                args.read(r);
+            return k == kArgs;
+        });
+        std::string_view ph = ev.getString(kPh, "");
         if (ph == "M") {
             // Recover link-track labels from thread_name metadata.
-            if (ev.getString("name", "") != "thread_name")
+            if (ev.getString(kName, "") != "thread_name")
                 return;
-            int32_t tid = static_cast<int32_t>(ev.getInt("tid", 0));
-            if (trackClassOf(tid) != TrackClass::Link ||
-                !ev.has("args"))
+            int32_t tid = static_cast<int32_t>(ev.getInt(kTid, 0));
+            if (trackClassOf(tid) != TrackClass::Link || !ev.has(kArgs))
                 return;
             size_t index = size_t(tid - Tracer::kLinkTidBase);
             if (index >= data.links.size())
                 data.links.resize(index + 1);
-            data.links[index].label =
-                ev.at("args").getString("name", "");
+            data.links[index].label = args.getString(kArgName, "");
             return;
         }
         if (ph != "X")
             return; // instants don't feed the analyzers.
         Span s;
-        s.pid = static_cast<int32_t>(ev.getInt("pid", 0));
-        s.tid = static_cast<int32_t>(ev.getInt("tid", 0));
+        s.pid = static_cast<int32_t>(ev.getInt(kPid, 0));
+        s.tid = static_cast<int32_t>(ev.getInt(kTid, 0));
         s.track = trackClassOf(s.tid);
-        s.cat = ev.getString("cat", "");
-        s.name = ev.getString("name", "");
+        std::string_view cat = ev.getString(kCat, "");
+        std::string_view name = ev.getString(kName, "");
         // Chrome trace timestamps are microseconds (docs/trace.md).
-        s.ts = ev.getNumber("ts", 0.0) * 1000.0;
-        s.dur = ev.getNumber("dur", 0.0) * 1000.0;
-        parseNameTokens(s);
-        data.spans.push_back(std::move(s));
+        s.ts = ev.getNumber(kTs, 0.0) * 1000.0;
+        s.dur = ev.getNumber(kDur, 0.0) * 1000.0;
+        s.name = names.intern(cat, name);
+        data.spans.push_back(s);
     };
     // The events are the document or its "traceEvents", read in turn.
-    json::Reader r = json::Reader::open(path);
     bool found = false;
     auto events = [&] {
         ASTRA_USER_CHECK(!found, "%s: two traceEvents arrays", path.c_str());
         found = true;
-        r.array([&] { add(r.value()); });
+        r.array(add);
     };
     if (r.next() == '[')
         events();
@@ -236,10 +262,10 @@ TraceData::fromChromeFile(const std::string &path)
         });
     r.end();
     ASTRA_USER_CHECK(found, "%s: no traceEvents array", path.c_str());
-    std::stable_sort(data.spans.begin(), data.spans.end(),
-                     [](const Span &a, const Span &b) {
-                         return a.ts < b.ts;
-                     });
+    // The export writes spans in time order; others are sorted here.
+    auto by_start = [](const Span &a, const Span &b) { return a.ts < b.ts; };
+    if (!std::is_sorted(data.spans.begin(), data.spans.end(), by_start))
+        std::stable_sort(data.spans.begin(), data.spans.end(), by_start);
     for (const Span &s : data.spans) {
         data.endNs = std::max(data.endNs, s.end());
         if (s.track != TrackClass::Link)

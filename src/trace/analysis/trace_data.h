@@ -5,13 +5,12 @@
  *
  * A TraceData is the analyzer-facing view of one run's timeline:
  * every recorded span with its track class resolved from the tid
- * namespace, message peers ("src->dst") and dimension ("d<k>") parsed
- * out of the name, plus each link's total busy time. It is built
- * either directly from an in-memory Tracer (the
- * no-reparse path Simulator uses) or by loading an exported Chrome
- * trace-event JSON file (the trace_analyze CLI path) — both yield the
- * same model, so every analyzer works on live and archived traces
- * alike.
+ * namespace, each distinct span name once with its structure parsed
+ * out, plus each link's total busy time. It is built either directly
+ * from an in-memory Tracer (the no-reparse path Simulator uses) or by
+ * loading an exported Chrome trace-event JSON file (the trace_analyze
+ * CLI path) — both yield the same model, so every analyzer works on
+ * live and archived traces alike.
  */
 #ifndef ASTRA_TRACE_ANALYSIS_TRACE_DATA_H_
 #define ASTRA_TRACE_ANALYSIS_TRACE_DATA_H_
@@ -28,7 +27,7 @@ namespace analysis {
 
 /** Which track-namespace region a span was recorded on
  *  (docs/trace.md tid table). */
-enum class TrackClass {
+enum class TrackClass : uint8_t {
     Rank,      //!< per-rank: node spans, chunk phases, message spans.
     Lifecycle, //!< job lifecycle + fault instants.
     Link,      //!< fabric link occupancy.
@@ -39,16 +38,11 @@ enum class TrackClass {
 const char *trackClassName(TrackClass c);
 TrackClass trackClassOf(int32_t tid);
 
-/** One complete span, with the name's structure parsed out. */
-struct Span
+/** One distinct (category, name) pair of a trace, parsed once. */
+struct SpanName
 {
-    int32_t pid = 0;
-    int32_t tid = 0;
-    TrackClass track = TrackClass::Rank;
     std::string cat;
     std::string name;
-    double ts = 0.0;  //!< start, simulated ns.
-    double dur = 0.0; //!< duration, ns (>= 0).
     /** Topology dimension parsed from a trailing "d<k>" name token
      *  (chunk phases, message spans); -1 when absent. */
     int dim = -1;
@@ -56,6 +50,26 @@ struct Span
      *  message spans, flow rate segments); -1 when absent. */
     int64_t peerSrc = -1;
     int64_t peerDst = -1;
+    /** The name with the flow backend's "flow a->b" message spans
+     *  renamed "msg a->b", so both backends' spans align. */
+    std::string unified;
+    /** Stable span taxonomy used by the stretch table, the differ, and
+     *  the critical path's per-kind rollups: `cat:name` with every
+     *  digit run in the unified name collapsed to '#', except that a
+     *  parsed dimension is kept literal (so "coll:c# p# d1" aggregates
+     *  per dimension). */
+    std::string kind;
+};
+
+/** One complete span. */
+struct Span
+{
+    double ts = 0.0;  //!< start, simulated ns.
+    double dur = 0.0; //!< duration, ns (>= 0).
+    int32_t pid = 0;
+    int32_t tid = 0;
+    uint32_t name = 0; //!< index into TraceData::names.
+    TrackClass track = TrackClass::Rank;
 
     double end() const { return ts + dur; }
 };
@@ -74,6 +88,7 @@ struct TraceData
      *  (never-closed) spans and instant markers are dropped — same
      *  policy as the Chrome export. */
     std::vector<Span> spans;
+    std::vector<SpanName> names; //!< each distinct (cat, name) once.
     std::vector<LinkBusy> links; //!< indexed by fabric link id.
     double endNs = 0.0;          //!< max span end (0 if no spans).
 
@@ -86,23 +101,15 @@ struct TraceData
      *  flow rates leave none). fatal() on unreadable/malformed
      *  files. */
     static TraceData fromChromeFile(const std::string &path);
-};
 
-/**
- * Stable span taxonomy used by the stretch table, the differ, and the
- * critical path's per-kind rollups: `cat:name` with every digit run
- * in the name collapsed to '#', except that a parsed dimension is
- * kept literal (so "coll:c# p# d1" aggregates per dimension), and the
- * flow backend's "flow a->b" message spans normalize to "msg a->b" so
- * kinds align across backends.
- */
-std::string spanKind(const Span &span);
+    const SpanName &nameOf(const Span &s) const { return names[s.name]; }
+};
 
 /** Per-span alignment key for cross-run diffing: track class + pid +
  *  cat + normalized-prefix name. Collective-instance spans key on
  *  their (ordinal-tagged) name alone — their tid is a pool slot, not
  *  a stable identity; rank/link/flow tracks include the tid. */
-std::string alignKey(const Span &span);
+std::string alignKey(const TraceData &data, const Span &span);
 
 } // namespace analysis
 } // namespace trace

@@ -24,10 +24,10 @@
  *    an id up;
  *  - node names and collective group lists are interned once per
  *    Workload; nodes hold their uint32_t ids.
- * ET JSON and pytorch-et input name nodes by file id. IdGraphBuilder
- * resolves those ids to positions once, in the loader, and keeps them
- * (EtGraph::ids) only when they differ from the positions, so the
- * writer can emit the original ids.
+ * ET JSON files name nodes by file id. IdGraphBuilder resolves those
+ * ids to positions once, in the loader, and keeps them (EtGraph::ids)
+ * only when they differ from the positions, so the writer can emit the
+ * original ids.
  */
 #ifndef ASTRA_WORKLOAD_ET_H_
 #define ASTRA_WORKLOAD_ET_H_
@@ -120,7 +120,7 @@ struct EtGraph
     /** Parent positions: node i's are deps[nodes[i].firstDep ..
      *  nodes[i + 1].firstDep), the last row ending at deps.size(). */
     std::vector<uint32_t> deps;
-    /** File ids from ET JSON or pytorch-et input, one per node; empty
+    /** File ids from an ET JSON file, one per node; empty
      *  when every node's id is its position. */
     std::vector<int> ids;
 
@@ -154,9 +154,9 @@ struct EtGraph
 
 /**
  * Builds one EtGraph from nodes that name themselves and their
- * parents by file id, as ET JSON and pytorch-et input do. finish()
- * resolves the ids to positions; it fatal()s on a negative or
- * duplicate id, a missing dependency or a self-dependency. Ids may
+ * parents by file id, as ET JSON files do. finish() resolves the ids
+ * to positions; it fatal()s on a negative or duplicate id, a missing
+ * dependency or a self-dependency. Ids may
  * be sparse, out of order and up to INT_MAX, and a node may depend on
  * one listed after it.
  */

@@ -85,21 +85,63 @@ nodeToJson(const Workload &wl, const EtGraph &g, size_t i)
     return json::Value(std::move(o));
 }
 
-/** Appends document node `nodes[i]` of graph `g` to `b`. Integer
- *  fields are range-checked before narrowing; an error names the
- *  field's path in the document. */
-void
-addNodeFromJson(Workload &wl, IdGraphBuilder &b, const json::Value &v,
-                size_t g, size_t i)
+/** The keys of a node, of one of its groups, of a graph and of the
+ *  document, each table in its enum's order. */
+constexpr std::string_view kNodeKeys[] = {
+    "type", "name", "flops", "tensor_bytes", "op", "location", "bytes",
+    "fused", "coll", "key", "groups", "peer", "tag", "id", "deps"};
+enum { kType, kName, kFlops, kTensorBytes, kOp, kLocation, kBytes,
+       kFused, kColl, kKey, kGroups, kPeer, kTag, kId, kDeps };
+constexpr std::string_view kGroupKeys[] = {"dim", "size", "stride"};
+enum { kDim, kSize, kStride };
+constexpr std::string_view kGraphKeys[] = {"npu", "nodes"};
+enum { kNpu, kNodes };
+constexpr std::string_view kDocKeys[] = {"schema", "name", "npus",
+                                         "graphs"};
+enum { kDocSchema, kDocName, kDocNpus, kDocGraphs };
+
+/** One node's fields, with its "deps" and "groups" arrays read an
+ *  element at a time. */
+struct NodeRecord
 {
+    json::Fields fields{kNodeKeys};
+    std::vector<json::Value> deps;
+    std::vector<json::Fields> groups;
+
+    void
+    read(json::Reader &r)
+    {
+        fields.read(r, [&](size_t k) {
+            if ((k != kDeps && k != kGroups) || r.next() != '[')
+                return false;
+            if (k == kDeps) {
+                deps.clear();
+                r.array([&] { deps.push_back(r.value()); });
+            } else {
+                groups.clear();
+                r.array([&] { groups.emplace_back(kGroupKeys).read(r); });
+            }
+            return true;
+        });
+    }
+};
+
+/** Appends `rec`, document node `nodes[i]` of graph `g`, to `b`.
+ *  Integer fields are range-checked before narrowing; an error names
+ *  the field's path in the document. */
+void
+addNode(Workload &wl, IdGraphBuilder &b, const NodeRecord &rec, size_t g,
+        size_t i)
+{
+    const json::Fields &v = rec.fields;
     // The path "graphs[g].nodes[i].<key>[k].<sub>" is formatted only
     // for an error.
     auto field = [&](const json::Value &x, int64_t lo, int64_t hi,
-                     const char *key, size_t k = kNoIndex,
+                     size_t key, size_t k = kNoIndex,
                      const char *sub = nullptr) {
         return json::checkedInt(x, lo, hi, [&] {
-            std::string path =
-                detail::formatV("graphs[%zu].nodes[%zu].%s", g, i, key);
+            std::string path = detail::formatV(
+                "graphs[%zu].nodes[%zu].%s", g, i, kNodeKeys[key].data());
             if (k != kNoIndex)
                 path += detail::formatV("[%zu]", k);
             if (sub)
@@ -107,52 +149,54 @@ addNodeFromJson(Workload &wl, IdGraphBuilder &b, const json::Value &v,
             return path;
         });
     };
-    auto int_field = [&](const json::Value &x, const char *key,
+    auto int_field = [&](const json::Value &x, size_t key,
                          size_t k = kNoIndex, const char *sub = nullptr) {
         return static_cast<int>(field(x, INT_MIN, INT_MAX, key, k, sub));
     };
     // Keys and tags must round-trip through the writer.
-    auto key_field = [&](const char *key) {
+    auto key_field = [&](size_t key) {
         return v.has(key) ? static_cast<uint64_t>(field(
                                 v.at(key), 0, json::kMaxExactInt, key))
                           : 0;
     };
 
     EtNode node;
-    node.type = parseNodeType(v.at("type").asString());
-    node.name = wl.internName(v.getString("name", ""));
+    node.type = parseNodeType(v.at(kType).asString());
+    node.name = wl.internName(v.getString(kName, ""));
     switch (node.type) {
       case NodeType::Compute:
-        node.flops = v.getNumber("flops", 0.0);
-        node.bytes = v.getNumber("tensor_bytes", 0.0);
+        node.flops = v.getNumber(kFlops, 0.0);
+        node.bytes = v.getNumber(kTensorBytes, 0.0);
         break;
       case NodeType::Memory:
-        node.memOp = v.getString("op", "load") == "store" ? MemOp::Store
-                                                          : MemOp::Load;
-        node.location = v.getString("location", "local") == "remote"
+        node.memOp = v.getString(kOp, "load") == "store" ? MemOp::Store
+                                                         : MemOp::Load;
+        node.location = v.getString(kLocation, "local") == "remote"
                             ? MemLocation::Remote
                             : MemLocation::Local;
-        node.bytes = v.getNumber("bytes", 0.0);
-        node.fused = v.getBool("fused", false);
+        node.bytes = v.getNumber(kBytes, 0.0);
+        node.fused = v.getBool(kFused, false);
         break;
       case NodeType::CommColl: {
-        node.coll = parseCollectiveType(v.at("coll").asString());
-        node.bytes = v.getNumber("bytes", 0.0);
-        node.key = key_field("key");
-        if (v.has("groups")) {
+        node.coll = parseCollectiveType(v.at(kColl).asString());
+        node.bytes = v.getNumber(kBytes, 0.0);
+        node.key = key_field(kKey);
+        if (v.has(kGroups)) {
+            if (!v.taken(kGroups))
+                v.at(kGroups).asArray(); // fails: not an array.
             std::vector<GroupDim> groups;
-            const json::Array &list = v.at("groups").asArray();
-            for (size_t k = 0; k < list.size(); ++k) {
-                const json::Value &gv = list[k];
-                auto group_field = [&](const char *key, int dflt) {
-                    return gv.has(key) ? int_field(gv.at(key), "groups", k,
-                                                   key)
-                                       : dflt;
+            for (size_t k = 0; k < rec.groups.size(); ++k) {
+                const json::Fields &gv = rec.groups[k];
+                auto group_field = [&](size_t key, int dflt) {
+                    return gv.has(key)
+                               ? int_field(gv.at(key), kGroups, k,
+                                           kGroupKeys[key].data())
+                               : dflt;
                 };
                 GroupDim gd;
-                gd.dim = int_field(gv.at("dim"), "groups", k, "dim");
-                gd.size = group_field("size", 0);
-                gd.stride = group_field("stride", 1);
+                gd.dim = int_field(gv.at(kDim), kGroups, k, "dim");
+                gd.size = group_field(kSize, 0);
+                gd.stride = group_field(kStride, 1);
                 groups.push_back(gd);
             }
             node.groups = wl.internGroups(groups);
@@ -160,20 +204,21 @@ addNodeFromJson(Workload &wl, IdGraphBuilder &b, const json::Value &v,
         break;
       }
       case NodeType::CommSend:
-        node.peer = int_field(v.at("peer"), "peer");
-        node.bytes = v.getNumber("bytes", 0.0);
-        node.key = key_field("tag");
+        node.peer = int_field(v.at(kPeer), kPeer);
+        node.bytes = v.getNumber(kBytes, 0.0);
+        node.key = key_field(kTag);
         break;
       case NodeType::CommRecv:
-        node.peer = int_field(v.at("peer"), "peer");
-        node.key = key_field("tag");
+        node.peer = int_field(v.at(kPeer), kPeer);
+        node.key = key_field(kTag);
         break;
     }
-    b.add(int_field(v.at("id"), "id"), node);
-    if (v.has("deps")) {
-        const json::Array &deps = v.at("deps").asArray();
-        for (size_t k = 0; k < deps.size(); ++k)
-            b.dep(int_field(deps[k], "deps", k));
+    b.add(int_field(v.at(kId), kId), node);
+    if (v.has(kDeps)) {
+        if (!v.taken(kDeps))
+            v.at(kDeps).asArray(); // fails: not an array.
+        for (size_t k = 0; k < rec.deps.size(); ++k)
+            b.dep(int_field(rec.deps[k], kDeps, k));
     }
 }
 
@@ -182,46 +227,44 @@ Workload
 readWorkload(json::Reader &&r)
 {
     Workload wl;
-    json::Value doc{json::Object()}; // every key but "graphs".
-    bool have_graphs = false;
-    r.object([&](const std::string &key) {
-        if (key != "graphs") {
-            doc.mutableObject()[key] = r.value();
-            return;
-        }
-        ASTRA_USER_CHECK(!have_graphs, "json: duplicate key 'graphs'");
-        have_graphs = true;
+    NodeRecord node;
+    json::Fields doc(kDocKeys), graph(kGraphKeys);
+    doc.readObject(r, [&](size_t dkey) {
+        if (dkey != kDocGraphs)
+            return false;
+        ASTRA_USER_CHECK(!doc.has(kDocGraphs), "json: duplicate key 'graphs'");
         r.array([&] {
             const size_t g = wl.graphs.size();
             IdGraphBuilder b;
-            json::Object gv; // every key but "nodes".
-            bool have_nodes = false;
-            r.object([&](const std::string &gkey) {
-                if (gkey != "nodes") {
-                    gv[gkey] = r.value();
-                    return;
-                }
-                ASTRA_USER_CHECK(!have_nodes, "json: duplicate key 'nodes'");
-                have_nodes = true;
+            graph.readObject(r, [&](size_t gkey) {
+                if (gkey != kNodes)
+                    return false;
+                ASTRA_USER_CHECK(!graph.has(kNodes),
+                                 "json: duplicate key 'nodes'");
                 size_t i = 0;
-                r.array([&] { addNodeFromJson(wl, b, r.value(), g, i++); });
+                r.array([&] {
+                    node.read(r);
+                    addNode(wl, b, node, g, i++);
+                });
+                return true;
             });
             NpuId npu = static_cast<NpuId>(json::checkedInt(
-                json::Value(std::move(gv)).at("npu"), INT_MIN, INT_MAX,
+                graph.at(kNpu), INT_MIN, INT_MAX,
                 [&] { return detail::formatV("graphs[%zu].npu", g); }));
-            ASTRA_USER_CHECK(have_nodes, "json: missing key 'nodes'");
+            ASTRA_USER_CHECK(graph.has(kNodes), "json: missing key 'nodes'");
             wl.graphs.push_back(std::move(b).finish(npu));
         });
+        return true;
     });
     r.end();
-    ASTRA_USER_CHECK(doc.getString("schema", "") == kSchema,
-                     "ET document schema is '%s', expected '%s' (use the "
-                     "converter for external trace formats)",
-                     doc.getString("schema", "<missing>").c_str(),
+    ASTRA_USER_CHECK(doc.getString(kDocSchema, "") == kSchema,
+                     "ET document schema is '%s', expected '%s'",
+                     std::string(doc.getString(kDocSchema, "<missing>"))
+                         .c_str(),
                      kSchema);
-    wl.name = doc.getString("name", "trace");
-    int64_t npus = doc.at("npus").asInt();
-    ASTRA_USER_CHECK(have_graphs, "json: missing key 'graphs'");
+    wl.name = doc.getString(kDocName, "trace");
+    int64_t npus = doc.at(kDocNpus).asInt();
+    ASTRA_USER_CHECK(doc.has(kDocGraphs), "json: missing key 'graphs'");
     ASTRA_USER_CHECK(static_cast<int64_t>(wl.graphs.size()) == npus,
                      "ET document: npus=%lld but %zu graphs",
                      static_cast<long long>(npus), wl.graphs.size());

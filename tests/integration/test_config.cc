@@ -359,6 +359,23 @@ TEST(Config, JsonUtilizationFileWithoutBucketWritesSeries)
     std::remove(path.c_str());
 }
 
+TEST(Config, DetailOffListsNoTraceFiles)
+{
+    // Detail "off" records nothing: neither the "wrote" echo nor the
+    // manifest may claim the trace or utilization file.
+    sweep::MaterializedConfig mat = sweep::materializeConfig(json::parse(
+        R"j({"topology": "Ring(4,100)",
+             "workload": {"kind": "collective", "bytes": 1024},
+             "telemetry": {"file": "b.ndjson"},
+             "trace": {"detail": "off", "file": "t.json",
+                       "utilization_file": "u.csv",
+                       "utilization_bucket_ns": 1000000}})j"));
+    EXPECT_EQ(mat.cfg.outputFiles(), std::vector<std::string>{"b.ndjson"});
+    mat.cfg.trace.detail = trace::Detail::Spans;
+    EXPECT_EQ(mat.cfg.outputFiles(),
+              (std::vector<std::string>{"b.ndjson", "t.json", "u.csv"}));
+}
+
 /** The message fatal() gives for `fn`, or "" if it does not throw. */
 template <class Fn>
 std::string

@@ -398,7 +398,7 @@ TEST(AnalysisEdgeCases, UnclosedSpansAreDropped)
     (void)tracer.beginSpan(0, 0, "compute", "never-closed", 10.0);
     TraceData data = TraceData::fromTracer(tracer);
     ASSERT_EQ(data.spans.size(), 1u);
-    EXPECT_EQ(data.spans[0].name, "closed");
+    EXPECT_EQ(data.nameOf(data.spans[0]).name, "closed");
     CriticalPath path = extractCriticalPath(data);
     EXPECT_NEAR(path.lengthNs, 50.0, 1e-9);
 }
@@ -491,6 +491,9 @@ TEST(AnalysisEdgeCases, LinkRankingNeedsNoUtilizationSeries)
     }
 }
 
+// A span is ids and times; its strings live once in the name table.
+static_assert(sizeof(Span) <= 32);
+
 TEST(AnalysisLoader, ChromeFileRoundTripsToTheSameAnalysis)
 {
     const std::string path = "test_analysis_roundtrip.json";
@@ -520,11 +523,15 @@ TEST(AnalysisLoader, ChromeFileRoundTripsToTheSameAnalysis)
     CriticalPath p_loaded = extractCriticalPath(loaded);
     EXPECT_NEAR(p_loaded.lengthNs, p_live.lengthNs, 1e-3);
     EXPECT_EQ(p_loaded.segments.size(), p_live.segments.size());
-    // Link labels come back via thread_name metadata.
     for (size_t i = 0; i < live.spans.size(); ++i) {
-        EXPECT_EQ(spanKind(loaded.spans[i]), spanKind(live.spans[i])) << i;
-        EXPECT_EQ(alignKey(loaded.spans[i]), alignKey(live.spans[i])) << i;
+        EXPECT_EQ(loaded.nameOf(loaded.spans[i]).kind,
+                  live.nameOf(live.spans[i]).kind)
+            << i;
+        EXPECT_EQ(alignKey(loaded, loaded.spans[i]),
+                  alignKey(live, live.spans[i]))
+            << i;
     }
+    // Link labels come back via thread_name metadata.
     TraceDiff diff = diffTraces(live, loaded);
     for (const DiffKindRow &row : diff.kinds) {
         EXPECT_EQ(row.countA, row.countB) << row.kind;
@@ -553,8 +560,8 @@ TEST(AnalysisLoader, ChromeFileTakesAnObjectOrABareArray)
     ASSERT_EQ(bare.spans.size(), 2u);
     ASSERT_EQ(wrapped.spans.size(), 2u);
     for (const TraceData *d : {&bare, &wrapped}) {
-        EXPECT_EQ(d->spans[0].name, "fwd");
-        EXPECT_EQ(d->spans[1].peerDst, 1);
+        EXPECT_EQ(d->nameOf(d->spans[0]).name, "fwd");
+        EXPECT_EQ(d->nameOf(d->spans[1]).peerDst, 1);
         EXPECT_DOUBLE_EQ(d->endNs, 3500.0);
         ASSERT_EQ(d->links.size(), 1u);
         EXPECT_EQ(d->links[0].label, "link 0");
@@ -572,8 +579,8 @@ TEST(AnalysisLoader, ChromeFileTakesAnObjectOrABareArray)
         {"args": {"name": "link 1"}, "ph": "M", "name": "thread_name",
          "pid": 0, "tid": 1048577}])");
     ASSERT_EQ(quirky.spans.size(), 3u);
-    EXPECT_EQ(quirky.spans[0].name, "fwd");
-    EXPECT_EQ(quirky.spans[1].peerDst, 1);
+    EXPECT_EQ(quirky.nameOf(quirky.spans[0]).name, "fwd");
+    EXPECT_EQ(quirky.nameOf(quirky.spans[1]).peerDst, 1);
     EXPECT_DOUBLE_EQ(quirky.spans[1].ts, 2500.0);
     EXPECT_DOUBLE_EQ(quirky.endNs, 3500.0);
     ASSERT_EQ(quirky.links.size(), 2u);
@@ -593,8 +600,8 @@ TEST(AnalysisLoader, NameNumbersTooLargeForTheirFieldAreLeftUnset)
         "name": "msg 1->99999999999999999999 d99999999999"}])");
     TraceData huge = TraceData::fromChromeFile(path);
     ASSERT_EQ(huge.spans.size(), 1u);
-    EXPECT_EQ(huge.spans[0].peerSrc, -1);
-    EXPECT_EQ(huge.spans[0].dim, -1);
+    EXPECT_EQ(huge.nameOf(huge.spans[0]).peerSrc, -1);
+    EXPECT_EQ(huge.nameOf(huge.spans[0]).dim, -1);
 }
 
 TEST(RateEpsilon, TighterEpsilonEmitsAtLeastAsManySegments)
