@@ -68,7 +68,7 @@ struct CollectiveRequest
      * a binary-tree reduce + broadcast (the Tree algorithm of §II-B).
      * Latency-optimal at small sizes, bandwidth-suboptimal at large
      * sizes (full tensor on every tree edge); see
-     * bench_ablation_tree.
+     * TreeAllReduce.LatencyRegimesMatchTheory.
      */
     bool treeAllReduce = false;
 

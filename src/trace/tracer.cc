@@ -125,8 +125,10 @@ traceConfigFromCli(const CommandLine &cl, const char *file_flag,
 Tracer::Tracer(TraceConfig cfg) : cfg_(std::move(cfg))
 {
     // A utilization file needs the series.
-    if (!cfg_.utilizationFile.empty() && cfg_.utilizationBucketNs <= 0.0)
+    if (!cfg_.utilizationFile.empty() && cfg_.utilizationBucketNs <= 0.0) {
         cfg_.utilizationBucketNs = 1000.0;
+        impliedBucket_ = true;
+    }
 }
 
 /** Recycled event blocks. A fresh 4 MB block costs ~a thousand page
@@ -267,6 +269,9 @@ void
 Tracer::accumulateBuckets(LinkState &ls, TimeNs t0, TimeNs t1,
                           double fraction)
 {
+    while (impliedBucket_ &&
+           size_t(t1 / cfg_.utilizationBucketNs) >= kMaxImpliedBuckets)
+        coarsenBuckets();
     const double w = cfg_.utilizationBucketNs;
     size_t first = size_t(t0 / w);
     size_t last = size_t(t1 / w);
@@ -277,6 +282,19 @@ Tracer::accumulateBuckets(LinkState &ls, TimeNs t0, TimeNs t1,
         double hi = std::min(double(t1), double(b + 1) * w);
         if (hi > lo)
             ls.busyNs[b] += (hi - lo) * fraction;
+    }
+}
+
+void
+Tracer::coarsenBuckets()
+{
+    cfg_.utilizationBucketNs *= 2.0;
+    for (LinkState &ls : links_) {
+        std::vector<double> &busy = ls.busyNs;
+        for (size_t b = 0; 2 * b < busy.size(); ++b)
+            busy[b] = busy[2 * b] +
+                      (2 * b + 1 < busy.size() ? busy[2 * b + 1] : 0.0);
+        busy.resize((busy.size() + 1) / 2);
     }
 }
 

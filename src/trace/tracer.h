@@ -68,7 +68,8 @@ struct TraceConfig
     Detail detail = Detail::Off;
     /** Utilization time-series bucket width; 0 disables sampling,
      *  unless a utilization file asks for the series: the Tracer then
-     *  samples 1000 ns buckets. Analysis reads exact per-link totals
+     *  samples 1000 ns buckets and doubles the width whenever a series
+     *  would pass 65,536 buckets. Analysis reads exact per-link totals
      *  and never needs the series. */
     double utilizationBucketNs = 0.0;
     /** Utilization series output (".csv" or ".json"; "" = none). */
@@ -385,6 +386,9 @@ class Tracer
     }
     void accumulateBuckets(LinkState &ls, TimeNs t0, TimeNs t1,
                            double fraction);
+    /** Double the bucket width: adjacent bucket pairs of every link's
+     *  series sum into one. */
+    void coarsenBuckets();
     /** Formatted fmt names are cut at 127 bytes, as snprintf into
      *  this buffer cuts them. */
     using NameBuffer = char[128];
@@ -404,7 +408,13 @@ class Tracer
     static constexpr size_t kBlockShift = 16; //!< 64Ki events, 4 MB.
     static constexpr size_t kBlockSize = size_t(1) << kBlockShift;
 
+    /** Longest series a width the Tracer chose may produce. */
+    static constexpr size_t kMaxImpliedBuckets = size_t(1) << 16;
+
     TraceConfig cfg_;
+    /** The bucket width was implied by a utilization file, so the
+     *  Tracer may widen it (see TraceConfig::utilizationBucketNs). */
+    bool impliedBucket_ = false;
     std::vector<std::unique_ptr<Event[]>> blocks_;
     Event *cur_ = nullptr;    //!< next append slot in blocks_.back().
     Event *curEnd_ = nullptr; //!< end of blocks_.back().

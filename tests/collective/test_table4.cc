@@ -12,18 +12,12 @@
 
 #include "collective/phases.h"
 #include "common/units.h"
+#include "topology/presets.h"
 
 namespace astra {
 namespace {
 
-Topology
-waferBaseline(int dim1, int dim4)
-{
-    return Topology({{BlockType::Ring, dim1, 1000.0, 500.0},
-                     {BlockType::FullyConnected, 8, 200.0, 500.0},
-                     {BlockType::Ring, 8, 100.0, 500.0},
-                     {BlockType::Switch, dim4, 50.0, 500.0}});
-}
+using presets::waferBaseline;
 
 struct Row
 {

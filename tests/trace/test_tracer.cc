@@ -336,6 +336,51 @@ TEST(TraceUtilization, FractionsAreSane)
     EXPECT_GT(peak, 0.5);
 }
 
+TEST(TraceUtilization, ImpliedBucketWidthBoundsLongRuns)
+{
+    // A 1.5 s all-reduce with a utilization file and no bucket width:
+    // 1 us buckets would give 1.5M per link, so the width doubles
+    // until every series fits in 65,536 buckets. The busy time each
+    // link records is the same, only binned coarser.
+    const std::string path = testing::TempDir() + "/implied_width.json";
+    Topology topo({{BlockType::Ring, 4, 100.0, 500.0}});
+    SimulatorConfig cfg;
+    cfg.sys.collectiveChunks = 4;
+    cfg.trace.detail = Detail::Spans;
+    cfg.trace.analysis = true; // exact per-link busy totals.
+    cfg.trace.utilizationFile = path;
+    Simulator sim(topo, cfg);
+    Report report = sim.run(
+        buildSingleCollective(topo, CollectiveType::AllReduce, 1e11));
+    ASSERT_GT(report.totalTime, 1e9);
+
+    json::Value util = json::parseFile(path);
+    std::remove(path.c_str());
+    double width = util.at("bucket_ns").asNumber();
+    EXPECT_GT(width, 1000.0);
+    std::map<std::string, double> busy;
+    for (const json::Value &link : util.at("links").asArray()) {
+        const json::Array &series = link.at("busy_fraction").asArray();
+        EXPECT_LE(series.size(), 65536u);
+        double sum = 0.0;
+        for (const json::Value &frac : series)
+            sum += frac.asNumber() * width;
+        busy[link.at("link").asString()] = sum;
+    }
+    const Tracer &tracer = *sim.tracer();
+    size_t busy_links = 0;
+    for (size_t i = 0; i < tracer.linkCount(); ++i) {
+        double total = tracer.linkBusyTotalNs(i);
+        if (total <= 0.0)
+            continue;
+        ++busy_links;
+        ASSERT_TRUE(busy.count(tracer.linkLabel(i))) << i;
+        EXPECT_NEAR(busy[tracer.linkLabel(i)], total, total * 1e-12) << i;
+    }
+    EXPECT_GT(busy_links, 0u);
+    EXPECT_EQ(busy.size(), busy_links);
+}
+
 /** File contents, byte for byte. */
 std::string
 readBytes(const std::string &path)
