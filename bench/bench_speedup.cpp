@@ -102,9 +102,7 @@ main(int argc, char **argv)
     std::printf("speedup: %.0fx (paper: 756x over Garnet)\n",
                 p.wallSeconds / std::max(a.wallSeconds, 1e-9));
 
-    Topology topo4k = torus(16);
-    CollectiveResult big = runCollectiveOn(
-        topo4k, NetworkBackendKind::Analytical, oneMbAllReduce());
+    CollectiveResult big = runCollective4096();
     std::printf("4096-NPU 3D torus (analytical): %.2fs host time "
                 "(paper: 3.14s)\n\n",
                 big.wallSeconds);

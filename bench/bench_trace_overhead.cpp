@@ -4,42 +4,36 @@
  * BENCH_trace.json via scripts/bench.sh so the cost of the
  * introspection layer is tracked across PRs.
  *
- * One scenario — hier_allreduce_256, the contention-heavy staggered
- * hierarchical All-Reduce from bench_flow_vs_packet, on the flow
+ * One scenario — hier_allreduce_256 (bench_util.h), the
+ * contention-heavy staggered hierarchical All-Reduce, on the flow
  * backend — run three ways: tracing off, `detail: spans`, and
  * `detail: full` (per-message lifetimes, flow rate segments, chunk
- * phases, link occupancy, sampled callback timing). The binary
- * enforces both halves of the contract and exits non-zero on
- * violation, so a drift fails bench.sh --check loudly:
+ * phases, link occupancy, sampled callback timing). The traced run's
+ * wall time may exceed the untraced run's by at most 25% (min-of-N
+ * wall samples on both sides, so the ratio gates real recording cost,
+ * not scheduler jitter); the binary exits non-zero past that budget.
+ * Exporting the JSON afterwards is I/O, not simulation overhead, and
+ * is reported separately as `trace_write_seconds`. That tracing
+ * leaves simulated time and event count bit-identical, and the
+ * number of events each detail level records, are pinned by
+ * `TraceBitIdentity.HierAllreduce256MatchesUntracedAtEveryDetail`
+ * (tests/trace/test_tracer.cc).
  *
- *  - Bit-identity: simulated time and executed-event count must be
- *    IDENTICAL across off/spans/full (the tracer is observational).
- *  - Recording overhead: the traced run's wall time may exceed the
- *    untraced run's by at most 25% (min-of-N wall samples on both
- *    sides, so the ratio gates real recording cost, not scheduler
- *    jitter). Exporting the JSON afterwards is I/O, not simulation
- *    overhead, and is reported separately as `trace_write_seconds`.
- *
- * The full-detail export is also written once (then removed) so the
+ * The full-detail export is also written (then removed) so the
  * bench exercises the same writer path Perfetto consumes.
  */
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
-#include "collective/engine.h"
 #include "common/logging.h"
 #include "common/output_file.h"
-#include "common/units.h"
 #include "event/event_queue.h"
-#include "network/flow/flow_network.h"
 #include "trace/tracer.h"
 
 using namespace astra;
-using namespace astra::literals;
 
 namespace {
 
@@ -47,32 +41,17 @@ constexpr int kReps = 9; //!< min-wall over this many runs per config.
 
 struct RunResult
 {
-    TimeNs simTimeNs = 0.0;
-    uint64_t events = 0;
-    double wallSeconds = 0.0;   //!< min over kReps.
-    uint64_t traceEvents = 0;   //!< timeline events recorded.
-    double writeSeconds = 0.0;  //!< Chrome-trace export wall (full).
+    double wallSeconds = 0.0;  //!< min over kReps.
+    double writeSeconds = 0.0; //!< Chrome-trace export wall (full).
 };
 
-/** The hier_allreduce_256 scenario from bench_flow_vs_packet: four
- *  staggered chunked hierarchical All-Reduces on Ring(8) x Switch(32),
- *  flow backend — phases start and finish continuously, so the trace
- *  sees the full mix of message, flow-rate, and chunk-phase events. */
+/** hier_allreduce_256 on the flow backend — phases start and finish
+ *  continuously, so the trace sees the full mix of message,
+ *  flow-rate, and chunk-phase events. */
 RunResult
 runOnce(trace::Detail detail, const std::string &trace_path)
 {
-    Topology topo({{BlockType::Ring, 8, 200.0, 300.0},
-                   {BlockType::Switch, 32, 50.0, 500.0}});
-    CollectiveRequest req;
-    req.type = CollectiveType::AllReduce;
-    req.bytes = 2_MB;
-    req.chunks = 4;
-    const int kRounds = 4;
-    const TimeNs kStagger = 12000.0;
-
-    EventQueue eq;
-    FlowNetwork net(eq, topo);
-    CollectiveEngine engine(net);
+    bench::HierAllreduce256 run(NetworkBackendKind::Flow);
 
     // Mirror the Simulator's wiring exactly (astra/simulator.cc), so
     // the measured overhead is what a traced simulation actually pays:
@@ -84,38 +63,18 @@ runOnce(trace::Detail detail, const std::string &trace_path)
         trace::TraceConfig cfg;
         cfg.detail = detail;
         tracer = std::make_unique<trace::Tracer>(cfg);
-        net.setTracer(tracer.get());
-        engine.setTracer(tracer.get(), 0);
+        run.net->setTracer(tracer.get());
+        run.engine.setTracer(tracer.get(), 0);
         profile.timeCallbacks = tracer->full();
-        eq.setProfile(&profile);
+        run.eq.setProfile(&profile);
     }
-
-    int remaining = topo.npus() * kRounds;
-    auto start = std::chrono::steady_clock::now();
-    for (int r = 0; r < kRounds; ++r) {
-        eq.schedule(r * kStagger, [&engine, &topo, &req, &remaining, r] {
-            for (NpuId npu = 0; npu < topo.npus(); ++npu)
-                engine.join(0xBE5C0000ULL + static_cast<uint64_t>(r),
-                            npu, req, [&remaining] { --remaining; });
-        });
-    }
-    eq.run();
-    auto end = std::chrono::steady_clock::now();
-    ASTRA_ASSERT(remaining == 0, "collectives lost");
 
     RunResult r;
-    r.simTimeNs = eq.now();
-    r.events = eq.executedEvents();
-    r.wallSeconds = std::chrono::duration<double>(end - start).count();
-    if (tracer != nullptr) {
-        r.traceEvents = tracer->eventCount();
-        if (!trace_path.empty()) {
-            auto w0 = std::chrono::steady_clock::now();
-            tracer->writeChromeTrace(trace_path);
-            r.writeSeconds = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - w0)
-                                 .count();
-        }
+    r.wallSeconds = run.run();
+    if (tracer != nullptr && !trace_path.empty()) {
+        auto w0 = std::chrono::steady_clock::now();
+        tracer->writeChromeTrace(trace_path);
+        r.writeSeconds = bench::wallSince(w0);
     }
     return r;
 }
@@ -124,8 +83,7 @@ runOnce(trace::Detail detail, const std::string &trace_path)
  *  round-robin rather than run in blocks: the overhead ratio is then
  *  immune to machine-wide drift across the bench's lifetime (CPU
  *  steal, thermal, page cache), which on small boxes dwarfs the
- *  effect being measured. Deterministic fields are asserted identical
- *  across repeats; the export is timed min-of-kReps too. */
+ *  effect being measured. The export is timed min-of-kReps too. */
 void
 runInterleaved(RunResult &off, RunResult &spans, RunResult &full,
                const std::string &trace_path)
@@ -149,10 +107,6 @@ runInterleaved(RunResult &off, RunResult &spans, RunResult &full,
                 *c.out = r;
                 continue;
             }
-            ASTRA_ASSERT(r.simTimeNs == c.out->simTimeNs &&
-                             r.events == c.out->events &&
-                             r.traceEvents == c.out->traceEvents,
-                         "nondeterministic across repeats");
             c.out->wallSeconds =
                 std::min(c.out->wallSeconds, r.wallSeconds);
             c.out->writeSeconds =
@@ -168,31 +122,15 @@ jsonReport(const RunResult &off, const RunResult &spans,
     std::string out = "{\n  \"bench\": \"trace_overhead\",\n"
                       "  \"scenarios\": {\n";
     out += detail::formatV(
-        "    \"hier_allreduce_256_off\": {\"sim_time_ns\": %.3f, "
-        "\"events\": %llu, \"wall_seconds\": %.6f},\n",
-        off.simTimeNs,
-        static_cast<unsigned long long>(off.events),
+        "    \"hier_allreduce_256_off\": {\"wall_seconds\": %.6f},\n",
         off.wallSeconds);
     out += detail::formatV(
-        "    \"hier_allreduce_256_spans\": {\"sim_time_ns\": %.3f, "
-        "\"events\": %llu, \"trace_events\": %llu, \"identical\": %s, "
-        "\"wall_seconds\": %.6f, \"overhead_frac\": %.6f},\n",
-        spans.simTimeNs, static_cast<unsigned long long>(spans.events),
-        static_cast<unsigned long long>(spans.traceEvents),
-        spans.simTimeNs == off.simTimeNs && spans.events == off.events
-            ? "true"
-            : "false",
+        "    \"hier_allreduce_256_spans\": {\"wall_seconds\": %.6f, "
+        "\"overhead_frac\": %.6f},\n",
         spans.wallSeconds, spans_over);
     out += detail::formatV(
-        "    \"hier_allreduce_256_full\": {\"sim_time_ns\": %.3f, "
-        "\"events\": %llu, \"trace_events\": %llu, \"identical\": %s, "
-        "\"wall_seconds\": %.6f, \"overhead_frac\": %.6f, "
-        "\"trace_write_seconds\": %.6f}\n",
-        full.simTimeNs, static_cast<unsigned long long>(full.events),
-        static_cast<unsigned long long>(full.traceEvents),
-        full.simTimeNs == off.simTimeNs && full.events == off.events
-            ? "true"
-            : "false",
+        "    \"hier_allreduce_256_full\": {\"wall_seconds\": %.6f, "
+        "\"overhead_frac\": %.6f, \"trace_write_seconds\": %.6f}\n",
         full.wallSeconds, full_over, full.writeSeconds);
     out += "  }\n}\n";
     return out;
@@ -223,38 +161,16 @@ runBench(const CommandLine &cl)
             ? (full.wallSeconds - off.wallSeconds) / off.wallSeconds
             : 0.0;
 
-    std::printf("%-8s %12.3f ms sim  %9llu events  %8.4f s wall\n",
-                "off", off.simTimeNs / kMs,
-                static_cast<unsigned long long>(off.events),
-                off.wallSeconds);
-    std::printf("%-8s %12.3f ms sim  %9llu events  %8.4f s wall  "
-                "+%5.1f%%  %8llu trace events\n",
-                "spans", spans.simTimeNs / kMs,
-                static_cast<unsigned long long>(spans.events),
-                spans.wallSeconds, 100.0 * spans_over,
-                static_cast<unsigned long long>(spans.traceEvents));
-    std::printf("%-8s %12.3f ms sim  %9llu events  %8.4f s wall  "
-                "+%5.1f%%  %8llu trace events  "
-                "(export %.4f s, separate)\n",
-                "full", full.simTimeNs / kMs,
-                static_cast<unsigned long long>(full.events),
-                full.wallSeconds, 100.0 * full_over,
-                static_cast<unsigned long long>(full.traceEvents),
+    std::printf("%-8s %8.4f s wall\n", "off", off.wallSeconds);
+    std::printf("%-8s %8.4f s wall  +%5.1f%%\n", "spans",
+                spans.wallSeconds, 100.0 * spans_over);
+    std::printf("%-8s %8.4f s wall  +%5.1f%%  (export %.4f s, "
+                "separate)\n",
+                "full", full.wallSeconds, 100.0 * full_over,
                 full.writeSeconds);
 
-    // Contracts (docs/trace.md), enforced here so a drift fails
-    // bench.sh --check loudly.
-    for (const RunResult *r : {&spans, &full}) {
-        if (r->simTimeNs != off.simTimeNs || r->events != off.events) {
-            std::printf("\nFAIL: traced run diverged from untraced run "
-                        "(%.3f/%llu vs %.3f/%llu)\n",
-                        r->simTimeNs,
-                        static_cast<unsigned long long>(r->events),
-                        off.simTimeNs,
-                        static_cast<unsigned long long>(off.events));
-            return 1;
-        }
-    }
+    // The recording budget (docs/trace.md), enforced here so a drift
+    // fails bench.sh --check loudly.
     if (full_over > 0.25) {
         std::printf("\nFAIL: full-detail recording overhead %.1f%% "
                     "exceeds the 25%% budget\n",

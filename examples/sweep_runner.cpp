@@ -15,6 +15,7 @@
 #include <sys/stat.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -31,6 +32,20 @@ using namespace astra;
 using namespace astra::sweep;
 
 namespace {
+
+/** A time cell of the console table, in ms: two decimals, or two
+ *  significant digits where two decimals would print a nonzero time
+ *  as 0.00. An exact zero prints as 0. */
+std::string
+msCell(TimeNs ns)
+{
+    double ms = ns / kMs;
+    if (ms == 0.0)
+        return "0";
+    if (std::fabs(ms) < 0.01)
+        return detail::formatV("%.2g", ms);
+    return Table::num(ms);
+}
 
 int
 run(const CommandLine &cli)
@@ -97,12 +112,10 @@ run(const CommandLine &cli)
                 row.push_back("-");
         } else {
             const RuntimeBreakdown &b = r.report.average;
-            row.push_back(Table::num(r.report.totalTime / kMs));
-            row.push_back(Table::num(b.compute / kMs));
-            row.push_back(Table::num(b.exposedComm / kMs));
-            row.push_back(Table::num(b.exposedLocalMem / kMs));
-            row.push_back(Table::num(b.exposedRemoteMem / kMs));
-            row.push_back(Table::num(b.idle / kMs));
+            for (TimeNs t : {r.report.totalTime, b.compute, b.exposedComm,
+                             b.exposedLocalMem, b.exposedRemoteMem,
+                             b.idle})
+                row.push_back(msCell(t));
         }
         table.addRow(std::move(row));
     }

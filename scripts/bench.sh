@@ -1,48 +1,35 @@
 #!/usr/bin/env bash
-# Build the Release bench targets and record the perf trajectory:
+# Build the Release bench targets and record the wall-time trajectory:
 #  - bench_eventcore (schedule/dispatch micro-benchmarks) +
 #    the bench_speedup one-shot section (§IV-C anchor)
 #    -> BENCH_eventcore.json
 #  - bench_sweep_throughput (64-config hierarchical-memory sweep at
-#    1/2/8 threads, byte-identity check vs sequential ground truth)
-#    -> BENCH_sweep.json
+#    1/2/8 threads) -> BENCH_sweep.json
 #  - bench_flow_vs_packet (1024-NPU incast, 64-NPU all-to-all, and
-#    staggered 256-NPU hierarchical all-reduce: flow-backend accuracy
-#    gap vs the packet reference, wall-clock speedup, and the
-#    incremental solver's work counters) -> BENCH_flow.json
-#  - bench_cluster_tenancy (multi-tenant cluster: single-job
-#    byte-identity, contiguous-vs-spread interference, queued job
-#    mixes under fifo/backfill) -> BENCH_cluster.json
-#  - bench_fault_resilience (zero-fault bit-identity, flow-vs-packet
-#    degraded-incast agreement, and the checkpoint-interval x
-#    NPU-MTBF goodput grid) -> BENCH_fault.json
+#    staggered 256-NPU hierarchical all-reduce: flow-backend wall-clock
+#    speedup over the packet reference) -> BENCH_flow.json
 #  - bench_trace_overhead (tracing off/spans/full on the staggered
-#    256-NPU hierarchical all-reduce: bit-identity and the <25%
-#    recording-overhead budget, docs/trace.md) -> BENCH_trace.json
-#  - bench_resilience_study (checkpoint auto-tuner vs the Young/Daly
-#    fixed-interval grid, and placement policies under correlated
-#    rack failures: contiguous-oblivious vs avoid_degraded vs spare
-#    restart, docs/fault.md) -> BENCH_resilience.json
+#    256-NPU hierarchical all-reduce: the <25% recording-overhead
+#    budget, docs/trace.md) -> BENCH_trace.json
 #  - bench_telemetry_overhead (heartbeat monitoring off/on on the
-#    staggered 256-NPU hierarchical all-reduce: bit-identity and the
-#    <5% overhead budget, plus the 4096-NPU memory-accounting scale
-#    point, docs/observability.md) -> BENCH_obs.json
+#    staggered 256-NPU hierarchical all-reduce: the <5% overhead
+#    budget, plus the 4096-NPU scale point's wall time and peak RSS,
+#    docs/observability.md) -> BENCH_obs.json
 # Machine-readable results land at the repo root so numbers are
-# comparable across PRs (same machine assumed).
+# comparable across PRs (same machine assumed). The files hold wall
+# times and rates only: the scenarios' simulated results are pinned
+# by ctest (the tests that use bench/bench_util.h).
 #
 # Every bench binary is run BENCH_REPEAT times (default 3) and
 # scripts/bench_min.py keeps the per-scenario minimum wall time — the
 # repeat-and-take-min pass that shrinks the wall-noise floor the
-# --check gate has to tolerate. Deterministic metrics must agree
-# across repeats (bench_min fails otherwise).
+# --check gate has to tolerate.
 #
 # `scripts/bench.sh --check` instead re-runs the benches into a
-# scratch directory and fails (non-zero exit) if any deterministic
-# metric (sim_time_ns, event counts, solver counters, tenancy
-# metrics) drifted from the committed BENCH_*.json, or any wall time
+# scratch directory and fails (non-zero exit) if any wall time
 # regressed by more than 25% — see scripts/bench_check.py. Run it
 # before merging perf-sensitive changes; regenerate the committed
-# files when a drift is intentional.
+# files when a change is intentional.
 #
 # The committed wall numbers describe one specific machine. On any
 # other host, set WALL_BASELINE=<file> so --check gates wall times
@@ -79,11 +66,8 @@ done
 OUT="${1:-BENCH_eventcore.json}"
 SWEEP_OUT="${2:-BENCH_sweep.json}"
 FLOW_OUT="${3:-BENCH_flow.json}"
-CLUSTER_OUT="${4:-BENCH_cluster.json}"
-FAULT_OUT="${5:-BENCH_fault.json}"
-TRACE_OUT="${6:-BENCH_trace.json}"
-RESIL_OUT="${7:-BENCH_resilience.json}"
-OBS_OUT="${8:-BENCH_obs.json}"
+TRACE_OUT="${4:-BENCH_trace.json}"
+OBS_OUT="${5:-BENCH_obs.json}"
 
 if [[ "$CHECK" == 1 ]]; then
     CHECK_DIR="$BUILD_DIR/bench-check"
@@ -91,27 +75,20 @@ if [[ "$CHECK" == 1 ]]; then
     COMMITTED_EVENTCORE="$OUT"
     COMMITTED_SWEEP="$SWEEP_OUT"
     COMMITTED_FLOW="$FLOW_OUT"
-    COMMITTED_CLUSTER="$CLUSTER_OUT"
-    COMMITTED_FAULT="$FAULT_OUT"
     COMMITTED_TRACE="$TRACE_OUT"
-    COMMITTED_RESIL="$RESIL_OUT"
     COMMITTED_OBS="$OBS_OUT"
     OUT="$CHECK_DIR/BENCH_eventcore.json"
     SWEEP_OUT="$CHECK_DIR/BENCH_sweep.json"
     FLOW_OUT="$CHECK_DIR/BENCH_flow.json"
-    CLUSTER_OUT="$CHECK_DIR/BENCH_cluster.json"
-    FAULT_OUT="$CHECK_DIR/BENCH_fault.json"
     TRACE_OUT="$CHECK_DIR/BENCH_trace.json"
-    RESIL_OUT="$CHECK_DIR/BENCH_resilience.json"
     OBS_OUT="$CHECK_DIR/BENCH_obs.json"
 fi
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
       --target bench_eventcore bench_speedup bench_sweep_throughput \
-               bench_flow_vs_packet bench_cluster_tenancy \
-               bench_fault_resilience bench_trace_overhead \
-               bench_resilience_study bench_telemetry_overhead
+               bench_flow_vs_packet bench_trace_overhead \
+               bench_telemetry_overhead
 
 # run_bench BINARY OUT: repeat the bench BENCH_REPEAT times and merge
 # with per-scenario min wall time (see header comment).
@@ -131,10 +108,7 @@ run_bench() {
 run_bench bench_eventcore "$OUT"
 run_bench bench_sweep_throughput "$SWEEP_OUT"
 run_bench bench_flow_vs_packet "$FLOW_OUT"
-run_bench bench_cluster_tenancy "$CLUSTER_OUT"
-run_bench bench_fault_resilience "$FAULT_OUT"
 run_bench bench_trace_overhead "$TRACE_OUT"
-run_bench bench_resilience_study "$RESIL_OUT"
 run_bench bench_telemetry_overhead "$OBS_OUT"
 
 echo
@@ -156,14 +130,10 @@ if [[ "$CHECK" == 1 ]]; then
         "$COMMITTED_EVENTCORE" "$OUT" \
         "$COMMITTED_SWEEP" "$SWEEP_OUT" \
         "$COMMITTED_FLOW" "$FLOW_OUT" \
-        "$COMMITTED_CLUSTER" "$CLUSTER_OUT" \
-        "$COMMITTED_FAULT" "$FAULT_OUT" \
         "$COMMITTED_TRACE" "$TRACE_OUT" \
-        "$COMMITTED_RESIL" "$RESIL_OUT" \
         "$COMMITTED_OBS" "$OBS_OUT"
     echo "bench check passed (fresh results in $BUILD_DIR/bench-check)"
 else
     echo "results written to $OUT, $SWEEP_OUT, $FLOW_OUT," \
-         "$CLUSTER_OUT, $FAULT_OUT, $TRACE_OUT, $RESIL_OUT," \
-         "and $OBS_OUT"
+         "$TRACE_OUT, and $OBS_OUT"
 fi

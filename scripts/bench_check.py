@@ -1,39 +1,33 @@
 #!/usr/bin/env python3
-"""Regression gate for the committed BENCH_*.json files (bench.sh --check).
+"""Wall-time regression gate for the committed BENCH_*.json files
+(bench.sh --check).
+
+The files hold wall times and the rates derived from them. Simulated
+results (times, event counts, solver counters, footprints, heartbeats,
+trace-event counts) are not in them: ctest pins those at their exact
+values, next to the scenario that produces them (bench/bench_util.h).
 
 Compares a freshly produced bench JSON against the committed one:
 
- - Deterministic metrics must match EXACTLY: simulated results
-   (`sim_time_ns`), event counts (`events`), the flow solver's
-   work counters (`solves`, `flows_touched_total`,
-   `avg_component_frac`), the cluster tenancy metrics
-   (`interference_slowdown`, `queueing_delay_ns`), and the
-   failure-resilience metrics (`lost_work_ns`, `recovery_time_ns`,
-   `num_faults`, `goodput`), and the deterministic memory accounting
-   (`peak_footprint_bytes`, `bytes_per_flow`, `bytes_per_npu`,
-   `telemetry_heartbeats`). Any drift means
-   the simulation's behaviour changed without the committed file
-   being regenerated.
+ - Wall-clock metrics (`wall_seconds`, `seconds`,
+   `trace_write_seconds`) may wobble with the machine, but a fresh
+   value more than 25% above the reference is a performance
+   regression and fails the check. Sub-millisecond samples can swing
+   far more than 25% from scheduler noise alone, so an absolute slack
+   floor (WALL_SLACK_S) is added to the allowance — the gate is meant
+   to catch real regressions on the scenarios that take meaningful
+   time, not to flake on microsecond jitter.
  - `peak_rss_bytes` is process-wide allocator/OS truth, so it is
    gated like a wall time: growth beyond the tolerance fails.
- - Wall-clock metrics (`wall_seconds`, `seconds`) may wobble with the
-   machine, but a fresh value more than 25% above the reference is
-   a performance regression and fails the check. Sub-millisecond
-   samples can swing far more than 25% from scheduler noise alone, so
-   an absolute slack floor (WALL_SLACK_S) is added to the allowance —
-   the gate is meant to catch real regressions on the scenarios that
-   take meaningful time, not to flake on microsecond jitter.
  - The wall reference is the committed file by default. Because the
    committed numbers were recorded on one specific machine, a
    different host (a CI runner, a laptop) passes --wall-baseline
    FILE: a per-host ledger of wall times recorded on THAT host
    (scripts/bench.sh --record-baseline). Scenarios absent from the
-   baseline skip the wall gate (first run after a new scenario);
-   deterministic metrics are always gated against the committed file
-   regardless.
+   baseline skip the wall gate (first run after a new scenario).
  - --record, with --wall-baseline, rewrites the ledger from the fresh
-   run's wall numbers after the deterministic comparison passes —
-   this is how a host (re-)establishes its baseline.
+   run's wall numbers after the comparison passes — this is how a
+   host (re-)establishes its baseline.
  - Structure must match: a scenario added or removed without
    regenerating the committed file is an error, not a skip.
  - Derived rates (`events_per_sec`, `speedup`, `accuracy_gap`, ...)
@@ -49,17 +43,6 @@ import json
 import os
 import sys
 
-EXACT_KEYS = {"sim_time_ns", "events", "solves", "flows_touched_total",
-              "avg_component_frac", "interference_slowdown",
-              "queueing_delay_ns", "lost_work_ns", "recovery_time_ns",
-              "num_faults", "goodput", "trace_events",
-              "availability", "blast_radius", "spare_utilization",
-              "interval_ns", "young_daly_ns",
-              # Memory accounting is capacity-based and deterministic
-              # (docs/observability.md); heartbeat counts are
-              # deterministic under the event cadence the benches use.
-              "peak_footprint_bytes", "bytes_per_flow",
-              "bytes_per_npu", "telemetry_heartbeats", "configs"}
 # peak_rss_bytes is allocator/OS truth, not simulation truth: gate it
 # like a wall time (growth beyond tolerance = leak-shaped regression).
 WALL_KEYS = {"wall_seconds", "seconds", "trace_write_seconds",
@@ -92,13 +75,7 @@ def compare(committed, fresh, baseline, path, errors):
                 errors.append(f"{sub}: not in committed file "
                               "(new scenario? regenerate the baseline)")
                 continue
-            if key in EXACT_KEYS:
-                if committed[key] != fresh[key]:
-                    errors.append(
-                        f"{sub}: deterministic metric drifted "
-                        f"(committed {committed[key]!r}, "
-                        f"fresh {fresh[key]!r})")
-            elif key in WALL_KEYS:
+            if key in WALL_KEYS:
                 if baseline is ABSENT:
                     continue  # not in this host's ledger yet.
                 base = committed[key] if baseline is None \
@@ -114,7 +91,7 @@ def compare(committed, fresh, baseline, path, errors):
             elif is_number(committed[key]) or is_number(fresh[key]):
                 errors.append(
                     f"{sub}: unclassified numeric key {key!r} (add it "
-                    "to EXACT_KEYS, WALL_KEYS or IGNORED_KEYS)")
+                    "to WALL_KEYS or IGNORED_KEYS, or pin it in ctest)")
             else:
                 child = baseline
                 if isinstance(baseline, dict):
@@ -123,15 +100,13 @@ def compare(committed, fresh, baseline, path, errors):
                     child = ABSENT
                 compare(committed[key], fresh[key], child, sub, errors)
     elif committed != fresh:
-        # Non-numeric leaves (names, booleans like
-        # identical_across_thread_counts) must agree.
+        # Non-numeric leaves (the bench names) must agree.
         errors.append(f"{path}: changed from {committed!r} to {fresh!r}")
 
 
 def is_number(value):
-    # bool is a subclass of int in Python: True/False are semantic
-    # leaves (e.g. identical_across_thread_counts) that compare
-    # exactly, not numbers that need a key class.
+    # bool is a subclass of int in Python: a boolean is a semantic leaf
+    # that compares exactly, not a number that needs a key class.
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 

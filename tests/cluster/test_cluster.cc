@@ -13,6 +13,9 @@
  *    1.0) and are invisible to the analytical backend (documented
  *    fidelity caveat).
  *  - FIFO vs backfill admission and priority ordering.
+ *  - The tenancy scenarios' committed results (single GPT-3 job, the
+ *    4 MB contiguous/spread pair, the queued 4-job mix), to the
+ *    printed precision of the bench ledger they came from.
  */
 #include <gtest/gtest.h>
 
@@ -21,6 +24,7 @@
 #include "cluster/config.h"
 #include "common/logging.h"
 #include "topology/notation.h"
+#include "workload/builders.h"
 
 namespace astra {
 namespace cluster {
@@ -164,6 +168,39 @@ INSTANTIATE_TEST_SUITE_P(
         return "unknown";
     });
 
+TEST(SingleJobEquivalence, FlowGpt3JobMatchesPlainSimulatorAndCommittedRun)
+{
+    // A 4-layer GPT-3 hybrid (MP 2) on the whole pod, flow backend.
+    Topology topo = parseTopology("Ring(2,250)_Switch(8,50)");
+    SimulatorConfig cfg;
+    cfg.backend = NetworkBackendKind::Flow;
+    Workload wl = buildHybridTransformer(
+        topo, gpt3(), HybridOptions{/*mp=*/2, /*iterations=*/1,
+                                    /*simLayers=*/4});
+    Report plain = Simulator(topo, cfg).run(wl);
+
+    ClusterConfig ccfg;
+    ccfg.backend = NetworkBackendKind::Flow;
+    ccfg.isolatedBaselines = false;
+    ClusterSimulator cluster(topo, ccfg);
+    JobSpec spec;
+    spec.name = "whole";
+    spec.size = topo.npus();
+    spec.cfg = cfg;
+    spec.workload = std::move(wl);
+    cluster.addJob(std::move(spec));
+    const Report agg = cluster.run().aggregate;
+
+    EXPECT_EQ(agg.totalTime, plain.totalTime);
+    EXPECT_EQ(agg.events, plain.events);
+    EXPECT_EQ(agg.messages, plain.messages);
+    EXPECT_NEAR(agg.totalTime, 8724427655.384, 5e-4);
+    EXPECT_EQ(agg.events, 25036u);
+    // No isolated baseline, so no slowdown is measured.
+    EXPECT_EQ(agg.interferenceSlowdown, 0.0);
+    EXPECT_EQ(agg.queueingDelayNs, 0.0);
+}
+
 class DisjointIsolation
     : public testing::TestWithParam<NetworkBackendKind>
 {
@@ -222,6 +259,32 @@ TEST(Interference, StripedJobsContendUnderTheFlowBackend)
         EXPECT_GT(job.duration, job.isolatedDuration) << job.name;
     }
     EXPECT_GT(report.aggregate.interferenceSlowdown, 1.05);
+}
+
+TEST(Interference, FourMegabytePairMatchesTheCommittedSlowdowns)
+{
+    // Two 8-NPU 4 MB all-reduce tenants on Ring(16,100), flow backend.
+    auto run = [](PlacementPolicy placement) {
+        ClusterConfig cfg;
+        cfg.backend = NetworkBackendKind::Flow;
+        ClusterSimulator cluster(parseTopology("Ring(16,100)"), cfg);
+        cluster.addJob(collectiveJob("a", 8, 4e6, placement));
+        cluster.addJob(collectiveJob("b", 8, 4e6, placement));
+        return cluster.run().aggregate;
+    };
+    Report contig = run(PlacementPolicy::Contiguous);
+    Report spread = run(PlacementPolicy::Spread);
+
+    // Disjoint slices share no link; striped slices contend.
+    EXPECT_EQ(contig.interferenceSlowdown, 1.0);
+    EXPECT_GT(spread.interferenceSlowdown, 1.0);
+    EXPECT_NEAR(contig.totalTime, 83000.0, 5e-4);
+    EXPECT_EQ(contig.events, 3652u);
+    EXPECT_EQ(contig.queueingDelayNs, 0.0);
+    EXPECT_NEAR(spread.totalTime, 154000.0, 5e-4);
+    EXPECT_EQ(spread.events, 3628u);
+    EXPECT_NEAR(spread.interferenceSlowdown, 1.833333, 5e-7);
+    EXPECT_EQ(spread.queueingDelayNs, 0.0);
 }
 
 TEST(Interference, AnalyticalBackendCannotSeeStripedContention)
@@ -302,6 +365,37 @@ TEST(Admission, BackfillLetsSmallJobsJumpTheBlockedHead)
     // Both keep "huge" waiting for the full cluster.
     EXPECT_GE(fifo.jobs[1].admitted, fifo.jobs[0].finished);
     EXPECT_GE(backfill.jobs[1].admitted, backfill.jobs[0].finished);
+}
+
+TEST(Admission, QueuedMixMatchesTheCommittedDelays)
+{
+    // Ring(4) x Switch(8) pod: two 16-NPU jobs fill it; a 32 and an 8
+    // queue behind them. Backfill lets the 8 slip past the blocked 32.
+    auto run = [](AdmissionPolicy admission) {
+        ClusterConfig cfg;
+        cfg.backend = NetworkBackendKind::Flow;
+        cfg.admission = admission;
+        cfg.isolatedBaselines = false;
+        ClusterSimulator cluster(
+            parseTopology("Ring(4,200)_Switch(8,50)"), cfg);
+        cluster.addJob(collectiveJob("t0", 16, 8e6));
+        cluster.addJob(collectiveJob("t1", 16, 8e6));
+        cluster.addJob(collectiveJob("t2", 32, 8e6,
+                                     PlacementPolicy::Contiguous, 1000.0));
+        cluster.addJob(collectiveJob("t3", 8, 2e6,
+                                     PlacementPolicy::Contiguous, 2000.0));
+        return cluster.run().aggregate;
+    };
+    Report fifo = run(AdmissionPolicy::Fifo);
+    Report backfill = run(AdmissionPolicy::Backfill);
+
+    for (const Report *r : {&fifo, &backfill}) {
+        EXPECT_NEAR(r->totalTime, 296000.0, 5e-4);
+        EXPECT_EQ(r->events, 12420u);
+        EXPECT_EQ(r->interferenceSlowdown, 0.0);
+    }
+    EXPECT_NEAR(fifo.queueingDelayNs, 97500.0, 5e-4);
+    EXPECT_NEAR(backfill.queueingDelayNs, 70250.0, 5e-4);
 }
 
 TEST(Admission, PriorityOrdersTheQueue)

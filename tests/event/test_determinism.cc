@@ -17,6 +17,7 @@
 #include <numeric>
 #include <vector>
 
+#include "bench_util.h"
 #include "collective/engine.h"
 #include "common/rng.h"
 #include "event/event_queue.h"
@@ -179,6 +180,15 @@ TEST(EventCoreDeterminism, CollectiveRunsAreReproducible)
     EXPECT_EQ(finish[0], finish[1]);
     EXPECT_EQ(events[0], events[1]);
     EXPECT_EQ(sent[0], sent[1]);
+}
+
+TEST(EventCoreDeterminism, Collective4096MatchesTheAnchor)
+{
+    // The event-core bench's end-to-end anchor: 1.48M events on a
+    // 4096-NPU torus, analytical backend.
+    bench::CollectiveResult r = bench::runCollective4096();
+    EXPECT_NEAR(r.time, 64200.945, 5e-4);
+    EXPECT_EQ(r.events, 1478656u);
 }
 
 TEST(EventCoreStress, MillionEventsWithTiesAndOverflow)

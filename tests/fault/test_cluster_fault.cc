@@ -13,12 +13,16 @@
  *  - Fixed seeds reproduce identical metrics across repeated runs.
  *  - The report surfaces the resilience columns (CSV/JSON) and the
  *    per-job link-busy attribution.
+ *  - The NPU-MTBF x checkpoint-interval goodput grid and the empty
+ *    scenario on a two-tenant ring hold their committed results, to
+ *    the printed precision of the bench ledger they came from.
  */
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
 #include "cluster/config.h"
 #include "common/logging.h"
+#include "common/units.h"
 #include "sweep/spec.h"
 #include "topology/notation.h"
 
@@ -183,6 +187,35 @@ TEST(ClusterFaults, EmptyScenarioIsBitExact)
     EXPECT_EQ(with.jobsCsv(), base.jobsCsv());
 }
 
+TEST(ClusterFaults, EmptyScenarioOnATenantPairMatchesTheCommittedRun)
+{
+    // Two 8-NPU 4 MB tenants on Ring(16,100), flow backend.
+    auto run = [](bool with_empty_fault) {
+        ClusterConfig cfg;
+        cfg.backend = NetworkBackendKind::Flow;
+        if (with_empty_fault)
+            cfg.fault = fault::FaultConfig{};
+        ClusterSimulator cluster(parseTopology("Ring(16,100)"), cfg);
+        cluster.addJob(collectiveJob("a", 8, 4e6));
+        cluster.addJob(collectiveJob("b", 8, 4e6));
+        return cluster.run();
+    };
+    ClusterReport base = run(false);
+    ClusterReport with = run(true);
+    EXPECT_EQ(with.aggregate.totalTime, base.aggregate.totalTime);
+    EXPECT_EQ(with.aggregate.events, base.aggregate.events);
+    EXPECT_EQ(with.aggregate.messages, base.aggregate.messages);
+    EXPECT_EQ(with.jobsCsv(), base.jobsCsv());
+
+    const Report &agg = with.aggregate;
+    EXPECT_NEAR(agg.totalTime, 83000.0, 5e-4);
+    EXPECT_EQ(agg.events, 3652u);
+    EXPECT_EQ(agg.numFaults, 0u);
+    EXPECT_EQ(agg.lostWorkNs, 0.0);
+    EXPECT_EQ(agg.recoveryTimeNs, 0.0);
+    EXPECT_EQ(agg.goodput, 1.0); // faults cost nothing.
+}
+
 TEST(ClusterFaults, FixedSeedReproducesIdenticalMetrics)
 {
     auto run = [] {
@@ -288,6 +321,73 @@ TEST(CheckpointRestart, SpareSwapPatchesTheFailedPlacement)
     EXPECT_NEAR(job.report.lostWorkNs, 1000.0, 1.0);
     // The consumed spare shows up in the pool-utilization aggregate.
     EXPECT_GT(report.aggregate.spareUtilization, 0.0);
+}
+
+TEST(CheckpointRestart, GoodputGridMatchesTheCommittedTradeOff)
+{
+    // NPU-MTBF x checkpoint-interval grid on one 2-iteration GPT-3 job
+    // (many workload nodes, so a checkpoint cut captures real progress
+    // and rollback re-executes only the tail): checkpoint too rarely
+    // and failures roll back large windows; the checkpoint cost is
+    // what the 1 s column pays over the 5 s one.
+    struct Point
+    {
+        TimeNs mtbfMs, intervalMs;
+        TimeNs total;
+        uint64_t events, faults;
+        TimeNs lost, recovery;
+        double goodput;
+    };
+    const Point grid[] = {
+        {40000, 0, 190769520487.398, 25576, 35, 144128079785.198,
+         21450328438.849, 0.13205},
+        {40000, 1000, 69678035971.635, 23571, 20, 9391035458.745,
+         14262674269.139, 0.361536},
+        {40000, 5000, 78755078401.492, 16727, 20, 38391035458.745,
+         14262674269.139, 0.319867},
+        {160000, 0, 181467034746.729, 40274, 15, 146281171400.128,
+         9994751083.249, 0.138819},
+        {160000, 1000, 32610906392.242, 11925, 2, 1371913589.525,
+         1770679760.785, 0.772475},
+        {160000, 5000, 36535898892.242, 8885, 2, 9371913589.525,
+         1770679760.785, 0.689489},
+    };
+    for (const Point &p : grid) {
+        SCOPED_TRACE(testing::Message() << "mtbf " << p.mtbfMs
+                                        << " ms, interval "
+                                        << p.intervalMs << " ms");
+        ClusterConfig cfg;
+        cfg.backend = NetworkBackendKind::Flow;
+        fault::FaultConfig f;
+        f.seed = 5;
+        f.horizonNs = 300000.0 * kMs;
+        f.npuMtbfNs = p.mtbfMs * kMs;
+        f.npuMttrNs = 500.0 * kMs;
+        cfg.fault = f;
+        cfg.defaultCheckpoint.intervalNs = p.intervalMs * kMs;
+        cfg.defaultCheckpoint.costNs = 50.0 * kMs;
+        cfg.defaultCheckpoint.restartDelayNs = 100.0 * kMs;
+        ClusterSimulator cluster(parseTopology("Ring(8,100)"), cfg);
+        JobSpec spec;
+        spec.name = "train";
+        spec.size = 8;
+        spec.workloadDoc = json::parse(
+            R"({"kind": "hybrid", "model": "gpt3", "sim_layers": 2,
+                "iterations": 2})");
+        cluster.addJob(std::move(spec));
+        ClusterReport report = cluster.run();
+
+        const JobResult &job = report.jobs[0];
+        ASSERT_FALSE(job.failed) << job.error;
+        EXPECT_GT(job.report.goodput, 0.0);
+        EXPECT_LE(job.report.goodput, 1.0);
+        EXPECT_NEAR(report.aggregate.totalTime, p.total, 5e-4);
+        EXPECT_EQ(report.aggregate.events, p.events);
+        EXPECT_EQ(job.report.numFaults, p.faults);
+        EXPECT_NEAR(job.report.lostWorkNs, p.lost, 5e-4);
+        EXPECT_NEAR(job.report.recoveryTimeNs, p.recovery, 5e-4);
+        EXPECT_NEAR(job.report.goodput, p.goodput, 5e-7);
+    }
 }
 
 TEST(CheckpointRestart, MigrateResumesSnapshotWhereRequeueIsCold)

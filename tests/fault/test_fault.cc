@@ -154,13 +154,14 @@ TEST(Timeline, DeterministicSortedAndRangeChecked)
 }
 
 /** Run `body` after injecting `cfg` into (eq, net) and return the
- *  time of the last delivery. */
+ *  time of the last delivery; `fired`, if given, receives the number
+ *  of fault events the injector fired. */
 template <typename Net>
 TimeNs
 injectAndRun(const Topology &topo, const FaultConfig &cfg,
              Net &net, EventQueue &eq,
              const std::vector<std::pair<NpuId, NpuId>> &sends,
-             Bytes bytes)
+             Bytes bytes, uint64_t *fired = nullptr)
 {
     FaultHooks hooks;
     hooks.net = &net;
@@ -180,6 +181,8 @@ injectAndRun(const Topology &topo, const FaultConfig &cfg,
         }
     });
     eq.run();
+    if (fired != nullptr)
+        *fired = injector.firedCount();
     return last;
 }
 
@@ -230,6 +233,36 @@ TEST(DegradedLink, FlowAndPacketAgreeOnADegradedIncast)
     // ...and the two congestion-resolving models agree within the
     // documented store-and-forward/header tolerance (docs/fault.md).
     EXPECT_NEAR(flow_fault / pkt_fault, 1.0, 0.15);
+}
+
+TEST(DegradedLink, FourMegabyteIncastMatchesTheCommittedRuns)
+{
+    // The same degraded 7-to-1 incast at 4 MB per sender.
+    Topology topo = parseTopology("Switch(8,100)");
+    std::vector<std::pair<NpuId, NpuId>> sends;
+    for (NpuId s = 1; s < 8; ++s)
+        sends.push_back({s, 0});
+    FaultConfig degraded = degradeLink(1, 0, 0.1);
+
+    EventQueue flow_eq;
+    FlowNetwork flow(flow_eq, topo);
+    uint64_t flow_fired = 0;
+    TimeNs flow_t = injectAndRun(topo, degraded, flow, flow_eq, sends,
+                                 4e6, &flow_fired);
+    EventQueue pkt_eq;
+    PacketNetwork pkt(pkt_eq, topo, 4096.0);
+    uint64_t pkt_fired = 0;
+    TimeNs pkt_t = injectAndRun(topo, degraded, pkt, pkt_eq, sends, 4e6,
+                                &pkt_fired);
+
+    EXPECT_NEAR(flow_t, 2801001.0, 5e-4);
+    EXPECT_EQ(flow_eq.executedEvents(), 19u);
+    EXPECT_EQ(flow_fired, 1u);
+    EXPECT_NEAR(pkt_t, 2801041.96, 5e-4);
+    EXPECT_EQ(pkt_eq.executedEvents(), 13680u);
+    EXPECT_EQ(pkt_fired, 1u);
+    EXPECT_GE(flow_t / pkt_t, 0.85);
+    EXPECT_LE(flow_t / pkt_t, 1.15);
 }
 
 TEST(DegradedLink, AnalyticalCoarsensToTheWholePort)

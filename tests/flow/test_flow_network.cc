@@ -4,16 +4,20 @@
  * uncongested, exact max-min fair sharing under contention (1/2 and
  * 1/N rates, bandwidth redistribution on departure), event-driven
  * re-rating, simRecv matching, per-link utilization stats, slot
- * recycling, and byte-identical determinism.
+ * recycling, and byte-identical determinism. The flow-vs-packet bench
+ * scenarios (bench/bench_util.h) hold their committed simulated times,
+ * event counts and incremental-solver counters on both backends.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/rng.h"
 #include "event/event_queue.h"
 #include "network/analytical.h"
+#include "network/detailed/packet_network.h"
 #include "network/flow/flow_network.h"
 
 namespace astra {
@@ -333,6 +337,77 @@ TEST(FlowNetwork, RepeatedRunsAreByteIdentical)
     ASSERT_EQ(a.size(), 200u);
     for (size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a[i], b[i]) << "delivery " << i; // exact doubles.
+}
+
+/** Simulated time, executed events and solver counters of one run. */
+struct BackendRun
+{
+    TimeNs simTimeNs;
+    uint64_t events;
+    FlowNetwork::SolverStats solver;
+};
+
+BackendRun
+runTransferScenario(const bench::TransferScenario &sc,
+                    NetworkBackendKind backend)
+{
+    EventQueue eq;
+    std::unique_ptr<NetworkApi> net = makeNetwork(backend, eq, sc.topo);
+    bench::runTransfers(*net, sc.transfers);
+    BackendRun r{eq.now(), eq.executedEvents(), {}};
+    if (backend == NetworkBackendKind::Flow)
+        r.solver = static_cast<FlowNetwork &>(*net).solverStats();
+    return r;
+}
+
+TEST(FlowVsPacket, Incast1024MatchesTheCommittedRuns)
+{
+    // The whole incast is ONE max-min solve: every flow gets bw/1023.
+    BackendRun flow = runTransferScenario(bench::incast1024(),
+                                          NetworkBackendKind::Flow);
+    BackendRun packet = runTransferScenario(bench::incast1024(),
+                                            NetworkBackendKind::Packet);
+    EXPECT_NEAR(flow.simTimeNs, 10231000.0, 5e-4);
+    EXPECT_EQ(flow.events, 2048u);
+    EXPECT_NEAR(packet.simTimeNs, 10231040.96, 5e-4);
+    EXPECT_EQ(packet.events, 501270u);
+    EXPECT_EQ(flow.solver.solves, 1u);
+    EXPECT_EQ(flow.solver.flowsTouched, 1023u);
+    EXPECT_NEAR(flow.solver.avgComponentFrac(), 1.0, 5e-7);
+}
+
+TEST(FlowVsPacket, AllToAll64MatchesTheCommittedRuns)
+{
+    BackendRun flow = runTransferScenario(bench::allToAll64(),
+                                          NetworkBackendKind::Flow);
+    BackendRun packet = runTransferScenario(bench::allToAll64(),
+                                            NetworkBackendKind::Packet);
+    EXPECT_NEAR(flow.simTimeNs, 162280.0, 5e-4);
+    EXPECT_EQ(flow.events, 8066u);
+    EXPECT_NEAR(packet.simTimeNs, 162320.96, 5e-4);
+    EXPECT_EQ(packet.events, 508032u);
+    EXPECT_EQ(flow.solver.solves, 1u);
+    EXPECT_EQ(flow.solver.flowsTouched, 4032u);
+    EXPECT_NEAR(flow.solver.avgComponentFrac(), 1.0, 5e-7);
+}
+
+TEST(FlowVsPacket, HierAllreduce256MatchesTheCommittedRuns)
+{
+    // Staggered rounds keep most dirty batches local: the average
+    // solve touches about half of the active flows.
+    bench::HierAllreduce256 flow(NetworkBackendKind::Flow);
+    flow.run();
+    bench::HierAllreduce256 packet(NetworkBackendKind::Packet);
+    packet.run();
+    const FlowNetwork::SolverStats &solver =
+        static_cast<FlowNetwork &>(*flow.net).solverStats();
+    EXPECT_NEAR(flow.eq.now(), 87250.0, 5e-4);
+    EXPECT_EQ(flow.eq.executedEvents(), 261315u);
+    EXPECT_NEAR(packet.eq.now(), 79412.058, 5e-4);
+    EXPECT_EQ(packet.eq.executedEvents(), 1180676u);
+    EXPECT_EQ(solver.solves, 163u);
+    EXPECT_EQ(solver.flowsTouched, 161792u);
+    EXPECT_NEAR(solver.avgComponentFrac(), 0.515849, 5e-7);
 }
 
 } // namespace

@@ -114,11 +114,14 @@ TEST(CaseStudyScaling, ScaleOutKeepsCollectiveTimeFlat)
     }
 }
 
-TEST(CaseStudyScaling, WaferScalingCutsCollectiveTimeThenBounces)
+TEST(CaseStudyScaling, WaferScalingGainsStallWhileTheBottleneckBoundBounces)
 {
     // Table IV rows 5-7: growing the on-wafer dimension cuts the time
-    // (up to ~2.5x) until dim 1 itself becomes the bottleneck, after
-    // which the time bounces back up (the 16_8_8_4 effect).
+    // until dim 1 itself becomes the bottleneck; past that the time
+    // stops improving. It does not bounce back up as the paper's
+    // 16_8_8_4 row does: the full-size examples/figures/table4.json
+    // gives 1.00/1.62/2.06/2.19x against the paper's
+    // 1.00/1.99/2.51/2.34x. Only the bottleneck bound bounces.
     auto wafer_topo = [](int dim1) {
         return Topology({{BlockType::Ring, dim1, 1000.0, 500.0},
                          {BlockType::FullyConnected, 8, 200.0, 500.0},
@@ -135,7 +138,7 @@ TEST(CaseStudyScaling, WaferScalingCutsCollectiveTimeThenBounces)
     // noise of w8 instead of another ~2x step.
     EXPECT_GT(w16, w8 * 0.85);
 
-    // The bounce mechanism: the bottleneck dimension's serialization
+    // The bound that bounces: the bottleneck dimension's serialization
     // bound shifts onto dim 1 and starts growing with (1 - 1/k).
     auto bottleneck = [&](int dim1) {
         CollectiveRequest req = CollectiveRequest::overDims(

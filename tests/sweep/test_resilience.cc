@@ -3,11 +3,15 @@
  * Tests for the `seeds` sweep shorthand and the checkpoint-interval
  * auto-tuner / resilience-study runner (sweep/resilience.h,
  * docs/sweep.md "Seed replication", docs/fault.md "Checkpoint
- * auto-tuning").
+ * auto-tuning"), including the committed results of the tuner on an
+ * uncorrelated baseline and of the placement policies under correlated
+ * rack failures, to the printed precision of the bench ledger they
+ * came from.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -158,6 +162,49 @@ TEST(CheckpointTuner, ProbesLadderPlusRefinementAndPicksArgmax)
     EXPECT_EQ(tuningToJson(again).dump(), tuningToJson(t).dump());
 }
 
+TEST(CheckpointTuner, UncorrelatedBaselineMatchesTheCommittedTuning)
+{
+    // Independent per-NPU failures on one long 4-iteration GPT-3 job
+    // with in-place restart. The workload is multi-node, so a
+    // checkpoint cut captures completed nodes and goodput curves with
+    // the interval.
+    CheckpointTuning t = tuneCheckpointInterval(json::parse(R"json({
+      "topology": "Ring(8,100)",
+      "backend": "flow",
+      "fault": {"seed": 11, "horizon_ns": 80000000000,
+                "npu_mtbf_ns": 40000000000, "npu_mttr_ns": 200000000},
+      "cluster": {
+        "checkpoint": {"interval_ns": 100000000, "cost_ns": 10000000,
+                       "restart_delay_ns": 5000000},
+        "jobs": [{"name": "train", "size": 8,
+                  "workload": {"kind": "hybrid", "model": "gpt3",
+                               "sim_layers": 2, "iterations": 4}}]
+      }
+    })json"));
+
+    // The first five probes are the fixed-interval grid, Young/Daly
+    // x {1/4, 1/2, 1, 2, 4}.
+    const double grid_goodput[] = {0.646428, 0.648312, 0.636183,
+                                   0.636746, 0.637068};
+    const double grid_interval[] = {79056941.504, 158113883.008,
+                                    316227766.017, 632455532.034,
+                                    1264911064.067};
+    ASSERT_GE(t.probes.size(), 5u);
+    double best_grid = 0.0;
+    for (size_t i = 0; i < 5; ++i) {
+        EXPECT_NEAR(t.probes[i].goodput, grid_goodput[i], 5e-7) << i;
+        EXPECT_NEAR(t.probes[i].intervalNs, grid_interval[i], 5e-4) << i;
+        best_grid = std::max(best_grid, t.probes[i].goodput);
+    }
+    EXPECT_NEAR(t.goodput, 0.648562, 5e-7);
+    EXPECT_NEAR(t.intervalNs, 186223097.7, 5e-4);
+    EXPECT_NEAR(t.youngDalyNs, 316227766.017, 5e-4);
+    // The tuned interval never loses to the grid and, with independent
+    // failures, stays within one octave of the closed form.
+    EXPECT_GE(t.goodput, best_grid);
+    EXPECT_LE(std::fabs(std::log2(t.intervalNs / t.youngDalyNs)), 1.0);
+}
+
 TEST(CheckpointTuner, YoungDalySeedValidatesItsInputs)
 {
     // No fault scenario at all.
@@ -219,6 +266,69 @@ TEST(ResilienceStudy, RunsVariantsAndValidatesKeys)
                  FatalError);
     EXPECT_THROW(runResilienceStudy(json::parse(R"({"seeds": 2})"), 1),
                  FatalError);
+}
+
+TEST(ResilienceStudy, FaultAwarePlacementBeatsObliviousAtTheCommittedMeans)
+{
+    // NPUs {0,1} form a flaky rack with a long repair time. One 4-NPU
+    // job on 8 NPUs, so the placement genuinely chooses between the
+    // flaky half and the quiet half. Mean metrics over 4 fault seeds.
+    auto variant = [](const char *placement, const char *restart,
+                      int64_t spares) {
+        json::Value base = json::parse(R"json({
+          "topology": "Switch(8,100)",
+          "backend": "flow",
+          "fault": {"seed": 3, "horizon_ns": 80000000000,
+                    "domains": [{"name": "flakyrack", "npus": [0, 1],
+                                 "mtbf_ns": 5000000000,
+                                 "mttr_ns": 2500000000}]},
+          "cluster": {
+            "checkpoint": {"interval_ns": 200000000, "cost_ns": 1000000,
+                           "restart_delay_ns": 5000000},
+            "jobs": [{"name": "train", "size": 4,
+                      "workload": {"kind": "hybrid", "model": "gpt3",
+                                   "sim_layers": 2, "iterations": 4}}]
+          }
+        })json");
+        applyOverride(base, "cluster.placement",
+                      json::Value(std::string(placement)));
+        applyOverride(base, "cluster.checkpoint.restart",
+                      json::Value(std::string(restart)));
+        if (spares > 0)
+            applyOverride(base, "cluster.spares", json::Value(spares));
+        json::Object doc;
+        doc["name"] = json::Value(std::string(placement));
+        doc["base"] = base;
+        doc["seeds"] = json::Value(int64_t{4});
+        SweepSpec spec = SweepSpec::fromJson(json::Value(std::move(doc)));
+        return ResultStore::fromBatch(spec, runBatch(spec, BatchOptions{}));
+    };
+    struct Expect
+    {
+        double goodput, availability, blastRadius, spareUtilization;
+    };
+    auto expectMeans = [](const ResultStore &store, const Expect &e) {
+        EXPECT_NEAR(store.mean(Metric::Goodput), e.goodput, 5e-7);
+        EXPECT_NEAR(store.mean(Metric::Availability), e.availability,
+                    5e-7);
+        EXPECT_NEAR(store.mean(Metric::BlastRadius), e.blastRadius, 5e-7);
+        EXPECT_NEAR(store.mean(Metric::SpareUtilization),
+                    e.spareUtilization, 5e-7);
+    };
+
+    // The oblivious contiguous baseline parks the job on the flaky
+    // rack and waits out every outage; avoid_degraded dodges the rack;
+    // spare restart patches the dead members from a reserved pool.
+    ResultStore oblivious = variant("contiguous", "same", 0);
+    ResultStore avoid = variant("avoid_degraded", "same", 0);
+    ResultStore spare = variant("contiguous", "spare", 2);
+    expectMeans(oblivious, {0.499835, 0.67668, 1.0, 0.0});
+    expectMeans(avoid, {0.743952, 1.0, 0.0, 0.0});
+    expectMeans(spare, {0.737057, 0.999924, 0.091239, 0.935788});
+    EXPECT_GT(avoid.mean(Metric::Goodput),
+              oblivious.mean(Metric::Goodput));
+    EXPECT_GT(spare.mean(Metric::Goodput),
+              oblivious.mean(Metric::Goodput));
 }
 
 TEST(ResilienceStudy, SampleStudyRoundTrips)

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "astra/simulator.h"
+#include "bench_util.h"
 #include "cluster/cluster.h"
 #include "cluster/config.h"
 #include "common/cli.h"
@@ -220,6 +221,42 @@ TEST(Telemetry, OffVsOnBitIdenticalOnEveryBackend)
         EXPECT_EQ(reportToJson(off).dump(2), reportToJson(with).dump(2))
             << "backend " << static_cast<int>(backend);
     }
+}
+
+TEST(Telemetry, HierAllreduce256HeartbeatsLeaveTheRunBitIdentical)
+{
+    // Default event cadence on the telemetry bench's scenario.
+    for (bool monitored : {false, true}) {
+        SCOPED_TRACE(monitored ? "monitored" : "unmonitored");
+        bench::HierAllreduce256 run(NetworkBackendKind::Flow);
+        TelemetryConfig cfg;
+        cfg.intervalEvents = kDefaultIntervalEvents;
+        Monitor monitor(cfg);
+        if (monitored)
+            run.eq.setMonitor(&monitor);
+        run.run();
+        EXPECT_NEAR(run.eq.now(), 87250.0, 5e-4);
+        EXPECT_EQ(run.eq.executedEvents(), 261315u);
+        if (monitored) {
+            monitor.finish(run.eq.now(), run.eq.executedEvents(),
+                           run.eq.pending());
+            run.eq.setMonitor(nullptr);
+            EXPECT_EQ(monitor.heartbeatCount(), 4u);
+        }
+    }
+}
+
+TEST(Telemetry, FlowAllreduce4096FootprintMatchesTheCommittedRollup)
+{
+    // Capacity-based accounting is deterministic, so the 4096-NPU
+    // scale point's footprint is pinned exactly.
+    Report r = bench::runFlowAllreduce4096();
+    EXPECT_NEAR(r.totalTime, 35940.234, 5e-4);
+    EXPECT_EQ(r.events, 2101312u);
+    EXPECT_EQ(r.peakFootprintBytes, 22033256u);
+    EXPECT_NEAR(r.bytesPerFlow, 460.335, 5e-4);
+    EXPECT_NEAR(r.bytesPerNpu, 5379.213, 5e-4);
+    EXPECT_EQ(r.telemetryHeartbeats, 33u);
 }
 
 TEST(Telemetry, DeterministicHeartbeatFieldsAcrossRepeats)

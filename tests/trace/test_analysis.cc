@@ -28,13 +28,11 @@
 #include <vector>
 
 #include "astra/simulator.h"
-#include "collective/engine.h"
+#include "bench_util.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "common/output_file.h"
 #include "common/units.h"
-#include "event/event_queue.h"
-#include "network/network_api.h"
 #include "sweep/result_store.h"
 #include "sweep/runner.h"
 #include "sweep/spec.h"
@@ -49,47 +47,23 @@ namespace trace {
 namespace analysis {
 namespace {
 
-using namespace astra::literals;
-
-/** The hier_allreduce_256 scenario (bench_flow_vs_packet): four
- *  staggered chunked hierarchical All-Reduces on Ring(8) x
- *  Switch(32). Contention-heavy, so flow and analytical timing
+/** The hier_allreduce_256 scenario (bench/bench_util.h) traced at
+ *  full detail. Contention-heavy, so flow and analytical timing
  *  genuinely diverge. */
 TraceData
 runHierAllreduce(NetworkBackendKind backend, double *sim_time_ns,
                  double rate_epsilon = 0.25)
 {
-    Topology topo({{BlockType::Ring, 8, 200.0, 300.0},
-                   {BlockType::Switch, 32, 50.0, 500.0}});
-    CollectiveRequest req;
-    req.type = CollectiveType::AllReduce;
-    req.bytes = 2_MB;
-    req.chunks = 4;
-    const int kRounds = 4;
-    const TimeNs kStagger = 12000.0;
-
-    EventQueue eq;
-    std::unique_ptr<NetworkApi> net = makeNetwork(backend, eq, topo);
-    CollectiveEngine engine(*net);
+    bench::HierAllreduce256 run(backend);
     TraceConfig cfg;
     cfg.detail = Detail::Full;
     cfg.rateEpsilon = rate_epsilon;
     Tracer tracer(cfg);
-    net->setTracer(&tracer);
-    engine.setTracer(&tracer, 0);
-
-    int remaining = topo.npus() * kRounds;
-    for (int r = 0; r < kRounds; ++r) {
-        eq.schedule(r * kStagger, [&engine, &topo, &req, &remaining, r] {
-            for (NpuId npu = 0; npu < topo.npus(); ++npu)
-                engine.join(0xBE5C0000ULL + static_cast<uint64_t>(r),
-                            npu, req, [&remaining] { --remaining; });
-        });
-    }
-    eq.run();
-    EXPECT_EQ(remaining, 0);
+    run.net->setTracer(&tracer);
+    run.engine.setTracer(&tracer, 0);
+    run.run();
     if (sim_time_ns != nullptr)
-        *sim_time_ns = eq.now();
+        *sim_time_ns = run.eq.now();
     return TraceData::fromTracer(tracer);
 }
 

@@ -10,7 +10,9 @@
  *    chunk phases contained in an instance window.
  *  - The observational contract: simulated results are bit-identical
  *    with tracing off vs `detail: full` on all three backends, and
- *    across sweep thread counts with tracing enabled.
+ *    across sweep thread counts with tracing enabled; the tracing
+ *    bench's hier_allreduce_256 keeps its committed time, event count
+ *    and recorded-event counts at every detail level.
  *  - Self-profiling counters flowing into the Report; unclosed spans
  *    dropped at export and counted.
  *  - Per-link utilization series semantics (fractions in [0, 1]).
@@ -36,6 +38,7 @@
 #include <vector>
 
 #include "astra/simulator.h"
+#include "bench_util.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "common/output_file.h"
@@ -224,6 +227,28 @@ TEST(TraceBitIdentity, OffVsFullOnEveryBackend)
                       full.perNpu[i].exposedComm);
             EXPECT_EQ(off.perNpu[i].idle, full.perNpu[i].idle);
         }
+    }
+}
+
+TEST(TraceBitIdentity, HierAllreduce256MatchesUntracedAtEveryDetail)
+{
+    const std::pair<Detail, uint64_t> levels[] = {
+        {Detail::Off, 0}, {Detail::Spans, 4}, {Detail::Full, 209924}};
+    for (auto [detail, recorded] : levels) {
+        SCOPED_TRACE(testing::Message()
+                     << "detail " << static_cast<int>(detail));
+        bench::HierAllreduce256 run(NetworkBackendKind::Flow);
+        TraceConfig cfg;
+        cfg.detail = detail;
+        Tracer tracer(cfg);
+        if (detail != Detail::Off) {
+            run.net->setTracer(&tracer);
+            run.engine.setTracer(&tracer, 0);
+        }
+        run.run();
+        EXPECT_NEAR(run.eq.now(), 87250.0, 5e-4);
+        EXPECT_EQ(run.eq.executedEvents(), 261315u);
+        EXPECT_EQ(tracer.eventCount(), recorded);
     }
 }
 
