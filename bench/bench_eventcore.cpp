@@ -13,7 +13,7 @@
  *  - far_future:      uniform spread over 60 s (level-2 inserts and
  *                     moves down through every wheel level).
  *  - collective_4096: 1 MB All-Reduce on a 4096-NPU 3-D torus over
- *                     the analytical backend (bench_speedup's anchor).
+ *                     the analytical backend (the paper's 4K-NPU run).
  *
  * The JSON holds wall time and rate only. The pattern event counts are
  * the loop bounds below; the anchor's simulated time and event count
@@ -132,7 +132,7 @@ BenchResult
 benchCollective4096()
 {
     return timed("collective_4096", [](BenchResult &r) -> uint64_t {
-        CollectiveResult res = runCollective4096();
+        CollectiveResult res = runTorusAllReduce(16);
         r.simTimeNs = res.time;
         return res.events;
     });

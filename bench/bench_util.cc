@@ -14,9 +14,11 @@ namespace bench {
 using namespace astra::literals;
 
 CollectiveResult
-runCollectiveOn(const Topology &topo, NetworkBackendKind backend,
-                const CollectiveRequest &req, Bytes packet_bytes)
+runTorusAllReduce(int k, NetworkBackendKind backend, Bytes packet_bytes)
 {
+    Topology topo({{BlockType::Ring, k, 56.0, 500.0},
+                   {BlockType::Ring, k, 56.0, 500.0},
+                   {BlockType::Ring, k, 56.0, 500.0}});
     EventQueue eq;
     std::unique_ptr<NetworkApi> net;
     if (backend == NetworkBackendKind::Packet)
@@ -24,28 +26,11 @@ runCollectiveOn(const Topology &topo, NetworkBackendKind backend,
     else
         net = makeNetwork(backend, eq, topo);
     CollectiveEngine engine(*net);
-
-    auto start = std::chrono::steady_clock::now();
-    CollectiveRunResult run = runCollective(engine, req);
-
-    CollectiveResult result;
-    result.time = run.finish;
-    result.wallSeconds = wallSince(start);
-    result.events = eq.executedEvents();
-    result.sentPerDim = run.sentPerDim;
-    return result;
-}
-
-CollectiveResult
-runCollective4096()
-{
-    Topology topo({{BlockType::Ring, 16, 56.0, 500.0},
-                   {BlockType::Ring, 16, 56.0, 500.0},
-                   {BlockType::Ring, 16, 56.0, 500.0}});
     CollectiveRequest req =
         CollectiveRequest::overDims(CollectiveType::AllReduce, 1_MB);
     req.chunks = 4;
-    return runCollectiveOn(topo, NetworkBackendKind::Analytical, req);
+    TimeNs finish = runCollective(engine, req).finish;
+    return {finish, eq.executedEvents()};
 }
 
 TransferScenario

@@ -2,8 +2,7 @@
  * @file
  * Shared helpers for the benchmark harnesses in bench/ and the tests
  * that pin their simulated results: the bench scenarios, each defined
- * once, plus a standalone collective run on a chosen backend,
- * wall-clock timing, and the `--json` flag. The paper's §V figures are
+ * once, plus wall-clock timing and the `--json` flag. The paper's §V figures are
  * sweep specs under examples/figures/ (docs/sweep.md "Paper figures").
  */
 #ifndef ASTRA_BENCH_BENCH_UTIL_H_
@@ -24,26 +23,22 @@
 namespace astra {
 namespace bench {
 
-/** Result of one standalone collective run. */
+/** Simulated finish time and executed events of one collective run. */
 struct CollectiveResult
 {
     TimeNs time = 0.0;
-    double wallSeconds = 0.0;
     uint64_t events = 0;
-    std::vector<double> sentPerDim;
 };
 
-/** Run one collective over the whole topology on a fresh backend;
- *  `packet_bytes` only applies to the packet backend. */
-CollectiveResult runCollectiveOn(const Topology &topo,
-                                 NetworkBackendKind backend,
-                                 const CollectiveRequest &req,
-                                 Bytes packet_bytes = 4096.0);
-
-/** collective_4096: a 1 MB, 4-chunk All-Reduce on a 16x16x16 torus
- *  (3 x Ring(16,56,500), 4096 NPUs) over the analytical backend, the
- *  §IV-C scale anchor. */
-CollectiveResult runCollective4096();
+/** The §IV-C setting: a 1 MB, 4-chunk All-Reduce on a k x k x k torus
+ *  (3 x Ring(k,56,500)) on a fresh backend; `packet_bytes` only
+ *  applies to the packet backend. k = 16 on the analytical backend is
+ *  collective_4096, the 4096-NPU scale anchor; k = 4 is the 64-NPU
+ *  analytical-vs-packet speed gap. */
+CollectiveResult
+runTorusAllReduce(int k,
+                  NetworkBackendKind backend = NetworkBackendKind::Analytical,
+                  Bytes packet_bytes = 4096.0);
 
 /** One point-to-point transfer of a TransferScenario. */
 struct Transfer

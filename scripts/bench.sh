@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Build the Release bench targets and record the wall-time trajectory:
-#  - bench_eventcore (schedule/dispatch micro-benchmarks) +
-#    the bench_speedup one-shot section (§IV-C anchor)
-#    -> BENCH_eventcore.json
+#  - bench_eventcore (schedule/dispatch micro-benchmarks and the
+#    4096-NPU all-reduce, the §IV-C scale anchor) -> BENCH_eventcore.json
 #  - bench_sweep_throughput (64-config hierarchical-memory sweep at
 #    1/2/8 threads) -> BENCH_sweep.json
 #  - bench_flow_vs_packet (1024-NPU incast, 64-NPU all-to-all, and
@@ -30,6 +29,13 @@
 # regressed by more than 25% — see scripts/bench_check.py. Run it
 # before merging perf-sensitive changes; regenerate the committed
 # files when a change is intentional.
+#
+# A bench that exits non-zero (an in-binary budget such as the 5%
+# heartbeat overhead) does not stop the script: every later bench
+# still runs, --check still prints one verdict per file (FAIL for a
+# file whose bench wrote no results), and the script exits non-zero
+# at the end, naming each failed run. Without --check, a committed
+# file whose bench failed every repeat is left as it was.
 #
 # The committed wall numbers describe one specific machine. On any
 # other host, set WALL_BASELINE=<file> so --check gates wall times
@@ -82,27 +88,37 @@ if [[ "$CHECK" == 1 ]]; then
     FLOW_OUT="$CHECK_DIR/BENCH_flow.json"
     TRACE_OUT="$CHECK_DIR/BENCH_trace.json"
     OBS_OUT="$CHECK_DIR/BENCH_obs.json"
+    # A bench that fails leaves no fresh file: never gate a stale one.
+    rm -f "$OUT" "$SWEEP_OUT" "$FLOW_OUT" "$TRACE_OUT" "$OBS_OUT"
 fi
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-      --target bench_eventcore bench_speedup bench_sweep_throughput \
+      --target bench_eventcore bench_sweep_throughput \
                bench_flow_vs_packet bench_trace_overhead \
                bench_telemetry_overhead
 
 # run_bench BINARY OUT: repeat the bench BENCH_REPEAT times and merge
-# with per-scenario min wall time (see header comment).
+# the runs that succeeded with per-scenario min wall time (see header
+# comment). A failed run is recorded in FAILED, not fatal.
+FAILED=()
 run_bench() {
     local binary="$1" out="$2"
     local tmp_files=()
     for ((r = 1; r <= BENCH_REPEAT; ++r)); do
         local tmp="$out.run$r"
-        "./$BUILD_DIR/$binary" --json "$tmp"
-        tmp_files+=("$tmp")
+        if "$BUILD_DIR/$binary" --json "$tmp"; then
+            tmp_files+=("$tmp")
+        else
+            FAILED+=("$binary run $r")
+        fi
         echo
     done
-    python3 scripts/bench_min.py "$out" "${tmp_files[@]}"
-    rm -f "${tmp_files[@]}"
+    if ((${#tmp_files[@]} > 0)); then
+        python3 scripts/bench_min.py "$out" "${tmp_files[@]}" ||
+            FAILED+=("bench_min.py for $binary")
+        rm -f "${tmp_files[@]}"
+    fi
 }
 
 run_bench bench_eventcore "$OUT"
@@ -112,11 +128,7 @@ run_bench bench_trace_overhead "$TRACE_OUT"
 run_bench bench_telemetry_overhead "$OBS_OUT"
 
 echo
-# One-shot speedup section only (skip the google-benchmark loops).
-"./$BUILD_DIR/bench_speedup" --benchmark_filter='^DISABLED_none$' ||
-    true
-
-echo
+STATUS=0
 if [[ "$CHECK" == 1 ]]; then
     BASE_ARGS=()
     if [[ -n "$WALL_BASELINE" ]]; then
@@ -131,9 +143,18 @@ if [[ "$CHECK" == 1 ]]; then
         "$COMMITTED_SWEEP" "$SWEEP_OUT" \
         "$COMMITTED_FLOW" "$FLOW_OUT" \
         "$COMMITTED_TRACE" "$TRACE_OUT" \
-        "$COMMITTED_OBS" "$OBS_OUT"
+        "$COMMITTED_OBS" "$OBS_OUT" || STATUS=1
+fi
+for run in "${FAILED[@]}"; do
+    echo "bench.sh: $run failed"
+    STATUS=1
+done
+if [[ "$STATUS" != 0 ]]; then
+    echo "bench run failed"
+elif [[ "$CHECK" == 1 ]]; then
     echo "bench check passed (fresh results in $BUILD_DIR/bench-check)"
 else
     echo "results written to $OUT, $SWEEP_OUT, $FLOW_OUT," \
          "$TRACE_OUT, and $OBS_OUT"
 fi
+exit "$STATUS"

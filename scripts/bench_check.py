@@ -36,6 +36,9 @@ Compares a freshly produced bench JSON against the committed one:
    under any other key is an error naming the key and the file, so a
    new bench metric cannot slip through ungated.
 
+A missing fresh file (its bench failed every run) fails that file's
+verdict; the other files are still compared.
+
 Exit code 0 = clean, 1 = any violation (all violations are listed).
 """
 import argparse
@@ -159,15 +162,20 @@ def main(argv):
         committed_path, fresh_path = args.files[i], args.files[i + 1]
         with open(committed_path) as f:
             committed = json.load(f)
-        with open(fresh_path) as f:
-            fresh = json.load(f)
         name = os.path.basename(committed_path)
         if args.wall_baseline:
             baseline = ledger.get(name, ABSENT)
         else:
             baseline = None  # wall gate uses the committed numbers.
         file_errors = []
-        compare(committed, fresh, baseline, "", file_errors)
+        if os.path.exists(fresh_path):
+            with open(fresh_path) as f:
+                fresh = json.load(f)
+            compare(committed, fresh, baseline, "", file_errors)
+        else:
+            fresh = {}
+            file_errors.append(f"no fresh results in {fresh_path} "
+                               "(its bench failed every run)")
         errors += [f"{committed_path}: {e}" for e in file_errors]
         status = "FAIL" if file_errors else "OK"
         print(f"{committed_path}: {status}")

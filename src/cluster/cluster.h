@@ -218,7 +218,6 @@ class ClusterSimulator
     const Topology &topology() const { return topo_; }
     EventQueue &eventQueue() { return eq_; }
     NetworkApi &network() { return net_; }
-    int jobCount() const { return static_cast<int>(jobs_.size()); }
 
     /** The run's shared tracer (null unless cfg.trace enabled it);
      *  exposed so tests can inspect the timeline in memory. */

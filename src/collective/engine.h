@@ -84,10 +84,6 @@ class CollectiveEngine
     void cancelAll() { cancelled_ = true; }
     bool cancelled() const { return cancelled_; }
 
-    /** Instance slots currently allocated (live + recyclable); exposed
-     *  so tests can verify free-list recycling. */
-    size_t instanceSlots() const { return instances_.slots(); }
-
     /**
      * Heap bytes held by the engine's own state (telemetry footprint
      * protocol, docs/observability.md): the instance pool including

@@ -86,9 +86,6 @@ class FaultInjector
     /** Number of fault events applied so far. */
     uint64_t firedCount() const { return fired_; }
 
-    /** Total timeline length (explicit + generated events). */
-    size_t timelineSize() const { return timeline_.size(); }
-
   private:
     void scheduleNext(size_t index);
     void apply(const FaultEvent &ev);

@@ -73,10 +73,6 @@ class PacketNetwork : public NetworkApi
     /** Number of directed links in the shared graph. */
     size_t linkCount() const { return graph_.linkCount(); }
 
-    /** Message slots currently allocated (live + recyclable); exposed
-     *  so tests can verify free-list recycling. */
-    size_t messageSlots() const { return messages_.slots(); }
-
     /** The message pool doubles as this backend's in-flight-unit pool
      *  for the bytes/flow footprint metric (telemetry). */
     size_t flowSlots() const override { return messages_.slots(); }
@@ -87,8 +83,6 @@ class PacketNetwork : public NetworkApi
     /** Adds the link graph, port FIFOs, message pool and parking lots
      *  to the base accounting (telemetry footprint protocol). */
     size_t bytesInUse() const override;
-
-    Bytes packetBytes() const { return packetBytes_; }
 
   private:
     /** Mutable FIFO state per LinkGraph link (indexed by LinkId). */

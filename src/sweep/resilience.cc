@@ -104,9 +104,10 @@ tuneCheckpointInterval(const json::Value &clusterDoc, int refineEvals)
         return g;
     };
 
-    // Geometric ladder around the Young/Daly seed. bench.sh's fixed-
-    // interval comparison grid is drawn from these exact multiples,
-    // so "tuned >= best grid point" holds by construction.
+    // Geometric ladder around the Young/Daly seed. The result is the
+    // best of all probes, ladder included, so "tuned >= best grid
+    // point" holds by construction (asserted by
+    // CheckpointTuner.UncorrelatedBaselineMatchesTheCommittedTuning).
     static const double kLadder[] = {0.25, 0.5, 1.0, 2.0, 4.0};
     size_t best = 0;
     for (size_t i = 0; i < 5; ++i) {

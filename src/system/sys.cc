@@ -21,12 +21,6 @@ Sys::eq()
 }
 
 void
-Sys::noteBusy()
-{
-    lastBusy_ = std::max(lastBusy_, eq().now());
-}
-
-void
 Sys::stallCompute(TimeNs duration)
 {
     if (duration <= 0.0)
@@ -38,7 +32,6 @@ Sys::stallCompute(TimeNs duration)
     });
     eq().scheduleAt(start + duration, [this] {
         tracker_.endActivity(Activity::Compute, eq().now());
-        noteBusy();
     });
 }
 
@@ -55,7 +48,6 @@ Sys::issueCompute(Flops flops, Bytes tensor_bytes, EventCallback done)
     eq().scheduleAt(start + duration,
                     [this, done = std::move(done)]() mutable {
                         tracker_.endActivity(Activity::Compute, eq().now());
-                        noteBusy();
                         if (done)
                             done();
                     });
@@ -82,7 +74,6 @@ Sys::issueMemory(MemLocation loc, MemOp op, Bytes bytes, bool fused,
     eq().scheduleAt(start + duration,
                     [this, activity, done = std::move(done)]() mutable {
                         tracker_.endActivity(activity, eq().now());
-                        noteBusy();
                         if (done)
                             done();
                     });
@@ -100,7 +91,6 @@ Sys::issueCollective(uint64_t key, CollectiveRequest req,
     coll_.join(key, npu_, req,
                [this, done = std::move(done)]() mutable {
                    tracker_.endActivity(Activity::Comm, eq().now());
-                   noteBusy();
                    if (done)
                        done();
                });
@@ -113,7 +103,6 @@ Sys::issueSend(NpuId peer, Bytes bytes, uint64_t tag, EventCallback done)
     SendHandlers handlers;
     handlers.onInjected = [this, done = std::move(done)]() mutable {
         tracker_.endActivity(Activity::Comm, eq().now());
-        noteBusy();
         if (done)
             done();
     };
@@ -129,7 +118,6 @@ Sys::issueRecv(NpuId peer, uint64_t tag, EventCallback done)
                             [this, done = std::move(done)]() mutable {
                                 tracker_.endActivity(Activity::Comm,
                                                      eq().now());
-                                noteBusy();
                                 if (done)
                                     done();
                             });

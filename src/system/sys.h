@@ -73,9 +73,6 @@ class Sys
     BreakdownTracker &tracker() { return tracker_; }
     const BreakdownTracker &tracker() const { return tracker_; }
 
-    /** Simulated time the NPU last completed any operation. */
-    TimeNs lastBusy() const { return lastBusy_; }
-
     /**
      * Persistent compute slowdown (fault injection's "straggler"):
      * every subsequent compute duration is multiplied by `scale`.
@@ -105,7 +102,6 @@ class Sys
     using Activity = BreakdownTracker::Activity;
 
     EventQueue &eq();
-    void noteBusy();
 
     NpuId npu_;
     SysConfig cfg_;
@@ -115,7 +111,6 @@ class Sys
     BreakdownTracker tracker_;
     TimeNs computeFreeAt_ = 0.0;
     TimeNs memFreeAt_ = 0.0;
-    TimeNs lastBusy_ = 0.0;
     double computeScale_ = 1.0;
 };
 

@@ -186,9 +186,19 @@ TEST(EventCoreDeterminism, Collective4096MatchesTheAnchor)
 {
     // The event-core bench's end-to-end anchor: 1.48M events on a
     // 4096-NPU torus, analytical backend.
-    bench::CollectiveResult r = bench::runCollective4096();
+    bench::CollectiveResult r = bench::runTorusAllReduce(16);
     EXPECT_NEAR(r.time, 64200.945, 5e-4);
     EXPECT_EQ(r.events, 1478656u);
+
+    // §IV-C's speed gap on the 64-NPU torus: the packet backend at 64 B
+    // packets, the stand-in for a flit-level simulator, runs over 400x
+    // the analytical backend's events for the same All-Reduce.
+    bench::CollectiveResult a = bench::runTorusAllReduce(4);
+    bench::CollectiveResult p =
+        bench::runTorusAllReduce(4, NetworkBackendKind::Packet, 64.0);
+    EXPECT_EQ(a.events, 4672u);
+    EXPECT_EQ(p.events, 1972288u);
+    EXPECT_GT(double(p.events), 400.0 * double(a.events));
 }
 
 TEST(EventCoreStress, MillionEventsWithTiesAndOverflow)

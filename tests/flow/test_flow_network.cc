@@ -374,6 +374,18 @@ TEST(FlowVsPacket, Incast1024MatchesTheCommittedRuns)
     EXPECT_EQ(flow.solver.solves, 1u);
     EXPECT_EQ(flow.solver.flowsTouched, 1023u);
     EXPECT_NEAR(flow.solver.avgComponentFrac(), 1.0, 5e-7);
+
+    // The analytical backend serializes only each sender's TX port, so
+    // it finishes in one message's time: 10,000 ns on the wire plus
+    // 1,000 ns of latency. Flow and packet resolve the shared
+    // down-link: their wire time is the 1023 senders' in a row.
+    BackendRun analytical = runTransferScenario(
+        bench::incast1024(), NetworkBackendKind::Analytical);
+    EXPECT_NEAR(analytical.simTimeNs, 11000.0, 5e-4);
+    EXPECT_EQ(analytical.events, 1023u);
+    const TimeNs wire = analytical.simTimeNs - 1000.0;
+    EXPECT_NEAR((flow.simTimeNs - 1000.0) / wire, 1023.0, 0.01);
+    EXPECT_NEAR((packet.simTimeNs - 1000.0) / wire, 1023.0, 0.01);
 }
 
 TEST(FlowVsPacket, AllToAll64MatchesTheCommittedRuns)
