@@ -516,10 +516,10 @@ Tracer::writeChromeTrace(const std::string &path)
                  tn.second);
 
     // Time order (Chrome/Perfetto accept any, but sorted output gives
-    // monotonic per-track timestamps, checked by tests and
-    // scripts/check_trace.py, and faster ingestion). Timestamps are
-    // in microseconds; sub-ns precision survives via the fractional
-    // digits.
+    // monotonic per-track timestamps, checked by
+    // ChromeTraceExport.StructureAndOrdering, and faster ingestion).
+    // Timestamps are in microseconds; sub-ns precision survives via
+    // the fractional digits.
     uint64_t unclosed = 0;
     NameBuffer buf;
     TimeOrder order(*this);

@@ -11,7 +11,6 @@
 #     @INPUT@ by a file holding the JSON text INPUT;
 #   - with ZERO_ARGS: `BIN ZERO_ARGS`, which reads /dev/zero as a JSON
 #     file, exits 2 with exactly one "error:" line naming /dev/zero.
-# Every run is bounded by a timeout.
 # Argument lists separate their items with "|".
 #
 #   cmake -DBIN=build/sweep_runner -DBAD_ARGS="missing.json" \
@@ -24,37 +23,17 @@ if(NOT BIN OR NOT BAD_ARGS OR NOT WORK)
                       "(declare cli_bad_<binary> in CMakeLists.txt)")
 endif()
 
-function(run_bin expected_rc)
-  execute_process(COMMAND ${BIN} ${ARGN} TIMEOUT 300
-                  RESULT_VARIABLE rc OUTPUT_VARIABLE out
-                  ERROR_VARIABLE err)
-  if(NOT rc STREQUAL "${expected_rc}")
-    message(FATAL_ERROR "${BIN} ${ARGN}: exit ${rc}, expected "
-                        "${expected_rc}\nstdout:\n${out}\nstderr:\n${err}")
-  endif()
-  set(last_err "${err}" PARENT_SCOPE)
-endfunction()
+include(${CMAKE_CURRENT_LIST_DIR}/run_bin.cmake)
 
-function(expect_user_error)
-  run_bin(2 ${ARGN})
-  string(REGEX MATCHALL "\n" newlines "${last_err}")
-  list(LENGTH newlines lines)
-  if(NOT lines EQUAL 1 OR NOT last_err MATCHES "^error: ")
-    message(FATAL_ERROR "${BIN} ${ARGN}: expected one 'error:' line "
-                        "on stderr, got:\n${last_err}")
-  endif()
-  set(last_err "${last_err}" PARENT_SCOPE)
-endfunction()
-
-run_bin(0 --help)
-expect_user_error(--bogus)
+run_bin(0 ${BIN} --help)
+expect_user_error(${BIN} --bogus)
 string(REPLACE "|" ";" bad "${BAD_ARGS}")
-expect_user_error(${bad})
+expect_user_error(${BIN} ${bad})
 
 # A stream that never ends is read only up to its first bad byte.
 if(ZERO_ARGS AND EXISTS /dev/zero)
   string(REPLACE "|" ";" args "${ZERO_ARGS}")
-  expect_user_error(${args})
+  expect_user_error(${BIN} ${args})
   if(NOT last_err MATCHES "/dev/zero")
     message(FATAL_ERROR "${BIN} ${args}: the error does not name the "
                         "file:\n${last_err}")
@@ -63,12 +42,12 @@ endif()
 
 set(sample "${WORK}.json")
 if(SAMPLE_RUN OR FULL_RUN MATCHES "@SAMPLE@")
-  run_bin(0 --sample ${sample})
+  run_bin(0 ${BIN} --sample ${sample})
 endif()
 if(SAMPLE_RUN)
   string(REPLACE "@SAMPLE@" "${sample}" args "${SAMPLE_RUN}")
   string(REPLACE "|" ";" args "${args}")
-  run_bin(0 ${args})
+  run_bin(0 ${BIN} ${args})
 endif()
 
 if(FULL_FLAGS)
@@ -84,9 +63,9 @@ if(FULL_FLAGS)
   string(REPLACE "@INPUT@" "${input}" args "${args}")
   string(REPLACE "|" ";" args "${args}")
   string(REPLACE "|" ";" flags "${FULL_FLAGS}")
-  run_bin(0 ${args})
+  run_bin(0 ${BIN} ${args})
   foreach(flag ${flags})
-    expect_user_error(${args} --${flag} /dev/full)
+    expect_user_error(${BIN} ${args} --${flag} /dev/full)
     if(NOT last_err MATCHES "/dev/full")
       message(FATAL_ERROR "${BIN} --${flag} /dev/full: the error does "
                           "not name the file:\n${last_err}")

@@ -331,14 +331,29 @@ TEST(ResilienceStudy, FaultAwarePlacementBeatsObliviousAtTheCommittedMeans)
               oblivious.mean(Metric::Goodput));
 }
 
-TEST(ResilienceStudy, SampleStudyRoundTrips)
+TEST(ResilienceStudy, SampleStudyRunsWithoutFailures)
 {
     std::string path = "/tmp/astra_test_resilience_sample.json";
     writeSampleResilienceStudy(path);
     json::Value doc = json::parseFile(path);
-    EXPECT_TRUE(doc.has("config"));
-    EXPECT_TRUE(doc.at("config").has("fault"));
     std::remove(path.c_str());
+    // The cluster scenario `fault` of tests/cluster/golden/ is this
+    // sample's config, so ClusterGolden and smoke_cluster_runner cover
+    // it too.
+    EXPECT_EQ(doc.at("config").dump(2),
+              json::parseFile(std::string(ASTRA_TEST_DIR) +
+                              "/cluster/golden/fault.json")
+                  .dump(2));
+
+    json::Value report = runResilienceStudy(doc, /*threads=*/2);
+    EXPECT_GE(report.at("seeds").asInt(), 1);
+    const json::Array &variants = report.at("variants").asArray();
+    EXPECT_FALSE(variants.empty());
+    for (const json::Value &v : variants) {
+        EXPECT_EQ(v.at("failures").asInt(), 0);
+        EXPECT_GT(v.at("mean_goodput").asNumber(), 0.0);
+        EXPECT_LE(v.at("mean_goodput").asNumber(), 1.0);
+    }
 }
 
 } // namespace

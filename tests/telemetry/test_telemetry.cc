@@ -4,12 +4,15 @@
  * contract (telemetry off is bit-identical; telemetry on is purely
  * observational), deterministic heartbeat content under the
  * event-count cadence, ETA convergence, the always-on footprint
- * rollup, run-manifest round-trips, and config rejection paths.
+ * rollup, run-manifest round-trips, and config rejection paths. The
+ * heartbeat and manifest checks also read the files the smoke runs of
+ * trace_runner and sweep_runner write (tests/cli/smoke.cmake).
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -343,6 +346,50 @@ TEST(Telemetry, EtaConvergesOnSerialChain)
     EXPECT_DOUBLE_EQ(beats.back().etaSimNs, 0.0);
 }
 
+/** The records of an NDJSON file, one per line. */
+std::vector<json::Value>
+readNdjson(const std::string &path)
+{
+    std::vector<json::Value> records;
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << "cannot read " << path;
+    for (std::string line; std::getline(in, line);)
+        records.push_back(json::parse(line));
+    return records;
+}
+
+/** Checks the invariants every heartbeat stream keeps. */
+void
+expectValidBeats(const std::vector<json::Value> &beats)
+{
+    uint64_t prev_events = 0;
+    double prev_sim_time = 0.0;
+    for (size_t i = 0; i < beats.size(); ++i) {
+        const json::Value &beat = beats[i];
+        for (const char *key :
+             {"queue_depth", "eta_sim_ns", "active", "solver_solves",
+              "solver_solves_delta", "wall_seconds", "wall_sim_ns_per_s",
+              "wall_events_per_s", "wall_eta_seconds"})
+            EXPECT_TRUE(beat.has(key)) << key;
+        EXPECT_EQ(uint64_t(beat.at("seq").asNumber()), i);
+        EXPECT_GE(uint64_t(beat.at("events").asNumber()), prev_events);
+        prev_events = uint64_t(beat.at("events").asNumber());
+        EXPECT_GE(beat.at("sim_time_ns").asNumber(), prev_sim_time);
+        prev_sim_time = beat.at("sim_time_ns").asNumber();
+        EXPECT_GE(beat.at("progress").asNumber(), 0.0);
+        EXPECT_LE(beat.at("progress").asNumber(), 1.0);
+        EXPECT_LE(beat.at("nodes_done").asNumber(),
+                  beat.at("nodes_total").asNumber());
+        if (!beat.has("footprint"))
+            continue;
+        double footprint = 0.0;
+        for (const auto &[subsystem, bytes] :
+             beat.at("footprint").asObject())
+            footprint += bytes.asNumber();
+        EXPECT_EQ(footprint, beat.at("footprint_bytes").asNumber());
+    }
+}
+
 TEST(Telemetry, HeartbeatFileIsValidNdjson)
 {
     std::string path = "telemetry_beats_test.ndjson";
@@ -350,25 +397,21 @@ TEST(Telemetry, HeartbeatFileIsValidNdjson)
     cfg.file = path;
     cfg.intervalEvents = 64;
     Report r = runMixed(NetworkBackendKind::Analytical, cfg);
-
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    ASSERT_NE(f, nullptr);
-    char line[4096];
-    uint64_t lines = 0;
-    uint64_t prev_events = 0;
-    while (std::fgets(line, sizeof(line), f) != nullptr) {
-        json::Value beat = json::parse(line);
-        EXPECT_EQ(uint64_t(beat.at("seq").asNumber()), lines);
-        EXPECT_GE(uint64_t(beat.at("events").asNumber()), prev_events);
-        prev_events = uint64_t(beat.at("events").asNumber());
-        EXPECT_GE(beat.at("progress").asNumber(), 0.0);
-        EXPECT_LE(beat.at("progress").asNumber(), 1.0);
-        EXPECT_TRUE(beat.has("wall_seconds"));
-        ++lines;
-    }
-    std::fclose(f);
-    EXPECT_EQ(lines, r.telemetryHeartbeats);
+    std::vector<json::Value> beats = readNdjson(path);
+    expectValidBeats(beats);
+    EXPECT_EQ(beats.size(), r.telemetryHeartbeats);
     std::remove(path.c_str());
+
+    // `trace_runner --heartbeat-events 2048` in smoke_trace_runner
+    // (tests/cli/smoke.cmake): a fault-free run, so progress never
+    // goes back.
+    beats = readNdjson(std::string(ASTRA_SMOKE_DIR) +
+                       "/trace_runner/telemetry-beats.ndjson");
+    expectValidBeats(beats);
+    EXPECT_GE(beats.size(), 2u);
+    for (size_t i = 1; i < beats.size(); ++i)
+        EXPECT_GE(beats[i].at("progress").asNumber(),
+                  beats[i - 1].at("progress").asNumber());
 }
 
 TEST(Telemetry, HeartbeatFileFlushesEachRecord)
@@ -552,6 +595,52 @@ TEST(Telemetry, SweepDeterministicAcrossThreadsWithTelemetryOn)
     }
     EXPECT_EQ(rendered[0], rendered[1]);
     EXPECT_EQ(rendered[0], rendered[2]);
+}
+
+TEST(Telemetry, SweepBeatsAndRowManifests)
+{
+    // The sample sweep of smoke_sweep_runner (tests/cli/smoke.cmake),
+    // run with --heartbeat and --manifest-dir.
+    const std::string dir =
+        std::string(ASTRA_SMOKE_DIR) + "/sweep_runner";
+    std::vector<json::Value> beats =
+        readNdjson(dir + "/sweep-beats.ndjson");
+    ASSERT_FALSE(beats.empty());
+    double prev_done = 0.0;
+    for (size_t i = 0; i < beats.size(); ++i) {
+        const json::Value &beat = beats[i];
+        const double done = beat.at("rows_done").asNumber();
+        EXPECT_EQ(uint64_t(beat.at("seq").asNumber()), i);
+        EXPECT_LE(done, beat.at("rows_total").asNumber());
+        EXPECT_GE(done, prev_done);
+        prev_done = done;
+        EXPECT_LE(beat.at("cache_hits").asNumber() +
+                      beat.at("failures").asNumber(),
+                  done);
+        size_t busy = 0;
+        for (const json::Value &worker : beat.at("worker_busy").asArray())
+            busy += worker.asNumber() != 0.0;
+        EXPECT_EQ(double(busy), beat.at("workers_busy").asNumber());
+    }
+    EXPECT_EQ(beats.back().at("rows_done").asNumber(),
+              beats.back().at("rows_total").asNumber());
+
+    // Each row manifest is named by the config hash it records.
+    size_t manifests = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir + "/manifests")) {
+        json::Value doc = json::parseFile(entry.path().string());
+        EXPECT_EQ(doc.at("run_kind").asString(), "sweep-row");
+        const std::string hash = doc.at("config_hash").asString();
+        EXPECT_EQ(hash.size(), 16u);
+        EXPECT_EQ(hash.find_first_not_of("0123456789abcdef"),
+                  std::string::npos)
+            << hash;
+        EXPECT_EQ(entry.path().filename().string(),
+                  "manifest-" + hash + ".json");
+        ++manifests;
+    }
+    EXPECT_GT(manifests, 0u);
 }
 
 // ----------------------------------------------- cluster integration

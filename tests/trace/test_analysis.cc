@@ -8,7 +8,9 @@
  *    every segment a compute span.
  *  - Cross-run diffing: identical runs diff to exactly zero; flow vs
  *    analytical on the contention-heavy hier_allreduce_256 scenario
- *    attributes the known congestion divergence to chunk-phase spans.
+ *    attributes the known congestion divergence to chunk-phase spans;
+ *    the `trace_analyze --diff` JSON report of smoke_trace_runner
+ *    keeps its delta arithmetic and |delta| order.
  *  - Determinism: repeated analyses are byte-identical, and sweeps
  *    with analysis enabled render identical stores at 1/2/8 threads
  *    (with the critical_path_ns column populated).
@@ -23,6 +25,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -200,6 +204,48 @@ TEST(TraceDiff, FlowVsAnalyticalAttributesCongestionToChunkPhases)
     EXPECT_EQ(top.kind.rfind("coll:c#", 0), 0u)
         << "top kind: " << top.kind;
     EXPECT_GT(top.deltaNs, 0.0);
+}
+
+TEST(TraceDiff, ReportKeepsItsArithmetic)
+{
+    // The trace_analyze --diff report of smoke_trace_runner
+    // (tests/cli/smoke.cmake): trace_runner on R(4,150)_SW(2,25) vs
+    // the same fabric with dim-0 bandwidth halved.
+    json::Value doc = json::parseFile(std::string(ASTRA_SMOKE_DIR) +
+                                      "/trace_runner/diff-report.json");
+    EXPECT_EQ(doc.at("kind").asString(), "astra-trace-diff");
+    const double end_a = doc.at("end_a_ns").asNumber();
+    const double end_b = doc.at("end_b_ns").asNumber();
+    EXPECT_GE(end_a, 0.0);
+    EXPECT_GE(end_b, 0.0);
+    EXPECT_NEAR(doc.at("total_delta_ns").asNumber(), end_b - end_a, 1e-3);
+
+    const json::Array &rows = doc.at("kinds").asArray();
+    EXPECT_GE(rows.size(), 3u);
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const json::Value &row = rows[i];
+        const std::string kind = row.at("kind").asString();
+        const double count_a = row.at("count_a").asNumber();
+        const double count_b = row.at("count_b").asNumber();
+        const double total_a = row.at("total_a_ns").asNumber();
+        const double total_b = row.at("total_b_ns").asNumber();
+        const double delta = row.at("delta_ns").asNumber();
+        EXPECT_GE(std::min({count_a, count_b, total_a, total_b}), 0.0)
+            << kind;
+        EXPECT_LE(row.at("matched").asNumber(), std::min(count_a, count_b))
+            << kind;
+        EXPECT_TRUE(row.has("matched_delta_ns")) << kind;
+        EXPECT_NEAR(delta, total_b - total_a, 1e-3) << kind;
+        if (i == 0)
+            continue;
+        // Sorted by |delta_ns| descending, ties by kind.
+        const json::Value &prev = rows[i - 1];
+        const double prev_abs = std::abs(prev.at("delta_ns").asNumber());
+        EXPECT_TRUE(prev_abs > std::abs(delta) ||
+                    (prev_abs == std::abs(delta) &&
+                     prev.at("kind").asString() < kind))
+            << "row " << i << " (" << kind << ") out of order";
+    }
 }
 
 TEST(AnalysisDeterminism, RepeatedAnalysesAreByteIdentical)

@@ -6,8 +6,10 @@
  *    detail names, negative bucket widths; JSON round-trip.
  *  - Chrome trace-event export: valid JSON shape, required keys per
  *    phase, time-sorted events (hence per-(pid,tid) monotonic
- *    timestamps), strict nesting on collective-instance tracks and
- *    chunk phases contained in an instance window.
+ *    timestamps) on an in-process run and on the trace_runner
+ *    timeline of smoke_trace_runner, strict nesting on
+ *    collective-instance tracks and chunk phases contained in an
+ *    instance window.
  *  - The observational contract: simulated results are bit-identical
  *    with tracing off vs `detail: full` on all three backends, and
  *    across sweep thread counts with tracing enabled; the tracing
@@ -115,23 +117,26 @@ runTraced(Detail detail, const std::string &file,
     return report;
 }
 
-TEST(ChromeTraceExport, StructureAndOrdering)
+/** Checks the structure every exported timeline keeps (known phases,
+ *  the keys each phase needs, time-sorted events) and returns the
+ *  number of events with a timestamp, i.e. not metadata. */
+size_t
+expectTimelineStructure(const std::string &path)
 {
-    const std::string path = "test_trace_export.json";
-    runTraced(Detail::Full, path);
+    size_t timed = 0;
     json::Value doc = json::parseFile(path);
-    std::remove(path.c_str());
-
-    ASSERT_TRUE(doc.isObject());
+    EXPECT_TRUE(doc.isObject()) << path;
+    if (!doc.isObject())
+        return timed;
     const json::Array &events = doc.at("traceEvents").asArray();
-    ASSERT_GT(events.size(), 100u);
 
     double prev_ts = -1.0;
-    size_t timed = 0;
     for (const json::Value &ev : events) {
-        ASSERT_TRUE(ev.isObject());
+        EXPECT_TRUE(ev.isObject()) << path;
+        if (!ev.isObject())
+            continue;
         const std::string ph = ev.at("ph").asString();
-        ASSERT_TRUE(ph == "X" || ph == "i" || ph == "M") << ph;
+        EXPECT_TRUE(ph == "X" || ph == "i" || ph == "M") << ph;
         EXPECT_TRUE(ev.has("name"));
         EXPECT_TRUE(ev.has("pid"));
         EXPECT_TRUE(ev.has("tid"));
@@ -150,7 +155,21 @@ TEST(ChromeTraceExport, StructureAndOrdering)
         else
             EXPECT_FALSE(ev.has("dur"));
     }
-    EXPECT_GT(timed, 100u);
+    return timed;
+}
+
+TEST(ChromeTraceExport, StructureAndOrdering)
+{
+    const std::string path = "test_trace_export.json";
+    runTraced(Detail::Full, path);
+    EXPECT_GT(expectTimelineStructure(path), 100u);
+    std::remove(path.c_str());
+
+    // The trace_runner timeline of smoke_trace_runner
+    // (tests/cli/smoke.cmake).
+    EXPECT_GE(expectTimelineStructure(std::string(ASTRA_SMOKE_DIR) +
+                                      "/trace_runner/trace-smoke.json"),
+              1000u);
 }
 
 TEST(ChromeTraceExport, CollectiveSpansNest)
