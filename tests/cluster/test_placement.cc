@@ -1,7 +1,7 @@
 /**
  * @file
  * Placement-layer unit tests: slice decomposition, job topologies,
- * contiguous/spread/explicit search, free-pool accounting.
+ * contiguous/spread/explicit/scored search, free-pool accounting.
  */
 #include <gtest/gtest.h>
 
@@ -150,6 +150,67 @@ TEST(PlacementManager, SpreadBlockedByAFragmentingTenant)
     PlacementManager mgr(topo);
     ASSERT_TRUE(mgr.tryPlace(4, PlacementPolicy::Contiguous));
     EXPECT_FALSE(mgr.tryPlace(4, PlacementPolicy::Spread));
+}
+
+TEST(PlacementManager, ScoredSearchPicksTheCheapestFreeCandidate)
+{
+    // Ring(16): a 4-NPU job has four aligned blocks {b..b+3} and four
+    // stripes {a, a+4, a+8, a+12}.
+    Topology topo = parseTopology("Ring(16,100)");
+    auto contiguous_run = [](const std::vector<NpuId> &ids) {
+        return ids[1] - ids[0] == 1 ? 1.0 : 0.0;
+    };
+    auto constant = [](const std::vector<NpuId> &) { return 7.0; };
+
+    // A scorer that prefers stripes makes anti-affinity pick the
+    // stripe Spread picks; NPU 0 is down in both.
+    PlacementManager spread(topo), anti(topo);
+    spread.markFaulted(0, true);
+    anti.markFaulted(0, true);
+    auto s = spread.tryPlace(4, PlacementPolicy::Spread);
+    auto a = anti.tryPlaceScored(4, PlacementPolicy::AntiAffinity,
+                                 contiguous_run);
+    ASSERT_TRUE(s && a);
+    EXPECT_EQ(s->globalOf, (std::vector<NpuId>{1, 5, 9, 13}));
+    EXPECT_EQ(a->globalOf, s->globalOf);
+
+    // Under a constant scorer, avoid-degraded takes Contiguous's block.
+    PlacementManager contig(topo), avoid(topo);
+    contig.markFaulted(2, true);
+    avoid.markFaulted(2, true);
+    auto c = contig.tryPlace(4, PlacementPolicy::Contiguous);
+    auto d = avoid.tryPlaceScored(4, PlacementPolicy::AvoidDegraded,
+                                  constant);
+    ASSERT_TRUE(c && d);
+    EXPECT_EQ(c->globalOf, (std::vector<NpuId>{4, 5, 6, 7}));
+    EXPECT_EQ(d->globalOf, c->globalOf);
+
+    // Blocks at 4 and 8 tie for the lowest score: the earlier wins.
+    PlacementManager tie(topo);
+    auto t = tie.tryPlaceScored(
+        4, PlacementPolicy::AvoidDegraded,
+        [](const std::vector<NpuId> &ids) {
+            return ids[0] == 4 || ids[0] == 8 ? 0.0 : 1.0;
+        });
+    ASSERT_TRUE(t);
+    EXPECT_EQ(t->globalOf, (std::vector<NpuId>{4, 5, 6, 7}));
+
+    // Block 0 is busy and NPU 9 is down, so only the blocks at 4 and
+    // 12 are scored: every stripe crosses the busy block.
+    PlacementManager partial(topo);
+    ASSERT_TRUE(partial.tryPlace(4, PlacementPolicy::Contiguous));
+    partial.markFaulted(9, true);
+    std::vector<std::vector<NpuId>> scored;
+    auto p = partial.tryPlaceScored(
+        4, PlacementPolicy::AntiAffinity,
+        [&scored](const std::vector<NpuId> &ids) {
+            scored.push_back(ids);
+            return 0.0;
+        });
+    ASSERT_TRUE(p);
+    EXPECT_EQ(p->globalOf, (std::vector<NpuId>{4, 5, 6, 7}));
+    EXPECT_EQ(scored, (std::vector<std::vector<NpuId>>{
+                          {4, 5, 6, 7}, {12, 13, 14, 15}}));
 }
 
 TEST(PlacementManager, DescribeSummaries)
