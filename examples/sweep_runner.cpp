@@ -107,7 +107,8 @@ run(const CommandLine &cli)
         for (const std::string &v : r.config.axisValues)
             row.push_back(v);
         if (r.failed) {
-            row.push_back("failed: " + r.error);
+            // The error follows the table: it may hold '|'.
+            row.push_back("failed");
             while (row.size() < header.size())
                 row.push_back("-");
         } else {
@@ -120,6 +121,15 @@ run(const CommandLine &cli)
         table.addRow(std::move(row));
     }
     table.print();
+    if (failures > 0) {
+        std::printf("\n");
+        for (size_t i = 0; i < store.rows(); ++i) {
+            const SweepResult &r = store.row(i);
+            if (r.failed)
+                std::printf("#%zu failed: %s\n", r.config.index,
+                            r.error.c_str());
+        }
+    }
 
     if (failures < store.rows()) {
         size_t best = store.argmin(metric);

@@ -207,22 +207,12 @@ ClusterSimulator::launch(JobRuntime &job)
 bool
 ClusterSimulator::admit(JobRuntime &job)
 {
-    std::optional<JobPlacement> placement;
-    switch (job.spec.placement) {
-      case PlacementPolicy::Explicit:
-        placement = placer_.tryPlaceExplicit(job.spec.explicitNpus);
-        break;
-      case PlacementPolicy::AvoidDegraded:
-      case PlacementPolicy::AntiAffinity:
-        placement = placer_.tryPlaceScored(
-            job.jobTopo.npus(), job.spec.placement,
-            sliceScorer(job.spec.placement));
-        break;
-      default:
-        placement =
-            placer_.tryPlace(job.jobTopo.npus(), job.spec.placement);
-        break;
-    }
+    PlacementPolicy policy = job.spec.placement;
+    std::optional<JobPlacement> placement =
+        policy == PlacementPolicy::Explicit
+            ? placer_.tryPlaceExplicit(job.spec.explicitNpus)
+            : placer_.tryPlace(job.jobTopo.npus(), policy,
+                               sliceScorer(policy));
     if (!placement)
         return false;
     job.placement = std::move(*placement);

@@ -288,7 +288,8 @@ class ClusterSimulator
     /** Release a job's placement, accruing consumed-spare busy time. */
     void releasePlacement(JobRuntime &job);
     /** Scored-placement cost function for `policy` (avoid_degraded /
-     *  anti_affinity), closed over the live fault state. */
+     *  anti_affinity), closed over the live fault state; empty (first
+     *  fit) for the other sliced policies. */
     PlacementManager::SliceScorer sliceScorer(PlacementPolicy policy);
     /** "name (k/n NPUs faulted), ..." over the currently degraded
      *  failure domains; empty when none are. */

@@ -222,64 +222,12 @@ PlacementManager::claim(PlacementPolicy policy, std::vector<NpuId> ids,
 }
 
 std::optional<JobPlacement>
-PlacementManager::tryPlace(int size, PlacementPolicy policy)
+PlacementManager::tryPlace(int size, PlacementPolicy policy,
+                           const SliceScorer &score)
 {
-    ASTRA_USER_CHECK(policy == PlacementPolicy::Contiguous ||
-                         policy == PlacementPolicy::Spread,
-                     "tryPlace handles contiguous/spread only "
-                     "(explicit -> tryPlaceExplicit, scored policies "
-                     "-> tryPlaceScored)");
-    SliceShape shape = requireShape(topo_, size);
-    if (size > free_)
-        return std::nullopt;
-
-    std::vector<int> p = prefixProducts(topo_);
-    int job_dims = shape.splitDim + (shape.partial > 1 ? 1 : 0);
-    if (job_dims == 0)
-        job_dims = 1; // single-NPU job (degenerate dimension).
-
-    std::vector<NpuId> ids(static_cast<size_t>(size));
-    if (policy == PlacementPolicy::Spread && shape.partial > 1) {
-        // Stripe the partial dimension: c coordinates spaced s apart.
-        int pj = p[static_cast<size_t>(shape.splitDim)];
-        int pj1 = p[static_cast<size_t>(shape.splitDim) + 1];
-        int s = topo_.dim(shape.splitDim).size / shape.partial;
-        for (int high = 0; high * pj1 < topo_.npus(); ++high) {
-            for (int a = 0; a < s; ++a) {
-                for (int i = 0; i < shape.partial; ++i)
-                    for (int low = 0; low < pj; ++low)
-                        ids[static_cast<size_t>(i * pj + low)] =
-                            high * pj1 + (a + i * s) * pj + low;
-                if (allFree(ids))
-                    return claim(policy, std::move(ids),
-                                 identityDimMap(job_dims));
-            }
-        }
-        return std::nullopt;
-    }
-
-    // Contiguous (and the degenerate c == 1 spread): aligned blocks
-    // [base, base + size) at multiples of the job size. Alignment
-    // guarantees the block is a coordinate box of the hierarchy.
-    for (NpuId base = 0; base + size <= topo_.npus(); base += size) {
-        for (int l = 0; l < size; ++l)
-            ids[static_cast<size_t>(l)] = base + l;
-        if (allFree(ids))
-            return claim(policy, std::move(ids),
-                         identityDimMap(job_dims));
-    }
-    return std::nullopt;
-}
-
-std::optional<JobPlacement>
-PlacementManager::tryPlaceScored(int size, PlacementPolicy policy,
-                                 const SliceScorer &score)
-{
-    ASTRA_USER_CHECK(policy == PlacementPolicy::AvoidDegraded ||
-                         policy == PlacementPolicy::AntiAffinity,
-                     "tryPlaceScored handles avoid_degraded/"
-                     "anti_affinity only");
-    ASTRA_ASSERT(score, "scored placement without a scorer");
+    ASTRA_USER_CHECK(policy != PlacementPolicy::Explicit,
+                     "tryPlace handles sliced policies only (explicit "
+                     "-> tryPlaceExplicit)");
     SliceShape shape = requireShape(topo_, size);
     if (size > free_)
         return std::nullopt;
@@ -292,28 +240,35 @@ PlacementManager::tryPlaceScored(int size, PlacementPolicy policy,
     std::vector<NpuId> ids(static_cast<size_t>(size));
     std::vector<NpuId> best;
     double bestScore = 0.0;
+    // Without a scorer every candidate costs 0, so the first free one
+    // wins.
     auto consider = [&] {
         if (!allFree(ids))
             return;
-        double s = score(ids);
+        double s = score ? score(ids) : 0.0;
         if (best.empty() || s < bestScore) {
             best = ids;
             bestScore = s;
         }
     };
 
-    // Aligned contiguous blocks — the same candidate set tryPlace
-    // enumerates, but every feasible one is scored instead of taking
-    // the first.
-    for (NpuId base = 0; base + size <= topo_.npus(); base += size) {
-        for (int l = 0; l < size; ++l)
-            ids[static_cast<size_t>(l)] = base + l;
-        consider();
+    bool partial = shape.partial > 1;
+    // Aligned blocks [base, base + size) at multiples of the job size.
+    // Alignment guarantees the block is a coordinate box of the
+    // hierarchy.
+    if (policy != PlacementPolicy::Spread || !partial) {
+        for (NpuId base = 0; base + size <= topo_.npus(); base += size) {
+            for (int l = 0; l < size; ++l)
+                ids[static_cast<size_t>(l)] = base + l;
+            consider();
+        }
     }
-
-    // Anti-affinity also considers spread stripes: striping across the
-    // split dimension is how a job straddles failure domains.
-    if (policy == PlacementPolicy::AntiAffinity && shape.partial > 1) {
+    // Stripes of the partial dimension: c coordinates spaced s apart.
+    // Anti-affinity considers them too: striping across the split
+    // dimension is how a job straddles failure domains.
+    if ((policy == PlacementPolicy::Spread ||
+         policy == PlacementPolicy::AntiAffinity) &&
+        partial) {
         int pj = p[static_cast<size_t>(shape.splitDim)];
         int pj1 = p[static_cast<size_t>(shape.splitDim) + 1];
         int s = topo_.dim(shape.splitDim).size / shape.partial;

@@ -99,28 +99,23 @@ class PlacementManager
   public:
     explicit PlacementManager(const Topology &topo);
 
-    /**
-     * Try to place a sliced job of `size` NPUs under `policy`
-     * (Contiguous or Spread). Returns nullopt when no candidate slice
-     * is fully free; fatal() on hierarchy-incompatible sizes.
-     */
-    std::optional<JobPlacement> tryPlace(int size, PlacementPolicy policy);
-
     /** Candidate-slice cost function for the scored policies: lower is
-     *  better; ties break toward the earlier candidate in enumeration
-     *  order (deterministic). Only called on fully free candidates. */
+     *  better. Only called on fully free candidates. */
     using SliceScorer =
         std::function<double(const std::vector<NpuId> &)>;
 
     /**
-     * Scored placement (AvoidDegraded / AntiAffinity): enumerate every
-     * feasible slice candidate — aligned contiguous blocks, plus
-     * spread stripes for AntiAffinity — score each with `score`, and
-     * claim the minimum. Returns nullopt when nothing is free.
+     * Try to place a sliced job of `size` NPUs under any policy but
+     * Explicit. The candidates are the aligned contiguous blocks
+     * (every policy except Spread on a partial split dimension) and
+     * the spread stripes (Spread and AntiAffinity on a partial split
+     * dimension). Claims the first fully free candidate or, given
+     * `score`, the cheapest one; a tie goes to the earlier candidate.
+     * Returns nullopt when no candidate is free; fatal() on
+     * hierarchy-incompatible sizes.
      */
-    std::optional<JobPlacement> tryPlaceScored(int size,
-                                               PlacementPolicy policy,
-                                               const SliceScorer &score);
+    std::optional<JobPlacement> tryPlace(int size, PlacementPolicy policy,
+                                         const SliceScorer &score = {});
 
     /** Try to claim an explicit NPU list; fatal() on invalid ids or
      *  duplicates, nullopt when any of them is busy. */

@@ -248,59 +248,51 @@ ClusterSimulator::faultedDomainSummary() const
 PlacementManager::SliceScorer
 ClusterSimulator::sliceScorer(PlacementPolicy policy)
 {
-    if (policy == PlacementPolicy::AntiAffinity) {
-        // Concentration cost: sum of squared per-domain overlaps, so
-        // straddling two domains (2^2+2^2=8 for 4 NPUs) beats sitting
-        // inside one (4^2=16). With no declared domains, level-1
-        // blocks act as implicit domains so anti-affinity still
-        // spreads.
-        return [this](const std::vector<NpuId> &ids) {
-            double score = 0.0;
-            if (!domains_.empty()) {
-                std::vector<int> overlap(domains_.size(), 0);
-                for (NpuId id : ids)
-                    for (int d : domainsOfNpu_[static_cast<size_t>(id)])
-                        ++overlap[static_cast<size_t>(d)];
-                for (int o : overlap)
-                    score += double(o) * double(o);
-            } else {
-                int block = topo_.dim(0).size;
-                std::vector<int> overlap(
-                    static_cast<size_t>(topo_.npus() / block), 0);
-                for (NpuId id : ids)
-                    ++overlap[static_cast<size_t>(id / block)];
-                for (int o : overlap)
-                    score += double(o) * double(o);
-            }
-            return score;
-        };
-    }
-    // AvoidDegraded: live fault state dominates (a domain with any
-    // member currently down is near-unusable), then projected
-    // per-domain failure intensity over the horizon, then known
-    // stragglers.
-    return [this](const std::vector<NpuId> &ids) {
-        double score = 0.0;
-        TimeNs horizon = cfg_.fault ? cfg_.fault->horizonNs : 0.0;
+    bool anti = policy == PlacementPolicy::AntiAffinity;
+    if (!anti && policy != PlacementPolicy::AvoidDegraded)
+        return {}; // first fit.
+    return [this, anti](const std::vector<NpuId> &ids) {
+        // The candidate's overlap with each failure domain. With no
+        // declared domains, anti-affinity treats level-1 blocks as
+        // implicit domains so that it still spreads.
+        std::vector<int> overlap(domains_.size(), 0);
         if (!domains_.empty()) {
-            std::vector<int> overlap(domains_.size(), 0);
             for (NpuId id : ids)
                 for (int d : domainsOfNpu_[static_cast<size_t>(id)])
                     ++overlap[static_cast<size_t>(d)];
-            for (size_t d = 0; d < domains_.size(); ++d) {
-                if (overlap[d] == 0)
-                    continue;
-                const fault::FailureDomain &dom = domains_[d];
-                int down = 0;
-                for (NpuId id : dom.npus)
-                    if (placer_.isFaulted(id))
-                        ++down;
-                double intensity = dom.mtbfNs > 0.0 && horizon > 0.0
-                                       ? horizon / dom.mtbfNs
-                                       : 0.0;
-                score += double(overlap[d]) *
-                         ((down > 0 ? 1000.0 : 0.0) + intensity);
-            }
+        } else if (anti) {
+            int block = topo_.dim(0).size;
+            overlap.assign(static_cast<size_t>(topo_.npus() / block), 0);
+            for (NpuId id : ids)
+                ++overlap[static_cast<size_t>(id / block)];
+        }
+        double score = 0.0;
+        if (anti) {
+            // Concentration cost: sum of squared overlaps, so
+            // straddling two domains (2^2+2^2=8 for 4 NPUs) beats
+            // sitting inside one (4^2=16).
+            for (int o : overlap)
+                score += double(o) * double(o);
+            return score;
+        }
+        // AvoidDegraded: live fault state dominates (a domain with any
+        // member currently down is near-unusable), then projected
+        // per-domain failure intensity over the horizon, then known
+        // stragglers.
+        TimeNs horizon = cfg_.fault ? cfg_.fault->horizonNs : 0.0;
+        for (size_t d = 0; d < domains_.size(); ++d) {
+            if (overlap[d] == 0)
+                continue;
+            const fault::FailureDomain &dom = domains_[d];
+            int down = 0;
+            for (NpuId id : dom.npus)
+                if (placer_.isFaulted(id))
+                    ++down;
+            double intensity = dom.mtbfNs > 0.0 && horizon > 0.0
+                                   ? horizon / dom.mtbfNs
+                                   : 0.0;
+            score += double(overlap[d]) *
+                     ((down > 0 ? 1000.0 : 0.0) + intensity);
         }
         for (NpuId id : ids) {
             double s = npuComputeScale_[static_cast<size_t>(id)];

@@ -158,8 +158,8 @@ CollectiveEngine::start(Instance &inst)
     for (int c = 0; c < inst.req.chunks; ++c) {
         std::vector<GroupDim> order = scheduler_.nextOrder(
             inst.groups, inst.req.type, chunk_bytes, inst.req.policy);
-        std::vector<Phase> phases = buildPhases(
-            topo_, inst.req.type, chunk_bytes, order, inst.req.treeAllReduce);
+        std::vector<Phase> phases =
+            buildPhases(topo_, inst.req.type, chunk_bytes, order);
         inst.phases.insert(inst.phases.end(), phases.begin(), phases.end());
         inst.phaseStart.push_back(static_cast<uint32_t>(inst.phases.size()));
     }
@@ -230,46 +230,11 @@ CollectiveEngine::start(Instance &inst)
 }
 
 int
-CollectiveEngine::treeChildren(int pos, int k)
+CollectiveEngine::expectedRecvs(const Phase &ph)
 {
-    int children = 0;
-    if (2 * pos + 1 < k)
-        ++children;
-    if (2 * pos + 2 < k)
-        ++children;
-    return children;
-}
-
-int
-CollectiveEngine::expectedRecvs(const Phase &ph, int pos)
-{
-    int k = ph.group.size;
-    switch (ph.algorithm) {
-      case PhaseAlgorithm::Ring:
-      case PhaseAlgorithm::Direct:
-        return k - 1;
-      case PhaseAlgorithm::HalvingDoubling:
-        return phaseSteps(ph);
-      case PhaseAlgorithm::TreeReduce:
-        return treeChildren(pos, k);
-      case PhaseAlgorithm::TreeBroadcast:
-        return pos > 0 ? 1 : 0;
-    }
-    return 0;
-}
-
-int
-CollectiveEngine::totalSends(const Phase &ph, int pos)
-{
-    switch (ph.algorithm) {
-      case PhaseAlgorithm::TreeReduce:
-        return pos > 0 ? 1 : 0;
-      case PhaseAlgorithm::TreeBroadcast:
-        return treeChildren(pos, ph.group.size);
-      default:
-        // Symmetric exchange: as many sends as receives.
-        return expectedRecvs(ph, pos);
-    }
+    return ph.algorithm == PhaseAlgorithm::HalvingDoubling
+               ? phaseSteps(ph)
+               : ph.group.size - 1;
 }
 
 void
@@ -309,8 +274,7 @@ CollectiveEngine::advance(Instance &inst, int rank, int chunk)
     st.ph = &inst.phases[flat];
     st.mult = inst.phaseMult[flat];
     st.pos = (rank / st.mult) % st.ph->group.size;
-    st.sends = totalSends(*st.ph, st.pos);
-    st.expect = expectedRecvs(*st.ph, st.pos);
+    st.expect = expectedRecvs(*st.ph);
     st.sent = 0;
     st.recvd = inst.earlyCount(rank, chunk, st.phase);
     if (tracer_ && tracer_->full())
@@ -322,36 +286,17 @@ void
 CollectiveEngine::pump(Instance &inst, int rank, int chunk)
 {
     ChunkState &st = inst.state(rank, chunk);
-    switch (st.ph->algorithm) {
-      case PhaseAlgorithm::Ring:
-      case PhaseAlgorithm::HalvingDoubling:
-        // Step s may go out once step s-1's message has arrived.
-        while (st.sent < st.sends && st.sent <= st.recvd) {
-            sendStep(inst, rank, chunk, st, st.sent);
-            ++st.sent;
-        }
-        break;
-      case PhaseAlgorithm::Direct:
-        // One-shot: fire all peer messages; the transmit port
-        // serializes them at the dimension's aggregate bandwidth.
-        while (st.sent < st.sends) {
-            sendStep(inst, rank, chunk, st, st.sent);
-            ++st.sent;
-        }
-        break;
-      case PhaseAlgorithm::TreeReduce:
-      case PhaseAlgorithm::TreeBroadcast:
-        // Forward only once the whole subtree/parent input arrived.
-        if (st.recvd == st.expect) {
-            while (st.sent < st.sends) {
-                sendStep(inst, rank, chunk, st, st.sent);
-                ++st.sent;
-            }
-        }
-        break;
+    // Ring and Halving-Doubling: step s may go out once step s-1's
+    // message has arrived. Direct is one-shot: fire all peer messages;
+    // the transmit port serializes them at the dimension's aggregate
+    // bandwidth.
+    const bool stepped = st.ph->algorithm != PhaseAlgorithm::Direct;
+    while (st.sent < st.expect && (!stepped || st.sent <= st.recvd)) {
+        sendStep(inst, rank, chunk, st, st.sent);
+        ++st.sent;
     }
 
-    if (st.recvd == st.expect && st.sent == st.sends) {
+    if (st.recvd == st.expect && st.sent == st.expect) {
         if (tracer_ && tracer_->full())
             tracer_->span(tracePid_,
                           inst.npuOfRank[static_cast<size_t>(rank)],
@@ -396,15 +341,6 @@ CollectiveEngine::sendStep(Instance &inst, int rank, int chunk,
             peer_pos = pos ^ (k >> (step + 1));
             bytes = ph.tensorBytes / double(2 << step);
         }
-        break;
-      case PhaseAlgorithm::TreeReduce:
-        // Full partial sums travel up to the parent.
-        peer_pos = (pos - 1) / 2;
-        bytes = ph.tensorBytes;
-        break;
-      case PhaseAlgorithm::TreeBroadcast:
-        peer_pos = 2 * pos + 1 + step;
-        bytes = ph.tensorBytes;
         break;
     }
 

@@ -19,8 +19,8 @@
  * Hot-path layout (see docs/eventcore.md): each instance keeps its
  * chunk state in one flat array indexed by (group-local rank, chunk),
  * where the rank is the mixed radix over the instance's group factors,
- * and caches each phase's group position and send/receive counts in
- * that state when the phase is entered. A delivery is a pool lookup
+ * and caches each phase's group position and message count in that
+ * state when the phase is entered. A delivery is a pool lookup
  * plus one array indexing. Retired instances are recycled through a
  * free list; ids carry a generation tag so a message addressed to a
  * retired instance is still detected.
@@ -111,9 +111,9 @@ class CollectiveEngine
 
   private:
     /** One member's progress through one chunk's phase list.
-     *  `mult`, `pos`, `sends`, `expect` and `ph` are fixed at phase
-     *  entry (advance()), so the per-message path reads them instead
-     *  of recomputing them. */
+     *  `mult`, `pos`, `expect` and `ph` are fixed at phase entry
+     *  (advance()), so the per-message path reads them instead of
+     *  recomputing them. */
     struct ChunkState
     {
         bool started = false; //!< member entered this chunk (advance()
@@ -124,8 +124,9 @@ class CollectiveEngine
         int recvd = 0;      //!< messages received in current phase.
         int mult = 1;       //!< rank-space multiplier of the phase.
         int pos = 0;        //!< member's position in the phase group.
-        int sends = 0;      //!< sends the member owes this phase.
-        int expect = 0;     //!< messages the member awaits this phase.
+        int expect = 0;     //!< messages the member sends and awaits
+                            //!< this phase (every algorithm is a
+                            //!< symmetric exchange).
         const Phase *ph = nullptr; //!< the current phase.
         /** Entry time of the current phase; maintained only at full
          *  trace detail (phase spans). */
@@ -235,12 +236,8 @@ class CollectiveEngine
                    uint32_t phase_idx);
     void sendStep(Instance &inst, int rank, int chunk,
                   const ChunkState &st, int step);
-    /** Per-member counts; tree algorithms depend on the member's
-     *  position in the group (root / internal / leaf). */
-    static int expectedRecvs(const Phase &ph, int pos);
-    static int totalSends(const Phase &ph, int pos);
-    /** Number of binary-tree children of `pos` in a k-wide group. */
-    static int treeChildren(int pos, int k);
+    /** Messages each member sends, and receives, in a phase. */
+    static int expectedRecvs(const Phase &ph);
 
     NetworkApi &net_;
     const Topology &topo_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "collective/scheduler.h"
-#include "common/logging.h"
 
 namespace astra {
 
@@ -12,13 +11,6 @@ phaseTime(const Topology &topo, const Phase &phase)
 {
     const Dimension &dim = topo.dim(phase.group.dim);
     TimeNs serialization = txTime(phaseSentBytes(phase), dim.bandwidth);
-    if (phase.algorithm == PhaseAlgorithm::TreeReduce ||
-        phase.algorithm == PhaseAlgorithm::TreeBroadcast) {
-        // Critical chain: the full tensor is retransmitted at every
-        // tree level.
-        serialization = double(treeDepth(phase.group.size)) *
-                        txTime(phase.tensorBytes, dim.bandwidth);
-    }
     // Hop count per step: Ring steps hop to the next group member
     // (stride hops through the physical ring), Direct is one hop,
     // Switch traversals are two hops.
@@ -58,8 +50,8 @@ estimateCollective(const Topology &topo, const CollectiveRequest &req)
     for (int c = 0; c < req.chunks; ++c) {
         std::vector<GroupDim> order =
             scheduler.nextOrder(groups, req.type, chunk_bytes, req.policy);
-        std::vector<Phase> phases = buildPhases(
-            topo, req.type, chunk_bytes, order, req.treeAllReduce);
+        std::vector<Phase> phases =
+            buildPhases(topo, req.type, chunk_bytes, order);
         TimeNs chunk_seq = 0.0;
         for (const Phase &ph : phases) {
             TimeNs t = phaseTime(topo, ph);

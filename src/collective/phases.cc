@@ -1,9 +1,5 @@
 #include "collective/phases.h"
 
-#include <algorithm>
-
-#include "common/logging.h"
-
 namespace astra {
 
 namespace {
@@ -33,23 +29,10 @@ algorithmFor(BlockType type, int group_size)
     return PhaseAlgorithm::Ring;
 }
 
-int
-treeDepth(int k)
-{
-    // Depth of the complete binary tree holding positions 0..k-1
-    // (position p's parent is (p-1)/2).
-    int depth = 0;
-    for (int p = k - 1; p > 0; p = (p - 1) / 2)
-        ++depth;
-    return depth;
-}
-
 std::vector<Phase>
 buildPhases(const Topology &topo, CollectiveType type, Bytes chunk_bytes,
-            const std::vector<GroupDim> &rs_order, bool tree)
+            const std::vector<GroupDim> &rs_order)
 {
-    ASTRA_USER_CHECK(!tree || type == CollectiveType::AllReduce,
-                     "tree execution only applies to All-Reduce");
     std::vector<Phase> phases;
     auto make_phase = [&](const GroupDim &g, PhaseOp op, Bytes tensor) {
         Phase p;
@@ -97,29 +80,6 @@ buildPhases(const Topology &topo, CollectiveType type, Bytes chunk_bytes,
         break;
       }
       case CollectiveType::AllReduce: {
-        if (tree) {
-            // Tree All-Reduce: reduce up each dimension, broadcast
-            // back down in reverse order; the working set never
-            // shrinks (full tensor on every tree edge).
-            for (const GroupDim &g : rs_order) {
-                if (g.size < 2)
-                    continue;
-                Phase p = make_phase(g, PhaseOp::ReduceScatter,
-                                     chunk_bytes);
-                p.algorithm = PhaseAlgorithm::TreeReduce;
-                phases.push_back(p);
-            }
-            for (auto it = rs_order.rbegin(); it != rs_order.rend();
-                 ++it) {
-                if (it->size < 2)
-                    continue;
-                Phase p = make_phase(*it, PhaseOp::AllGather,
-                                     chunk_bytes);
-                p.algorithm = PhaseAlgorithm::TreeBroadcast;
-                phases.push_back(p);
-            }
-            break;
-        }
         Bytes cur = chunk_bytes;
         for (const GroupDim &g : rs_order) {
             if (g.size < 2)
@@ -174,9 +134,6 @@ phaseSteps(const Phase &phase)
             ++steps;
         return steps;
       }
-      case PhaseAlgorithm::TreeReduce:
-      case PhaseAlgorithm::TreeBroadcast:
-        return treeDepth(k);
     }
     return 0;
 }

@@ -34,14 +34,11 @@ enum class PhaseOp {
     AllToAll,
 };
 
-/** The per-dimension algorithm used inside a phase (Table I, plus
- *  the tree algorithm of §II-B [50] as an optional extension). */
+/** The per-dimension algorithm used inside a phase (Table I). */
 enum class PhaseAlgorithm {
     Ring,            //!< (k-1) neighbour steps.
     Direct,          //!< one shot, k-1 parallel messages.
     HalvingDoubling, //!< log2(k) recursive exchange steps.
-    TreeReduce,      //!< binary-tree reduction to position 0.
-    TreeBroadcast,   //!< binary-tree broadcast from position 0.
 };
 
 /** Pick the algorithm for a building block and group size (Table I). */
@@ -64,24 +61,17 @@ struct Phase
  * @param chunk_bytes full tensor bytes carried by this chunk.
  * @param rs_order    normalized group factors in reduce-scatter
  *                    direction order; All-Gather phases run reversed.
- * @param tree        All-Reduce only: use tree reduce + broadcast per
- *                    dimension instead of RS + AG (no shrinking).
  */
 std::vector<Phase> buildPhases(const Topology &topo, CollectiveType type,
                                Bytes chunk_bytes,
-                               const std::vector<GroupDim> &rs_order,
-                               bool tree = false);
+                               const std::vector<GroupDim> &rs_order);
 
-/** Bytes transmitted (sent) per NPU in a phase, averaged over the
- *  group: (k-1)/k * tensorBytes for every algorithm (tree phases move
- *  k-1 full-tensor messages across k members). */
+/** Bytes transmitted (sent) per NPU in a phase: (k-1)/k * tensorBytes
+ *  for every algorithm. */
 Bytes phaseSentBytes(const Phase &phase);
 
 /** Number of algorithm steps in a phase (latency-chain length). */
 int phaseSteps(const Phase &phase);
-
-/** Depth of the binary tree over k positions (tree-phase chain). */
-int treeDepth(int k);
 
 /**
  * Per-topology-dimension bytes sent by one NPU for a whole collective

@@ -63,14 +63,6 @@ struct CollectiveRequest
      * kept busy.
      */
     bool serializeChunks = false;
-    /**
-     * All-Reduce only: replace each dimension's RS/AG phase pair with
-     * a binary-tree reduce + broadcast (the Tree algorithm of §II-B).
-     * Latency-optimal at small sizes, bandwidth-suboptimal at large
-     * sizes (full tensor on every tree edge); see
-     * TreeAllReduce.LatencyRegimesMatchTheory.
-     */
-    bool treeAllReduce = false;
 
     /** Convenience: collective over whole dimensions `dims`. */
     static CollectiveRequest

@@ -1,7 +1,9 @@
 /**
  * @file
- * ASCII table printer used by the benchmark harnesses to print the
- * paper's tables/figure series in a readable form.
+ * Console tables and CSV field quoting. Table prints sweep_runner's
+ * and resilience_study's result tables; csvField quotes the fields of
+ * the sweep result CSV, the trace analysis and diff summary CSVs, and
+ * the cluster job CSV.
  */
 #ifndef ASTRA_COMMON_TABLE_H_
 #define ASTRA_COMMON_TABLE_H_

@@ -16,7 +16,8 @@ function(run_bin expected_rc)
 endfunction()
 
 # Run the command ARGN as a user error: exit 2 with exactly one stderr
-# line, starting "error:".
+# line, starting "error:". Leaves `last_out` and `last_err` as run_bin
+# does.
 function(expect_user_error)
   run_bin(2 ${ARGN})
   string(REGEX MATCHALL "\n" newlines "${last_err}")
@@ -25,5 +26,6 @@ function(expect_user_error)
     message(FATAL_ERROR "${ARGN}: expected one 'error:' line "
                         "on stderr, got:\n${last_err}")
   endif()
+  set(last_out "${last_out}" PARENT_SCOPE)
   set(last_err "${last_err}" PARENT_SCOPE)
 endfunction()

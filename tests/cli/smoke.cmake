@@ -21,7 +21,10 @@
 #                   (Telemetry.SweepBeatsAndRowManifests); at 1 thread,
 #                   with a switch before the spec, it writes the same
 #                   CSV and JSON bytes; a typo'd axis path exits 2 with
-#                   one `error:` line; the console table of the
+#                   one `error:` line, and its console table keeps the
+#                   header's cell count on every failed row, with one
+#                   `#<index> failed:` line per row after it; the
+#                   console table of the
 #                   per-dimension-algorithm ablation prints no ok row's
 #                   time as 0.00.
 #
@@ -125,6 +128,28 @@ elseif(CASE STREQUAL "sweep_runner")
   file(WRITE ${dir}/sweep-typo.json "${typo}")
   expect_user_error(${bin} ${dir}/sweep-typo.json --threads 2
                     --csv ${dir}/sweep-typo.csv)
+  # A failed row keeps the console table's shape; its error follows the
+  # table on a line of its own.
+  string(REGEX MATCHALL "\n\\| [^\n]*" lines "\n${last_out}")
+  list(POP_FRONT lines header_line)
+  table_cells("${header_line}" header)
+  list(LENGTH header columns)
+  foreach(line IN LISTS lines)
+    table_cells("${line}" cells)
+    list(LENGTH cells n)
+    if(NOT n EQUAL columns)
+      message(FATAL_ERROR "typo'd-axis table line has ${n} cells under "
+                          "a ${columns}-cell header:\n${line}")
+    endif()
+  endforeach()
+  string(REGEX MATCHALL "\n#[0-9]+ failed: " failed "\n${last_out}")
+  list(LENGTH lines rows)
+  list(LENGTH failed errors)
+  if(NOT rows EQUAL 9 OR NOT errors EQUAL 9)
+    message(FATAL_ERROR "typo'd-axis run: ${rows} table rows and "
+                        "${errors} failure lines, expected 9 and 9:\n"
+                        "${last_out}")
+  endif()
 
   # The ablation's rows run for microseconds; the console table must
   # still show each ok row's times as nonzero.

@@ -168,8 +168,8 @@ TEST(PlacementManager, ScoredSearchPicksTheCheapestFreeCandidate)
     spread.markFaulted(0, true);
     anti.markFaulted(0, true);
     auto s = spread.tryPlace(4, PlacementPolicy::Spread);
-    auto a = anti.tryPlaceScored(4, PlacementPolicy::AntiAffinity,
-                                 contiguous_run);
+    auto a = anti.tryPlace(4, PlacementPolicy::AntiAffinity,
+                           contiguous_run);
     ASSERT_TRUE(s && a);
     EXPECT_EQ(s->globalOf, (std::vector<NpuId>{1, 5, 9, 13}));
     EXPECT_EQ(a->globalOf, s->globalOf);
@@ -179,15 +179,14 @@ TEST(PlacementManager, ScoredSearchPicksTheCheapestFreeCandidate)
     contig.markFaulted(2, true);
     avoid.markFaulted(2, true);
     auto c = contig.tryPlace(4, PlacementPolicy::Contiguous);
-    auto d = avoid.tryPlaceScored(4, PlacementPolicy::AvoidDegraded,
-                                  constant);
+    auto d = avoid.tryPlace(4, PlacementPolicy::AvoidDegraded, constant);
     ASSERT_TRUE(c && d);
     EXPECT_EQ(c->globalOf, (std::vector<NpuId>{4, 5, 6, 7}));
     EXPECT_EQ(d->globalOf, c->globalOf);
 
     // Blocks at 4 and 8 tie for the lowest score: the earlier wins.
     PlacementManager tie(topo);
-    auto t = tie.tryPlaceScored(
+    auto t = tie.tryPlace(
         4, PlacementPolicy::AvoidDegraded,
         [](const std::vector<NpuId> &ids) {
             return ids[0] == 4 || ids[0] == 8 ? 0.0 : 1.0;
@@ -201,7 +200,7 @@ TEST(PlacementManager, ScoredSearchPicksTheCheapestFreeCandidate)
     ASSERT_TRUE(partial.tryPlace(4, PlacementPolicy::Contiguous));
     partial.markFaulted(9, true);
     std::vector<std::vector<NpuId>> scored;
-    auto p = partial.tryPlaceScored(
+    auto p = partial.tryPlace(
         4, PlacementPolicy::AntiAffinity,
         [&scored](const std::vector<NpuId> &ids) {
             scored.push_back(ids);

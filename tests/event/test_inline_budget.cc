@@ -55,21 +55,21 @@ class RecordingNetwork : public AnalyticalNetwork
 TEST(InlineBudget, CollectiveDeliveryIsInline)
 {
     // Ring, fully-connected (direct) and switch (halving-doubling)
-    // phases, plus tree all-reduce for the tree algorithms.
+    // phases; all-to-all runs its switch phase as Direct.
     Topology topo({{BlockType::Ring, 4, 100.0, 500.0},
                    {BlockType::FullyConnected, 4, 100.0, 500.0},
                    {BlockType::Switch, 4, 100.0, 500.0}});
-    for (bool tree : {false, true}) {
+    for (CollectiveType type :
+         {CollectiveType::AllReduce, CollectiveType::AllToAll}) {
         EventQueue eq;
         RecordingNetwork net(eq, topo);
         CollectiveEngine engine(net);
-        CollectiveRequest req =
-            CollectiveRequest::overDims(CollectiveType::AllReduce, 1e6);
+        CollectiveRequest req = CollectiveRequest::overDims(type, 1e6);
         req.chunks = 2;
-        req.treeAllReduce = tree;
         runCollective(engine, req);
         EXPECT_GT(net.sends, 0);
-        EXPECT_EQ(net.inlineDeliveries, net.sends) << "tree=" << tree;
+        EXPECT_EQ(net.inlineDeliveries, net.sends)
+            << collectiveName(type);
     }
 }
 
