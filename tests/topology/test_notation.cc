@@ -1,11 +1,68 @@
 /** @file Unit tests for the topology notation parser (Fig. 3(c)). */
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/logging.h"
+#include "telemetry/telemetry.h"
 #include "topology/notation.h"
+#include "topology/presets.h"
 
 namespace astra {
 namespace {
+
+/** Every preset name and the notation it stands for. */
+const std::vector<std::pair<std::string, std::string>> kPresetTable = {
+    {"w1d-350", "Switch(512,350)"},
+    {"w1d-500", "Switch(512,500)"},
+    {"w1d-600", "Switch(512,600)"},
+    {"w2d", "Switch(32,250)_Switch(16,250)"},
+    {"conv3d", "Ring(16,200)_FC(8,100)_Switch(4,50)"},
+    {"conv4d", "Ring(2,250)_FC(8,200)_Ring(8,100)_Switch(4,50)"},
+    {"dgx1", "Ring(4,150)_Switch(2,25)"},
+    {"dgx2", "Switch(16,150)_Switch(2,12.5)"},
+    {"dgxa100", "Switch(8,300)_Switch(2,25)"},
+    {"tpuv2", "Ring(4,62.5)_Ring(2,62.5)"},
+    {"tpuv3", "Ring(4,62.5)_Ring(2,62.5)"},
+    {"tpuv4", "Ring(4,56)_Ring(2,56)_Ring(2,56)"},
+    {"dragonfly", "FC(4,100)_FC(2,50)_FC(2,25)"},
+    {"habana", "FC(4,100)_Switch(2,25)"},
+    {"zion", "Ring(4,100)_Switch(2,25)"},
+};
+
+void
+expectSameDims(const Topology &a, const Topology &b, const std::string &what)
+{
+    ASSERT_EQ(a.numDims(), b.numDims()) << what;
+    for (int d = 0; d < a.numDims(); ++d) {
+        EXPECT_EQ(a.dim(d).type, b.dim(d).type) << what << " dim " << d;
+        EXPECT_EQ(a.dim(d).size, b.dim(d).size) << what << " dim " << d;
+        EXPECT_EQ(a.dim(d).bandwidth, b.dim(d).bandwidth)
+            << what << " dim " << d;
+        EXPECT_EQ(a.dim(d).latency, b.dim(d).latency)
+            << what << " dim " << d;
+    }
+}
+
+TEST(Notation, EveryPresetIsItsTableNotation)
+{
+    ASSERT_EQ(kPresetTable.size(), 15u);
+    for (const auto &[name, notation] : kPresetTable) {
+        Topology preset = presets::byName(name);
+        expectSameDims(preset, parseTopology(notation), name);
+        // Names are case-insensitive.
+        std::string upper = name;
+        for (char &c : upper)
+            c = char(std::toupper(static_cast<unsigned char>(c)));
+        expectSameDims(presets::byName(upper), preset, upper);
+        // The manifest's notation reads back as the same topology.
+        expectSameDims(parseTopology(telemetry::topologyNotation(preset)),
+                       preset, name + " round trip");
+    }
+}
 
 TEST(Notation, ParsesLongAndShortNames)
 {
