@@ -13,7 +13,7 @@
 #include "astra/simulator.h"
 #include "common/cli.h"
 #include "common/units.h"
-#include "topology/presets.h"
+#include "topology/notation.h"
 #include "workload/builders.h"
 
 using namespace astra;
@@ -46,9 +46,11 @@ int
 main(int argc, char **argv)
 {
     return runCli(argc, argv, {}, [](const CommandLine &) {
-        runOn("DGX-A100 x4 nodes", presets::dgxA100(4));
-        runOn("TPUv4-like 3-D torus", presets::tpuV4(4, 4, 4));
-        runOn("Wafer-scale W-1D-500", presets::wafer1D(500.0));
+        runOn("DGX-A100 x4 nodes",
+              parseTopology("Switch(8,300)_Switch(4,25)"));
+        runOn("TPUv4-like 3-D torus",
+              parseTopology("Ring(4,56)_Ring(4,56)_Ring(4,56)"));
+        runOn("Wafer-scale W-1D-500", parseTopology("w1d-500"));
         return 0;
     });
 }

@@ -66,7 +66,8 @@ main(int argc, char **argv)
 {
     FlagGroup flags = {
         {"trace", FlagKind::Value, "execution trace to run (default: build)"},
-        {"topo", FlagKind::Value, "topology (default R(4,150)_SW(2,25))"},
+        {"topo", FlagKind::Value,
+         "preset or notation (default R(4,150)_SW(2,25))"},
         {"emit", FlagKind::Value, "write the built trace and exit"}};
     CliSpec spec{.groups = {flags, trace::cliFlags("trace-out"),
                             telemetry::cliFlags(), logFlags()}};

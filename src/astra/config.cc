@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/output_file.h"
 #include "sweep/spec.h"
+#include "topology/notation.h"
 
 namespace astra {
 
@@ -171,7 +172,7 @@ RunBlocks
 runBlocksFromJson(const json::Value &doc, const json::Value &flags)
 {
     ASTRA_USER_CHECK(doc.has("topology"), "config: missing 'topology'");
-    RunBlocks run{sweep::topologyFromSpec(doc.at("topology")), {}};
+    RunBlocks run{topologyFromJson(doc.at("topology")), {}};
     run.cfg.backend = backendFromJson(doc);
     if (doc.has("fault"))
         run.cfg.fault = fault::faultConfigFromJson(doc.at("fault"), "fault");
@@ -198,15 +199,12 @@ cliOverrides(const CommandLine &cl, const char *trace_file_flag)
 json::Value
 astraSimDoc(const json::Value &network, const json::Value &system)
 {
-    json::checkKeys(network, "network", {"topology", "dims", "backend"});
-    ASTRA_USER_CHECK(network.has("topology") || network.has("dims"),
-                     "network config needs either \"topology\" "
-                     "(notation string) or \"dims\" (explicit array)");
+    json::checkKeys(network, "network", {"topology", "backend"});
+    ASTRA_USER_CHECK(network.has("topology"),
+                     "network config needs \"topology\" (a preset name or "
+                     "notation string)");
     json::Object doc;
-    doc["topology"] = network.has("topology")
-                          ? network.at("topology")
-                          : json::Value(json::Object{
-                                {"dims", network.at("dims")}});
+    doc["topology"] = network.at("topology");
     if (network.has("backend"))
         doc["backend"] = network.at("backend");
     doc["system"] = system;

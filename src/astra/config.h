@@ -11,9 +11,7 @@
  * ```json
  * {
  *   "topology": "Ring(2,250)_FC(8,200)_Ring(8,100)_Switch(4,50)",
- *   // or explicit:
- *   "dims": [{"type": "Ring", "size": 2,
- *             "bandwidth_gbps": 250, "latency_ns": 500}, ...],
+ *   // or a preset name such as "conv4d" (topology/notation.h)
  *   "backend": "analytical" | "analytical-pure" | "flow" | "packet"
  * }
  * ```

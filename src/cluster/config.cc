@@ -5,7 +5,7 @@
 #include "astra/config.h"
 #include "common/logging.h"
 #include "common/output_file.h"
-#include "sweep/spec.h"
+#include "topology/notation.h"
 
 namespace astra {
 namespace cluster {
@@ -51,8 +51,8 @@ jobFromJson(const json::Value &j, const Topology &topo,
             spec.explicitNpus.push_back(id);
         }
         if (j.has("job_topology"))
-            spec.explicitTopo = sweep::topologyFromSpec(
-                j.at("job_topology"), path + ".job_topology");
+            spec.explicitTopo = topologyFromJson(j.at("job_topology"),
+                                                 path + ".job_topology");
     } else {
         ASTRA_USER_CHECK(j.has("size"), "%s: missing 'size'",
                          path.c_str());

@@ -328,14 +328,22 @@ EventQueue::scheduleAt(TimeNs when, EventCallback &&cb)
 {
     ASTRA_ASSERT(timeNotBefore(when, now_),
                  "event scheduled in the past (when=%g now=%g)", when, now_);
-    ++pending_;
     if (when <= now_) {
         // At (or within tolerance of) the current time: FIFO order is
         // (time, insertion) order for equal timestamps. O(1), and by
         // far the hottest scheduling path (zero-delay deferrals).
+        ++pending_;
         nowFifo_.push_back(std::move(cb));
         return;
     }
+    // tickOf() needs the tick to fit an int64_t. A later time comes
+    // from an input (a huge flop count, a near-zero bandwidth), not
+    // from the simulator, so it is the user's error.
+    ASTRA_USER_CHECK(when * invWidth_ < 0x1p63,
+                     "simulated time %g ns is beyond the event queue's "
+                     "range (%g ns)",
+                     when, 0x1p63 * bucketWidth_);
+    ++pending_;
     const int64_t tick = tickOf(when);
     const uint64_t seq = seq_++;
     int level = 0;

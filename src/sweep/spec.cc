@@ -11,8 +11,6 @@
 #include "common/logging.h"
 #include "common/output_file.h"
 #include "fault/fault.h"
-#include "topology/notation.h"
-#include "topology/presets.h"
 #include "workload/builders.h"
 
 namespace astra {
@@ -201,39 +199,6 @@ workloadFromSpec(const Topology &topo, const json::Value &w,
     fatal("sweep workload: unknown kind '%s' (hybrid | dlrm | pipeline "
           "| moe | collective)",
           kind.c_str());
-}
-
-Topology
-topologyFromSpec(const json::Value &v, const std::string &path)
-{
-    if (v.isString()) {
-        const std::string &s = v.asString();
-        // Notation always carries parenthesized factors; anything else
-        // is a preset name ("conv4d", "dgxa100", ...).
-        if (s.find('(') != std::string::npos)
-            return parseTopology(s);
-        return presets::byName(s);
-    }
-    ASTRA_USER_CHECK(v.isObject(),
-                     "%s: must be a preset name, notation string, or "
-                     "{\"dims\": [...]} object",
-                     path.c_str());
-    json::checkKeys(v, path, {"dims"});
-    ASTRA_USER_CHECK(v.has("dims"), "%s: missing 'dims'", path.c_str());
-    std::vector<Dimension> dims;
-    const json::Array &arr = v.at("dims").asArray();
-    for (size_t i = 0; i < arr.size(); ++i) {
-        const json::Value &d = arr[i];
-        json::checkKeys(d, path + ".dims." + std::to_string(i),
-                        {"type", "size", "bandwidth_gbps", "latency_ns"});
-        Dimension dim;
-        dim.type = parseBlockType(d.at("type").asString());
-        dim.size = static_cast<int>(d.at("size").asInt());
-        dim.bandwidth = d.getNumber("bandwidth_gbps", 100.0);
-        dim.latency = d.getNumber("latency_ns", 500.0);
-        dims.push_back(dim);
-    }
-    return Topology(std::move(dims));
 }
 
 std::string

@@ -18,8 +18,8 @@
  *   "name": "hiermem-sweep",
  *   "mode": "cartesian" | "zip",   // default cartesian
  *   "base": {
- *     "topology": "conv4d",        // preset name, notation string,
- *                                  // or {"dims": [...]} (config.h)
+ *     "topology": "conv4d",        // preset name or notation string
+ *                                  // (topology/notation.h)
  *     "backend": "analytical" | "analytical-pure" | "flow" | "packet",
  *     "system": { ... },           // system-config schema (config.h)
  *     "workload": {
@@ -195,13 +195,6 @@ constexpr uint64_t kSpecSchemaVersion = 5; //!< 5: failure domains,
  * topology. fatal() on invalid configuration.
  */
 MaterializedConfig materializeConfig(const json::Value &doc);
-
-/** A topology from a preset name, notation string, or {"dims": [...]}
- *  document (the `topology` value of sweep, cluster and astra_sim
- *  configs; each dims entry takes type, size, bandwidth_gbps and
- *  latency_ns). `path` names the value in errors. */
-Topology topologyFromSpec(const json::Value &v,
-                          const std::string &path = "topology");
 
 /** Build a workload from the sweep workload schema (see file
  *  comment) against `topo`; `path` names the block in errors. Shared

@@ -1,12 +1,47 @@
 #include "topology/notation.h"
 
 #include <cctype>
+#include <charconv>
+#include <climits>
+#include <cmath>
+#include <vector>
 
 #include "common/logging.h"
 
 namespace astra {
 
 namespace {
+
+/**
+ * The named systems: the Table II evaluation systems (bandwidths are
+ * the paper's per-NPU per-dimension figures) and the Fig. 3(c)
+ * platforms (representative public numbers). Every link keeps the
+ * notation's default 500 ns latency.
+ */
+struct Preset
+{
+    const char *name;
+    const char *notation;
+};
+
+constexpr Preset kPresets[] = {
+    {"w1d-350", "Switch(512,350)"},
+    {"w1d-500", "Switch(512,500)"},
+    {"w1d-600", "Switch(512,600)"},
+    {"w2d", "Switch(32,250)_Switch(16,250)"},
+    {"conv3d", "Ring(16,200)_FC(8,100)_Switch(4,50)"},
+    {"conv4d", "Ring(2,250)_FC(8,200)_Ring(8,100)_Switch(4,50)"},
+    {"dgx1", "Ring(4,150)_Switch(2,25)"},
+    {"dgx2", "Switch(16,150)_Switch(2,12.5)"},
+    {"dgxa100", "Switch(8,300)_Switch(2,25)"},
+    {"tpuv2", "Ring(4,62.5)_Ring(2,62.5)"},
+    {"tpuv3", "Ring(4,62.5)_Ring(2,62.5)"},
+    // 448 Gb/s inter-core interconnect per dimension (§III-B).
+    {"tpuv4", "Ring(4,56)_Ring(2,56)_Ring(2,56)"},
+    {"dragonfly", "FC(4,100)_FC(2,50)_FC(2,25)"},
+    {"habana", "FC(4,100)_Switch(2,25)"},
+    {"zion", "Ring(4,100)_Switch(2,25)"},
+};
 
 std::string
 lower(const std::string &s)
@@ -57,21 +92,59 @@ splitArgs(const std::string &inner)
     return args;
 }
 
-double
-parseNumber(const std::string &tok, const std::string &what)
+/** One std::from_chars call over the whole token, as json::Reader
+ *  reads numbers: no sign, hex or trailing characters. */
+template <typename T>
+bool
+readWhole(const std::string &tok, T &v)
 {
-    try {
-        size_t used = 0;
-        double v = std::stod(tok, &used);
-        ASTRA_USER_CHECK(used == tok.size(),
-                         "topology notation: bad %s '%s'", what.c_str(),
-                         tok.c_str());
-        return v;
-    } catch (const FatalError &) {
-        throw;
-    } catch (const std::exception &) {
-        fatal("topology notation: bad %s '%s'", what.c_str(), tok.c_str());
+    const char *end = tok.data() + tok.size();
+    auto [stop, ec] = std::from_chars(tok.data(), end, v);
+    return ec == std::errc() && stop == end;
+}
+
+double
+parseFinite(const std::string &tok, const char *what,
+            const std::string &part)
+{
+    double v = 0;
+    ASTRA_USER_CHECK(readWhole(tok, v) && std::isfinite(v),
+                     "topology notation: %s '%s' in '%s' must be a finite "
+                     "number",
+                     what, tok.c_str(), part.c_str());
+    return v;
+}
+
+Topology
+parseNotation(const std::string &text)
+{
+    std::vector<Dimension> dims;
+    for (const std::string &part : splitDims(text)) {
+        size_t open = part.find('(');
+        size_t close = part.rfind(')');
+        ASTRA_USER_CHECK(open != std::string::npos &&
+                             close == part.size() - 1 && close > open,
+                         "topology notation: malformed dimension '%s'",
+                         part.c_str());
+        Dimension dim;
+        dim.type = parseBlockType(part.substr(0, open));
+        std::vector<std::string> args =
+            splitArgs(part.substr(open + 1, close - open - 1));
+        ASTRA_USER_CHECK(args.size() <= 3,
+                         "topology notation: dimension '%s' takes 1-3 "
+                         "arguments (size[,bw_gbps[,latency_ns]])",
+                         part.c_str());
+        ASTRA_USER_CHECK(readWhole(args[0], dim.size) && dim.size >= 1,
+                         "topology notation: size '%s' in '%s' must be an "
+                         "integer in [1, %d]",
+                         args[0].c_str(), part.c_str(), INT_MAX);
+        if (args.size() >= 2)
+            dim.bandwidth = parseFinite(args[1], "bandwidth", part);
+        if (args.size() >= 3)
+            dim.latency = parseFinite(args[2], "latency", part);
+        dims.push_back(dim);
     }
+    return Topology(std::move(dims));
 }
 
 } // namespace
@@ -92,54 +165,34 @@ parseBlockType(const std::string &name)
 }
 
 Topology
-parseTopology(const std::string &text, const std::vector<GBps> &bandwidths,
-              const std::vector<TimeNs> &latencies)
+parseTopology(const std::string &text)
 {
     ASTRA_USER_CHECK(!text.empty(), "empty topology notation");
-    std::vector<std::string> parts = splitDims(text);
-
-    std::vector<Dimension> dims;
-    for (const std::string &part : parts) {
-        size_t open = part.find('(');
-        size_t close = part.rfind(')');
-        ASTRA_USER_CHECK(open != std::string::npos &&
-                             close != std::string::npos && close > open,
-                         "topology notation: malformed dimension '%s'",
-                         part.c_str());
-        Dimension dim;
-        dim.type = parseBlockType(part.substr(0, open));
-        std::vector<std::string> args =
-            splitArgs(part.substr(open + 1, close - open - 1));
-        ASTRA_USER_CHECK(args.size() >= 1 && args.size() <= 3,
-                         "topology notation: dimension '%s' takes 1-3 "
-                         "arguments (size[,bw_gbps[,latency_ns]])",
-                         part.c_str());
-        dim.size = static_cast<int>(parseNumber(args[0], "size"));
-        ASTRA_USER_CHECK(dim.size >= 1,
-                         "topology notation: size must be >= 1 in '%s'",
-                         part.c_str());
-        if (args.size() >= 2)
-            dim.bandwidth = parseNumber(args[1], "bandwidth");
-        if (args.size() >= 3)
-            dim.latency = parseNumber(args[2], "latency");
-        dims.push_back(dim);
+    // Notation always carries parenthesized factors; anything else is
+    // a preset name.
+    if (text.find('(') != std::string::npos)
+        return parseNotation(text);
+    std::string name = lower(text);
+    std::string known;
+    for (const Preset &p : kPresets) {
+        if (name == p.name)
+            return parseNotation(p.notation);
+        known += known.empty() ? "" : ", ";
+        known += p.name;
     }
+    fatal("unknown topology preset '%s' (presets: %s; or a notation such "
+          "as Ring(4,100)_Switch(2,50))",
+          text.c_str(), known.c_str());
+}
 
-    auto apply = [&](auto &values, auto setter, const char *what) {
-        if (values.empty())
-            return;
-        ASTRA_USER_CHECK(values.size() == dims.size(),
-                         "%s override count %zu != dimension count %zu",
-                         what, values.size(), dims.size());
-        for (size_t d = 0; d < dims.size(); ++d)
-            setter(dims[d], values[d]);
-    };
-    apply(bandwidths,
-          [](Dimension &d, GBps bw) { d.bandwidth = bw; }, "bandwidth");
-    apply(latencies,
-          [](Dimension &d, TimeNs lat) { d.latency = lat; }, "latency");
-
-    return Topology(std::move(dims));
+Topology
+topologyFromJson(const json::Value &v, const std::string &path)
+{
+    ASTRA_USER_CHECK(v.isString(),
+                     "%s: must be a preset name or a notation string, "
+                     "e.g. \"conv4d\" or \"Ring(4,100)_Switch(2,50)\"",
+                     path.c_str());
+    return parseTopology(v.asString());
 }
 
 } // namespace astra

@@ -1,6 +1,7 @@
 #include "topology/topology.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
 
 #include "common/logging.h"
@@ -41,6 +42,8 @@ Topology::Topology(std::vector<Dimension> dims) : dims_(std::move(dims))
                          "dimension %zu has non-positive bandwidth", d + 1);
         ASTRA_USER_CHECK(dims_[d].latency >= 0.0,
                          "dimension %zu has negative latency", d + 1);
+        ASTRA_USER_CHECK(dims_[d].size <= INT_MAX / npus_,
+                         "topology has more than %d NPUs", INT_MAX);
         stride_[d] = npus_;
         npus_ *= dims_[d].size;
     }

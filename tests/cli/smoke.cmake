@@ -13,6 +13,8 @@
 #                   (Telemetry.HeartbeatFileIsValidNdjson), and the
 #                   trace_analyze --diff report of two fabrics,
 #                   diff-report.json (TraceDiff.ReportKeepsItsArithmetic).
+#                   A per-hop latency past the event queue's range
+#                   exits 2 with one `error:` line.
 #   cluster_runner  on each scenario in tests/cluster/golden/, --json
 #                   and --csv write the golden bytes, and --manifest
 #                   lists both files among its outputs.
@@ -76,6 +78,12 @@ if(CASE STREQUAL "trace_runner")
           --trace-out ${dir}/trace-diff-b.json --trace-detail full)
   run_bin(0 ${BIN_DIR}/trace_analyze --diff ${dir}/trace-diff-a.json
           ${dir}/trace-diff-b.json --json ${dir}/diff-report.json)
+  # Once an abort inside the timing wheel (exit 134).
+  expect_user_error(${bin} --topo "R(4,100,1e300)_SW(2,25)")
+  if(NOT last_err MATCHES "beyond the event queue's range")
+    message(FATAL_ERROR "--topo R(4,100,1e300)_SW(2,25): wrong error:\n"
+                        "${last_err}")
+  endif()
 
 elseif(CASE STREQUAL "cluster_runner")
   # sample is `cluster_runner --sample`; fault is the cluster config of

@@ -2,18 +2,10 @@
 #include <gtest/gtest.h>
 
 #include "collective/phases.h"
+#include "topology/notation.h"
 
 namespace astra {
 namespace {
-
-Topology
-conv4D()
-{
-    return Topology({{BlockType::Ring, 2, 250.0, 500.0},
-                     {BlockType::FullyConnected, 8, 200.0, 500.0},
-                     {BlockType::Ring, 8, 100.0, 500.0},
-                     {BlockType::Switch, 4, 50.0, 500.0}});
-}
 
 TEST(Phases, AlgorithmSelectionMatchesTableI)
 {
@@ -28,7 +20,7 @@ TEST(Phases, AlgorithmSelectionMatchesTableI)
 
 TEST(Phases, AllReduceIsRsAscendingThenAgDescending)
 {
-    Topology topo = conv4D();
+    Topology topo = parseTopology("conv4d");
     std::vector<Phase> phases = buildPhases(
         topo, CollectiveType::AllReduce, 1024.0,
         wholeTopologyGroups(topo));
@@ -47,7 +39,7 @@ TEST(Phases, AllReduceIsRsAscendingThenAgDescending)
 
 TEST(Phases, WorkingSetShrinksAndGrows)
 {
-    Topology topo = conv4D();
+    Topology topo = parseTopology("conv4d");
     std::vector<Phase> phases = buildPhases(
         topo, CollectiveType::AllReduce, 1024.0,
         wholeTopologyGroups(topo));
@@ -64,7 +56,7 @@ TEST(Phases, WorkingSetShrinksAndGrows)
 
 TEST(Phases, PureAllGatherRunsDescending)
 {
-    Topology topo = conv4D();
+    Topology topo = parseTopology("conv4d");
     std::vector<Phase> phases =
         buildPhases(topo, CollectiveType::AllGather, 1024.0,
                     wholeTopologyGroups(topo));
@@ -80,7 +72,7 @@ TEST(Phases, PureAllGatherRunsDescending)
 
 TEST(Phases, ReduceScatterOnly)
 {
-    Topology topo = conv4D();
+    Topology topo = parseTopology("conv4d");
     std::vector<Phase> phases =
         buildPhases(topo, CollectiveType::ReduceScatter, 512.0,
                     wholeTopologyGroups(topo));
@@ -91,7 +83,7 @@ TEST(Phases, ReduceScatterOnly)
 
 TEST(Phases, AllToAllKeepsFullWorkingSet)
 {
-    Topology topo = conv4D();
+    Topology topo = parseTopology("conv4d");
     std::vector<Phase> phases =
         buildPhases(topo, CollectiveType::AllToAll, 256.0,
                     wholeTopologyGroups(topo));

@@ -2,22 +2,14 @@
 #include <gtest/gtest.h>
 
 #include "collective/scheduler.h"
+#include "topology/notation.h"
 
 namespace astra {
 namespace {
 
-Topology
-conv4D()
-{
-    return Topology({{BlockType::Ring, 2, 250.0, 500.0},
-                     {BlockType::FullyConnected, 8, 200.0, 500.0},
-                     {BlockType::Ring, 8, 100.0, 500.0},
-                     {BlockType::Switch, 4, 50.0, 500.0}});
-}
-
 TEST(Scheduler, BaselineAlwaysCanonicalOrder)
 {
-    Topology topo = conv4D();
+    Topology topo = parseTopology("conv4d");
     CollectiveScheduler sched(topo);
     std::vector<GroupDim> groups = wholeTopologyGroups(topo);
     for (int c = 0; c < 8; ++c) {
@@ -31,7 +23,7 @@ TEST(Scheduler, BaselineAlwaysCanonicalOrder)
 
 TEST(Scheduler, ThemisRotatesAwayFromLoadedDims)
 {
-    Topology topo = conv4D();
+    Topology topo = parseTopology("conv4d");
     CollectiveScheduler sched(topo);
     std::vector<GroupDim> groups = wholeTopologyGroups(topo);
     // First chunk: all loads zero -> canonical order; it loads dim 0
@@ -52,7 +44,7 @@ TEST(Scheduler, ThemisRotatesAwayFromLoadedDims)
 
 TEST(Scheduler, ThemisBalancesLoadAcrossDims)
 {
-    Topology topo = conv4D();
+    Topology topo = parseTopology("conv4d");
     std::vector<GroupDim> groups = wholeTopologyGroups(topo);
 
     CollectiveScheduler base(topo);
@@ -93,7 +85,7 @@ TEST(Scheduler, SingleDimHasNothingToReorder)
 
 TEST(Scheduler, ResetLoadsClearsHistory)
 {
-    Topology topo = conv4D();
+    Topology topo = parseTopology("conv4d");
     CollectiveScheduler sched(topo);
     sched.nextOrder(wholeTopologyGroups(topo), CollectiveType::AllReduce,
                     1e8, SchedPolicy::Themis);

@@ -12,12 +12,20 @@
 
 #include "collective/phases.h"
 #include "common/units.h"
-#include "topology/presets.h"
+#include "topology/notation.h"
 
 namespace astra {
 namespace {
 
-using presets::waferBaseline;
+/** The Table IV baseline: Conv-4D with dim 1 raised to 1000 GB/s to
+ *  model the on-wafer dimension, shape dim1_8_8_dim4. */
+Topology
+table4Topology(int dim1, int dim4)
+{
+    return parseTopology("Ring(" + std::to_string(dim1) +
+                         ",1000)_FC(8,200)_Ring(8,100)_Switch(" +
+                         std::to_string(dim4) + ",50)");
+}
 
 struct Row
 {
@@ -45,7 +53,7 @@ class Table4MessageSizes : public testing::TestWithParam<Row>
 TEST_P(Table4MessageSizes, MatchesPaperExactly)
 {
     const Row &row = GetParam();
-    Topology topo = waferBaseline(row.dim1, row.dim4);
+    Topology topo = table4Topology(row.dim1, row.dim4);
     ASSERT_EQ(topo.npus(), row.npus);
 
     std::vector<Bytes> sent =
@@ -66,8 +74,8 @@ TEST(Table4, ScaleOutRowsShareNonNicTraffic)
 {
     // Rows 1-4 differ only in the NIC dimension: dims 1-3 identical.
     for (int dim4 : {8, 16, 32}) {
-        Topology a = waferBaseline(2, 4);
-        Topology b = waferBaseline(2, dim4);
+        Topology a = table4Topology(2, 4);
+        Topology b = table4Topology(2, dim4);
         std::vector<Bytes> sa =
             perDimSentBytes(a, CollectiveType::AllGather, 1.0 * kGiB,
                             wholeTopologyGroups(a));
@@ -84,13 +92,13 @@ TEST(Table4, WaferScalingShiftsLoadOnChip)
     // Growing dim 1 concentrates traffic there and shrinks dims 2-4
     // proportionally (the mechanism behind the 2.51x speedup).
     std::vector<Bytes> base =
-        perDimSentBytes(waferBaseline(2, 4), CollectiveType::AllGather,
+        perDimSentBytes(table4Topology(2, 4), CollectiveType::AllGather,
                         1.0 * kGiB,
-                        wholeTopologyGroups(waferBaseline(2, 4)));
+                        wholeTopologyGroups(table4Topology(2, 4)));
     std::vector<Bytes> wafer =
-        perDimSentBytes(waferBaseline(8, 4), CollectiveType::AllGather,
+        perDimSentBytes(table4Topology(8, 4), CollectiveType::AllGather,
                         1.0 * kGiB,
-                        wholeTopologyGroups(waferBaseline(8, 4)));
+                        wholeTopologyGroups(table4Topology(8, 4)));
     EXPECT_GT(wafer[0], base[0]);
     for (int d = 1; d < 4; ++d)
         EXPECT_LT(wafer[size_t(d)], base[size_t(d)]);
@@ -103,7 +111,7 @@ TEST(Table4, AllReducePerDimLoadIsTwiceAllGather)
 {
     // The measured collective time in Table IV is for All-Reduce,
     // whose RS + AG phases each move the All-Gather loads.
-    Topology topo = waferBaseline(2, 4);
+    Topology topo = table4Topology(2, 4);
     std::vector<Bytes> ag =
         perDimSentBytes(topo, CollectiveType::AllGather, 1.0 * kGiB,
                         wholeTopologyGroups(topo));

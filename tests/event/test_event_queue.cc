@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/logging.h"
 #include "event/event_queue.h"
 
 namespace astra {
@@ -159,6 +160,22 @@ TEST(EventQueue, WidthNeverChangesFiringOrder)
     ASSERT_EQ(base.size(), 512u);
     EXPECT_EQ(trace(4.0), base);
     EXPECT_EQ(trace(4096.0), base);
+}
+
+TEST(EventQueue, TimesPastTheTickRangeAreUserErrors)
+{
+    // A tick must fit an int64_t. The rejected event is not counted,
+    // and the queue still runs what it holds, up to the range's edge.
+    EventQueue eq;
+    int fired = 0;
+    eq.scheduleAt(0x1p62 * eq.bucketWidth(), [&] { ++fired; });
+    EXPECT_THROW(eq.scheduleAt(0x1p63 * eq.bucketWidth(), [] {}),
+                 FatalError);
+    EXPECT_THROW(eq.schedule(1e300, [] {}), FatalError);
+    EXPECT_EQ(eq.pending(), 1u);
+    eq.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(eq.now(), 0x1p62 * eq.bucketWidth());
 }
 
 } // namespace

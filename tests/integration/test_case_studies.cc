@@ -15,7 +15,7 @@
 #include "collective/estimate.h"
 #include "network/analytical.h"
 #include "network/detailed/packet_network.h"
-#include "topology/presets.h"
+#include "topology/notation.h"
 #include "workload/builders.h"
 
 namespace astra {
@@ -41,7 +41,7 @@ TEST(CaseStudyScheduling, OneDimTopologyGainsNothingFromThemis)
     // Fig. 9(a): W-1D shows no gain from smart scheduling. At the
     // paper's 1 GB size the collective is bandwidth-bound and the
     // single switch dimension serializes everything either way.
-    Topology w1d = presets::wafer1D(350.0, 64);
+    Topology w1d = parseTopology("Switch(64,350)");
     TimeNs base = runAllReduce(w1d, 1e9, SchedPolicy::Baseline, true);
     TimeNs themis = runAllReduce(w1d, 1e9, SchedPolicy::Themis, false);
     EXPECT_NEAR(themis, base, base * 0.02);
@@ -82,7 +82,7 @@ TEST(CaseStudyScheduling, ThemisBringsConvNearEquivalentWafer)
                    {BlockType::FullyConnected, 4, 200.0, 500.0},
                    {BlockType::Ring, 4, 100.0, 500.0},
                    {BlockType::Switch, 2, 50.0, 500.0}});
-    Topology wafer = presets::wafer1D(600.0, 64); // equal 600 GB/s.
+    Topology wafer = parseTopology("Switch(64,600)"); // equal 600 GB/s.
     ASSERT_EQ(conv.npus(), wafer.npus());
     TimeNs conv_themis =
         runAllReduce(conv, 256e6, SchedPolicy::Themis, false, 32);

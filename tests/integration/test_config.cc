@@ -34,21 +34,23 @@ TEST(Config, TopologyFromNotationString)
     EXPECT_EQ(backendFromJson(doc), NetworkBackendKind::Analytical);
 }
 
-TEST(Config, TopologyFromExplicitDims)
+TEST(Config, TopologyIsAPresetOrNotationString)
 {
-    json::Value doc = json::parse(R"({
-      "dims": [
-        {"type": "Ring", "size": 2, "bandwidth_gbps": 250,
-         "latency_ns": 100},
-        {"type": "Switch", "size": 4, "bandwidth_gbps": 50}
-      ],
-      "backend": "packet"
-    })");
+    json::Value doc = json::parse(
+        R"json({"topology": "Conv4D", "backend": "packet"})json");
     Topology topo = networkTopology(doc);
-    EXPECT_EQ(topo.numDims(), 2);
-    EXPECT_DOUBLE_EQ(topo.dim(0).latency, 100.0);
-    EXPECT_DOUBLE_EQ(topo.dim(1).latency, 500.0); // default.
+    EXPECT_EQ(topo.shapeString(), "2_8_8_4");
+    EXPECT_DOUBLE_EQ(topo.dim(3).bandwidth, 50.0);
+    EXPECT_DOUBLE_EQ(topo.dim(3).latency, 500.0); // default.
     EXPECT_EQ(backendFromJson(doc), NetworkBackendKind::Packet);
+    // Neither a network `dims` key nor a dims object is read.
+    EXPECT_THROW(networkTopology(json::parse(
+                     R"({"dims": [{"type": "Ring", "size": 2}]})")),
+                 FatalError);
+    EXPECT_THROW(networkTopology(json::parse(
+                     R"({"topology": {"dims": [{"type": "Ring",
+                                                 "size": 2}]}})")),
+                 FatalError);
 }
 
 TEST(Config, SystemConfigParses)
@@ -170,7 +172,6 @@ expectSameTrace(const trace::TraceConfig &a, const trace::TraceConfig &b,
     EXPECT_EQ(a.detail, b.detail) << what;
     EXPECT_EQ(a.utilizationBucketNs, b.utilizationBucketNs) << what;
     EXPECT_EQ(a.utilizationFile, b.utilizationFile) << what;
-    EXPECT_EQ(a.rateEpsilon, b.rateEpsilon) << what;
     EXPECT_EQ(a.analysis, b.analysis) << what;
     EXPECT_EQ(a.analysisFile, b.analysisFile) << what;
 }
@@ -198,7 +199,6 @@ TEST(Config, EveryTraceAndTelemetryFlagMeansItsJsonKey)
             {"trace-util", {"u.csv", R"({"utilization_file": "u.csv"})"}},
             {"trace-util-bucket",
              {"500", R"({"utilization_bucket_ns": 500})"}},
-            {"trace-rate-eps", {"0.1", R"({"rate_epsilon": 0.1})"}},
             {"trace-analysis", {"", R"({"analysis": true})"}},
             {"trace-analysis-out",
              {"a.json", R"({"analysis_file": "a.json"})"}},
@@ -401,13 +401,9 @@ TEST(Config, EveryBlockRejectsUnknownKeys)
          "system.local_memory.bandwidth_gbs"},
         {"system.remote_memory.in_node_fabric_bw_gbs",
          "system.remote_memory.in_node_fabric_bw_gbs"},
-        {"workload.microbatches", "workload.microbatches"},
-        {"topology.dimz", "topology.dimz"}};
+        {"workload.microbatches", "workload.microbatches"}};
     for (const auto &[path, named] : typos) {
         json::Value doc = json::parse(base);
-        if (path.rfind("topology.", 0) == 0)
-            doc.mutableObject()["topology"] = json::parse(
-                R"({"dims": [{"type": "Ring", "size": 4}]})");
         sweep::applyOverride(doc, path, json::Value(1.0));
         std::string err =
             errorOf([&] { sweep::materializeConfig(doc); });
@@ -424,10 +420,11 @@ TEST(Config, EveryBlockRejectsUnknownKeys)
               std::string::npos);
 
     json::Value dims = json::parse(base);
-    dims.mutableObject()["topology"] = json::parse(
-        R"({"dims": [{"type": "Ring", "size": 4, "latncy_ns": 5}]})");
+    dims.mutableObject()["topology"] =
+        json::parse(R"({"dims": [{"type": "Ring", "size": 4}]})");
     EXPECT_NE(errorOf([&] { sweep::materializeConfig(dims); })
-                  .find("topology.dims.0.latncy_ns"),
+                  .find("topology: must be a preset name or a notation "
+                        "string"),
               std::string::npos);
 
     for (const char *kind : {"hybrid", "dlrm", "pipeline", "moe"}) {

@@ -1,9 +1,11 @@
 /** @file End-to-end tests of the Simulator facade. */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "astra/simulator.h"
 #include "common/logging.h"
-#include "topology/presets.h"
+#include "topology/notation.h"
 #include "workload/builders.h"
 #include "workload/et_json.h"
 
@@ -196,7 +198,7 @@ TEST(Simulator, SerializedChunksWithSubGroupCollectives)
     // send chunk-c+1 messages to a member that has not entered chunk
     // c+1 yet; those must be buffered, not misapplied (this panicked
     // before the `started` flag existed).
-    Topology topo = presets::wafer1D(350.0, 64);
+    Topology topo = parseTopology("Switch(64,350)");
     SimulatorConfig cfg;
     cfg.sys.collectiveChunks = 4;
     cfg.sys.serializeChunks = true;
@@ -217,6 +219,47 @@ TEST(Simulator, RejectsDoubleRemoteTier)
     cfg.pooledMem = RemoteMemoryConfig{};
     cfg.zeroInfinityMem = ZeroInfinityConfig{};
     EXPECT_THROW(Simulator(topo, cfg), FatalError);
+}
+
+/** The FatalError message `fn` throws ("" if it returns). */
+template <typename Fn>
+std::string
+errorOf(Fn fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Simulator, EventTimesPastTheQueueRangeAreUserErrors)
+{
+    // Both runs once aborted inside the event queue: its tick cast
+    // overflowed and the timing wheel saw time go backwards.
+    const std::string beyond = "beyond the event queue's range";
+
+    // A per-hop latency of 1e300 ns (trace_runner's generated trace).
+    Topology slow = parseTopology("R(4,100,1e300)_SW(2,25)");
+    HybridOptions opts;
+    opts.mp = slow.dim(0).size;
+    opts.simLayers = 4;
+    Workload hybrid = buildHybridTransformer(slow, gpt3(), opts);
+    EXPECT_NE(errorOf([&] { Simulator(slow, {}).run(hybrid); })
+                  .find(beyond),
+              std::string::npos);
+
+    // An ET compute node of 1e300 flops beside a short one.
+    Workload huge = workloadFromText(R"({"schema": "astra-sim-et-v2",
+      "npus": 2, "name": "huge", "graphs": [
+        {"npu": 0, "nodes": [{"type": "compute", "id": 0,
+                              "flops": 1e300}]},
+        {"npu": 1, "nodes": [{"type": "compute", "id": 0,
+                              "flops": 1}]}]})");
+    Topology pair = parseTopology("Ring(2,100)");
+    EXPECT_NE(errorOf([&] { Simulator(pair, {}).run(huge); }).find(beyond),
+              std::string::npos);
 }
 
 } // namespace

@@ -16,7 +16,7 @@
 #include "collective/estimate.h"
 #include "common/units.h"
 #include "sweep/result_store.h"
-#include "topology/presets.h"
+#include "topology/notation.h"
 
 namespace astra {
 namespace sweep {
@@ -65,7 +65,7 @@ TEST(FigureSpecs, EachExpandsToItsRecordedRowCount)
         SweepSpec spec = SweepSpec::fromFile(entry.path().string());
         EXPECT_EQ(spec.configCount(), it->second) << name;
         for (size_t i = 0; i < spec.configCount(); ++i)
-            topologyFromSpec(spec.config(i).doc.at("topology"));
+            topologyFromJson(spec.config(i).doc.at("topology"));
         ++seen;
     }
     EXPECT_EQ(seen, kRows.size());
@@ -131,7 +131,8 @@ TEST(FigureSpecs, ChunkingHasDiminishingReturnsTowardTheBottleneck)
     CollectiveRequest probe =
         CollectiveRequest::overDims(CollectiveType::AllReduce, 1e9);
     probe.chunks = 64;
-    CollectiveEstimate est = estimateCollective(presets::conv4D(), probe);
+    CollectiveEstimate est =
+        estimateCollective(parseTopology("conv4d"), probe);
     EXPECT_LT(total(store, 0), est.sequential);
     for (size_t i = 1; i < store.rows(); ++i) {
         EXPECT_LT(total(store, i), total(store, i - 1)) << i;

@@ -276,13 +276,13 @@ TEST(SweepSpec, MaterializeTopologyForms)
     })json"));
     EXPECT_EQ(preset.topo.npus(), 512);
 
-    // Explicit dims object (network-config schema).
-    MaterializedConfig dims = materializeConfig(json::parse(R"json({
+    // A dims object is not a topology.
+    EXPECT_THROW(materializeConfig(json::parse(R"json({
       "topology": {"dims": [{"type": "Ring", "size": 4,
                              "bandwidth_gbps": 100}]},
       "workload": {"kind": "collective", "bytes": 1024}
-    })json"));
-    EXPECT_EQ(dims.topo.npus(), 4);
+    })json")),
+                 FatalError);
 }
 
 TEST(SweepSpec, MaterializeWorkloadsAndErrors)

@@ -9,7 +9,6 @@
 #include "common/logging.h"
 #include "telemetry/telemetry.h"
 #include "topology/notation.h"
-#include "topology/presets.h"
 
 namespace astra {
 namespace {
@@ -51,13 +50,13 @@ TEST(Notation, EveryPresetIsItsTableNotation)
 {
     ASSERT_EQ(kPresetTable.size(), 15u);
     for (const auto &[name, notation] : kPresetTable) {
-        Topology preset = presets::byName(name);
+        Topology preset = parseTopology(name);
         expectSameDims(preset, parseTopology(notation), name);
         // Names are case-insensitive.
         std::string upper = name;
         for (char &c : upper)
             c = char(std::toupper(static_cast<unsigned char>(c)));
-        expectSameDims(presets::byName(upper), preset, upper);
+        expectSameDims(parseTopology(upper), preset, upper);
         // The manifest's notation reads back as the same topology.
         expectSameDims(parseTopology(telemetry::topologyNotation(preset)),
                        preset, name + " round trip");
@@ -104,17 +103,6 @@ TEST(Notation, InlineBandwidthAndLatency)
     EXPECT_DOUBLE_EQ(t.dim(1).latency, 700.0);
 }
 
-TEST(Notation, OverrideVectors)
-{
-    Topology t =
-        parseTopology("R(2)_FC(8)_R(8)_SW(4)", {250.0, 200.0, 100.0, 50.0},
-                      {10.0, 20.0, 30.0, 40.0});
-    EXPECT_DOUBLE_EQ(t.dim(0).bandwidth, 250.0);
-    EXPECT_DOUBLE_EQ(t.dim(3).bandwidth, 50.0);
-    EXPECT_DOUBLE_EQ(t.dim(2).latency, 30.0);
-    EXPECT_EQ(t.shapeString(), "2_8_8_4");
-}
-
 TEST(Notation, RejectsMalformedInput)
 {
     EXPECT_THROW(parseTopology(""), FatalError);
@@ -124,7 +112,40 @@ TEST(Notation, RejectsMalformedInput)
     EXPECT_THROW(parseTopology("R(0)"), FatalError);
     EXPECT_THROW(parseTopology("R(4,abc)"), FatalError);
     EXPECT_THROW(parseTopology("R(4,1,2,3)"), FatalError);
-    EXPECT_THROW(parseTopology("R(4)", {1.0, 2.0}), FatalError);
+}
+
+TEST(Notation, NumbersReadLikeJsonNumbers)
+{
+    // A size is an integer in [1, INT_MAX]: no fraction, exponent,
+    // sign, hex or overflow.
+    for (const char *bad :
+         {"R(4.7,100)_SW(2,25)", "R(1e10,100)", "R(4e0)", "R(0x10,100)",
+          "R(+4,100)", "R(-4)", "R(2147483648)", "R( )", "R(,100)"})
+        EXPECT_THROW(parseTopology(bad), FatalError) << bad;
+    EXPECT_EQ(parseTopology("R(2147483647)").npus(), 2147483647);
+    // Bandwidth and latency are finite decimals.
+    for (const char *bad :
+         {"R(4,inf)", "R(4,nan)", "R(4,100,inf)", "R(4,100,-inf)",
+          "R(4,1e999)", "R(4,0x10)", "R(4,+100)", "R(4,100x)", "R(4,)"})
+        EXPECT_THROW(parseTopology(bad), FatalError) << bad;
+    Topology t = parseTopology("R(4, 12.5e1, 1E3)_SW(2,.5)");
+    EXPECT_EQ(t.dim(0).bandwidth, 125.0);
+    EXPECT_EQ(t.dim(0).latency, 1000.0);
+    EXPECT_EQ(t.dim(1).bandwidth, 0.5);
+    // Nothing may follow a dimension's closing parenthesis, and the
+    // NPU count must fit an int.
+    EXPECT_THROW(parseTopology("R(4)x_SW(2)"), FatalError);
+    EXPECT_THROW(parseTopology("R(65536)_R(65536)"), FatalError);
+}
+
+TEST(Notation, DefaultsAndPresetNames)
+{
+    Topology t = parseTopology("FC(8)");
+    EXPECT_EQ(t.dim(0).bandwidth, 100.0);
+    EXPECT_EQ(t.dim(0).latency, 500.0);
+    EXPECT_EQ(parseTopology("Conv4D").notation(),
+              "Ring(2)_FullyConnected(8)_Ring(8)_Switch(4)");
+    EXPECT_THROW(parseTopology("not-a-system"), FatalError);
 }
 
 TEST(Notation, BlockTypeNames)

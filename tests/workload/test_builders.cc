@@ -4,7 +4,7 @@
 #include <set>
 
 #include "common/logging.h"
-#include "topology/presets.h"
+#include "topology/notation.h"
 #include "workload/builders.h"
 
 namespace astra {
@@ -12,7 +12,7 @@ namespace {
 
 TEST(MapHybrid, WholeDimsOnConv4D)
 {
-    Topology topo = presets::conv4D();
+    Topology topo = parseTopology("conv4d");
     ParallelMapping map = mapHybrid(topo, 16, 32);
     // MP takes Ring(2) and FC(8); DP takes Ring(8) and Switch(4).
     ASSERT_EQ(map.mpGroups.size(), 2u);
@@ -27,7 +27,7 @@ TEST(MapHybrid, WholeDimsOnConv4D)
 
 TEST(MapHybrid, SplitsSingleWaferDim)
 {
-    Topology topo = presets::wafer1D(350.0);
+    Topology topo = parseTopology("w1d-350");
     ParallelMapping map = mapHybrid(topo, 16, 32);
     ASSERT_EQ(map.mpGroups.size(), 1u);
     EXPECT_EQ(map.mpGroups[0].size, 16);
@@ -39,7 +39,7 @@ TEST(MapHybrid, SplitsSingleWaferDim)
 
 TEST(MapHybrid, SplitsPartiallyOnW2D)
 {
-    Topology topo = presets::wafer2D(); // 32 x 16.
+    Topology topo = parseTopology("w2d"); // 32 x 16.
     ParallelMapping map = mapHybrid(topo, 16, 32);
     // MP: inner 16 of dim 0; DP: outer 2 of dim 0 plus dim 1.
     ASSERT_EQ(map.mpGroups.size(), 1u);
@@ -54,7 +54,7 @@ TEST(MapHybrid, SplitsPartiallyOnW2D)
 
 TEST(MapHybrid, PureDataParallel)
 {
-    Topology topo = presets::conv4D();
+    Topology topo = parseTopology("conv4d");
     ParallelMapping map = mapHybrid(topo, 1, 512);
     EXPECT_TRUE(map.mpGroups.empty());
     EXPECT_EQ(map.dpGroups.size(), 4u);
@@ -62,7 +62,7 @@ TEST(MapHybrid, PureDataParallel)
 
 TEST(MapHybrid, RejectsBadFactors)
 {
-    Topology topo = presets::conv4D();
+    Topology topo = parseTopology("conv4d");
     EXPECT_THROW(mapHybrid(topo, 3, 171), FatalError);  // 3*171 != 512.
     EXPECT_THROW(mapHybrid(topo, 7, 512 / 7), FatalError);
     EXPECT_THROW(mapHybrid(topo, 0, 512), FatalError);
@@ -164,7 +164,7 @@ TEST(DlrmBuilder, AllToAllAndWgrad)
 
 TEST(SingleCollectiveBuilder, OneNodePerNpu)
 {
-    Topology topo = presets::conv4D();
+    Topology topo = parseTopology("conv4d");
     Workload wl = buildSingleCollective(
         topo, CollectiveType::AllReduce, 1e9);
     EXPECT_NO_THROW(validateWorkload(wl, 512));
