@@ -24,6 +24,10 @@ constexpr double kShareTieRel = 1e-9;
  *  on links of positive capacity; this is a numerical backstop). */
 constexpr GBps kMinRate = 1e-12;
 
+/** Relative rate change that closes a flow's trace rate segment
+ *  (docs/trace.md). */
+constexpr double kRateEpsilon = 0.25;
+
 } // namespace
 
 FlowNetwork::FlowNetwork(EventQueue &eq, const Topology &topo)
@@ -163,12 +167,12 @@ FlowNetwork::integrateFlow(Flow &flow, TimeNs t)
             // of the flow: feed link busy time (series, totals) with
             // the fractional busy share per link, and at full detail
             // grow the coalesced rate segment on the source's flow
-            // track. Stretches within rate_epsilon (relative, default
-            // 25%) of the open segment's rate extend it rather than
-            // emit — max-min churn re-rates whole components
-            // constantly, and one event per re-rate would double the
-            // trace for no visual gain; small rate wiggles are
-            // invisible on a timeline (docs/trace.md).
+            // track. Stretches within kRateEpsilon (25%, relative) of
+            // the open segment's rate extend it rather than emit —
+            // max-min churn re-rates whole components constantly, and
+            // one event per re-rate would double the trace for no
+            // visual gain; small rate wiggles are invisible on a
+            // timeline (docs/trace.md).
             if (tracer_->readsLinkBusy())
                 for (LinkId l : *flow.path)
                     tracer_->linkBusy(
@@ -179,7 +183,7 @@ FlowNetwork::integrateFlow(Flow &flow, TimeNs t)
                     flow.traceSegStart = flow.lastUpdate;
                     flow.traceRate = flow.rate;
                 } else if (std::abs(flow.rate - flow.traceRate) >
-                           rateEpsilon_ * flow.traceRate) {
+                           kRateEpsilon * flow.traceRate) {
                     flushRateSegment(flow, flow.lastUpdate);
                     flow.traceSegStart = flow.lastUpdate;
                     flow.traceRate = flow.rate;
@@ -524,7 +528,6 @@ FlowNetwork::setTracer(trace::Tracer *tracer)
     NetworkApi::setTracer(tracer);
     if (!tracer)
         return;
-    rateEpsilon_ = tracer->config().rateEpsilon;
     for (LinkId l = 0; l < graph_.linkCount(); ++l) {
         const LinkGraph::Link &link = graph_.link(l);
         tracer->registerLink(l, detail::formatV("d%d %d->%d", link.dim,

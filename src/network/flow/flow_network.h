@@ -290,9 +290,6 @@ class FlowNetwork : public NetworkApi
     std::vector<uint8_t> linkUpState_;
     bool dirty_ = false;
     bool fullSolveVerify_ = false;
-    /** Relative rate-change threshold for coalescing trace rate
-     *  segments; cached from TraceConfig::rateEpsilon in setTracer. */
-    double rateEpsilon_ = 0.25;
     SolverStats solver_;
 
     // Dirty-link seeds accumulated since the last solve (deduped by

@@ -173,13 +173,12 @@ parseTopology(const std::string &text)
     if (text.find('(') != std::string::npos)
         return parseNotation(text);
     std::string name = lower(text);
-    std::string known;
-    for (const Preset &p : kPresets) {
+    for (const Preset &p : kPresets)
         if (name == p.name)
             return parseNotation(p.notation);
-        known += known.empty() ? "" : ", ";
-        known += p.name;
-    }
+    std::string known;
+    for (const Preset &p : kPresets)
+        known += (known.empty() ? "" : ", ") + std::string(p.name);
     fatal("unknown topology preset '%s' (presets: %s; or a notation such "
           "as Ring(4,100)_Switch(2,50))",
           text.c_str(), known.c_str());

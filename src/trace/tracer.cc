@@ -56,7 +56,7 @@ traceConfigFromJson(const json::Value &doc, const std::string &path)
 {
     json::checkKeys(doc, path,
                     {"file", "detail", "utilization_bucket_ns",
-                     "utilization_file", "rate_epsilon", "analysis",
+                     "utilization_file", "analysis",
                      "analysis_file"});
     TraceConfig cfg;
     cfg.file = doc.getString("file", "");
@@ -87,11 +87,6 @@ traceConfigFromJson(const json::Value &doc, const std::string &path)
                          cfg.utilizationBucketNs >= 0.0,
                      "%s.utilization_bucket_ns: must be a finite number "
                      ">= 0", path.c_str());
-    cfg.rateEpsilon = doc.getNumber("rate_epsilon", cfg.rateEpsilon);
-    ASTRA_USER_CHECK(std::isfinite(cfg.rateEpsilon) &&
-                         cfg.rateEpsilon >= 0.0,
-                     "%s.rate_epsilon: must be a finite number >= 0",
-                     path.c_str());
     return cfg;
 }
 
@@ -106,8 +101,6 @@ cliFlags(const char *file_flag)
          "utilization_file"},
         {"trace-util-bucket", FlagKind::Number, "its bucket in ns",
          "utilization_bucket_ns"},
-        {"trace-rate-eps", FlagKind::Number, "flow rate coalescing",
-         "rate_epsilon"},
         {"trace-analysis", FlagKind::Switch, "critical path, hot links",
          "analysis"},
         {"trace-analysis-out", FlagKind::Value, "write the analysis",

@@ -75,15 +75,6 @@ struct TraceConfig
     /** Utilization series output (".csv" or ".json"; "" = none). */
     std::string utilizationFile;
     /**
-     * Flow-backend rate-segment coalescing threshold: a lazy
-     * integration stretch whose max-min rate stays within
-     * `rateEpsilon` (relative) of the open segment's opening rate
-     * extends the segment instead of emitting a new one
-     * (docs/trace.md). 0 emits one segment per rate change; large
-     * values collapse each flow to at most one segment.
-     */
-    double rateEpsilon = 0.25;
-    /**
      * Run the trace analytics pass (src/trace/analysis/,
      * docs/trace.md "Analysis") after the simulation: critical-path
      * extraction, bottleneck attribution, and the stretch table,

@@ -172,7 +172,6 @@ expectSameTrace(const trace::TraceConfig &a, const trace::TraceConfig &b,
     EXPECT_EQ(a.detail, b.detail) << what;
     EXPECT_EQ(a.utilizationBucketNs, b.utilizationBucketNs) << what;
     EXPECT_EQ(a.utilizationFile, b.utilizationFile) << what;
-    EXPECT_EQ(a.rateEpsilon, b.rateEpsilon) << what;
     EXPECT_EQ(a.analysis, b.analysis) << what;
     EXPECT_EQ(a.analysisFile, b.analysisFile) << what;
 }
@@ -200,7 +199,6 @@ TEST(Config, EveryTraceAndTelemetryFlagMeansItsJsonKey)
             {"trace-util", {"u.csv", R"({"utilization_file": "u.csv"})"}},
             {"trace-util-bucket",
              {"500", R"({"utilization_bucket_ns": 500})"}},
-            {"trace-rate-eps", {"0.1", R"({"rate_epsilon": 0.1})"}},
             {"trace-analysis", {"", R"({"analysis": true})"}},
             {"trace-analysis-out",
              {"a.json", R"({"analysis_file": "a.json"})"}},

@@ -55,13 +55,11 @@ namespace {
  *  full detail. Contention-heavy, so flow and analytical timing
  *  genuinely diverge. */
 TraceData
-runHierAllreduce(NetworkBackendKind backend, double *sim_time_ns,
-                 double rate_epsilon = 0.25)
+runHierAllreduce(NetworkBackendKind backend, double *sim_time_ns)
 {
     bench::HierAllreduce256 run(backend);
     TraceConfig cfg;
     cfg.detail = Detail::Full;
-    cfg.rateEpsilon = rate_epsilon;
     Tracer tracer(cfg);
     run.net->setTracer(&tracer);
     run.engine.setTracer(&tracer, 0);
@@ -624,39 +622,12 @@ TEST(AnalysisLoader, NameNumbersTooLargeForTheirFieldAreLeftUnset)
     EXPECT_EQ(huge.nameOf(huge.spans[0]).dim, -1);
 }
 
-TEST(RateEpsilon, TighterEpsilonEmitsAtLeastAsManySegments)
-{
-    auto flowSegments = [](double eps) {
-        TraceData data = runHierAllreduce(NetworkBackendKind::Flow,
-                                          nullptr, eps);
-        size_t count = 0;
-        for (const Span &s : data.spans)
-            if (s.track == TrackClass::Flow)
-                ++count;
-        return count;
-    };
-    size_t tight = flowSegments(0.0);
-    size_t dflt = flowSegments(0.25);
-    size_t loose = flowSegments(1e9);
-    EXPECT_GE(tight, dflt);
-    EXPECT_GE(dflt, loose);
-    EXPECT_GT(tight, loose); // this scenario re-rates constantly.
-}
-
-TEST(RateEpsilon, ConfigParsingAndValidation)
+TEST(AnalysisConfig, ParsingAndValidation)
 {
     TraceConfig cfg = traceConfigFromJson(
-        json::parse(R"({"detail": "full", "rate_epsilon": 0.1,
-                        "analysis": true})"),
-        "trace");
-    EXPECT_EQ(cfg.rateEpsilon, 0.1);
+        json::parse(R"({"detail": "full", "analysis": true})"), "trace");
     EXPECT_TRUE(cfg.analysis);
 
-    // Negative epsilon rejected.
-    EXPECT_THROW(
-        traceConfigFromJson(json::parse(R"({"rate_epsilon": -0.5})"),
-                            "trace"),
-        FatalError);
     // Analysis needs span recording: an explicit "off" is an error.
     EXPECT_THROW(
         traceConfigFromJson(
